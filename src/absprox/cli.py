@@ -132,14 +132,19 @@ def _cmd_verify(_args) -> int:
     q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
     q5 = np.array([[1.0, 0, -1, 1, 0], [0, 1, 1, -1, 0], [-1, 1, -1, 1, 1],
                    [1, -1, 1, -1, 1], [0, 0, 1, 1, 1]])
+    # the Jacobi arbiter against the known spectra and against the LAPACK
+    # spectra that QuadraticForm runs on
     w3, v3 = eig_sym(q3)
     w5, _ = eig_sym(q5)
-    check("eigendecomposition 3x3 -> (-4, 2, 4)",
-          np.allclose(w3, [-4, 2, 4], atol=1e-9),
-          f"got {w3}")
-    check("eigendecomposition 5x5 -> (-3, -1, 1, 2, 2)",
-          np.allclose(w5, [-3, -1, 1, 2, 2], atol=1e-9),
-          f"got {w5}")
+    f3, f5 = QuadraticForm(q3), QuadraticForm(q5)
+    check("eigendecomposition 3x3 -> (-4, 2, 4), Jacobi and LAPACK",
+          np.allclose(w3, [-4, 2, 4], atol=1e-9)
+          and np.allclose(f3.eigenvalues, w3, atol=1e-9),
+          f"Jacobi {w3}, LAPACK {f3.eigenvalues}")
+    check("eigendecomposition 5x5 -> (-3, -1, 1, 2, 2), Jacobi and LAPACK",
+          np.allclose(w5, [-3, -1, 1, 2, 2], atol=1e-9)
+          and np.allclose(f5.eigenvalues, w5, atol=1e-9),
+          f"Jacobi {w5}, LAPACK {f5.eigenvalues}")
     check("eigenvector residual ||Qv - wv|| small",
           float(np.abs(q3 @ v3 - v3 @ np.diag(w3)).max()) <= 1e-9)
 
@@ -164,7 +169,7 @@ def _cmd_verify(_args) -> int:
     oracles = [
         (AbsPlusSquare(), 1),
         (NormSquare(gamma=0.5, dim=2), 2),
-        (QuadraticForm(q3), 3),
+        (f3, 3),
     ]
     for f, dim in oracles:
         for k in range(25):
@@ -184,8 +189,7 @@ def _cmd_verify(_args) -> int:
     bad_a = 4.0 - 1e-3
     bad_u = 2.0 * (q3 + bad_a * np.eye(3)) @ x_neg
     rep = subgrad_inequality_sampler(
-        lambda y: eval_oracle(QuadraticForm(q3), y),
-        x_neg, bad_a, bad_u, num=10_000, seed=6)
+        lambda y: eval_oracle(f3, y), x_neg, bad_a, bad_u, num=10_000, seed=6)
     check("sampler flags a coefficient below the feasible threshold", not rep["passed"])
 
     ok = True

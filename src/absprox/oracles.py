@@ -5,7 +5,10 @@ quadratic-minorant subdifferential at a point: phi(y) = -a||y||^2 + <u,y>
 with f(y) - f(x) >= phi(y) - phi(x) for all y.  Supported classes:
 
 * ``NormSquare(gamma)``     -- f(x) = ||x||^2 / (2 gamma)
-* ``QuadraticForm(Q)``      -- f(x) = <x, Qx>, Q symmetric (possibly indefinite)
+* ``QuadraticForm(Q)``      -- f(x) = <x, Qx>, Q symmetric (possibly indefinite);
+  its spectrum comes from LAPACK (``numpy.linalg.eigh``), never from the
+  Jacobi solver in :mod:`absprox.reference`, which stays independent so it
+  can cross-check it
 * ``AbsPlusSquare()``       -- f(x) = |x| + x^2 on the line
 * ``IndicatorSet(C)``       -- f = 0 on C, +inf outside, C a ball/box/halfspace
 * ``SmoothBlackBox(...)``   -- caller-supplied smooth g with a curvature bound
@@ -23,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from .phi import InfeasibleCoefficientError, PhiElement
-from .reference import eig_sym
 
 __all__ = [
     "Ball",
@@ -200,10 +202,12 @@ class QuadraticForm:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("Q must be square")
+        if not np.isfinite(q).all():
+            raise ValueError("Q must be finite")
         if np.abs(q - q.T).max() > 1e-12 * max(1.0, np.abs(q).max()):
             raise ValueError("Q must be symmetric")
         object.__setattr__(self, "q", q)
-        w, v = eig_sym(q)
+        w, v = np.linalg.eigh(q)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
 

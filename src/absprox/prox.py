@@ -206,7 +206,15 @@ def prox_via_argmin(req: ProxRequest, solver: InnerSolver | None = None) -> np.n
             raise UnboundedObjectiveError(
                 "regularized quadratic is singular at the bottom of its spectrum"
             )
-        return np.linalg.solve(f.q + w * np.eye(f.dim), w * x0)
+        try:
+            return np.linalg.solve(f.q + w * np.eye(f.dim), w * x0)
+        except np.linalg.LinAlgError as e:
+            # w within rounding of -min eig: which of the two guards above
+            # or LAPACK catches it depends on the last bit of the eigenvalue
+            raise UnboundedObjectiveError(
+                f"regularized quadratic is singular: min eig {f.min_eigenvalue} "
+                f"+ weight {w}"
+            ) from e
     if isinstance(f, IndicatorSet):
         # w = 0 makes every point of C a minimizer; the projection is the
         # deterministic representative in either case

@@ -5,6 +5,11 @@ eigensolver, numpy.linalg) so they can arbitrate disagreements: a slow
 grid-plus-golden-section argmin, a cyclic Jacobi eigensolver, central
 finite differences, and a sampled global-inequality checker built on the
 deterministic RNG in :mod:`absprox.rng`.
+
+``QuadraticForm`` takes its spectrum from LAPACK (``numpy.linalg.eigh``).
+The Jacobi solver is far slower, so it serves only as the cross-check of
+that spectrum, whose accuracy does not rest on LAPACK, and as the source of
+the ``auto_eigen`` reference point, whose bits the bundled sweep CSVs record.
 """
 
 from __future__ import annotations

@@ -47,9 +47,11 @@ class XorShift64Star:
         return lo + (hi - lo) * self.next_double()
 
     def uniform_vector(self, lo, hi, n: int) -> np.ndarray:
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = lo[i] + (hi[i] - lo[i]) * self.next_double()
+        """n draws, component i uniform on [lo_i, hi_i); scalar bounds
+        apply to every component."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        out = lo + (hi - lo) * np.array([self.next_double() for _ in range(n)])
+        if out.shape != (n,):
+            raise ValueError(f"bounds of shape {lo.shape} and {hi.shape} "
+                             f"do not give {n} components")
         return out

@@ -197,8 +197,9 @@ def test_criterion_6_subgradient_certificates():
     x_neg = np.array([1.0, 1, 1])
     bad_a = 4.0 - 1e-3
     bad_u = 2.0 * (Q3 + bad_a * np.eye(3)) @ x_neg
+    f3 = QuadraticForm(Q3)
     control = subgrad_inequality_sampler(
-        lambda y: eval_oracle(QuadraticForm(Q3), y), x_neg, bad_a, bad_u,
+        lambda y: eval_oracle(f3, y), x_neg, bad_a, bad_u,
         num=10_000, seed=6)
     report(6, "500 sampled certificates pass across all oracle kinds and the "
               "below-threshold control is flagged",

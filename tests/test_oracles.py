@@ -46,6 +46,16 @@ def test_feasible_ranges():
     assert rng.a_min == -np.inf and rng.admits(-1e9)
 
 
+def test_quadratic_form_rejects_bad_matrices():
+    # LAPACK returns NaN eigenvalues for a NaN entry instead of failing,
+    # so non-finite input must be refused before the eigensolve
+    for q in (np.ones((2, 3)), np.array([[1.0, 2.0], [0.0, 1.0]]),
+              np.array([[np.nan, 0.0], [0.0, 1.0]]),
+              np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError):
+            QuadraticForm(q)
+
+
 def test_feasible_range_outside_indicator_domain():
     with pytest.raises(EmptySubdifferentialError):
         feasible_range(IndicatorSet(Ball(np.zeros(2), 1.0)), (3.0, 0.0))

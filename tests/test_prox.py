@@ -29,6 +29,8 @@ from absprox.reference import grid_argmin_1d
 from absprox.rng import XorShift64Star
 
 Q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
+Q5 = np.array([[1.0, 0, -1, 1, 0], [0, 1, 1, -1, 0], [-1, 1, -1, 1, 1],
+               [1, -1, 1, -1, 1], [0, 0, 1, 1, 1]])
 
 
 # --- closed form for |x| + x^2 ----------------------------------------------
@@ -93,9 +95,17 @@ def test_prox_quadratic_solves_linear_system():
 
 
 def test_prox_quadratic_unbounded():
-    # min eigenvalue of Q3 is -4; weight 1/(2*1) + 0 = 0.5 cannot dominate it
-    with pytest.raises(UnboundedObjectiveError):
-        prox_via_argmin(ProxRequest(QuadraticForm(Q3), np.zeros(3), 1.0, 0.0))
+    cases = [
+        # min eigenvalue of Q3 is -4; weight 1/(2*1) + 0 = 0.5 cannot dominate it
+        (Q3, 1.0, 0.0),
+        # weight 1/(2*0.5) + 2 = 3 is exactly -min eig of Q5: singular, and
+        # the error type must not depend on the last bit of the eigenvalue
+        (Q5, 0.5, 2.0),
+    ]
+    for q, gamma, a0 in cases:
+        with pytest.raises(UnboundedObjectiveError):
+            prox_via_argmin(ProxRequest(QuadraticForm(q), np.zeros(q.shape[0]),
+                                        gamma, a0))
 
 
 def test_prox_indicator_is_projection():

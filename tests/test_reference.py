@@ -1,11 +1,13 @@
 """Brute-force oracles: these arbitrate everything else, so they get their
 own checks, including a cross-check of the hand-rolled Jacobi eigensolver
-against numpy's LAPACK wrapper (the production code never calls the latter).
+against numpy's LAPACK wrapper, which the production ``QuadraticForm`` uses.
 """
 
 import numpy as np
 import pytest
 
+import absprox.oracles
+from absprox.oracles import QuadraticForm
 from absprox.reference import (
     eig_sym,
     fd_gradient,
@@ -91,6 +93,16 @@ def test_eig_matches_lapack_on_random_matrices():
         w, _ = eig_sym(q)
         assert np.allclose(w, np.linalg.eigvalsh(q), atol=1e-9)
 
+    # the oracle's eigenvalues come from LAPACK, independently of the arbiter
+    assert not hasattr(absprox.oracles, "eig_sym")
+    qs = [Q3, Q5]
+    for n in (8, 32, 64):
+        m = rng.standard_normal((n, n))
+        qs.append((m + m.T) / 2.0)
+    for q in qs:
+        tol = 1e-10 * max(1.0, float(np.linalg.norm(q)))
+        assert np.abs(QuadraticForm(q).eigenvalues - eig_sym(q)[0]).max() <= tol
+
 
 # --- finite differences ----------------------------------------------------
 
@@ -175,3 +187,13 @@ def test_rng_uniform_spans_interval():
     vals = [r.uniform(-2.0, 3.0) for _ in range(1000)]
     assert min(vals) >= -2.0 and max(vals) < 3.0
     assert min(vals) < -1.0 and max(vals) > 2.0  # actually spreads out
+
+    # the vector draws are pinned bit for bit, for scalar and array bounds
+    got = XorShift64Star(7).uniform_vector(-2.0, 3.0, 4)
+    assert [v.hex() for v in got] == [
+        "0x1.0cf536be9e60ep+1", "0x1.521b0f2a768a0p+1",
+        "-0x1.8da1ecea1ae4fp+0", "-0x1.763ca515f4afdp+0"]
+    got = XorShift64Star(7).uniform_vector(
+        np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 2.5]), 3)
+    assert [v.hex() for v in got] == [
+        "0x1.47eebdfdca34ap-1", "0x1.290d87953b450p+2", "0x1.05b7e75ab1dafp+1"]
