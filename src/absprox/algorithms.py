@@ -1,7 +1,10 @@
 """Proximal-point, forward-backward, and projected-subgradient iterations.
 
-All three methods share the coefficient/stepsize schedules and emit a
-:class:`RunResult` holding one :class:`IterationRecord` per iterate.  Runs
+All three methods share the coefficient/stepsize schedules and one
+iteration loop: each supplies only its step (a prox or a projection plus
+its guard), and the loop owns the records, the non-finite abort, the
+descent check and the stopping rules.  A run emits a :class:`RunResult`
+holding one :class:`IterationRecord` per iterate.  Runs
 are deterministic given their inputs.  Monotonicity guarantees are checked
 at runtime and reported through :class:`TheoremViolationWarning` (or raised
 as :class:`TheoremViolationError` under ``strict=True``); guard conditions
@@ -11,6 +14,7 @@ stop is an expected outcome of the update rule itself.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -76,7 +80,8 @@ STOP_STEP_NORM = "step-norm"
 def _flag(message: str, strict: bool):
     if strict:
         raise TheoremViolationError(message)
-    warnings.warn(message, TheoremViolationWarning, stacklevel=3)
+    # 4: _flag, _iterate, run_*, then the caller of run_*
+    warnings.warn(message, TheoremViolationWarning, stacklevel=4)
 
 
 # ---------------------------------------------------------------------------
@@ -139,38 +144,34 @@ class FbConstant(Schedule):
 
 def schedule_step(sched: Schedule, gamma_n: float, a_n: float,
                   a_fn: float = np.nan):
-    """Advance one schedule step: (gamma_next, a_next, stop_tag or None).
+    """Advance one schedule step: (gamma_next, a_next).
 
     ``a_fn`` is the oracle coefficient queried at the current iterate; only
-    the subgradient-driven kinds use it.
+    the subgradient-driven kinds use it.  The guard that ends decrement
+    schedules is the methods' own weight check, not part of the step.
     """
     if isinstance(sched, PpaAdditive):
-        return gamma_n, a_n + sched.delta, None
+        return gamma_n, a_n + sched.delta
     if isinstance(sched, PsgConstantGamma):
-        a_next = a_n - a_fn
-        tag = STOP_GUARD if a_next <= a_fn - 1.0 / (2.0 * gamma_n) else None
-        return gamma_n, a_next, tag
+        return gamma_n, a_n - a_fn
     if isinstance(sched, PsgAdaptiveV1):
         if sched.a_const == 0.0:
             raise ScheduleDegenerateError("adaptive stepsize divides by a_{n+1} = 0")
         gamma_next = gamma_n * (a_n - sched.a_f_const) / sched.a_const
-        return gamma_next, sched.a_const, None
+        return gamma_next, sched.a_const
     if isinstance(sched, PsgAdaptiveV2):
         if a_fn + sched.epsilon == 0.0:
             raise ScheduleDegenerateError("adaptive stepsize divides by a^f + eps = 0")
         gamma_next = (gamma_n * (a_n - a_fn) + 1.0) / (a_fn + sched.epsilon)
         a_next = -1.0 / (2.0 * gamma_next) + a_fn + sched.epsilon if gamma_next > 0 else np.nan
-        tag = None
-        if gamma_next > 0 and 2.0 * gamma_next * (a_next - a_fn) <= -1.0:
-            tag = STOP_GUARD
-        return gamma_next, a_next, tag
+        return gamma_next, a_next
     if isinstance(sched, FbConstant):
-        return gamma_n, sched.a_const, None
+        return gamma_n, sched.a_const
     raise TypeError(f"unknown schedule {type(sched).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# Run records
+# Run records and the shared iteration loop
 # ---------------------------------------------------------------------------
 
 
@@ -183,7 +184,7 @@ class IterationRecord:
     x_n: np.ndarray
     f_xn: float
     step_norm: float
-    fejer: float
+    fejer: float = np.nan  # (1/(2 gamma_n) + a_n)||x_star - x_n||^2, see set_fejer
     stopped_by: str | None = None
 
 
@@ -212,45 +213,67 @@ class RunResult:
     def iterates(self) -> np.ndarray:
         return np.array([r.x_n for r in self.records])
 
-
-def _fejer_value(gamma: float, a: float, x: np.ndarray, x_star) -> float:
-    if x_star is None:
-        return np.nan
-    d = np.asarray(x_star, dtype=float) - x
-    return (0.5 / gamma + a) * float(d @ d)
-
-
-def _record(n, gamma, a, a_fn, x, fval, step, x_star) -> IterationRecord:
-    return IterationRecord(
-        n=n, gamma_n=gamma, a_n=a, a_fn=a_fn, x_n=np.array(x, dtype=float),
-        f_xn=float(fval), step_norm=float(step),
-        fejer=_fejer_value(gamma, a, x, x_star),
-    )
+    def set_fejer(self, x_star) -> None:
+        """Fill every record's Fejér column against the reference ``x_star``."""
+        x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
+        for r in self.records:
+            d = x_star - r.x_n
+            r.fejer = (0.5 / r.gamma_n + r.a_n) * float(d @ d)
 
 
-def _all_finite(*items) -> bool:
-    return all(bool(np.all(np.isfinite(np.asarray(v, dtype=float)))) for v in items)
+def _iterate(x0, sched: Schedule, n_iter: int, objective, step, x_star,
+             step_tol: float | None, strict: bool, objective_name: str = "f") -> RunResult:
+    """The loop the three methods share.
 
-
-class _StepNormStopper:
-    """Optional practical stop: 3 consecutive relatively tiny steps."""
-
-    def __init__(self, tol: float | None):
-        self.tol = tol
-        self.count = 0
-
-    def hit(self, step: float, x_new: np.ndarray) -> bool:
-        if self.tol is None:
-            return False
-        if step <= self.tol * max(1.0, float(np.linalg.norm(x_new))):
-            self.count += 1
-        else:
-            self.count = 0
-        return self.count >= 3
+    ``step(rec)`` advances from the current record (it may fill
+    ``rec.a_fn``).  It returns None when the method's guard stops the run
+    at ``rec``, else ``(x_next, gamma_next, a_next, descends, tag)``:
+    ``descends`` asks for the objective-descent check, and a tag stops the
+    run at the new record.  Non-finite or nonpositive-stepsize updates
+    abort; with ``step_tol`` set, three consecutive steps with
+    ||x_{n+1}-x_n|| <= step_tol * max(1, ||x_{n+1}||) end the run as converged.
+    """
+    x = np.array(x0, dtype=float, ndmin=1)
+    rec = IterationRecord(0, sched.gamma0, sched.a0, np.nan, x, float(objective(x)), 0.0)
+    records = [rec]
+    stop = TerminalKind.MAX_ITER, None
+    small_steps = 0
+    for n in range(n_iter):
+        out = step(rec)
+        if out is None:
+            stop = TerminalKind.STOP_RULE, STOP_GUARD
+            break
+        x_next, gamma_next, a_next, descends, tag = out
+        if not (math.isfinite(gamma_next) and math.isfinite(a_next)
+                and np.isfinite(x_next).all()) or gamma_next <= 0:
+            stop = TerminalKind.STOP_RULE, STOP_NONFINITE
+            break
+        f_next = float(objective(x_next))
+        if descends and f_next > rec.f_xn + 1e-10:
+            _flag(f"descent violated at iteration {n}: {objective_name} went from "
+                  f"{rec.f_xn} to {f_next}", strict)
+        step_norm = float(np.linalg.norm(x_next - rec.x_n))
+        rec = IterationRecord(n + 1, gamma_next, a_next, np.nan,
+                              np.array(x_next, dtype=float), f_next, step_norm)
+        records.append(rec)
+        if tag is not None:
+            stop = TerminalKind.STOP_RULE, tag
+            break
+        if step_tol is not None:
+            tiny = step_norm <= step_tol * max(1.0, float(np.linalg.norm(x_next)))
+            small_steps = small_steps + 1 if tiny else 0
+            if small_steps >= 3:
+                stop = TerminalKind.CONVERGED, STOP_STEP_NORM
+                break
+    rec.stopped_by = stop[1]
+    result = RunResult(records, Terminal(*stop))
+    if x_star is not None:
+        result.set_fejer(x_star)
+    return result
 
 
 # ---------------------------------------------------------------------------
-# Proximal point
+# The three methods
 # ---------------------------------------------------------------------------
 
 
@@ -265,51 +288,22 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int,
     with ||x_{n+1}-x_n|| <= step_tol * max(1, ||x_{n+1}||).  Objective
     descent f(x_{n+1}) <= f(x_n) is asserted each step.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    gamma, a = sched.gamma0, sched.a0
-    records = [_record(0, gamma, a, np.nan, x, eval_oracle(f, x), 0.0, x_star)]
-    terminal = Terminal(TerminalKind.MAX_ITER)
-    stopper = _StepNormStopper(step_tol)
-
-    for n in range(n_iter):
-        certificate = abs(0.5 / gamma + a) <= 1e-12
-        x_next = prox_via_argmin(ProxRequest(f, x, gamma, a), solver)
-        gamma_next, a_next, _ = schedule_step(sched, gamma, a)
+    def step(rec):
+        gamma, a = rec.gamma_n, rec.a_n
+        x_next = prox_via_argmin(ProxRequest(f, rec.x_n, gamma, a), solver)
+        gamma_next, a_next = schedule_step(sched, gamma, a)
         # the consumed subgradient difference has coefficient a_n - a_{n+1};
         # it must stay feasible for f at the new iterate
         if not feasible_range(f, x_next).admits(a - a_next):
             raise ScheduleInfeasibleError(
                 f"schedule decrement a_n - a_(n+1) = {a - a_next} is below the "
-                f"oracle's feasible threshold at iterate {n + 1}"
+                f"oracle's feasible threshold at iterate {rec.n + 1}"
             )
-        if not _all_finite(x_next, gamma_next, a_next) or gamma_next <= 0:
-            records[-1].stopped_by = STOP_NONFINITE
-            terminal = Terminal(TerminalKind.STOP_RULE, STOP_NONFINITE)
-            break
-        f_next = eval_oracle(f, x_next)
-        if f_next > records[-1].f_xn + 1e-10:
-            _flag(
-                f"descent violated at iteration {n}: f went from "
-                f"{records[-1].f_xn} to {f_next}", strict,
-            )
-        step = float(np.linalg.norm(x_next - x))
-        records.append(_record(n + 1, gamma_next, a_next, np.nan, x_next,
-                               f_next, step, x_star))
-        x, gamma, a = x_next, gamma_next, a_next
-        if certificate:
-            records[-1].stopped_by = STOP_GLOBAL_MIN
-            terminal = Terminal(TerminalKind.STOP_RULE, STOP_GLOBAL_MIN)
-            break
-        if stopper.hit(step, x_next):
-            records[-1].stopped_by = STOP_STEP_NORM
-            terminal = Terminal(TerminalKind.CONVERGED, STOP_STEP_NORM)
-            break
-    return RunResult(records, terminal)
+        certificate = abs(0.5 / gamma + a) <= 1e-12
+        return x_next, gamma_next, a_next, True, STOP_GLOBAL_MIN if certificate else None
 
-
-# ---------------------------------------------------------------------------
-# Forward-backward
-# ---------------------------------------------------------------------------
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, x_star,
+                    step_tol, strict)
 
 
 def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
@@ -333,59 +327,28 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
     """
     if not isinstance(g, SmoothBlackBox):
         raise TypeError("g must be a SmoothBlackBox oracle")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    gamma, a = sched.gamma0, sched.a0
 
-    def obj(pt):
-        return eval_oracle(f, pt) + eval_oracle(g, pt)
-
-    records = [_record(0, gamma, a, np.nan, x, obj(x), 0.0, x_star)]
-    terminal = Terminal(TerminalKind.MAX_ITER)
-    stopper = _StepNormStopper(step_tol)
-
-    for n in range(n_iter):
+    def step(rec):
+        x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
         a_g = float(a_g_override) if a_g_override is not None else g.default_coefficient(x)
         grad = np.atleast_1d(np.asarray(g.gradient(x), dtype=float))
-        records[-1].a_fn = a_g
+        rec.a_fn = a_g
         c = 0.5 / gamma + a - a_g
         if c <= 0.0:
             if isinstance(sched, (FbConstant, PpaAdditive)):
                 raise DegenerateStepError(
                     f"regularizer weight 1/(2 gamma) + a_n - a_n^g = {c} <= 0 "
-                    f"at iteration {n}"
+                    f"at iteration {rec.n}"
                 )
-            records[-1].stopped_by = STOP_GUARD
-            terminal = Terminal(TerminalKind.STOP_RULE, STOP_GUARD)
-            break
-        center = x - grad / (2.0 * c)
-        x_next = prox_via_argmin(ProxRequest(f, center, gamma, a - a_g), solver)
-        gamma_next, a_next, _ = schedule_step(sched, gamma, a, a_g)
-        if not _all_finite(x_next, gamma_next, a_next) or gamma_next <= 0:
-            records[-1].stopped_by = STOP_NONFINITE
-            terminal = Terminal(TerminalKind.STOP_RULE, STOP_NONFINITE)
-            break
-        obj_next = obj(x_next)
-        if (lipschitz_g is not None
-                and 1.0 / gamma + a + a_next >= a_g + lipschitz_g / 2.0
-                and obj_next > records[-1].f_xn + 1e-10):
-            _flag(
-                f"descent violated at iteration {n}: f+g went from "
-                f"{records[-1].f_xn} to {obj_next}", strict,
-            )
-        step = float(np.linalg.norm(x_next - x))
-        records.append(_record(n + 1, gamma_next, a_next, np.nan, x_next,
-                               obj_next, step, x_star))
-        x, gamma, a = x_next, gamma_next, a_next
-        if stopper.hit(step, x_next):
-            records[-1].stopped_by = STOP_STEP_NORM
-            terminal = Terminal(TerminalKind.CONVERGED, STOP_STEP_NORM)
-            break
-    return RunResult(records, terminal)
+            return None
+        x_next = prox_via_argmin(ProxRequest(f, x - grad / (2.0 * c), gamma, a - a_g), solver)
+        gamma_next, a_next = schedule_step(sched, gamma, a, a_g)
+        descends = (lipschitz_g is not None
+                    and 1.0 / gamma + a + a_next >= a_g + lipschitz_g / 2.0)
+        return x_next, gamma_next, a_next, descends, None
 
-
-# ---------------------------------------------------------------------------
-# Projected subgradient
-# ---------------------------------------------------------------------------
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x),
+                    step, x_star, step_tol, strict, objective_name="f+g")
 
 
 def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
@@ -404,13 +367,8 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
     positive.  The initial point may lie outside C; the first update
     projects onto it.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    gamma, a = sched.gamma0, sched.a0
-    records = [_record(0, gamma, a, np.nan, x, eval_oracle(f, x), 0.0, x_star)]
-    terminal = Terminal(TerminalKind.MAX_ITER)
-    stopper = _StepNormStopper(step_tol)
-
-    for n in range(n_iter):
+    def step(rec):
+        x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
         if a_f_override is not None:
             a_f = float(a_f_override)
         elif isinstance(sched, PsgAdaptiveV1):
@@ -418,25 +376,13 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
         else:
             a_f = feasible_range(f, x).a_min
         u = subgrad_at(f, x, a_f).u
-        records[-1].a_fn = a_f
+        rec.a_fn = a_f
         denom = 1.0 + 2.0 * gamma * (a - a_f)
         if denom <= 0.0:
-            records[-1].stopped_by = STOP_GUARD
-            terminal = Terminal(TerminalKind.STOP_RULE, STOP_GUARD)
-            break
-        z = ((1.0 + 2.0 * gamma * a) * x - gamma * u) / denom
-        x_next = set_c.project(z)
-        gamma_next, a_next, _tag = schedule_step(sched, gamma, a, a_f)
-        if not _all_finite(x_next, gamma_next, a_next) or gamma_next <= 0:
-            records[-1].stopped_by = STOP_NONFINITE
-            terminal = Terminal(TerminalKind.STOP_RULE, STOP_NONFINITE)
-            break
-        step = float(np.linalg.norm(x_next - x))
-        records.append(_record(n + 1, gamma_next, a_next, np.nan, x_next,
-                               eval_oracle(f, x_next), step, x_star))
-        x, gamma, a = x_next, gamma_next, a_next
-        if stopper.hit(step, x_next):
-            records[-1].stopped_by = STOP_STEP_NORM
-            terminal = Terminal(TerminalKind.CONVERGED, STOP_STEP_NORM)
-            break
-    return RunResult(records, terminal)
+            return None
+        x_next = set_c.project(((1.0 + 2.0 * gamma * a) * x - gamma * u) / denom)
+        gamma_next, a_next = schedule_step(sched, gamma, a, a_f)
+        return x_next, gamma_next, a_next, False, None
+
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, x_star,
+                    step_tol, strict)

@@ -3,8 +3,9 @@
 Subcommands: ``run <config>`` executes one config file and writes its CSV;
 ``reproduce <name>`` runs a bundled experiment sweep; ``verify`` runs
 the independent-oracle cross-check suites; ``list`` shows the bundled
-experiment names.  Exit codes: 0 success, 2 config error, 3 runtime or
-guarantee violation (under strict mode).  Setting ``ABSPROX_STRICT=1``
+experiment names.  Exit codes: 0 success, 2 config error (or an unreadable
+config), 3 runtime failure, unwritable CSV, or guarantee violation (under
+strict mode).  Setting ``ABSPROX_STRICT=1``
 promotes monotonicity warnings to failures.
 """
 
@@ -37,6 +38,7 @@ _RUNTIME_ERRORS = (
     SolverToleranceError,
     EmptySubdifferentialError,
     InfeasibleCoefficientError,
+    OSError,  # the CSV cannot be written
 )
 
 
@@ -48,7 +50,7 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
     try:
@@ -57,16 +59,16 @@ def _cmd_run(args) -> int:
         for err in e.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    try:
-        run = run_config(cfg, strict=_strict())
-    except _RUNTIME_ERRORS as e:
-        print(f"run failed: {e}", file=sys.stderr)
-        return 3
     out = args.output or cfg.output
     if out is None:
         base = os.path.splitext(os.path.basename(args.config))[0]
         out = base + ".csv"
-    write_csv(run.result, out, x_star=run.x_star)
+    try:
+        run = run_config(cfg, strict=_strict())
+        write_csv(run.result, out, x_star=run.x_star)
+    except _RUNTIME_ERRORS as e:
+        print(f"run failed: {e}", file=sys.stderr)
+        return 3
     final = run.result.final
     print(f"{args.config}: {len(run.result.records)} records, "
           f"terminal={run.result.terminal.kind.value}"

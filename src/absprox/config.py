@@ -12,21 +12,29 @@ Grammar::
     schedule = psg_constant             # or name(args): ppa_additive(0.9), ...
     N = 101
     reference = auto_eigen              # or a vector; optional
-    seed = 1                            # optional
     output = run.csv                    # optional
 
 `#` starts a comment.  Parsing collects every error (with line numbers)
-instead of stopping at the first; unknown keys are rejected.
+instead of stopping at the first.  It refuses what a run could not use:
+unknown keys, non-finite numbers, keys the chosen algorithm never reads
+(``set`` for ppa, ``a_f`` outside psg, ``epsilon`` outside fb), an oracle
+the algorithm cannot take (fb runs only ``hessian_example``, which only
+fb runs), ``auto_eigen`` without ``Q``, and sets or schedules their
+constructors would reject.  A number given for a set's center, bounds or
+normal stands for that number in every coordinate.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config"]
+from .oracles import Ball, Box, Halfspace
+
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "build_set"]
 
 _ALGORITHMS = ("ppa", "fb", "psg")
 _FUNCTIONS = ("abs_plus_square", "hessian_example")
@@ -39,8 +47,11 @@ _SCHEDULES = {
 }
 _KNOWN_KEYS = (
     "algorithm", "function", "Q", "set", "x0", "gamma0", "a0", "a_f",
-    "schedule", "N", "epsilon", "reference", "seed", "output",
+    "schedule", "N", "epsilon", "reference", "output",
 )
+# keys that only some algorithms read
+_READ_BY = {"set": ("psg", "fb"), "a_f": ("psg",), "epsilon": ("fb",)}
+_SETS = {"ball": Ball, "box": Box, "halfspace": Halfspace}
 
 
 class ConfigError(ValueError):
@@ -65,7 +76,6 @@ class ExperimentConfig:
     a_f: float | None = None
     epsilon: float | None = None
     reference: np.ndarray | str | None = None  # vector or "auto_eigen"
-    seed: int = 1
     output: str | None = None
     dim: int = field(init=False, default=0)
 
@@ -74,14 +84,20 @@ class ExperimentConfig:
 
 
 def _parse_number(text: str) -> float:
-    return float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"malformed number {text.strip()!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text.strip()!r}")
+    return value
 
 
 def _parse_vector(text: str) -> np.ndarray:
     inner = text.strip()[1:-1].strip()
     if not inner:
         raise ValueError("empty vector")
-    return np.array([float(t) for t in inner.split(",")], dtype=float)
+    return np.array([_parse_number(t) for t in inner.split(",")], dtype=float)
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -123,15 +139,34 @@ def _parse_set(text: str):
         raise ValueError(f"malformed set descriptor {text!r}")
     kind, argtext = m.group(1), m.group(2) or ""
     args = _split_args(argtext)
-    if kind not in ("ball", "box", "halfspace"):
+    if kind not in _SETS:
         raise ValueError(f"unknown set kind {kind!r}")
     if len(args) != 2:
         raise ValueError(f"{kind} takes 2 arguments, got {len(args)}")
+    first, second = (_parse_vector(a) if a.startswith("[") else _parse_number(a)
+                     for a in args)
+    if kind != "box" and isinstance(second, np.ndarray):
+        raise ValueError(f"{kind} takes a number as its second argument")
+    return kind, (first, second)
 
-    def val(a):
-        return _parse_vector(a) if a.startswith("[") else float(a)
 
-    return kind, (val(args[0]), val(args[1]))
+def _fit_set(desc: tuple, dim: int) -> tuple:
+    """Broadcast a set descriptor's numbers to vectors of dimension ``dim``
+    and check that the set can be built; raises ValueError."""
+    kind, args = desc
+    # both box bounds are vectors; a radius or an offset stays a number
+    vectors = 2 if kind == "box" else 1
+    if any(np.size(a) not in (1, dim) for a in args[:vectors]):
+        raise ValueError("set descriptor dimension does not match x0")
+    args = tuple(np.broadcast_to(a, dim).copy() for a in args[:vectors]) + args[vectors:]
+    build_set((kind, args))
+    return kind, args
+
+
+def build_set(desc: tuple):
+    """The set a (kind, args) descriptor names."""
+    kind, args = desc
+    return _SETS[kind](*args)
 
 
 def _parse_schedule(text: str):
@@ -143,10 +178,12 @@ def _parse_schedule(text: str):
         raise ValueError(
             f"unknown schedule {name!r} (known: {', '.join(sorted(_SCHEDULES))})"
         )
-    args = tuple(float(a) for a in _split_args(argtext or ""))
+    args = tuple(_parse_number(a) for a in _split_args(argtext or ""))
     want = _SCHEDULES[name]
     if len(args) != want:
         raise ValueError(f"schedule {name} takes {want} parameter(s), got {len(args)}")
+    if name == "psg_adaptive_v2" and args[0] <= 0:
+        raise ValueError("psg_adaptive_v2 epsilon must be positive")
     return name, args
 
 
@@ -198,8 +235,8 @@ def parse_config(text: str) -> ExperimentConfig:
             return default
         try:
             return _parse_number(raw[key])
-        except ValueError:
-            fail(key, f"malformed number {raw[key]!r}")
+        except ValueError as e:
+            fail(key, str(e))
             return default
 
     gamma0 = number("gamma0")
@@ -214,26 +251,24 @@ def parse_config(text: str) -> ExperimentConfig:
     n_iter = None
     if "N" in raw:
         try:
-            n_val = float(raw["N"])
+            n_val = _parse_number(raw["N"])
             if n_val != int(n_val) or n_val < 0:
                 raise ValueError
             n_iter = int(n_val)
         except ValueError:
             fail("N", f"N must be a nonnegative integer, got {raw['N']!r}")
 
-    seed = 1
-    if "seed" in raw:
-        try:
-            seed = int(raw["seed"])
-        except ValueError:
-            fail("seed", f"seed must be an integer, got {raw['seed']!r}")
-
     q = None
     if "Q" in raw:
         try:
             q = _parse_matrix(raw["Q"])
+            if q.shape[0] != q.shape[1]:
+                raise ValueError("Q must be square")
+            if not np.array_equal(q, q.T):
+                raise ValueError("Q must be symmetric")
         except ValueError as e:
             fail("Q", f"bad matrix: {e}")
+            q = None
 
     function = raw.get("function")
     if function is not None and function not in _FUNCTIONS:
@@ -281,19 +316,31 @@ def parse_config(text: str) -> ExperimentConfig:
         if function == "hessian_example" and dim != 2:
             fail("x0", "hessian_example is two-dimensional")
         if set_desc is not None:
-            kind, args = set_desc
-            sizes = [np.atleast_1d(a).size for a in args if isinstance(a, np.ndarray)]
-            if any(s not in (1, dim) for s in sizes):
-                fail("set", "set descriptor dimension does not match x0")
+            try:
+                set_desc = _fit_set(set_desc, dim)
+            except ValueError as e:
+                fail("set", str(e))
         if isinstance(reference, np.ndarray) and reference.size != dim:
             fail("reference", "reference vector dimension does not match x0")
 
     if algorithm == "psg" and "set" not in raw:
         errors.append("psg requires a set")
-    if algorithm == "fb" and function != "hessian_example" and "function" in raw:
-        fail("function", "fb supports the hessian_example function")
-    if algorithm == "fb" and epsilon is None:
-        errors.append("fb requires epsilon (curvature margin)")
+    for key, readers in _READ_BY.items():
+        if key in raw and algorithm in _ALGORITHMS and algorithm not in readers:
+            fail(key, f"{key} is not used by algorithm {algorithm}")
+    if algorithm == "fb":
+        if "Q" in raw or function not in (None, "hessian_example"):
+            fail("Q" if "Q" in raw else "function",
+                 "fb supports the hessian_example function")
+        if epsilon is None:
+            errors.append("fb requires epsilon (curvature margin)")
+    elif function == "hessian_example" and algorithm in _ALGORITHMS:
+        fail("function", f"hessian_example is the smooth part of fb, not an "
+                         f"oracle for {algorithm}")
+    if raw.get("output") == "":
+        fail("output", "output needs a path")
+    if isinstance(reference, str) and "Q" not in raw:  # auto_eigen
+        fail("reference", "auto_eigen needs a quadratic oracle (Q)")
 
     if schedule is not None and algorithm in _ALGORITHMS:
         name = schedule[0]
@@ -311,6 +358,5 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         algorithm=algorithm, x0=x0, gamma0=gamma0, a0=a0, schedule=schedule,
         n_iter=n_iter, function=function, q=q, set_desc=set_desc, a_f=a_f,
-        epsilon=epsilon, reference=reference, seed=seed,
-        output=raw.get("output"),
+        epsilon=epsilon, reference=reference, output=raw.get("output"),
     )

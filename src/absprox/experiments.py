@@ -24,12 +24,9 @@ from .algorithms import (
     run_ppa,
     run_psg,
 )
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, build_set, parse_config
 from .oracles import (
     AbsPlusSquare,
-    Ball,
-    Box,
-    Halfspace,
     IndicatorSet,
     QuadraticForm,
     SmoothBlackBox,
@@ -239,17 +236,6 @@ def named_experiment_configs(name: str) -> list[tuple[float, ExperimentConfig]]:
 # ---------------------------------------------------------------------------
 
 
-def build_set(desc: tuple):
-    kind, args = desc
-    if kind == "ball":
-        return Ball(center=np.atleast_1d(args[0]), radius=float(np.atleast_1d(args[1])[0]))
-    if kind == "box":
-        return Box(lo=np.atleast_1d(args[0]), hi=np.atleast_1d(args[1]))
-    if kind == "halfspace":
-        return Halfspace(normal=np.atleast_1d(args[0]), offset=float(np.atleast_1d(args[1])[0]))
-    raise ValueError(f"unknown set kind {kind!r}")
-
-
 def build_oracle(cfg: ExperimentConfig):
     """Returns (f, g) where g is the smooth part (fb only, else None)."""
     if cfg.q is not None:
@@ -293,12 +279,11 @@ def _resolve_reference(cfg, f, result):
     The eigenvector comes from the Jacobi arbiter, not from the oracle's
     LAPACK decomposition: it is a diagnostic target, and the frozen
     ``dist_to_ref``/``fejer`` columns of the bundled sweeps carry its bits.
+    The parser admits ``auto_eigen`` only with ``Q``, so ``f`` is quadratic.
     """
     if cfg.reference is None:
         return None
     if isinstance(cfg.reference, str):  # auto_eigen
-        if not isinstance(f, QuadraticForm):
-            raise ValueError("auto_eigen reference needs a quadratic oracle")
         v = eig_sym(f.q)[1][:, 0]
         v = v / np.linalg.norm(v)
         if float(v @ result.final.x_n) < 0.0:
@@ -311,31 +296,23 @@ def run_config(cfg: ExperimentConfig, strict: bool = False) -> ExperimentRun:
     """Build everything from a parsed config and execute the run."""
     f, g = build_oracle(cfg)
     sched = build_schedule(cfg)
-    set_c = build_set(cfg.set_desc) if cfg.set_desc is not None else None
-
     if cfg.algorithm == "ppa":
         result = run_ppa(f, cfg.x0, sched, cfg.n_iter, strict=strict)
     elif cfg.algorithm == "psg":
-        result = run_psg(f, set_c, cfg.x0, sched, cfg.n_iter,
+        result = run_psg(f, build_set(cfg.set_desc), cfg.x0, sched, cfg.n_iter,
                          a_f_override=cfg.a_f, strict=strict)
-    elif cfg.algorithm == "fb":
-        if g is None:
-            raise ValueError("fb needs a smooth part")
-        if set_c is not None:
-            f = IndicatorSet(set_c)
+    else:  # fb, whose config always names the smooth part
+        if cfg.set_desc is not None:
+            f = IndicatorSet(build_set(cfg.set_desc))
         result = run_fb(f, g, cfg.x0, sched, cfg.n_iter, strict=strict)
-    else:
-        raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
 
+    # the reference is resolved after the run: auto_eigen signs it toward
+    # the final iterate
     x_star = _resolve_reference(cfg, f, result)
     f_star = np.nan
     if x_star is not None:
-        # reference values are patched in post-hoc so the run itself never
-        # depends on the reference resolution order
         f_star = eval_oracle(f, x_star)
-        for r in result.records:
-            d = x_star - r.x_n
-            r.fejer = (0.5 / r.gamma_n + r.a_n) * float(d @ d)
+        result.set_fejer(x_star)
     return ExperimentRun(config=cfg, result=result, x_star=x_star, f_star=f_star)
 
 

@@ -1,6 +1,9 @@
 """Iteration loops: schedules, stopping tags, records, and the three
 globally convergent methods on the bundled problem instances."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,24 +43,22 @@ BALL3 = Ball(np.zeros(3), 1.0)
 
 
 def test_schedule_ppa_additive():
-    g, a, tag = schedule_step(PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9), 1.0, 1.0)
-    assert (g, a, tag) == (1.0, 1.9, None)
+    assert schedule_step(PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9), 1.0, 1.0) == (1.0, 1.9)
 
 
 def test_schedule_psg_constant_decrement_and_guard():
     sched = PsgConstantGamma(gamma0=1.0, a0=200.0)
-    g, a, tag = schedule_step(sched, 1.0, 200.0, 4.0)
-    assert (g, a, tag) == (1.0, 196.0, None)
-    # once a_{n+1} <= a_f - 1/(2 gamma) the stepsize guard fires
-    g, a, tag = schedule_step(sched, 1.0, 7.0, 4.0)
-    assert a == 3.0 and tag == STOP_GUARD
+    assert schedule_step(sched, 1.0, 200.0, 4.0) == (1.0, 196.0)
+    # past the guard the step still decrements; the run's weight check
+    # (1 + 2 gamma (a_n - a_f) <= 0) is what stops it
+    assert schedule_step(sched, 1.0, 7.0, 4.0) == (1.0, 3.0)
 
 
 def test_schedule_adaptive_v1():
     sched = PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=5.0, a_f_const=4.0)
-    g, a, tag = schedule_step(sched, 1.0, 200.0)
+    g, a = schedule_step(sched, 1.0, 200.0)
     assert g == pytest.approx((200.0 - 4.0) / 5.0)
-    assert a == 5.0 and tag is None
+    assert a == 5.0
     with pytest.raises(ScheduleDegenerateError):
         schedule_step(PsgAdaptiveV1(gamma0=1.0, a0=1.0, a_const=0.0, a_f_const=4.0), 1.0, 1.0)
 
@@ -66,8 +67,7 @@ def test_schedule_adaptive_v2_invariant():
     sched = PsgAdaptiveV2(gamma0=1.0, a0=4.0, epsilon=1.0)
     gamma, a = 1.0, 4.0
     for _ in range(30):
-        gamma, a, tag = schedule_step(sched, gamma, a, 3.0)
-        assert tag is None
+        gamma, a = schedule_step(sched, gamma, a, 3.0)
         # the update is built to keep 2 gamma (a - a_f) = 2 gamma eps - 1 > -1
         assert 2.0 * gamma * (a - 3.0) == pytest.approx(2.0 * gamma * 1.0 - 1.0, rel=1e-12)
         assert 2.0 * gamma * (a - 3.0) > -1.0
@@ -79,8 +79,7 @@ def test_schedule_adaptive_v2_degenerate():
 
 
 def test_schedule_fb_constant():
-    g, a, tag = schedule_step(FbConstant(gamma0=0.1, a0=5.0, a_const=5.0), 0.1, 5.0, 2.0)
-    assert (g, a, tag) == (0.1, 5.0, None)
+    assert schedule_step(FbConstant(gamma0=0.1, a0=5.0, a_const=5.0), 0.1, 5.0, 2.0) == (0.1, 5.0)
 
 
 def test_schedule_requires_positive_gamma0():
@@ -272,3 +271,15 @@ def test_flag_warns_by_default_and_raises_when_strict():
         _flag("descent violated (synthetic)", strict=False)
     with pytest.raises(TheoremViolationError):
         _flag("descent violated (synthetic)", strict=True)
+
+
+def test_descent_warning_points_at_the_caller_of_run():
+    # a value that grows with every call makes each step look like ascent
+    calls = itertools.count()
+    g = SmoothBlackBox(value=lambda p: float(next(calls)), gradient=lambda p: np.zeros(1),
+                       kappa=lambda p: 0.0, eps=0.1, dim=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_ppa(g, [1.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.0), 1)
+    flagged = [w for w in caught if issubclass(w.category, TheoremViolationWarning)]
+    assert [w.filename for w in flagged] == [__file__]

@@ -1,7 +1,16 @@
 """Config parsing and command-line behavior."""
 
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absprox import cli
 from absprox.config import ConfigError, parse_config
@@ -10,7 +19,10 @@ from absprox.experiments import (
     EXPERIMENTS,
     named_experiment_configs,
     run_config,
+    run_named_experiment,
 )
+
+DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "sweeps_sha256.json"
 
 PSG_TEXT = """
 # projected subgradient on a small quadratic
@@ -35,7 +47,6 @@ a0 = 1
 schedule = ppa_additive(0.9)
 N = 20
 reference = [0]
-seed = 7
 output = somewhere.csv
 """
 
@@ -67,7 +78,6 @@ def test_parse_psg_config():
     assert cfg.schedule == ("psg_constant", ())
     assert cfg.n_iter == 40
     assert cfg.reference == "auto_eigen"
-    assert cfg.seed == 1  # default
     assert cfg.output is None
 
 
@@ -78,7 +88,6 @@ def test_parse_ppa_config():
     np.testing.assert_array_equal(cfg.x0, [-10.0])  # scalar promoted to 1-vector
     assert cfg.schedule == ("ppa_additive", (0.9,))
     np.testing.assert_array_equal(cfg.reference, [0.0])
-    assert cfg.seed == 7
     assert cfg.output == "somewhere.csv"
 
 
@@ -194,8 +203,8 @@ def test_numeric_field_validation():
                for e in errors_of(base + "N = 1\nepsilon = 0\n"))
     assert any("malformed number" in e
                for e in errors_of(base + "N = 1\na_f = three\n"))
-    assert any("seed must be an integer" in e
-               for e in errors_of(base + "N = 1\nseed = 1.5\n"))
+    # the run reads no seed, so the key is unknown
+    assert "line 8: unknown key 'seed'" in errors_of(base + "N = 1\nseed = 1\n")
 
 
 def test_bundled_experiments_all_parse():
@@ -294,3 +303,147 @@ def test_run_config_reference_distance_column(tmp_path):
     path2 = tmp_path / "no_ref.csv"
     write_csv(run.result, str(path2))
     assert path2.read_text().splitlines()[1].split(",")[6] == ""
+
+
+def _with(text, key, value):
+    """``text`` with the line for ``key`` replaced (or dropped when None)."""
+    lines = [ln for ln in text.splitlines() if ln.split("=")[0].strip() != key]
+    if value is not None:
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+PSG_PLAIN = _with(PSG_TEXT, "reference", None)
+PPA_PLAIN = _with(_with(PPA_TEXT, "reference", None), "output", None)
+
+
+def _run_cli(tmp_path, text):
+    path = tmp_path / "case.cfg"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", str(path), "--output", str(tmp_path / "case.csv")])
+    return code, err.getvalue()
+
+
+# config edits (None drops the key) that used to run silently or end in a
+# traceback, and the problem the parser now reports
+_REFUSED = {
+    "fb-with-Q": (FB_TEXT, {"function": None, "Q": "[[1,0];[0,1]]"},
+                  "fb supports the hessian_example function"),
+    "hessian-psg": (PSG_PLAIN, {"Q": None, "function": "hessian_example"},
+                    "hessian_example is the smooth part of fb"),
+    "hessian-ppa": (PPA_PLAIN, {"function": "hessian_example", "x0": "[1,1]"},
+                    "hessian_example is the smooth part of fb"),
+    "auto-eigen-without-Q": (PPA_PLAIN, {"reference": "auto_eigen"},
+                             "auto_eigen needs a quadratic oracle"),
+    "ppa-set": (PPA_PLAIN, {"set": "ball(0,1)"}, "set is not used by algorithm ppa"),
+    "ppa-a_f": (PPA_PLAIN, {"a_f": "3"}, "a_f is not used by algorithm ppa"),
+    "fb-a_f": (FB_TEXT, {"a_f": "3"}, "a_f is not used by algorithm fb"),
+    "psg-epsilon": (PSG_PLAIN, {"epsilon": "0.1"}, "epsilon is not used by algorithm psg"),
+    "gamma0-inf": (PSG_PLAIN, {"gamma0": "inf"}, "non-finite number 'inf'"),
+    "gamma0-nan": (PSG_PLAIN, {"gamma0": "nan"}, "non-finite number 'nan'"),
+    "x0-nan": (PSG_PLAIN, {"x0": "[nan, 1]"}, "bad x0: non-finite number 'nan'"),
+    "schedule-nan": (PPA_PLAIN, {"schedule": "ppa_additive(nan)"}, "non-finite number 'nan'"),
+    "Q-nan": (PSG_PLAIN, {"Q": "[[nan,2];[2,1]]"}, "bad matrix: non-finite number 'nan'"),
+    "set-nan": (PSG_PLAIN, {"set": "ball([0,nan], 1)"}, "non-finite number 'nan'"),
+    "reference-nan": (PSG_PLAIN, {"reference": "[nan, 0]"}, "bad reference vector: non-finite"),
+    "ball-radius-0": (PSG_PLAIN, {"set": "ball(0,0)"}, "ball radius must be positive"),
+    "box-hi-below-lo": (PSG_PLAIN, {"set": "box(1,-1)"}, "box bounds must satisfy lo <= hi"),
+    "N-inf": (PSG_PLAIN, {"N": "inf"}, "N must be a nonnegative integer"),
+    "Q-asymmetric": (PSG_PLAIN, {"Q": "[[1,2];[3,1]]"}, "Q must be symmetric"),
+    "adaptive-v2-eps-0": (PSG_PLAIN, {"schedule": "psg_adaptive_v2(0)"},
+                          "epsilon must be positive"),
+    "empty-output": (PSG_PLAIN, {"output": ""}, "output needs a path"),
+}
+
+
+@pytest.mark.parametrize("base, edits, problem", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_cli_refuses_what_a_run_would_ignore_or_crash_on(tmp_path, base, edits, problem):
+    text = base
+    for key, value in edits.items():
+        text = _with(text, key, value)
+    code, err = _run_cli(tmp_path, text)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines() and all(ln.startswith("config error: ") for ln in err.splitlines())
+    assert problem in err
+
+
+def test_set_numbers_broadcast_to_x0(tmp_path):
+    # a number stands for itself in every coordinate, so a scalar halfspace
+    # normal and a scalar ball center work in any dimension
+    cfg = parse_config(_with(PSG_PLAIN, "set", "halfspace(1, 0)"))
+    np.testing.assert_array_equal(cfg.set_desc[1][0], [1.0, 1.0])
+    assert _run_cli(tmp_path, _with(PSG_PLAIN, "set", "halfspace(1, 0)"))[0] == 0
+    assert _run_cli(tmp_path, _with(FB_TEXT, "set", "ball(0, 10)"))[0] == 0
+
+
+def test_cli_unwritable_output_is_a_run_failure(tmp_path, capsys):
+    cfg = tmp_path / "psg.cfg"
+    cfg.write_text(PSG_TEXT)
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "no" / "x.csv")]) == 3
+    assert "cannot write CSV" in capsys.readouterr().err
+
+
+_NUMBERS = st.sampled_from(["1", "0.5", "-1", "0", "4", "200", "1e-3", "nan", "inf",
+                            "-inf", "x", "", "[1]", "1e400"])
+_VECTORS = st.sampled_from(["[3,-3]", "[-5,5,-5]", "[1]", "-10", "[-5,-1]", "[nan,1]",
+                            "[1,,2]", "[]", "[1e400,0]", "0"])
+_VALUES = {
+    "algorithm": st.sampled_from(["ppa", "fb", "psg", "newton", ""]),
+    "function": st.sampled_from(["abs_plus_square", "hessian_example", "sin"]),
+    "Q": st.sampled_from(["[[1,2];[2,1]]", "[[-2,2,2];[2,2,-2];[2,-2,2]]", "[[1]]",
+                          "[[1,2];[3,1]]", "[[1,2]]", "[[nan,0];[0,1]]", "[[1,2];[2]]",
+                          "[1,2]", "[[0,0];[0,0]]"]),
+    "set": st.sampled_from(["ball(0,1)", "ball(0,0)", "ball([0,0],2)", "ball(0,[1])",
+                            "box(-1,1)", "box(1,-1)", "box([-1,-1],[1,1])", "halfspace(1,0)",
+                            "halfspace([0,0],1)", "halfspace([1,0,0],1)", "cone(1,2)",
+                            "ball(1)", "ball(0,nan)"]),
+    "x0": _VECTORS, "reference": _VECTORS | st.just("auto_eigen"),
+    "gamma0": _NUMBERS, "a0": _NUMBERS, "a_f": _NUMBERS, "epsilon": _NUMBERS,
+    "schedule": st.sampled_from(["psg_constant", "ppa_additive(0.9)", "ppa_additive(-2)",
+                                 "psg_adaptive_v1(5,4)", "psg_adaptive_v1(0,4)",
+                                 "psg_adaptive_v2(1)", "psg_adaptive_v2(-1)",
+                                 "fb_constant(5)", "fb_constant(nan)", "warp(1)",
+                                 "ppa_additive(1,2)", "psg_constant("]),
+    "N": st.integers(0, 50).map(str) | st.sampled_from(["2.5", "-1", "inf", "nan", "x"]),
+    "output": st.sampled_from(["out.csv", "missing-dir/out.csv"]),
+    "seed": st.sampled_from(["1"]),
+}
+# no digits, '=' or line breaks: junk never forms a valid key line of its own
+_JUNK = st.text(alphabet="abcxyz_[](),;# .-+", max_size=12)
+# (key, new value or None to drop the key)
+_EDIT = st.sampled_from(sorted(_VALUES)).flatmap(
+    lambda k: st.tuples(st.just(k), st.none() | _VALUES[k] | _JUNK))
+
+
+@settings(max_examples=120, deadline=None)
+@given(base=st.sampled_from([PSG_TEXT, PPA_PLAIN, FB_TEXT]),
+       edits=st.lists(_EDIT, max_size=3), junk=st.lists(_JUNK, max_size=2))
+def test_cli_fuzzed_config_text_never_tracebacks(tmp_path_factory, base, edits, junk):
+    text = base
+    for key, value in edits:
+        text = _with(text, key, value)
+    text += "\n".join(junk) + "\n"
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "case.cfg").write_text(text)
+    err = io.StringIO()
+    here = os.getcwd()
+    os.chdir(work)  # the CSV lands next to the config unless output says otherwise
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "case.cfg"])
+    finally:
+        os.chdir(here)
+    assert code in (0, 2, 3), text
+    assert "Traceback" not in err.getvalue()
+
+
+def test_bundled_csvs_match_frozen_digests(tmp_path):
+    want = json.loads(DIGESTS.read_text())
+    for name in EXPERIMENTS:
+        run_named_experiment(name, out_dir=str(tmp_path))
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert len(want) == 27
+    assert got == want
