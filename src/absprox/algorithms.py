@@ -18,11 +18,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
 from .oracles import Oracle, SetDescriptor, SmoothBlackBox, eval_oracle, feasible_range, subgrad_at
-from .prox import InnerSolver, ProxRequest, prox_via_argmin
+from .prox import ProxRequest, prox_via_argmin
 
 __all__ = [
     "Schedule",
@@ -91,10 +92,19 @@ def _flag(message: str, strict: bool):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Common schedule state: initial stepsize gamma0 > 0 and coefficient a0."""
+    """Common schedule state: initial stepsize gamma0 > 0 and coefficient a0.
+
+    Each kind supplies ``step(gamma_n, a_n, a_fn)`` -> (gamma_next, a_next).
+    Two class facts steer the methods: ``fb_weight_raises`` (a vanishing
+    forward-backward weight is an error rather than the schedule's stopping
+    rule) and ``a_f_pin`` (an oracle coefficient psg uses instead of the
+    feasible threshold).
+    """
 
     gamma0: float
     a0: float
+    fb_weight_raises: ClassVar[bool] = False
+    a_f_pin: ClassVar[float | None] = None
 
     def __post_init__(self):
         if self.gamma0 <= 0:
@@ -106,11 +116,18 @@ class PpaAdditive(Schedule):
     """a_{n+1} = a_n + delta, gamma fixed."""
 
     delta: float = 0.0
+    fb_weight_raises = True
+
+    def step(self, gamma_n, a_n, a_fn):
+        return gamma_n, a_n + self.delta
 
 
 @dataclass(frozen=True)
 class PsgConstantGamma(Schedule):
     """a_{n+1} = a_n - a_n^f, gamma fixed; stops once a falls below the guard."""
+
+    def step(self, gamma_n, a_n, a_fn):
+        return gamma_n, a_n - a_fn
 
 
 @dataclass(frozen=True)
@@ -119,6 +136,15 @@ class PsgAdaptiveV1(Schedule):
 
     a_const: float = 0.0
     a_f_const: float = 0.0
+
+    @property
+    def a_f_pin(self) -> float:
+        return self.a_f_const
+
+    def step(self, gamma_n, a_n, a_fn):
+        if self.a_const == 0.0:
+            raise ScheduleDegenerateError("adaptive stepsize divides by a_{n+1} = 0")
+        return gamma_n * (a_n - self.a_f_const) / self.a_const, self.a_const
 
 
 @dataclass(frozen=True)
@@ -134,12 +160,23 @@ class PsgAdaptiveV2(Schedule):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
+    def step(self, gamma_n, a_n, a_fn):
+        if a_fn + self.epsilon == 0.0:
+            raise ScheduleDegenerateError("adaptive stepsize divides by a^f + eps = 0")
+        gamma_next = (gamma_n * (a_n - a_fn) + 1.0) / (a_fn + self.epsilon)
+        a_next = -1.0 / (2.0 * gamma_next) + a_fn + self.epsilon if gamma_next > 0 else np.nan
+        return gamma_next, a_next
+
 
 @dataclass(frozen=True)
 class FbConstant(Schedule):
     """a fixed, gamma fixed."""
 
     a_const: float = 0.0
+    fb_weight_raises = True
+
+    def step(self, gamma_n, a_n, a_fn):
+        return gamma_n, self.a_const
 
 
 def schedule_step(sched: Schedule, gamma_n: float, a_n: float,
@@ -150,24 +187,7 @@ def schedule_step(sched: Schedule, gamma_n: float, a_n: float,
     the subgradient-driven kinds use it.  The guard that ends decrement
     schedules is the methods' own weight check, not part of the step.
     """
-    if isinstance(sched, PpaAdditive):
-        return gamma_n, a_n + sched.delta
-    if isinstance(sched, PsgConstantGamma):
-        return gamma_n, a_n - a_fn
-    if isinstance(sched, PsgAdaptiveV1):
-        if sched.a_const == 0.0:
-            raise ScheduleDegenerateError("adaptive stepsize divides by a_{n+1} = 0")
-        gamma_next = gamma_n * (a_n - sched.a_f_const) / sched.a_const
-        return gamma_next, sched.a_const
-    if isinstance(sched, PsgAdaptiveV2):
-        if a_fn + sched.epsilon == 0.0:
-            raise ScheduleDegenerateError("adaptive stepsize divides by a^f + eps = 0")
-        gamma_next = (gamma_n * (a_n - a_fn) + 1.0) / (a_fn + sched.epsilon)
-        a_next = -1.0 / (2.0 * gamma_next) + a_fn + sched.epsilon if gamma_next > 0 else np.nan
-        return gamma_next, a_next
-    if isinstance(sched, FbConstant):
-        return gamma_n, sched.a_const
-    raise TypeError(f"unknown schedule {type(sched).__name__}")
+    return sched.step(gamma_n, a_n, a_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +241,7 @@ class RunResult:
             r.fejer = (0.5 / r.gamma_n + r.a_n) * float(d @ d)
 
 
-def _iterate(x0, sched: Schedule, n_iter: int, objective, step, x_star,
+def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
              step_tol: float | None, strict: bool, objective_name: str = "f") -> RunResult:
     """The loop the three methods share.
 
@@ -266,10 +286,7 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step, x_star,
                 stop = TerminalKind.CONVERGED, STOP_STEP_NORM
                 break
     rec.stopped_by = stop[1]
-    result = RunResult(records, Terminal(*stop))
-    if x_star is not None:
-        result.set_fejer(x_star)
-    return result
+    return RunResult(records, Terminal(*stop))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +295,6 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step, x_star,
 
 
 def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int,
-            solver: InnerSolver | None = None, x_star=None,
             step_tol: float | None = None, strict: bool = False) -> RunResult:
     """Proximal-point iteration x_{n+1} in argmin f(z) + (1/2g + a_n)||z-x_n||^2.
 
@@ -290,7 +306,7 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int,
     """
     def step(rec):
         gamma, a = rec.gamma_n, rec.a_n
-        x_next = prox_via_argmin(ProxRequest(f, rec.x_n, gamma, a), solver)
+        x_next = prox_via_argmin(ProxRequest(f, rec.x_n, gamma, a))
         gamma_next, a_next = schedule_step(sched, gamma, a)
         # the consumed subgradient difference has coefficient a_n - a_{n+1};
         # it must stay feasible for f at the new iterate
@@ -302,12 +318,10 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int,
         certificate = abs(0.5 / gamma + a) <= 1e-12
         return x_next, gamma_next, a_next, True, STOP_GLOBAL_MIN if certificate else None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, x_star,
-                    step_tol, strict)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, step_tol, strict)
 
 
 def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
-           solver: InnerSolver | None = None, x_star=None,
            a_g_override: float | None = None, lipschitz_g: float | None = None,
            step_tol: float | None = None, strict: bool = False) -> RunResult:
     """Forward-backward splitting for f + g with smooth black-box g.
@@ -335,24 +349,24 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
         rec.a_fn = a_g
         c = 0.5 / gamma + a - a_g
         if c <= 0.0:
-            if isinstance(sched, (FbConstant, PpaAdditive)):
+            if sched.fb_weight_raises:
                 raise DegenerateStepError(
                     f"regularizer weight 1/(2 gamma) + a_n - a_n^g = {c} <= 0 "
                     f"at iteration {rec.n}"
                 )
             return None
-        x_next = prox_via_argmin(ProxRequest(f, x - grad / (2.0 * c), gamma, a - a_g), solver)
+        x_next = prox_via_argmin(ProxRequest(f, x - grad / (2.0 * c), gamma, a - a_g))
         gamma_next, a_next = schedule_step(sched, gamma, a, a_g)
         descends = (lipschitz_g is not None
                     and 1.0 / gamma + a + a_next >= a_g + lipschitz_g / 2.0)
         return x_next, gamma_next, a_next, descends, None
 
     return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x),
-                    step, x_star, step_tol, strict, objective_name="f+g")
+                    step, step_tol, strict, objective_name="f+g")
 
 
 def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
-            x_star=None, a_f_override: float | None = None,
+            a_f_override: float | None = None,
             step_tol: float | None = None, strict: bool = False) -> RunResult:
     """Projected subgradient for min f over a closed set C.
 
@@ -371,8 +385,8 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
         if a_f_override is not None:
             a_f = float(a_f_override)
-        elif isinstance(sched, PsgAdaptiveV1):
-            a_f = sched.a_f_const
+        elif sched.a_f_pin is not None:
+            a_f = sched.a_f_pin
         else:
             a_f = feasible_range(f, x).a_min
         u = subgrad_at(f, x, a_f).u
@@ -384,5 +398,4 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
         gamma_next, a_next = schedule_step(sched, gamma, a, a_f)
         return x_next, gamma_next, a_next, False, None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, x_star,
-                    step_tol, strict)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, step_tol, strict)

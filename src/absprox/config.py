@@ -28,22 +28,24 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .algorithms import FbConstant, PpaAdditive, PsgAdaptiveV1, PsgAdaptiveV2, PsgConstantGamma
 from .oracles import Ball, Box, Halfspace
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "build_set"]
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "build_set", "build_schedule"]
 
 _ALGORITHMS = ("ppa", "fb", "psg")
 _FUNCTIONS = ("abs_plus_square", "hessian_example")
+# a schedule's arguments are its constructor's fields after gamma0 and a0
 _SCHEDULES = {
-    "ppa_additive": 1,      # delta
-    "psg_constant": 0,
-    "psg_adaptive_v1": 2,   # a_const, a_f_const
-    "psg_adaptive_v2": 1,   # epsilon
-    "fb_constant": 1,       # a_const
+    "ppa_additive": PpaAdditive,
+    "psg_constant": PsgConstantGamma,
+    "psg_adaptive_v1": PsgAdaptiveV1,
+    "psg_adaptive_v2": PsgAdaptiveV2,
+    "fb_constant": FbConstant,
 }
 _KNOWN_KEYS = (
     "algorithm", "function", "Q", "set", "x0", "gamma0", "a0", "a_f",
@@ -169,6 +171,12 @@ def build_set(desc: tuple):
     return _SETS[kind](*args)
 
 
+def build_schedule(cfg: ExperimentConfig):
+    """The schedule a config names, with its gamma0 and a0."""
+    name, args = cfg.schedule
+    return _SCHEDULES[name](cfg.gamma0, cfg.a0, *args)
+
+
 def _parse_schedule(text: str):
     m = _CALL_RE.match(text.strip())
     if not m:
@@ -179,7 +187,7 @@ def _parse_schedule(text: str):
             f"unknown schedule {name!r} (known: {', '.join(sorted(_SCHEDULES))})"
         )
     args = tuple(_parse_number(a) for a in _split_args(argtext or ""))
-    want = _SCHEDULES[name]
+    want = len(fields(_SCHEDULES[name])) - 2
     if len(args) != want:
         raise ValueError(f"schedule {name} takes {want} parameter(s), got {len(args)}")
     if name == "psg_adaptive_v2" and args[0] <= 0:
@@ -226,7 +234,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "x0" in raw:
         try:
             x0 = _parse_vector(raw["x0"]) if raw["x0"].startswith("[") \
-                else np.array([float(raw["x0"])])
+                else np.array([_parse_number(raw["x0"])])
         except ValueError as e:
             fail("x0", f"bad x0: {e}")
 

@@ -13,18 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import (
-    FbConstant,
-    PpaAdditive,
-    PsgAdaptiveV1,
-    PsgAdaptiveV2,
-    PsgConstantGamma,
-    RunResult,
-    run_fb,
-    run_ppa,
-    run_psg,
-)
-from .config import ExperimentConfig, build_set, parse_config
+from .algorithms import RunResult, run_fb, run_ppa, run_psg
+from .config import ExperimentConfig, build_schedule, build_set, parse_config
 from .oracles import (
     AbsPlusSquare,
     IndicatorSet,
@@ -247,21 +237,6 @@ def build_oracle(cfg: ExperimentConfig):
         zero = QuadraticForm(np.zeros((2, 2)))
         return zero, hessian_example(cfg.epsilon)
     raise ValueError("config carries no oracle")
-
-
-def build_schedule(cfg: ExperimentConfig):
-    name, args = cfg.schedule
-    if name == "ppa_additive":
-        return PpaAdditive(cfg.gamma0, cfg.a0, delta=args[0])
-    if name == "psg_constant":
-        return PsgConstantGamma(cfg.gamma0, cfg.a0)
-    if name == "psg_adaptive_v1":
-        return PsgAdaptiveV1(cfg.gamma0, cfg.a0, a_const=args[0], a_f_const=args[1])
-    if name == "psg_adaptive_v2":
-        return PsgAdaptiveV2(cfg.gamma0, cfg.a0, epsilon=args[0])
-    if name == "fb_constant":
-        return FbConstant(cfg.gamma0, cfg.a0, a_const=args[0])
-    raise ValueError(f"unknown schedule {name!r}")
 
 
 @dataclass

@@ -15,6 +15,9 @@ with f(y) - f(x) >= phi(y) - phi(x) for all y.  Supported classes:
 
 The feasible coefficients form a half-line a >= a_min whose endpoint depends
 on the class; requesting a below it raises ``InfeasibleCoefficientError``.
+Each class carries its own formulas as methods; ``eval_oracle``,
+``feasible_range`` and ``subgrad_at`` are the entry points, which check the
+point's dimension and the requested coefficient.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ def _vec(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Set descriptors with exact projections
 # ---------------------------------------------------------------------------
+#
+# Each set also answers the two tests behind ``indicator_subgrad_check``:
+# ``normal_cone_contains(x, u, tol, scale)`` -- u in N(x, C), with x interior
+# decided at ``tol`` and u's off-cone residual compared with ``scale`` -- and
+# ``is_farthest(x, p, size)`` -- x maximizes ||y - p|| over C to within size.
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,23 @@ class Ball:
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = _vec(x)
         return float(np.linalg.norm(x - self.center)) <= self.radius + tol * self.char_size()
+
+    def normal_cone_contains(self, x, u, tol: float, scale: float) -> bool:
+        d = x - self.center
+        nd = float(np.linalg.norm(d))
+        if nd < self.radius - tol * self.char_size():  # interior point
+            return float(np.linalg.norm(u)) <= scale
+        t = float(u @ d) / (self.radius**2)
+        return t >= -tol and float(np.linalg.norm(u - t * d)) <= scale
+
+    def is_farthest(self, x, p, size: float) -> bool:
+        d = p - self.center
+        nd = float(np.linalg.norm(d))
+        if nd <= size:
+            # every boundary point is a maximizer
+            return abs(float(np.linalg.norm(x - self.center)) - self.radius) <= size
+        far = self.center - (self.radius / nd) * d
+        return float(np.linalg.norm(x - far)) <= size
 
 
 @dataclass(frozen=True)
@@ -121,6 +146,23 @@ class Box:
             raise ValueError("vertex enumeration limited to dimension <= 16")
         corners = itertools.product(*zip(self.lo, self.hi))
         return np.array(list(corners), dtype=float)
+
+    def normal_cone_contains(self, x, u, tol: float, scale: float) -> bool:
+        pad = tol * self.char_size()
+        for i in range(self.dim):
+            at_hi = x[i] >= self.hi[i] - pad
+            at_lo = x[i] <= self.lo[i] + pad
+            if at_hi and u[i] < -scale:
+                return False
+            if at_lo and u[i] > scale:
+                return False
+            if not at_hi and not at_lo and abs(u[i]) > scale:
+                return False
+        return True
+
+    def is_farthest(self, x, p, size: float) -> bool:
+        best = max(float(np.linalg.norm(v - p)) for v in self.vertices())
+        return float(np.linalg.norm(x - p)) >= best - size
 
 
 @dataclass(frozen=True)
@@ -156,6 +198,19 @@ class Halfspace:
         nn = float(np.linalg.norm(self.normal))
         return float(self.normal @ x) - self.offset <= tol * self.char_size() * nn
 
+    def normal_cone_contains(self, x, u, tol: float, scale: float) -> bool:
+        n = self.normal
+        nn = float(np.linalg.norm(n))
+        if float(n @ x) < self.offset - tol * self.char_size() * nn:  # interior
+            return float(np.linalg.norm(u)) <= scale
+        t = float(u @ n) / (nn * nn)
+        return t >= -tol and float(np.linalg.norm(u - t * n)) <= scale
+
+    def is_farthest(self, x, p, size: float) -> bool:
+        raise NotImplementedError(
+            "farthest-point check is unsupported for halfspaces (unbounded set)"
+        )
+
 
 SetDescriptor = Ball | Box | Halfspace
 
@@ -163,6 +218,17 @@ SetDescriptor = Ball | Box | Halfspace
 # ---------------------------------------------------------------------------
 # Oracle function classes
 # ---------------------------------------------------------------------------
+#
+# Each class carries its behaviour: ``value(x)``, ``feasible_range(x)`` (the
+# admissible coefficients at x), ``element(x, a)`` (the subdifferential
+# element for an admissible a) and, except SmoothBlackBox, ``prox(req)``
+# (the closed-form proximal point for a ProxRequest).  The methods assume a
+# point of the right dimension; callers go through the module functions
+# below, which check it.
+
+
+class UnboundedObjectiveError(ValueError):
+    """The regularized objective has no minimizer (unbounded below)."""
 
 
 @dataclass(frozen=True)
@@ -188,6 +254,20 @@ class NormSquare:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+
+    def value(self, x) -> float:
+        return float(x @ x) / (2.0 * self.gamma)
+
+    def feasible_range(self, x) -> FeasibleRange:
+        return FeasibleRange(-1.0 / (2.0 * self.gamma))
+
+    def element(self, x, a: float) -> PhiElement:
+        return PhiElement(a, (1.0 / self.gamma + 2.0 * a) * x)
+
+    def prox(self, req) -> np.ndarray:
+        # (1/(2 gp) + w) z = w x0
+        x0, w = req.x0, req.weight
+        return (w / (0.5 / self.gamma + w)) * x0 if w > 0.0 else np.zeros_like(x0)
 
 
 @dataclass(frozen=True)
@@ -219,6 +299,61 @@ class QuadraticForm:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
 
+    def value(self, x) -> float:
+        return float(x @ self.q @ x)
+
+    def feasible_range(self, x) -> FeasibleRange:
+        return FeasibleRange(-self.min_eigenvalue)
+
+    def element(self, x, a: float) -> PhiElement:
+        return PhiElement(a, 2.0 * (self.q @ x + a * x))
+
+    def prox(self, req) -> np.ndarray:
+        """Raises ``UnboundedObjectiveError`` when min eig + weight <= 0."""
+        x0, w = req.x0, req.weight
+        if self.min_eigenvalue + w < 0.0:
+            raise UnboundedObjectiveError(
+                "regularized quadratic is unbounded below: min eig "
+                f"{self.min_eigenvalue} + weight {w} < 0"
+            )
+        if self.min_eigenvalue + w == 0.0:
+            raise UnboundedObjectiveError(
+                "regularized quadratic is singular at the bottom of its spectrum"
+            )
+        try:
+            return np.linalg.solve(self.q + w * np.eye(self.dim), w * x0)
+        except np.linalg.LinAlgError as e:
+            # w within rounding of -min eig: which of the two guards above
+            # or LAPACK catches it depends on the last bit of the eigenvalue
+            raise UnboundedObjectiveError(
+                f"regularized quadratic is singular: min eig {self.min_eigenvalue} "
+                f"+ weight {w}"
+            ) from e
+
+
+def prox_abs_square_closed_form(x0: float, gamma: float, a0: float) -> float:
+    """Closed-form proximal point of f(x) = |x| + x^2.
+
+    With s = 1/gamma + 2*a0 the minimizer of |z| + z^2 + (s/2)(z - x0)^2 is
+
+        (s*x0 + 1)/(s + 2)   if s*x0 < -1,
+        (s*x0 - 1)/(s + 2)   if s*x0 >  1,
+        0                    otherwise.
+
+    The denominator s + 2 comes from stationarity (1 + 2z from f plus
+    s*(z - x0) from the regularizer) and is confirmed against a brute-force
+    grid argmin; see the README note on the denominator.
+    """
+    if 2.0 * gamma * a0 < -1.0:
+        raise InfeasibleCoefficientError("2*gamma*a0 >= -1 is required")
+    s = 1.0 / gamma + 2.0 * a0
+    t = s * x0
+    if t < -1.0:
+        return (t + 1.0) / (s + 2.0)
+    if t > 1.0:
+        return (t - 1.0) / (s + 2.0)
+    return 0.0
+
 
 @dataclass(frozen=True)
 class AbsPlusSquare:
@@ -227,6 +362,21 @@ class AbsPlusSquare:
     @property
     def dim(self) -> int:
         return 1
+
+    def value(self, x) -> float:
+        t = float(x[0])
+        return abs(t) + t * t
+
+    def feasible_range(self, x) -> FeasibleRange:
+        return FeasibleRange(-1.0)
+
+    def element(self, x, a: float) -> PhiElement:
+        t = float(x[0])
+        slope = np.sign(t) if t != 0.0 else 0.0
+        return PhiElement(a, np.array([slope + 2.0 * (a + 1.0) * t]))
+
+    def prox(self, req) -> np.ndarray:
+        return np.array([prox_abs_square_closed_form(float(req.x0[0]), req.gamma, req.a0)])
 
 
 @dataclass(frozen=True)
@@ -239,6 +389,31 @@ class IndicatorSet:
     def dim(self) -> int:
         return self.set.dim
 
+    def value(self, x) -> float:
+        return 0.0 if self.set.contains(x) else np.inf
+
+    def feasible_range(self, x) -> FeasibleRange:
+        if not self.set.contains(x):
+            raise EmptySubdifferentialError(
+                "point lies outside the indicator's set; subdifferential is empty"
+            )
+        return FeasibleRange(-np.inf, open=True)
+
+    def element(self, x, a: float) -> PhiElement:
+        # x = Proj_C(u/(2a)) holds with u = 2a*x whenever a >= 0; there is no
+        # canonical selection on the a < 0 branch.
+        if a < 0.0:
+            raise InfeasibleCoefficientError(
+                "no canonical indicator subgradient for a < 0; use "
+                "indicator_subgrad_check to certify a candidate"
+            )
+        return PhiElement(a, 2.0 * a * x)
+
+    def prox(self, req) -> np.ndarray:
+        # w = 0 makes every point of C a minimizer; the projection is the
+        # deterministic representative in either case
+        return self.set.project(req.x0)
+
 
 @dataclass(frozen=True)
 class SmoothBlackBox:
@@ -248,7 +423,8 @@ class SmoothBlackBox:
     makes z -> g(z) + a||z - x||^2-ish models convex near x); the default
     coefficient is kappa(x) + eps.  Both callbacks must be pure and
     re-entrant.  When kappa is only a local bound the produced elements are
-    certified locally, not globally.
+    certified locally, not globally.  ``value`` is the callback itself; there
+    is no closed-form prox, so the inner solver minimizes it.
     """
 
     value: Callable[[np.ndarray], float]
@@ -264,6 +440,12 @@ class SmoothBlackBox:
     def default_coefficient(self, x) -> float:
         return float(self.kappa(_vec(x))) + self.eps
 
+    def feasible_range(self, x) -> FeasibleRange:
+        return FeasibleRange(float(self.kappa(x)))
+
+    def element(self, x, a: float) -> PhiElement:
+        return PhiElement(a, 2.0 * a * x + _vec(self.gradient(x)))
+
 
 Oracle = NormSquare | QuadraticForm | AbsPlusSquare | IndicatorSet | SmoothBlackBox
 
@@ -277,39 +459,14 @@ def eval_oracle(f: Oracle, x) -> float:
     """f(x); +inf for an indicator evaluated outside its set."""
     x = _vec(x)
     _check_dim(f, x)
-    if isinstance(f, NormSquare):
-        return float(x @ x) / (2.0 * f.gamma)
-    if isinstance(f, QuadraticForm):
-        return float(x @ f.q @ x)
-    if isinstance(f, AbsPlusSquare):
-        t = float(x[0])
-        return abs(t) + t * t
-    if isinstance(f, IndicatorSet):
-        return 0.0 if f.set.contains(x) else np.inf
-    if isinstance(f, SmoothBlackBox):
-        return float(f.value(x))
-    raise TypeError(f"unknown oracle {type(f).__name__}")
+    return float(f.value(x))
 
 
 def feasible_range(f: Oracle, x) -> FeasibleRange:
     """Admissible coefficients a at x.  Raises if x is outside dom f."""
     x = _vec(x)
     _check_dim(f, x)
-    if isinstance(f, NormSquare):
-        return FeasibleRange(-1.0 / (2.0 * f.gamma))
-    if isinstance(f, QuadraticForm):
-        return FeasibleRange(-f.min_eigenvalue)
-    if isinstance(f, AbsPlusSquare):
-        return FeasibleRange(-1.0)
-    if isinstance(f, IndicatorSet):
-        if not f.set.contains(x):
-            raise EmptySubdifferentialError(
-                "point lies outside the indicator's set; subdifferential is empty"
-            )
-        return FeasibleRange(-np.inf, open=True)
-    if isinstance(f, SmoothBlackBox):
-        return FeasibleRange(float(f.kappa(x)))
-    raise TypeError(f"unknown oracle {type(f).__name__}")
+    return f.feasible_range(x)
 
 
 def subgrad_at(f: Oracle, x, a: float | None = None) -> PhiElement:
@@ -332,64 +489,12 @@ def subgrad_at(f: Oracle, x, a: float | None = None) -> PhiElement:
         raise InfeasibleCoefficientError(
             f"a={a} below the feasible threshold a_min={rng.a_min}"
         )
-    if isinstance(f, NormSquare):
-        return PhiElement(a, (1.0 / f.gamma + 2.0 * a) * x)
-    if isinstance(f, QuadraticForm):
-        return PhiElement(a, 2.0 * (f.q @ x + a * x))
-    if isinstance(f, AbsPlusSquare):
-        t = float(x[0])
-        slope = np.sign(t) if t != 0.0 else 0.0
-        return PhiElement(a, np.array([slope + 2.0 * (a + 1.0) * t]))
-    if isinstance(f, IndicatorSet):
-        # x = Proj_C(u/(2a)) holds with u = 2a*x whenever a >= 0; there is no
-        # canonical selection on the a < 0 branch.
-        if a < 0.0:
-            raise InfeasibleCoefficientError(
-                "no canonical indicator subgradient for a < 0; use "
-                "indicator_subgrad_check to certify a candidate"
-            )
-        return PhiElement(a, 2.0 * a * x)
-    if isinstance(f, SmoothBlackBox):
-        return PhiElement(a, 2.0 * a * x + _vec(f.gradient(x)))
-    raise TypeError(f"unknown oracle {type(f).__name__}")
+    return f.element(x, a)
 
 
 # ---------------------------------------------------------------------------
 # Indicator subdifferential: membership test and proximal normals
 # ---------------------------------------------------------------------------
-
-
-def _normal_cone_member(c: SetDescriptor, x: np.ndarray, u: np.ndarray,
-                        tol: float) -> bool:
-    """Exact normal-cone membership u in N(x, C) for the three set kinds."""
-    scale = tol * max(1.0, float(np.linalg.norm(u)))
-    if isinstance(c, Ball):
-        d = x - c.center
-        nd = float(np.linalg.norm(d))
-        if nd < c.radius - tol * c.char_size():  # interior point
-            return float(np.linalg.norm(u)) <= scale
-        t = float(u @ d) / (c.radius**2)
-        return t >= -tol and float(np.linalg.norm(u - t * d)) <= scale
-    if isinstance(c, Box):
-        pad = tol * c.char_size()
-        for i in range(c.dim):
-            at_hi = x[i] >= c.hi[i] - pad
-            at_lo = x[i] <= c.lo[i] + pad
-            if at_hi and u[i] < -scale:
-                return False
-            if at_lo and u[i] > scale:
-                return False
-            if not at_hi and not at_lo and abs(u[i]) > scale:
-                return False
-        return True
-    if isinstance(c, Halfspace):
-        n = c.normal
-        nn = float(np.linalg.norm(n))
-        if float(n @ x) < c.offset - tol * c.char_size() * nn:  # interior
-            return float(np.linalg.norm(u)) <= scale
-        t = float(u @ n) / (nn * nn)
-        return t >= -tol and float(np.linalg.norm(u - t * n)) <= scale
-    raise TypeError(f"unknown set descriptor {type(c).__name__}")
 
 
 def indicator_subgrad_check(c: SetDescriptor, x, phi: PhiElement,
@@ -409,25 +514,8 @@ def indicator_subgrad_check(c: SetDescriptor, x, phi: PhiElement,
     if a > 0.0:
         return float(np.linalg.norm(x - c.project(u / (2.0 * a)))) <= size
     if a == 0.0:
-        return _normal_cone_member(c, x, u, tol)
-    # a < 0: farthest-point condition
-    p = u / (2.0 * a)
-    if isinstance(c, Ball):
-        d = p - c.center
-        nd = float(np.linalg.norm(d))
-        if nd <= size:
-            # every boundary point is a maximizer
-            return abs(float(np.linalg.norm(x - c.center)) - c.radius) <= size
-        far = c.center - (c.radius / nd) * d
-        return float(np.linalg.norm(x - far)) <= size
-    if isinstance(c, Box):
-        best = max(float(np.linalg.norm(v - p)) for v in c.vertices())
-        return float(np.linalg.norm(x - p)) >= best - size
-    if isinstance(c, Halfspace):
-        raise NotImplementedError(
-            "farthest-point check is unsupported for halfspaces (unbounded set)"
-        )
-    raise TypeError(f"unknown set descriptor {type(c).__name__}")
+        return c.normal_cone_contains(x, u, tol, tol * max(1.0, float(np.linalg.norm(u))))
+    return c.is_farthest(x, u / (2.0 * a), size)
 
 
 def proximal_normal_vector(c: SetDescriptor, x, phi: PhiElement) -> np.ndarray:

@@ -5,8 +5,9 @@ output at x0 is any
 
     x  in  argmin_z  f(z) + (1/(2 gamma) + a0) ||z - x0||^2.
 
-Closed forms exist for all the bundled oracle classes; a derivative-free
-inner solver covers black-box functions at desk scale.
+Every bundled oracle class except the smooth black box carries its closed
+form as ``f.prox(req)``; a derivative-free inner solver covers black-box
+functions at desk scale.
 """
 
 from __future__ import annotations
@@ -18,17 +19,15 @@ from typing import Callable
 import numpy as np
 
 from .oracles import (
-    AbsPlusSquare,
-    IndicatorSet,
-    NormSquare,
     Oracle,
-    QuadraticForm,
     SetDescriptor,
     SmoothBlackBox,
+    UnboundedObjectiveError,
     eval_oracle,
+    prox_abs_square_closed_form,
 )
 from .phi import InfeasibleCoefficientError
-from .reference import golden_section_min
+from .reference import fd_gradient, golden_section_min
 from .rng import XorShift64Star
 
 __all__ = [
@@ -43,10 +42,6 @@ __all__ = [
     "CriticalityVerdict",
     "classify_fixed_point",
 ]
-
-
-class UnboundedObjectiveError(ValueError):
-    """The regularized objective has no minimizer (unbounded below)."""
 
 
 class SolverToleranceError(RuntimeError):
@@ -80,54 +75,48 @@ class ProxRequest:
 
 
 class InnerSolver:
-    """Derivative-free global argmin at desk scale.
+    """Derivative-free argmin at desk scale, with fixed settings.
 
-    1-D: coarse-free golden section on [x0 - B, x0 + B] with
-    B = max(10, 4|x0|), tolerance 1e-10, then one local refinement pass.
+    1-D: golden section on [x0 - B, x0 + B] with B = max(10, 4|x0|) and
+    tolerance ``TOL``, then one refinement pass around the answer.
     n-D: projected gradient (finite-difference gradients) with backtracking
-    from 8 deterministic starts inside a configured box.
+    inside the box x0 +- max(10, 4|x0|), from ``NUM_STARTS`` deterministic
+    starts (x0, the box centre, then ``SEED``-driven uniform draws), at most
+    ``MAX_ITER`` steps each.  The output is the best point found; it is not
+    certified as a global minimizer, and the n-D search can stall short of
+    stationarity without saying so.
     """
 
-    def __init__(self, box_lo=None, box_hi=None, tol: float = 1e-10,
-                 max_iter: int = 2000, num_starts: int = 8, seed: int = 7):
-        self.box_lo = box_lo
-        self.box_hi = box_hi
-        self.tol = tol
-        self.max_iter = max_iter
-        self.num_starts = num_starts
-        self.seed = seed
+    TOL = 1e-10
+    MAX_ITER = 2000
+    NUM_STARTS = 8
+    SEED = 7
 
     def minimize_1d(self, h: Callable[[float], float], x0: float) -> float:
         b = max(10.0, 4.0 * abs(x0))
-        z = golden_section_min(h, x0 - b, x0 + b, tol=self.tol)
+        z = golden_section_min(h, x0 - b, x0 + b, tol=self.TOL)
         # one refinement pass around the first answer
         w = max(1e-6, 1e-3 * b)
-        return golden_section_min(h, z - w, z + w, tol=self.tol)
+        return golden_section_min(h, z - w, z + w, tol=self.TOL)
 
     def minimize_nd(self, h: Callable[[np.ndarray], float], x0: np.ndarray) -> np.ndarray:
-        from .reference import fd_gradient
-
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         n = x0.size
-        if self.box_lo is None or self.box_hi is None:
-            lo = x0 - np.maximum(10.0, 4.0 * np.abs(x0))
-            hi = x0 + np.maximum(10.0, 4.0 * np.abs(x0))
-        else:
-            lo = np.broadcast_to(np.asarray(self.box_lo, dtype=float), (n,)).copy()
-            hi = np.broadcast_to(np.asarray(self.box_hi, dtype=float), (n,)).copy()
-        rng = XorShift64Star(self.seed)
+        lo = x0 - np.maximum(10.0, 4.0 * np.abs(x0))
+        hi = x0 + np.maximum(10.0, 4.0 * np.abs(x0))
+        rng = XorShift64Star(self.SEED)
         starts = [np.clip(x0, lo, hi), 0.5 * (lo + hi)]
-        while len(starts) < self.num_starts:
+        while len(starts) < self.NUM_STARTS:
             starts.append(rng.uniform_vector(lo, hi, n))
 
         best_x, best_v = None, np.inf
         for s in starts:
             x = s.copy()
             v = h(x)
-            for _ in range(self.max_iter):
+            for _ in range(self.MAX_ITER):
                 grad = fd_gradient(h, x)
                 gn = float(np.linalg.norm(grad))
-                if gn <= self.tol * max(1.0, abs(v)):
+                if gn <= self.TOL * max(1.0, abs(v)):
                     break
                 step = 1.0
                 moved = False
@@ -147,30 +136,6 @@ class InnerSolver:
         return best_x
 
 
-def prox_abs_square_closed_form(x0: float, gamma: float, a0: float) -> float:
-    """Closed-form proximal point of f(x) = |x| + x^2.
-
-    With s = 1/gamma + 2*a0 the minimizer of |z| + z^2 + (s/2)(z - x0)^2 is
-
-        (s*x0 + 1)/(s + 2)   if s*x0 < -1,
-        (s*x0 - 1)/(s + 2)   if s*x0 >  1,
-        0                    otherwise.
-
-    The denominator s + 2 comes from stationarity (1 + 2z from f plus
-    s*(z - x0) from the regularizer) and is confirmed against a brute-force
-    grid argmin; see the README note on the denominator.
-    """
-    if 2.0 * gamma * a0 < -1.0:
-        raise InfeasibleCoefficientError("2*gamma*a0 >= -1 is required")
-    s = 1.0 / gamma + 2.0 * a0
-    t = s * x0
-    if t < -1.0:
-        return (t + 1.0) / (s + 2.0)
-    if t > 1.0:
-        return (t - 1.0) / (s + 2.0)
-    return 0.0
-
-
 def prox_indicator(c: SetDescriptor, x, gamma: float) -> np.ndarray:
     """Proximal point of an indicator: the projection onto the set.
 
@@ -182,52 +147,25 @@ def prox_indicator(c: SetDescriptor, x, gamma: float) -> np.ndarray:
     return c.project(x)
 
 
-def prox_via_argmin(req: ProxRequest, solver: InnerSolver | None = None) -> np.ndarray:
-    """A global minimizer of h(z) = f(z) + (1/(2 gamma) + a0)||z - x0||^2.
+def prox_via_argmin(req: ProxRequest) -> np.ndarray:
+    """A minimizer of h(z) = f(z) + (1/(2 gamma) + a0)||z - x0||^2.
 
-    Uses the closed form when the oracle admits one, otherwise the inner
-    solver.  When the regularized objective is unbounded below
-    (QuadraticForm with min eigenvalue + weight < 0) raises
-    ``UnboundedObjectiveError``.
+    Uses the oracle's closed form (``f.prox``) when it has one, otherwise
+    the inner solver, whose output is the best point it found.  When the
+    regularized objective is unbounded below (QuadraticForm with min
+    eigenvalue + weight <= 0) raises ``UnboundedObjectiveError``.
     """
     f, x0, w = req.f, req.x0, req.weight
-    if isinstance(f, AbsPlusSquare):
-        return np.array([prox_abs_square_closed_form(float(x0[0]), req.gamma, req.a0)])
-    if isinstance(f, NormSquare):
-        # (1/(2 gp) + w) z = w x0
-        return (w / (0.5 / f.gamma + w)) * x0 if w > 0.0 else np.zeros_like(x0)
-    if isinstance(f, QuadraticForm):
-        if f.min_eigenvalue + w < 0.0:
-            raise UnboundedObjectiveError(
-                "regularized quadratic is unbounded below: min eig "
-                f"{f.min_eigenvalue} + weight {w} < 0"
-            )
-        if f.min_eigenvalue + w == 0.0:
-            raise UnboundedObjectiveError(
-                "regularized quadratic is singular at the bottom of its spectrum"
-            )
-        try:
-            return np.linalg.solve(f.q + w * np.eye(f.dim), w * x0)
-        except np.linalg.LinAlgError as e:
-            # w within rounding of -min eig: which of the two guards above
-            # or LAPACK catches it depends on the last bit of the eigenvalue
-            raise UnboundedObjectiveError(
-                f"regularized quadratic is singular: min eig {f.min_eigenvalue} "
-                f"+ weight {w}"
-            ) from e
-    if isinstance(f, IndicatorSet):
-        # w = 0 makes every point of C a minimizer; the projection is the
-        # deterministic representative in either case
-        return f.set.project(x0)
-    # black box: derivative-free search
-    solver = solver or InnerSolver()
+    if not isinstance(f, SmoothBlackBox):
+        return f.prox(req)
 
     def h(z):
         z = np.atleast_1d(np.asarray(z, dtype=float))
         d = z - x0
         return eval_oracle(f, z) + w * float(d @ d)
 
-    if req.f.dim == 1:
+    solver = InnerSolver()
+    if f.dim == 1:
         z = solver.minimize_1d(lambda t: h(np.array([t])), float(x0[0]))
         return np.array([z])
     return solver.minimize_nd(h, x0)

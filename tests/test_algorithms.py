@@ -131,8 +131,8 @@ def test_ppa_step_norm_stop():
 
 def test_ppa_fejer_column():
     star = np.zeros(1)
-    res = run_ppa(AbsPlusSquare(), [-10.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9),
-                  20, x_star=star)
+    res = run_ppa(AbsPlusSquare(), [-10.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9), 20)
+    res.set_fejer(star)
     r5 = res.records[5]
     expect = (0.5 / r5.gamma_n + r5.a_n) * float(np.linalg.norm(star - r5.x_n)) ** 2
     assert r5.fejer == pytest.approx(expect, rel=1e-12)

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absprox import cli
-from absprox.config import ConfigError, parse_config
+from absprox import FbConstant, PpaAdditive, PsgAdaptiveV1, PsgAdaptiveV2, PsgConstantGamma, cli
+from absprox.config import _SCHEDULES, ConfigError, parse_config
 from absprox.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
+    build_schedule,
     named_experiment_configs,
     run_config,
     run_named_experiment,
@@ -344,6 +345,9 @@ _REFUSED = {
     "gamma0-inf": (PSG_PLAIN, {"gamma0": "inf"}, "non-finite number 'inf'"),
     "gamma0-nan": (PSG_PLAIN, {"gamma0": "nan"}, "non-finite number 'nan'"),
     "x0-nan": (PSG_PLAIN, {"x0": "[nan, 1]"}, "bad x0: non-finite number 'nan'"),
+    "x0-scalar-inf": (PPA_PLAIN, {"x0": "inf"}, "bad x0: non-finite number 'inf'"),
+    "x0-scalar-nan": (PPA_PLAIN, {"x0": "nan"}, "bad x0: non-finite number 'nan'"),
+    "x0-scalar-overflow": (PPA_PLAIN, {"x0": "1e999"}, "bad x0: non-finite number '1e999'"),
     "schedule-nan": (PPA_PLAIN, {"schedule": "ppa_additive(nan)"}, "non-finite number 'nan'"),
     "Q-nan": (PSG_PLAIN, {"Q": "[[nan,2];[2,1]]"}, "bad matrix: non-finite number 'nan'"),
     "set-nan": (PSG_PLAIN, {"set": "ball([0,nan], 1)"}, "non-finite number 'nan'"),
@@ -368,6 +372,29 @@ def test_cli_refuses_what_a_run_would_ignore_or_crash_on(tmp_path, base, edits, 
     assert "Traceback" not in err
     assert err.splitlines() and all(ln.startswith("config error: ") for ln in err.splitlines())
     assert problem in err
+
+
+# per schedule name: a base config of an algorithm that takes it, its
+# arguments, and the schedule the constructor builds from them directly
+_SCHEDULE_CASES = {
+    "ppa_additive": (PPA_PLAIN, "0.5", lambda g, a: PpaAdditive(g, a, delta=0.5)),
+    "psg_constant": (PSG_PLAIN, "", lambda g, a: PsgConstantGamma(g, a)),
+    "psg_adaptive_v1": (PSG_PLAIN, "0.5, 0.25",
+                        lambda g, a: PsgAdaptiveV1(g, a, a_const=0.5, a_f_const=0.25)),
+    "psg_adaptive_v2": (PSG_PLAIN, "0.5", lambda g, a: PsgAdaptiveV2(g, a, epsilon=0.5)),
+    "fb_constant": (FB_TEXT, "0.5", lambda g, a: FbConstant(g, a, a_const=0.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCHEDULES))
+def test_each_schedule_name_builds_its_schedule(name):
+    base, args, direct = _SCHEDULE_CASES[name]
+    cfg = parse_config(_with(base, "schedule", f"{name}({args})"))
+    assert build_schedule(cfg) == direct(cfg.gamma0, cfg.a0)
+    k = len(cfg.schedule[1])
+    extra = f"{name}({args}, 1)" if args else f"{name}(1)"
+    assert any(f"schedule {name} takes {k} parameter(s), got {k + 1}" in e
+               for e in errors_of(_with(base, "schedule", extra)))
 
 
 def test_set_numbers_broadcast_to_x0(tmp_path):
