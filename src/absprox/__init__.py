@@ -39,7 +39,6 @@ from .oracles import (
 )
 from .prox import (
     CriticalityVerdict,
-    InnerSolver,
     ProxRequest,
     SolverToleranceError,
     UnboundedObjectiveError,

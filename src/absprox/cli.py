@@ -3,10 +3,10 @@
 Subcommands: ``run <config>`` executes one config file and writes its CSV;
 ``reproduce <name>`` runs a bundled experiment sweep; ``verify`` runs
 the independent-oracle cross-check suites; ``list`` shows the bundled
-experiment names.  Exit codes: 0 success, 2 config error (or an unreadable
-config), 3 runtime failure, unwritable CSV, or guarantee violation (under
-strict mode).  Setting ``ABSPROX_STRICT=1``
-promotes monotonicity warnings to failures.
+experiment names.  Exit codes: 0 success, 1 a ``verify`` check failed,
+2 config error (or an unreadable config), 3 runtime failure, unwritable
+CSV, or guarantee violation (under strict mode).  Setting
+``ABSPROX_STRICT=1`` promotes monotonicity warnings to failures.
 """
 
 from __future__ import annotations

@@ -419,12 +419,14 @@ class IndicatorSet:
 class SmoothBlackBox:
     """Caller-supplied smooth g with a curvature-bound callback kappa.
 
-    ``kappa(x)`` must dominate the local curvature of -g (i.e. a >= kappa(x)
-    makes z -> g(z) + a||z - x||^2-ish models convex near x); the default
-    coefficient is kappa(x) + eps.  Both callbacks must be pure and
-    re-entrant.  When kappa is only a local bound the produced elements are
-    certified locally, not globally.  ``value`` is the callback itself; there
-    is no closed-form prox, so the inner solver minimizes it.
+    ``kappa(z)`` must bound the curvature of -g near z in the library's
+    convention, Hess g >= -2 kappa(z) I, so that a >= kappa makes
+    z -> g(z) + a||z - x||^2 convex there; the default coefficient is
+    kappa(x) + eps.  The callbacks must be pure and re-entrant.  When kappa
+    is only a local bound the produced elements are certified locally, not
+    globally.  ``value`` is the callback itself; there is no closed-form
+    prox, so the inner solver descends on ``gradient`` and certifies its
+    answer with kappa.
     """
 
     value: Callable[[np.ndarray], float]

@@ -6,15 +6,16 @@ output at x0 is any
     x  in  argmin_z  f(z) + (1/(2 gamma) + a0) ||z - x0||^2.
 
 Every bundled oracle class except the smooth black box carries its closed
-form as ``f.prox(req)``; a derivative-free inner solver covers black-box
-functions at desk scale.
+form as ``f.prox(req)``.  For the black box an inner solver descends on the
+box's own gradient and certifies its answer by the stationarity residual
+and the strong-convexity margin that the box's curvature bound gives; an
+answer it cannot certify raises ``SolverToleranceError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -27,12 +28,9 @@ from .oracles import (
     prox_abs_square_closed_form,
 )
 from .phi import InfeasibleCoefficientError
-from .reference import fd_gradient, golden_section_min
-from .rng import XorShift64Star
 
 __all__ = [
     "ProxRequest",
-    "InnerSolver",
     "UnboundedObjectiveError",
     "SolverToleranceError",
     "prox_via_argmin",
@@ -45,7 +43,7 @@ __all__ = [
 
 
 class SolverToleranceError(RuntimeError):
-    """Inner solver failed to reach tolerance; carries its best iterate."""
+    """The inner solver could not certify its answer; carries that point."""
 
     def __init__(self, message: str, best: np.ndarray):
         super().__init__(message)
@@ -74,66 +72,63 @@ class ProxRequest:
         return 1.0 / (2.0 * self.gamma) + self.a0
 
 
-class InnerSolver:
-    """Derivative-free argmin at desk scale, with fixed settings.
+# the inner solver's stop rule: ||h'(z)|| <= _INNER_RTOL * max(1, ||h'(x0)||,
+# ||x0||), within _INNER_MAX_STEPS accepted steps
+_INNER_RTOL = 1e-10
+_INNER_MAX_STEPS = 500
 
-    1-D: golden section on [x0 - B, x0 + B] with B = max(10, 4|x0|) and
-    tolerance ``TOL``, then one refinement pass around the answer.
-    n-D: projected gradient (finite-difference gradients) with backtracking
-    inside the box x0 +- max(10, 4|x0|), from ``NUM_STARTS`` deterministic
-    starts (x0, the box centre, then ``SEED``-driven uniform draws), at most
-    ``MAX_ITER`` steps each.  The output is the best point found; it is not
-    certified as a global minimizer, and the n-D search can stall short of
-    stationarity without saying so.
+
+def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
+    """Certified minimizer of h(z) = g(z) + w||z - x0||^2 for a black box g.
+
+    Descends from x0 on h'(z) = grad g(z) + 2w(z - x0) with Barzilai-Borwein
+    steps s's/s'y (1.0 when s'y <= 0; the first step is 1/max(1, ||h'(x0)||)).
+    A trial point is accepted when ||h'|| falls by the factor 1 - 1e-4 or h
+    passes Armijo with c = 1e-4, else the step is halved; below 1e-16 the
+    descent gives up.  Once ||h'|| is below about sqrt(eps |h|) a value test
+    cannot see a decrease, so the gradient-norm test carries the last steps.
+
+    The answer z is certified: with g's curvature bound kappa (Hess g >=
+    -2 kappa I) the margin m = 2(w - kappa(z)) bounds Hess h from below, so
+    ||z - z*|| <= ||h'(z)|| / m wherever kappa bounds the curvature, and z is
+    the global minimizer when it does so everywhere.  When the stop rule is
+    not met or m <= 0, raises ``SolverToleranceError`` carrying z.
     """
 
-    TOL = 1e-10
-    MAX_ITER = 2000
-    NUM_STARTS = 8
-    SEED = 7
+    def h(z):
+        d = z - x0
+        return eval_oracle(f, z) + w * float(d @ d)
 
-    def minimize_1d(self, h: Callable[[float], float], x0: float) -> float:
-        b = max(10.0, 4.0 * abs(x0))
-        z = golden_section_min(h, x0 - b, x0 + b, tol=self.TOL)
-        # one refinement pass around the first answer
-        w = max(1e-6, 1e-3 * b)
-        return golden_section_min(h, z - w, z + w, tol=self.TOL)
+    def dh(z):
+        return np.asarray(f.gradient(z), dtype=float).reshape(z.shape) + 2.0 * w * (z - x0)
 
-    def minimize_nd(self, h: Callable[[np.ndarray], float], x0: np.ndarray) -> np.ndarray:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        n = x0.size
-        lo = x0 - np.maximum(10.0, 4.0 * np.abs(x0))
-        hi = x0 + np.maximum(10.0, 4.0 * np.abs(x0))
-        rng = XorShift64Star(self.SEED)
-        starts = [np.clip(x0, lo, hi), 0.5 * (lo + hi)]
-        while len(starts) < self.NUM_STARTS:
-            starts.append(rng.uniform_vector(lo, hi, n))
-
-        best_x, best_v = None, np.inf
-        for s in starts:
-            x = s.copy()
-            v = h(x)
-            for _ in range(self.MAX_ITER):
-                grad = fd_gradient(h, x)
-                gn = float(np.linalg.norm(grad))
-                if gn <= self.TOL * max(1.0, abs(v)):
-                    break
-                step = 1.0
-                moved = False
-                while step > 1e-16:
-                    cand = np.clip(x - step * grad, lo, hi)
-                    cv = h(cand)
-                    if cv < v - 1e-4 * step * gn * gn:
-                        x, v, moved = cand, cv, True
-                        break
-                    step *= 0.5
-                if not moved:
-                    break
-            if v < best_v:
-                best_x, best_v = x, v
-        if best_x is None:
-            raise SolverToleranceError("no start produced a finite value", x0)
-        return best_x
+    z = x0.copy()
+    grad = dh(z)
+    r, v = float(np.linalg.norm(grad)), h(z)
+    tol = _INNER_RTOL * max(1.0, r, float(np.linalg.norm(x0)))
+    step = 1.0 / max(1.0, r)
+    steps = 0
+    while not r <= tol and steps < _INNER_MAX_STEPS:
+        while step >= 1e-16:
+            trial = z - step * grad
+            g_t = dh(trial)
+            r_t, v_t = float(np.linalg.norm(g_t)), h(trial)
+            if r_t <= (1.0 - 1e-4) * r or v_t <= v - 1e-4 * step * r * r:
+                break
+            step *= 0.5
+        else:  # no acceptable step above 1e-16
+            break
+        s, y = trial - z, g_t - grad
+        sy = float(s @ y)
+        step = float(s @ s) / sy if sy > 0.0 else 1.0
+        z, grad, r, v = trial, g_t, r_t, v_t
+        steps += 1
+    margin = 2.0 * (w - float(f.kappa(z)))
+    if not (r <= tol and margin > 0.0):
+        raise SolverToleranceError(
+            f"inner prox not certified after {steps} steps: residual {r:.3g} "
+            f"(tolerance {tol:.3g}), margin {margin:.3g}", z)
+    return z
 
 
 def prox_indicator(c: SetDescriptor, x, gamma: float) -> np.ndarray:
@@ -151,24 +146,15 @@ def prox_via_argmin(req: ProxRequest) -> np.ndarray:
     """A minimizer of h(z) = f(z) + (1/(2 gamma) + a0)||z - x0||^2.
 
     Uses the oracle's closed form (``f.prox``) when it has one, otherwise
-    the inner solver, whose output is the best point it found.  When the
+    the certified inner solver (see ``_inner_argmin``), which raises
+    ``SolverToleranceError`` when it cannot certify its answer.  When the
     regularized objective is unbounded below (QuadraticForm with min
     eigenvalue + weight <= 0) raises ``UnboundedObjectiveError``.
     """
-    f, x0, w = req.f, req.x0, req.weight
+    f = req.f
     if not isinstance(f, SmoothBlackBox):
         return f.prox(req)
-
-    def h(z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        d = z - x0
-        return eval_oracle(f, z) + w * float(d @ d)
-
-    solver = InnerSolver()
-    if f.dim == 1:
-        z = solver.minimize_1d(lambda t: h(np.array([t])), float(x0[0]))
-        return np.array([z])
-    return solver.minimize_nd(h, x0)
+    return _inner_argmin(f, req.x0, req.weight)
 
 
 class VerdictKind(Enum):

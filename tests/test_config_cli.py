@@ -290,6 +290,21 @@ def test_cli_verify(capsys):
     assert "FAIL" not in out
 
 
+def test_cli_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
+    import absprox.prox
+
+    right = absprox.prox.prox_abs_square_closed_form
+    monkeypatch.setattr(absprox.prox, "prox_abs_square_closed_form",
+                        lambda x0, gamma, a0: right(x0, gamma, a0) + 1e-3)
+    assert cli.main(["verify"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [ln for ln in lines if ln.startswith("FAIL")][0].startswith("FAIL closed-form")
+    assert sum(ln.startswith("FAIL") for ln in lines) == 1
+    assert lines[-1] == "6/7 checks passed"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_run_config_reference_distance_column(tmp_path):
     # dist_to_ref is populated when a reference is given and empty when not
     run = run_config(parse_config(PPA_TEXT))

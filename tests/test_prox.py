@@ -1,4 +1,4 @@
-"""Abstract proximal operator: closed forms, the generic argmin fallback,
+"""Abstract proximal operator: closed forms, the certified inner solver,
 indicator specialization, and fixed-point classification."""
 
 import numpy as np
@@ -13,11 +13,11 @@ from absprox import (
     Halfspace,
     IndicatorSet,
     InfeasibleCoefficientError,
-    InnerSolver,
     NormSquare,
     ProxRequest,
     QuadraticForm,
     SmoothBlackBox,
+    SolverToleranceError,
     UnboundedObjectiveError,
     VerdictKind,
     classify_fixed_point,
@@ -170,25 +170,76 @@ def test_prox_output_certifies_regularized_minimum():
 # --- inner solver -----------------------------------------------------------
 
 
+def _blackbox(value, gradient, kappa, dim=1):
+    return SmoothBlackBox(value=value, gradient=gradient, kappa=lambda p: kappa,
+                          eps=1e-3, dim=dim)
+
+
+def _cos_blackbox(dim, kappa):
+    # g = sum(cos x_i) + 0.05||x||^2, so g'' >= -0.9 and kappa = 0.45 suffices
+    return _blackbox(lambda p: float(np.sum(np.cos(p)) + 0.05 * float(p @ p)),
+                     lambda p: -np.sin(p) + 0.1 * p, kappa, dim)
+
+
+def _residual(g, req, z):
+    return float(np.linalg.norm(g.gradient(z) + 2.0 * req.weight * (z - req.x0)))
+
+
 def test_inner_solver_1d_quartic():
-    s = InnerSolver()
-    got = s.minimize_1d(lambda z: (z - 1.5) ** 4 + z, 0.0)
-    brute = grid_argmin_1d(lambda z: (z - 1.5) ** 4 + z, -10, 10)
-    assert got == pytest.approx(brute, abs=1e-6)
+    g = _blackbox(lambda p: float((p[0] - 1.5) ** 4 + p[0]),
+                  lambda p: np.array([4.0 * (p[0] - 1.5) ** 3 + 1.0]), 0.0)
+    got = prox_via_argmin(ProxRequest(g, np.array([0.0]), 1.0, 0.0))
+    brute = grid_argmin_1d(lambda z: (z - 1.5) ** 4 + z + 0.5 * z * z, -10, 10)
+    assert got[0] == pytest.approx(brute, abs=1e-7)
 
 
 def test_inner_solver_nd_bowl():
-    s = InnerSolver()
-    got = s.minimize_nd(lambda p: float((p[0] - 1) ** 2 + 2 * (p[1] + 0.5) ** 2), np.zeros(2))
-    assert np.allclose(got, [1.0, -0.5], atol=1e-6)
+    g = _blackbox(lambda p: float((p[0] - 1) ** 2 + 2 * (p[1] + 0.5) ** 2),
+                  lambda p: np.array([2.0 * (p[0] - 1), 4.0 * (p[1] + 0.5)]), 0.0, dim=2)
+    got = prox_via_argmin(ProxRequest(g, np.zeros(2), 1.0, 0.0))
+    # weight 1/2: z_0 = 1/(1 + 1/2), z_1 = -1/(2 + 1/2)
+    assert np.allclose(got, [2.0 / 3.0, -0.4], rtol=0, atol=1e-9)
 
 
-def test_inner_solver_multistart_escapes_local_basin():
-    # double well with tilt: local min near +1, global near -1
-    h = lambda p: float((p[0] ** 2 - 1.0) ** 2 + 0.3 * p[0])
-    s = InnerSolver()
-    got = s.minimize_nd(h, np.array([0.9]))
-    assert got[0] < 0.0
+def test_inner_solver_certifies_or_raises_on_a_double_well():
+    # tilted double well: local min near +1, global near -1; g'' = 12z^2 - 4,
+    # so the honest curvature bound is kappa = 2
+    g = _blackbox(lambda p: float((p[0] ** 2 - 1.0) ** 2 + 0.3 * p[0]),
+                  lambda p: np.array([4.0 * p[0] * (p[0] ** 2 - 1.0) + 0.3]), 2.0)
+    # weight 2.5 > kappa: h is strongly convex and the answer is its global min
+    got = prox_via_argmin(ProxRequest(g, np.array([0.9]), 1.0, 2.0))
+    brute = grid_argmin_1d(lambda z: (z * z - 1.0) ** 2 + 0.3 * z + 2.5 * (z - 0.9) ** 2,
+                           -10, 10)
+    assert got[0] == pytest.approx(brute, abs=1e-7)
+    # weight 0.5 < kappa: margin 2(0.5 - 2) = -3, so no certificate
+    with pytest.raises(SolverToleranceError, match="margin -3") as caught:
+        prox_via_argmin(ProxRequest(g, np.array([0.9]), 1.0, 0.0))
+    assert np.all(np.isfinite(caught.value.best))
+    # a gradient that is never finite leaves the stop rule unmet
+    broken = _blackbox(g.value, lambda p: np.array([np.nan]), 2.0)
+    with pytest.raises(SolverToleranceError, match="residual nan"):
+        prox_via_argmin(ProxRequest(broken, np.array([0.9]), 1.0, 2.0))
+
+
+def test_inner_solver_converges_at_a_resonant_weight():
+    # weight 4: 2w + g'' is 8 near the argmin, where halving from step 1
+    # once stalled the finite-difference multistart at residual 7e-5
+    g = _cos_blackbox(2, 1.0)
+    req = ProxRequest(g, np.array([1.35775027, 1.21972358]), 0.5, 3.0)
+    assert _residual(g, req, prox_via_argmin(req)) <= 1e-8
+
+
+def test_inner_solver_is_stationary_on_random_prox_requests():
+    rng = np.random.default_rng(606)
+    boxes = {d: _cos_blackbox(d, 0.5) for d in (1, 2, 3)}
+    worst = 0.0
+    for k in range(500):
+        d = int(rng.integers(1, 4))
+        # gamma = 1/2, so a0 = 0, 1, 3 give the weights 1, 2 and 4
+        a0 = (0.0, 1.0, 3.0)[k % 3] if k % 2 else float(rng.uniform(0.0, 8.0))
+        req = ProxRequest(boxes[d], rng.uniform(-6.0, 6.0, d), 0.5, a0)
+        worst = max(worst, _residual(boxes[d], req, prox_via_argmin(req)))
+    assert worst <= 1e-8
 
 
 # --- fixed-point classification ---------------------------------------------

@@ -3,10 +3,14 @@ own checks, including a cross-check of the hand-rolled Jacobi eigensolver
 against numpy's LAPACK wrapper, which the production ``QuadraticForm`` uses.
 """
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
 import absprox.oracles
+import absprox.prox
 from absprox.oracles import QuadraticForm
 from absprox.reference import (
     eig_sym,
@@ -102,6 +106,17 @@ def test_eig_matches_lapack_on_random_matrices():
     for q in qs:
         tol = 1e-10 * max(1.0, float(np.linalg.norm(q)))
         assert np.abs(QuadraticForm(q).eigenvalues - eig_sym(q)[0]).max() <= tol
+
+
+def test_prox_imports_nothing_from_the_arbiters():
+    # the prox is checked against reference's argmins, so it must not use them
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(absprox.prox))):
+        if isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    assert not any(part in ("reference", "rng") for name in names for part in name.split("."))
 
 
 # --- finite differences ----------------------------------------------------
