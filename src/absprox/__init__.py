@@ -33,17 +33,12 @@ from .oracles import (
     SmoothBlackBox,
     eval_oracle,
     feasible_range,
-    indicator_subgrad_check,
-    proximal_normal_vector,
     subgrad_at,
 )
 from .prox import (
-    CriticalityVerdict,
     ProxRequest,
     SolverToleranceError,
     UnboundedObjectiveError,
-    VerdictKind,
-    classify_fixed_point,
     prox_abs_square_closed_form,
     prox_indicator,
     prox_via_argmin,
@@ -52,7 +47,6 @@ from .algorithms import (
     STOP_GLOBAL_MIN,
     STOP_GUARD,
     STOP_NONFINITE,
-    STOP_STEP_NORM,
     DegenerateStepError,
     FbConstant,
     IterationRecord,
@@ -73,12 +67,7 @@ from .algorithms import (
     run_psg,
     schedule_step,
 )
-from .diagnostics import (
-    DiagnosticsReport,
-    check_fejer,
-    check_quasi_fejer,
-    objective_limit_report,
-)
+from .diagnostics import DiagnosticsReport, check_fejer
 from .config import ConfigError, ExperimentConfig, parse_config
 from .experiments import (
     EXPERIMENTS,

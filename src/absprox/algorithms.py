@@ -48,7 +48,6 @@ __all__ = [
     "STOP_GUARD",
     "STOP_GLOBAL_MIN",
     "STOP_NONFINITE",
-    "STOP_STEP_NORM",
 ]
 
 
@@ -75,7 +74,6 @@ class DegenerateStepError(ValueError):
 STOP_GUARD = "stepsize-guard"
 STOP_GLOBAL_MIN = "global-min-certificate"
 STOP_NONFINITE = "nonfinite-abort"
-STOP_STEP_NORM = "step-norm"
 
 
 def _flag(message: str, strict: bool):
@@ -107,7 +105,7 @@ class Schedule:
     a_f_pin: ClassVar[float | None] = None
 
     def __post_init__(self):
-        if self.gamma0 <= 0:
+        if not self.gamma0 > 0:
             raise ValueError("gamma0 must be positive")
 
 
@@ -157,7 +155,7 @@ class PsgAdaptiveV2(Schedule):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
     def step(self, gamma_n, a_n, a_fn):
@@ -211,7 +209,6 @@ class IterationRecord:
 class TerminalKind(Enum):
     MAX_ITER = "max-iter"
     STOP_RULE = "stop-rule"
-    CONVERGED = "converged"
 
 
 @dataclass(frozen=True)
@@ -229,10 +226,6 @@ class RunResult:
     def final(self) -> IterationRecord:
         return self.records[-1]
 
-    @property
-    def iterates(self) -> np.ndarray:
-        return np.array([r.x_n for r in self.records])
-
     def set_fejer(self, x_star) -> None:
         """Fill every record's Fejér column against the reference ``x_star``."""
         x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
@@ -241,8 +234,7 @@ class RunResult:
             r.fejer = (0.5 / r.gamma_n + r.a_n) * float(d @ d)
 
 
-def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
-             step_tol: float | None, strict: bool, objective_name: str = "f") -> RunResult:
+def _iterate(x0, sched: Schedule, n_iter: int, objective, step, strict: bool) -> RunResult:
     """The loop the three methods share.
 
     ``step(rec)`` advances from the current record (it may fill
@@ -250,14 +242,12 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
     at ``rec``, else ``(x_next, gamma_next, a_next, descends, tag)``:
     ``descends`` asks for the objective-descent check, and a tag stops the
     run at the new record.  Non-finite or nonpositive-stepsize updates
-    abort; with ``step_tol`` set, three consecutive steps with
-    ||x_{n+1}-x_n|| <= step_tol * max(1, ||x_{n+1}||) end the run as converged.
+    abort.
     """
     x = np.array(x0, dtype=float, ndmin=1)
     rec = IterationRecord(0, sched.gamma0, sched.a0, np.nan, x, float(objective(x)), 0.0)
     records = [rec]
     stop = TerminalKind.MAX_ITER, None
-    small_steps = 0
     for n in range(n_iter):
         out = step(rec)
         if out is None:
@@ -270,7 +260,7 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
             break
         f_next = float(objective(x_next))
         if descends and f_next > rec.f_xn + 1e-10:
-            _flag(f"descent violated at iteration {n}: {objective_name} went from "
+            _flag(f"descent violated at iteration {n}: f went from "
                   f"{rec.f_xn} to {f_next}", strict)
         step_norm = float(np.linalg.norm(x_next - rec.x_n))
         rec = IterationRecord(n + 1, gamma_next, a_next, np.nan,
@@ -279,12 +269,6 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
         if tag is not None:
             stop = TerminalKind.STOP_RULE, tag
             break
-        if step_tol is not None:
-            tiny = step_norm <= step_tol * max(1.0, float(np.linalg.norm(x_next)))
-            small_steps = small_steps + 1 if tiny else 0
-            if small_steps >= 3:
-                stop = TerminalKind.CONVERGED, STOP_STEP_NORM
-                break
     rec.stopped_by = stop[1]
     return RunResult(records, Terminal(*stop))
 
@@ -294,15 +278,12 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
 # ---------------------------------------------------------------------------
 
 
-def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int,
-            step_tol: float | None = None, strict: bool = False) -> RunResult:
+def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int, strict: bool = False) -> RunResult:
     """Proximal-point iteration x_{n+1} in argmin f(z) + (1/2g + a_n)||z-x_n||^2.
 
-    Stops at the horizon ``n_iter``; or with a global-minimizer certificate
+    Stops at the horizon ``n_iter``, or with a global-minimizer certificate
     when 1/(2 gamma) + a_n hits zero (the next prox output then minimizes f
-    itself); or, when ``step_tol`` is set, after three consecutive steps
-    with ||x_{n+1}-x_n|| <= step_tol * max(1, ||x_{n+1}||).  Objective
-    descent f(x_{n+1}) <= f(x_n) is asserted each step.
+    itself).  Objective descent f(x_{n+1}) <= f(x_n) is asserted each step.
     """
     def step(rec):
         gamma, a = rec.gamma_n, rec.a_n
@@ -318,12 +299,11 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int,
         certificate = abs(0.5 / gamma + a) <= 1e-12
         return x_next, gamma_next, a_next, True, STOP_GLOBAL_MIN if certificate else None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, step_tol, strict)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, strict)
 
 
 def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
-           a_g_override: float | None = None, lipschitz_g: float | None = None,
-           step_tol: float | None = None, strict: bool = False) -> RunResult:
+           a_g_override: float | None = None, strict: bool = False) -> RunResult:
     """Forward-backward splitting for f + g with smooth black-box g.
 
     Each step queries a_n^g (the curvature rule of g, unless pinned by
@@ -335,9 +315,9 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
     c = 1/(2 gamma) + a_n - a_n^g.  A vanishing c raises
     ``DegenerateStepError`` under a constant schedule and is a recorded stop
     under decrement/adaptive schedules (where it is the schedule's own
-    stopping rule).  Objective descent is asserted only when ``lipschitz_g``
-    is supplied and the sufficient condition
-    1/gamma + a_n + a_{n+1} >= a_n^g + L_g/2 holds.
+    stopping rule).  Objective descent is not asserted: its sufficient
+    condition 1/gamma + a_n + a_{n+1} >= a_n^g + L_g/2 needs a Lipschitz
+    constant L_g of grad g, which the black box does not carry.
     """
     if not isinstance(g, SmoothBlackBox):
         raise TypeError("g must be a SmoothBlackBox oracle")
@@ -357,17 +337,14 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
             return None
         x_next = prox_via_argmin(ProxRequest(f, x - grad / (2.0 * c), gamma, a - a_g))
         gamma_next, a_next = schedule_step(sched, gamma, a, a_g)
-        descends = (lipschitz_g is not None
-                    and 1.0 / gamma + a + a_next >= a_g + lipschitz_g / 2.0)
-        return x_next, gamma_next, a_next, descends, None
+        return x_next, gamma_next, a_next, False, None
 
     return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x),
-                    step, step_tol, strict, objective_name="f+g")
+                    step, strict)
 
 
 def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
-            a_f_override: float | None = None,
-            step_tol: float | None = None, strict: bool = False) -> RunResult:
+            a_f_override: float | None = None, strict: bool = False) -> RunResult:
     """Projected subgradient for min f over a closed set C.
 
     Each step queries (a_n^f, u_n^f) = subgrad_at(f, x_n, a^f) where a^f is
@@ -398,4 +375,4 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
         gamma_next, a_next = schedule_step(sched, gamma, a, a_f)
         return x_next, gamma_next, a_next, False, None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, step_tol, strict)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, strict)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class ExperimentConfig:
     epsilon: float | None = None
     reference: np.ndarray | str | None = None  # vector or "auto_eigen"
     output: str | None = None
-    dim: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        self.dim = int(np.atleast_1d(self.x0).size)
 
 
 def _parse_number(text: str) -> float:

@@ -1,9 +1,8 @@
 """Post-hoc convergence diagnostics over recorded runs.
 
-Turns the monotonicity statements behind the algorithms into checkable
-reports: anchored (quasi-)monotonicity of the weighted squared distance to a
-reference point, objective monotonicity, summability proxies, and objective
-gap series.  Pure functions; records are never mutated.
+Turns the monotonicity statements behind the algorithms into a checkable
+report: anchored (quasi-)monotonicity of the weighted squared distance to a
+reference point and objective monotonicity.  Records are never mutated.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from .oracles import Oracle, subgrad_at
 __all__ = [
     "DiagnosticsReport",
     "check_fejer",
-    "check_quasi_fejer",
-    "objective_limit_report",
 ]
 
 _RTOL = 1e-9
@@ -116,61 +113,3 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
         dist_series=dist,
         quasi_fejer_slack=list(eps),
     )
-
-
-def check_quasi_fejer(alpha, beta, eps, chi: float = 1.0) -> dict:
-    """Numerical verdicts for a quasi-monotone recursion.
-
-    Requires the premise alpha_{n+1} <= chi*alpha_n - beta_n + eps_n to hold
-    for the supplied series; a violation is reported (not raised) and the
-    verdicts are withheld.  Otherwise reports whether (alpha_n) is bounded
-    with a settled tail and whether the partial sums of (beta_n) behave like
-    a convergent series on this finite horizon.
-    """
-    if not (0.0 < chi <= 1.0):
-        raise ValueError("chi must lie in (0, 1]")
-    alpha = [float(v) for v in alpha]
-    beta = [float(v) for v in beta]
-    eps = [float(v) for v in eps]
-    for n in range(len(alpha) - 1):
-        bound = chi * alpha[n] - beta[n] + eps[n]
-        if alpha[n + 1] > bound + _RTOL * max(1.0, abs(alpha[n + 1]), abs(bound)):
-            return {
-                "premise_ok": False,
-                "premise_first_violation": n,
-                "converges_flag": None,
-                "beta_summable_flag": None,
-            }
-    bounded = bool(np.all(np.isfinite(alpha))) and len(alpha) > 0
-    tail = alpha[(3 * len(alpha)) // 4:] or alpha
-    cauchy = (max(tail) - min(tail)) <= 1e-8 * max(1.0, abs(tail[-1]))
-
-    partial = np.cumsum(beta) if beta else np.array([0.0])
-    monotone = bool(np.all(np.diff(partial) >= -_RTOL)) if len(partial) > 1 else True
-    total = float(partial[-1])
-    if total > 0:
-        # a summable series concentrates its mass early: the last quartile
-        # must carry well under its proportional share (a constant series
-        # carries exactly 0.25)
-        tail_sum = float(np.sum(beta[(3 * len(beta)) // 4:]))
-        decaying = tail_sum / total < 0.125
-    else:
-        decaying = True
-    return {
-        "premise_ok": True,
-        "premise_first_violation": None,
-        "converges_flag": bounded and cauchy,
-        "beta_summable_flag": bool(np.all(np.isfinite(partial))) and monotone and decaying,
-    }
-
-
-def objective_limit_report(records: list[IterationRecord], f_star: float,
-                           window: int = 20) -> dict:
-    """Objective gap series f(x_n) - f_star and its trailing-window liminf."""
-    if not np.isfinite(f_star):
-        raise ValueError("f_star must be finite")
-    gaps = [r.f_xn - f_star for r in records]
-    return {
-        "gap_series": gaps,
-        "liminf_gap": float(min(gaps[-window:])),
-    }

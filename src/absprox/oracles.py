@@ -22,7 +22,6 @@ point's dimension and the requested coefficient.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,8 +43,6 @@ __all__ = [
     "eval_oracle",
     "feasible_range",
     "subgrad_at",
-    "indicator_subgrad_check",
-    "proximal_normal_vector",
 ]
 
 
@@ -60,11 +57,6 @@ def _vec(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Set descriptors with exact projections
 # ---------------------------------------------------------------------------
-#
-# Each set also answers the two tests behind ``indicator_subgrad_check``:
-# ``normal_cone_contains(x, u, tol, scale)`` -- u in N(x, C), with x interior
-# decided at ``tol`` and u's off-cone residual compared with ``scale`` -- and
-# ``is_farthest(x, p, size)`` -- x maximizes ||y - p|| over C to within size.
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,7 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", _vec(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
     @property
@@ -97,23 +89,6 @@ class Ball:
         x = _vec(x)
         return float(np.linalg.norm(x - self.center)) <= self.radius + tol * self.char_size()
 
-    def normal_cone_contains(self, x, u, tol: float, scale: float) -> bool:
-        d = x - self.center
-        nd = float(np.linalg.norm(d))
-        if nd < self.radius - tol * self.char_size():  # interior point
-            return float(np.linalg.norm(u)) <= scale
-        t = float(u @ d) / (self.radius**2)
-        return t >= -tol and float(np.linalg.norm(u - t * d)) <= scale
-
-    def is_farthest(self, x, p, size: float) -> bool:
-        d = p - self.center
-        nd = float(np.linalg.norm(d))
-        if nd <= size:
-            # every boundary point is a maximizer
-            return abs(float(np.linalg.norm(x - self.center)) - self.radius) <= size
-        far = self.center - (self.radius / nd) * d
-        return float(np.linalg.norm(x - far)) <= size
-
 
 @dataclass(frozen=True)
 class Box:
@@ -123,7 +98,7 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", _vec(self.lo))
         object.__setattr__(self, "hi", _vec(self.hi))
-        if self.lo.size != self.hi.size or np.any(self.lo > self.hi):
+        if self.lo.size != self.hi.size or not np.all(self.lo <= self.hi):
             raise ValueError("box bounds must satisfy lo <= hi componentwise")
 
     @property
@@ -141,29 +116,6 @@ class Box:
         pad = tol * self.char_size()
         return bool(np.all(x >= self.lo - pad) and np.all(x <= self.hi + pad))
 
-    def vertices(self) -> np.ndarray:
-        if self.dim > 16:
-            raise ValueError("vertex enumeration limited to dimension <= 16")
-        corners = itertools.product(*zip(self.lo, self.hi))
-        return np.array(list(corners), dtype=float)
-
-    def normal_cone_contains(self, x, u, tol: float, scale: float) -> bool:
-        pad = tol * self.char_size()
-        for i in range(self.dim):
-            at_hi = x[i] >= self.hi[i] - pad
-            at_lo = x[i] <= self.lo[i] + pad
-            if at_hi and u[i] < -scale:
-                return False
-            if at_lo and u[i] > scale:
-                return False
-            if not at_hi and not at_lo and abs(u[i]) > scale:
-                return False
-        return True
-
-    def is_farthest(self, x, p, size: float) -> bool:
-        best = max(float(np.linalg.norm(v - p)) for v in self.vertices())
-        return float(np.linalg.norm(x - p)) >= best - size
-
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -175,7 +127,7 @@ class Halfspace:
     def __post_init__(self):
         object.__setattr__(self, "normal", _vec(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
-        if float(np.linalg.norm(self.normal)) == 0.0:
+        if not float(np.linalg.norm(self.normal)) > 0.0:
             raise ValueError("halfspace normal must be nonzero")
 
     @property
@@ -197,19 +149,6 @@ class Halfspace:
         x = _vec(x)
         nn = float(np.linalg.norm(self.normal))
         return float(self.normal @ x) - self.offset <= tol * self.char_size() * nn
-
-    def normal_cone_contains(self, x, u, tol: float, scale: float) -> bool:
-        n = self.normal
-        nn = float(np.linalg.norm(n))
-        if float(n @ x) < self.offset - tol * self.char_size() * nn:  # interior
-            return float(np.linalg.norm(u)) <= scale
-        t = float(u @ n) / (nn * nn)
-        return t >= -tol and float(np.linalg.norm(u - t * n)) <= scale
-
-    def is_farthest(self, x, p, size: float) -> bool:
-        raise NotImplementedError(
-            "farthest-point check is unsupported for halfspaces (unbounded set)"
-        )
 
 
 SetDescriptor = Ball | Box | Halfspace
@@ -252,7 +191,7 @@ class NormSquare:
     dim: int = 1
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
     def value(self, x) -> float:
@@ -344,7 +283,7 @@ def prox_abs_square_closed_form(x0: float, gamma: float, a0: float) -> float:
     s*(z - x0) from the regularizer) and is confirmed against a brute-force
     grid argmin; see the README note on the denominator.
     """
-    if 2.0 * gamma * a0 < -1.0:
+    if not 2.0 * gamma * a0 >= -1.0:
         raise InfeasibleCoefficientError("2*gamma*a0 >= -1 is required")
     s = 1.0 / gamma + 2.0 * a0
     t = s * x0
@@ -403,10 +342,7 @@ class IndicatorSet:
         # x = Proj_C(u/(2a)) holds with u = 2a*x whenever a >= 0; there is no
         # canonical selection on the a < 0 branch.
         if a < 0.0:
-            raise InfeasibleCoefficientError(
-                "no canonical indicator subgradient for a < 0; use "
-                "indicator_subgrad_check to certify a candidate"
-            )
+            raise InfeasibleCoefficientError("no canonical indicator subgradient for a < 0")
         return PhiElement(a, 2.0 * a * x)
 
     def prox(self, req) -> np.ndarray:
@@ -436,7 +372,7 @@ class SmoothBlackBox:
     dim: int = 1
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
 
     def default_coefficient(self, x) -> float:
@@ -492,41 +428,3 @@ def subgrad_at(f: Oracle, x, a: float | None = None) -> PhiElement:
             f"a={a} below the feasible threshold a_min={rng.a_min}"
         )
     return f.element(x, a)
-
-
-# ---------------------------------------------------------------------------
-# Indicator subdifferential: membership test and proximal normals
-# ---------------------------------------------------------------------------
-
-
-def indicator_subgrad_check(c: SetDescriptor, x, phi: PhiElement,
-                            tol: float = 1e-9) -> bool:
-    """True iff (a, u) belongs to the indicator subdifferential at x in C.
-
-    a > 0: x = Proj_C(u / 2a).  a = 0: u lies in the normal cone at x.
-    a < 0: x maximizes ||y - u/2a|| over C -- closed form for balls,
-    vertex enumeration for boxes; halfspaces are unbounded, so that branch
-    is unsupported.
-    """
-    x = _vec(x)
-    if not c.contains(x, tol):
-        raise EmptySubdifferentialError("x is not in the set")
-    a, u = phi.a, phi.u
-    size = tol * c.char_size()
-    if a > 0.0:
-        return float(np.linalg.norm(x - c.project(u / (2.0 * a)))) <= size
-    if a == 0.0:
-        return c.normal_cone_contains(x, u, tol, tol * max(1.0, float(np.linalg.norm(u))))
-    return c.is_farthest(x, u / (2.0 * a), size)
-
-
-def proximal_normal_vector(c: SetDescriptor, x, phi: PhiElement) -> np.ndarray:
-    """The proximal normal v = u - 2a*x carried by a certified element.
-
-    There is a t > 0 with x = Proj_C(x + t*v); concretely t = 1 when a <= 0
-    and t = 1/(2a) when a > 0.
-    """
-    x = _vec(x)
-    if not indicator_subgrad_check(c, x, phi):
-        raise ValueError("element failed the indicator subdifferential check")
-    return phi.u - 2.0 * phi.a * x

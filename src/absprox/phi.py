@@ -123,7 +123,7 @@ def duality_map_element(x, gamma: float, a: float) -> PhiElement:
     2*gamma*a >= -1.
     """
     x = _vec(x)
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     if 2.0 * gamma * a < -1.0:
         raise InfeasibleCoefficientError(
@@ -140,7 +140,7 @@ def duality_map_inverse(phi: PhiElement, gamma: float) -> SetValuedResult:
     when a = -1/(2*gamma) and u = 0 (so phi is -||.||^2/(2 gamma) + c, a
     global minorant of g everywhere); empty otherwise.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     denom = 1.0 + 2.0 * gamma * phi.a
     boundary = 1.0 / (2.0 * gamma)

@@ -1,4 +1,4 @@
-"""The quadratically regularized proximal operator and criticality verdicts.
+"""The quadratically regularized proximal operator.
 
 For a step size gamma and coefficient a0 >= -1/(2 gamma), the proximal
 output at x0 is any
@@ -15,7 +15,6 @@ answer it cannot certify raises ``SolverToleranceError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,9 +35,6 @@ __all__ = [
     "prox_via_argmin",
     "prox_abs_square_closed_form",
     "prox_indicator",
-    "VerdictKind",
-    "CriticalityVerdict",
-    "classify_fixed_point",
 ]
 
 
@@ -59,7 +55,7 @@ class ProxRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if 2.0 * self.gamma * self.a0 < -1.0:
             raise InfeasibleCoefficientError(
@@ -155,30 +151,3 @@ def prox_via_argmin(req: ProxRequest) -> np.ndarray:
     if not isinstance(f, SmoothBlackBox):
         return f.prox(req)
     return _inner_argmin(f, req.x0, req.weight)
-
-
-class VerdictKind(Enum):
-    GLOBAL_MIN = "global_min"
-    A_CRITICAL = "a_critical"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class CriticalityVerdict:
-    kind: VerdictKind
-    modulus: float = 0.0  # the a in "a-critical"; positive when A_CRITICAL
-
-
-def classify_fixed_point(a1: float, a2: float) -> CriticalityVerdict:
-    """Classify a proximal fixed point from its two duality coefficients.
-
-    A fixed point produced with entering coefficient a1 and certified with
-    exiting coefficient a2 is a global minimizer when a2 >= a1; otherwise
-    it is weakly critical with modulus a1 - a2 > 0, i.e.
-    f(y) - f(x0) >= -(a1 - a2)||y - x0||^2 for all y.  A nonpositive
-    modulus always upgrades to the global verdict.
-    """
-    gap = a2 - a1
-    if gap >= 0.0:
-        return CriticalityVerdict(VerdictKind.GLOBAL_MIN)
-    return CriticalityVerdict(VerdictKind.A_CRITICAL, modulus=-gap)

@@ -14,7 +14,7 @@ the ``auto_eigen`` reference point, whose bits the bundled sweep CSVs record.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -99,6 +99,7 @@ def eig_sym(q: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
     n = q.shape[0]
     a = q.copy()
     v = np.eye(n)
+    rot = np.eye(n)  # the identity between rotations
     scale = max(1.0, np.linalg.norm(q))
 
     def offdiag(m):
@@ -114,13 +115,14 @@ def eig_sym(q: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
                 # classical 2x2 rotation angle
                 theta = 0.5 * np.arctan2(2.0 * a[p, r], a[r, r] - a[p, p])
                 c, s = np.cos(theta), np.sin(theta)
-                rot = np.eye(n)
                 rot[p, p] = c
                 rot[r, r] = c
                 rot[p, r] = s
                 rot[r, p] = -s
                 a = rot.T @ a @ rot
                 v = v @ rot
+                rot[p, p] = rot[r, r] = 1.0
+                rot[p, r] = rot[r, p] = 0.0
     w = np.diag(a).copy()
     order = np.argsort(w)
     return w[order], v[:, order]
@@ -148,14 +150,14 @@ def subgrad_inequality_sampler(
     radius: float = 10.0,
     num: int = 1000,
     seed: int = 1,
-    extra_points: Sequence[np.ndarray] = (),
 ) -> dict:
     """Sampled check of the global inequality f(y)-f(x) >= phi(y)-phi(x).
 
     phi(y) = -a||y||^2 + <u, y>.  Draws ``num`` uniform points from the box
-    x +/- radius, adds the axis-aligned extreme points of that box and any
-    ``extra_points``, and reports the worst margin.  Passes when the margin
-    stays above -1e-9.
+    x +/- radius, adds the axis-aligned extreme points of that box, and
+    reports the worst margin.  Passes when the margin stays above -1e-9.  A
+    NaN margin fails the check and is reported as the worst; a point outside
+    an indicator's domain has f(y) = +inf, a margin of +inf, and passes.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -170,7 +172,6 @@ def subgrad_inequality_sampler(
             p = x.copy()
             p[i] += sgn * radius
             pts.append(p)
-    pts.extend(np.asarray(p, dtype=float) for p in extra_points)
 
     worst = np.inf
     worst_y = x
@@ -179,7 +180,8 @@ def subgrad_inequality_sampler(
         rhs = -a * float(y @ y) + float(u @ y) - phix
         m = lhs - rhs
         if np.isnan(m):
-            continue  # +inf - +inf outside an indicator's domain
+            worst, worst_y = m, y
+            break
         if m < worst:
             worst, worst_y = m, y
     return {

@@ -303,7 +303,7 @@ def _fb_hessian_by_hand(cfg):
     without the library: the prox of f = 0 is the identity, so
     x_{n+1} = x_n - grad g(x_n)/(2 c_n) with c_n = 1/(2 gamma) + a_n - a_g(x_n),
     a_g(x, y) = y^2 + 1 + eps and a_{n+1} = a_n - a_g(x_n), stopping at the
-    first c_n <= 0.  Returns the iterates, the a_n and the a_g."""
+    first c_n <= 0.  Returns the points x_n, the a_n and the a_g."""
     x, a = np.array(cfg.x0, dtype=float), float(cfg.a0)
     xs, a_ns, a_gs = [x], [a], []
     for _ in range(cfg.n_iter):

@@ -1,5 +1,4 @@
-"""Convergence diagnostics: anchored monotonicity checks and the
-quasi-monotone recursion verdicts."""
+"""Convergence diagnostics: anchored monotonicity checks over recorded runs."""
 
 import numpy as np
 import pytest
@@ -11,8 +10,6 @@ from absprox import (
     PsgConstantGamma,
     QuadraticForm,
     check_fejer,
-    check_quasi_fejer,
-    objective_limit_report,
     run_ppa,
     run_psg,
 )
@@ -64,57 +61,3 @@ def test_check_fejer_detects_violation():
     rep = check_fejer(res.records, np.array([4.0]), "ppa")
     assert not rep.fejer_monotone
     assert rep.fejer_first_violation is not None
-
-
-def test_quasi_fejer_synthetic_convergent():
-    n = 200
-    alpha = [1.0 + 2.0 ** (-k) for k in range(n)]
-    beta = [2.0 ** (-k - 1) for k in range(n - 1)]
-    eps = [2.0 ** (-k) for k in range(n - 1)]  # alpha_{n+1} <= alpha_n - beta_n + eps_n
-    rep = check_quasi_fejer(alpha, beta, eps)
-    assert rep["premise_ok"]
-    assert rep["converges_flag"]
-    assert rep["beta_summable_flag"]
-
-
-def test_quasi_fejer_geometric_decay():
-    alpha = [2.0 ** (-k) for k in range(60)]
-    beta = [2.0 ** (-k - 1) for k in range(59)]
-    rep = check_quasi_fejer(alpha, beta, [0.0] * 59)
-    assert rep["converges_flag"] and rep["beta_summable_flag"]
-
-
-def test_quasi_fejer_constant_alpha_zero_beta():
-    rep = check_quasi_fejer([1.0] * 50, [0.0] * 49, [0.0] * 49)
-    assert rep["converges_flag"] and rep["beta_summable_flag"]
-
-
-def test_quasi_fejer_premise_violation_is_reported_not_raised():
-    rep = check_quasi_fejer([1.0, 5.0], [0.0], [0.0])
-    assert not rep["premise_ok"]
-    assert rep["premise_first_violation"] == 0
-    assert rep["converges_flag"] is None
-
-
-def test_quasi_fejer_rejects_bad_chi():
-    with pytest.raises(ValueError):
-        check_quasi_fejer([1.0], [], [], chi=0.0)
-
-
-def test_quasi_fejer_nonsummable_beta_flagged():
-    n = 400
-    alpha = [2.0] * n
-    beta = [1.0] * (n - 1)  # constant: partial sums grow linearly
-    eps = [1.0] * (n - 1)
-    rep = check_quasi_fejer(alpha, beta, eps)
-    assert rep["premise_ok"]
-    assert not rep["beta_summable_flag"]
-
-
-def test_objective_limit_report():
-    res = run_ppa(AbsPlusSquare(), [-10.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9), 60)
-    rep = objective_limit_report(res.records, 0.0)
-    assert rep["liminf_gap"] <= 1e-12
-    gaps = rep["gap_series"]
-    assert len(gaps) == len(res.records)
-    assert all(g2 <= g1 + 1e-10 for g1, g2 in zip(gaps, gaps[1:]))

@@ -1,5 +1,5 @@
 """Oracle suite: evaluation, feasible coefficient ranges, subdifferential
-selectors, and the indicator-set membership certificates."""
+selectors, and the set descriptors."""
 
 import numpy as np
 import pytest
@@ -20,8 +20,6 @@ from absprox import (
     SmoothBlackBox,
     eval_oracle,
     feasible_range,
-    indicator_subgrad_check,
-    proximal_normal_vector,
     subgrad_at,
 )
 from absprox.reference import subgrad_inequality_sampler
@@ -113,7 +111,6 @@ def test_indicator_subgrad_positive_a():
     x = np.array([0.6, 0.8])
     phi = subgrad_at(IndicatorSet(ball), x, 2.0)
     assert np.allclose(phi.u, 2.0 * 2.0 * x)
-    assert indicator_subgrad_check(ball, x, phi)
 
 
 def test_indicator_subgrad_negative_a_has_no_selector():
@@ -174,97 +171,12 @@ def test_quadratic_inequality_is_algebraic(a_extra, x, y):
     assert lhs - rhs >= -1e-8 * max(1.0, float(y @ y))
 
 
-# --- indicator membership certificates --------------------------------------
+# --- set descriptors --------------------------------------------------------
 
 
 BALL = Ball(np.array([1.0, 0.0]), 2.0)
 BOX = Box(np.array([-1.0, -2.0]), np.array([3.0, 2.0]))
 HALF = Halfspace(np.array([1.0, 1.0]), 2.0)
-
-
-def test_check_positive_a_projection_route():
-    # u = 2a*y with Proj(y) = x certifies (a, u)
-    y = np.array([5.0, 0.0])
-    x = BALL.project(y)
-    assert indicator_subgrad_check(BALL, x, PhiElement(1.5, 2.0 * 1.5 * y))
-    # moving the candidate off the projection breaks it
-    assert not indicator_subgrad_check(BALL, np.array([1.0, 2.0]), PhiElement(1.5, 2.0 * 1.5 * y))
-
-
-def test_check_zero_a_normal_cone():
-    # boundary point of the ball: normals are nonnegative multiples of x - c
-    x = np.array([3.0, 0.0])
-    assert indicator_subgrad_check(BALL, x, PhiElement(0.0, (4.0, 0.0)))
-    assert not indicator_subgrad_check(BALL, x, PhiElement(0.0, (0.0, 4.0)))
-    # interior point: only the zero normal
-    assert indicator_subgrad_check(BALL, np.array([1.0, 0.0]), PhiElement(0.0, (0.0, 0.0)))
-    assert not indicator_subgrad_check(BALL, np.array([1.0, 0.0]), PhiElement(0.0, (1e-3, 0.0)))
-
-
-def test_check_zero_a_box_and_halfspace():
-    vertex = np.array([3.0, 2.0])
-    assert indicator_subgrad_check(BOX, vertex, PhiElement(0.0, (1.0, 2.0)))
-    assert not indicator_subgrad_check(BOX, vertex, PhiElement(0.0, (-1.0, 2.0)))
-    xb = np.array([1.0, 1.0])  # on the halfspace boundary
-    assert indicator_subgrad_check(HALF, xb, PhiElement(0.0, (2.0, 2.0)))
-    assert not indicator_subgrad_check(HALF, xb, PhiElement(0.0, (-2.0, -2.0)))
-
-
-def test_check_negative_a_ball_farthest_point():
-    a = -0.5
-    p = np.array([5.0, 0.0])  # u/(2a)
-    far = BALL.center - BALL.radius * (p - BALL.center) / np.linalg.norm(p - BALL.center)
-    assert indicator_subgrad_check(BALL, far, PhiElement(a, 2.0 * a * p))
-    near = BALL.project(p)
-    assert not indicator_subgrad_check(BALL, near, PhiElement(a, 2.0 * a * p))
-
-
-def test_check_negative_a_ball_center_degenerate():
-    # p at the center: every boundary point maximizes the distance
-    a = -1.0
-    p = BALL.center
-    boundary = BALL.center + np.array([0.0, BALL.radius])
-    assert indicator_subgrad_check(BALL, boundary, PhiElement(a, 2.0 * a * p))
-    interior = BALL.center
-    assert not indicator_subgrad_check(BALL, interior, PhiElement(a, 2.0 * a * p))
-
-
-def test_check_negative_a_box_vertex_enumeration():
-    a = -2.0
-    p = np.array([-0.5, -1.5])
-    # farthest vertex of BOX from p is (3, 2)
-    assert indicator_subgrad_check(BOX, np.array([3.0, 2.0]), PhiElement(a, 2.0 * a * p))
-    assert not indicator_subgrad_check(BOX, np.array([-1.0, -2.0]), PhiElement(a, 2.0 * a * p))
-
-
-def test_check_negative_a_halfspace_unsupported():
-    with pytest.raises(NotImplementedError):
-        indicator_subgrad_check(HALF, np.array([0.0, 0.0]), PhiElement(-1.0, (0.0, 0.0)))
-
-
-def test_check_requires_membership():
-    with pytest.raises(EmptySubdifferentialError):
-        indicator_subgrad_check(BALL, np.array([9.0, 9.0]), PhiElement(1.0, (0.0, 0.0)))
-
-
-def test_proximal_normal_vector_and_distance_identity():
-    """A certified element yields v with dist(x + t v, C) = t ||v||."""
-    x = np.array([3.0, 0.0])  # boundary of BALL
-    phi = PhiElement(0.0, (4.0, 0.0))
-    v = proximal_normal_vector(BALL, x, phi)
-    assert np.allclose(v, [4.0, 0.0])
-    for t in (0.5, 1.0, 2.0):
-        moved = x + t * v
-        dist = float(np.linalg.norm(moved - BALL.project(moved)))
-        assert dist == pytest.approx(t * float(np.linalg.norm(v)), rel=1e-12)
-
-
-def test_proximal_normal_vector_rejects_uncertified():
-    with pytest.raises(ValueError):
-        proximal_normal_vector(BALL, np.array([3.0, 0.0]), PhiElement(0.0, (0.0, 4.0)))
-
-
-# --- set descriptors --------------------------------------------------------
 
 
 def test_projections():
@@ -275,13 +187,6 @@ def test_projections():
     for s in (BALL, BOX, HALF):
         y = s.project((7.0, -4.0))
         assert np.allclose(s.project(y), y)
-
-
-def test_box_vertices_small_dims_only():
-    assert len(BOX.vertices()) == 4
-    big = Box(np.zeros(20), np.ones(20))
-    with pytest.raises(ValueError):
-        big.vertices()
 
 
 def test_contains():

@@ -47,6 +47,13 @@ def test_phi_equality_ignores_offset():
     assert PhiElement(1.0, (2.0,), 0.0) == PhiElement(1.0, (2.0,), 7.0)
 
 
+def test_phi_equality_compares_coefficient_and_slope():
+    assert PhiElement(1.0, (2.0,)) == PhiElement(1, [2.0])
+    assert hash(PhiElement(1.0, (2.0,))) == hash(PhiElement(1, [2.0]))
+    assert PhiElement(1.0, (2.0,)) != PhiElement(2.0, (2.0,))
+    assert PhiElement(1.0, (2.0,)) != PhiElement(1.0, (3.0,))
+
+
 # --- duality map -----------------------------------------------------------
 
 

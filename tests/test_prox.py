@@ -1,5 +1,5 @@
 """Abstract proximal operator: closed forms, the certified inner solver,
-indicator specialization, and fixed-point classification."""
+and the indicator specialization."""
 
 import numpy as np
 import pytest
@@ -14,13 +14,16 @@ from absprox import (
     IndicatorSet,
     InfeasibleCoefficientError,
     NormSquare,
+    PhiElement,
     ProxRequest,
+    PsgAdaptiveV2,
+    PsgConstantGamma,
     QuadraticForm,
     SmoothBlackBox,
     SolverToleranceError,
     UnboundedObjectiveError,
-    VerdictKind,
-    classify_fixed_point,
+    duality_map_element,
+    duality_map_inverse,
     prox_abs_square_closed_form,
     prox_indicator,
     prox_via_argmin,
@@ -134,6 +137,34 @@ def test_prox_request_validation():
         ProxRequest(AbsPlusSquare(), np.array([1.0]), -1.0, 0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PsgConstantGamma(gamma0=NAN, a0=1.0),
+    lambda: PsgAdaptiveV2(gamma0=1.0, a0=0.0, epsilon=NAN),
+    lambda: NormSquare(NAN),
+    lambda: Ball(np.zeros(2), NAN),
+    lambda: Box([0.0, NAN], [1.0, 1.0]),
+    lambda: Box([0.0, 0.0], [1.0, NAN]),
+    lambda: Halfspace([NAN, 1.0], 0.0),
+    lambda: SmoothBlackBox(value=lambda p: 0.0, gradient=lambda p: p,
+                           kappa=lambda p: 0.0, eps=NAN),
+    lambda: ProxRequest(AbsPlusSquare(), [1.0], gamma=NAN, a0=0.0),
+    lambda: duality_map_element([1.0], NAN, 0.0),
+    lambda: duality_map_inverse(PhiElement(0.0, [1.0]), NAN),
+    lambda: prox_abs_square_closed_form(1.0, NAN, 0.0),
+    lambda: prox_abs_square_closed_form(1.0, 1.0, NAN),
+], ids=["schedule-gamma0", "adaptive-v2-epsilon", "norm-square-gamma", "ball-radius",
+        "box-lo", "box-hi", "halfspace-normal", "blackbox-eps", "prox-request-gamma",
+        "duality-element-gamma", "duality-inverse-gamma", "abs-square-gamma",
+        "abs-square-a0"])
+def test_nan_fails_each_positivity_check(build):
+    # NaN fails every comparison, so a check written `x <= 0` would accept it
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_prox_blackbox_uses_inner_solver():
     g = SmoothBlackBox(
         value=lambda p: float(p[0] ** 4),
@@ -240,21 +271,3 @@ def test_inner_solver_is_stationary_on_random_prox_requests():
         req = ProxRequest(boxes[d], rng.uniform(-6.0, 6.0, d), 0.5, a0)
         worst = max(worst, _residual(boxes[d], req, prox_via_argmin(req)))
     assert worst <= 1e-8
-
-
-# --- fixed-point classification ---------------------------------------------
-
-
-def test_classify_global_minimum():
-    v = classify_fixed_point(1.0, 3.0)
-    assert v.kind is VerdictKind.GLOBAL_MIN
-
-
-def test_classify_equal_coefficients_is_global():
-    assert classify_fixed_point(2.0, 2.0).kind is VerdictKind.GLOBAL_MIN
-
-
-def test_classify_critical_with_modulus():
-    v = classify_fixed_point(3.0, 1.0)
-    assert v.kind is VerdictKind.A_CRITICAL
-    assert v.modulus == pytest.approx(2.0)

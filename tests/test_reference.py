@@ -180,6 +180,23 @@ def test_sampler_skips_infinite_domain_gaps():
     assert np.isfinite(rep["worst_margin"])
 
 
+def test_sampler_fails_a_nan_margin_and_reports_it():
+    rep = subgrad_inequality_sampler(lambda y: np.nan, np.array([0.5]), 0.0, np.array([0.0]))
+    assert not rep["passed"]
+    assert np.isnan(rep["worst_margin"])
+
+    # NaN off |y| <= 3 fails with a witness there; +inf off it passes
+    def box(off):
+        return lambda y: float(y @ y) if np.abs(y).max() <= 3.0 else off
+
+    x, u = np.zeros(2), np.zeros(2)
+    rep = subgrad_inequality_sampler(box(np.nan), x, 0.0, u)
+    assert not rep["passed"]
+    assert np.isnan(rep["worst_margin"])
+    assert np.abs(rep["worst_point"]).max() > 3.0
+    assert subgrad_inequality_sampler(box(np.inf), x, 0.0, u)["passed"]
+
+
 # --- deterministic RNG -----------------------------------------------------
 
 
