@@ -4,10 +4,10 @@ All three methods share the coefficient/stepsize schedules and one
 iteration loop: each supplies only its step (a prox or a projection plus
 its guard), and the loop owns the records, the non-finite abort, the
 descent check and the stopping rules.  A run emits a :class:`RunResult`
-holding one :class:`IterationRecord` per iterate.  Runs
-are deterministic given their inputs.  Monotonicity guarantees are checked
-at runtime and reported through :class:`TheoremViolationWarning` (or raised
-as :class:`TheoremViolationError` under ``strict=True``); guard conditions
+holding one :class:`IterationRecord` per iterate.  Runs are deterministic
+given their inputs.  Proximal point's descent guarantee is checked at
+runtime and reported through :class:`TheoremViolationWarning` (or raised as
+:class:`TheoremViolationError` under ``strict=True``); guard conditions
 terminate runs with a recorded stop tag instead of an exception wherever a
 stop is an expected outcome of the update rule itself.
 """
@@ -234,15 +234,16 @@ class RunResult:
             r.fejer = (0.5 / r.gamma_n + r.a_n) * float(d @ d)
 
 
-def _iterate(x0, sched: Schedule, n_iter: int, objective, step, strict: bool) -> RunResult:
+def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
+             strict: bool | None = None) -> RunResult:
     """The loop the three methods share.
 
     ``step(rec)`` advances from the current record (it may fill
     ``rec.a_fn``).  It returns None when the method's guard stops the run
-    at ``rec``, else ``(x_next, gamma_next, a_next, descends, tag)``:
-    ``descends`` asks for the objective-descent check, and a tag stops the
+    at ``rec``, else ``(x_next, gamma_next, a_next, tag)``: a tag stops the
     run at the new record.  Non-finite or nonpositive-stepsize updates
-    abort.
+    abort.  Unless ``strict`` is None, each step checks objective descent
+    and flags a violation (see ``_flag``).
     """
     x = np.array(x0, dtype=float, ndmin=1)
     rec = IterationRecord(0, sched.gamma0, sched.a0, np.nan, x, float(objective(x)), 0.0)
@@ -253,13 +254,13 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step, strict: bool) ->
         if out is None:
             stop = TerminalKind.STOP_RULE, STOP_GUARD
             break
-        x_next, gamma_next, a_next, descends, tag = out
+        x_next, gamma_next, a_next, tag = out
         if not (math.isfinite(gamma_next) and math.isfinite(a_next)
                 and np.isfinite(x_next).all()) or gamma_next <= 0:
             stop = TerminalKind.STOP_RULE, STOP_NONFINITE
             break
         f_next = float(objective(x_next))
-        if descends and f_next > rec.f_xn + 1e-10:
+        if strict is not None and f_next > rec.f_xn + 1e-10:
             _flag(f"descent violated at iteration {n}: f went from "
                   f"{rec.f_xn} to {f_next}", strict)
         step_norm = float(np.linalg.norm(x_next - rec.x_n))
@@ -297,13 +298,13 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int, strict: bool = False) -
                 f"oracle's feasible threshold at iterate {rec.n + 1}"
             )
         certificate = abs(0.5 / gamma + a) <= 1e-12
-        return x_next, gamma_next, a_next, True, STOP_GLOBAL_MIN if certificate else None
+        return x_next, gamma_next, a_next, STOP_GLOBAL_MIN if certificate else None
 
     return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, strict)
 
 
 def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
-           a_g_override: float | None = None, strict: bool = False) -> RunResult:
+           a_g_override: float | None = None) -> RunResult:
     """Forward-backward splitting for f + g with smooth black-box g.
 
     Each step queries a_n^g (the curvature rule of g, unless pinned by
@@ -337,14 +338,13 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
             return None
         x_next = prox_via_argmin(ProxRequest(f, x - grad / (2.0 * c), gamma, a - a_g))
         gamma_next, a_next = schedule_step(sched, gamma, a, a_g)
-        return x_next, gamma_next, a_next, False, None
+        return x_next, gamma_next, a_next, None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x),
-                    step, strict)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x), step)
 
 
 def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
-            a_f_override: float | None = None, strict: bool = False) -> RunResult:
+            a_f_override: float | None = None) -> RunResult:
     """Projected subgradient for min f over a closed set C.
 
     Each step queries (a_n^f, u_n^f) = subgrad_at(f, x_n, a^f) where a^f is
@@ -373,6 +373,6 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
             return None
         x_next = set_c.project(((1.0 + 2.0 * gamma * a) * x - gamma * u) / denom)
         gamma_next, a_next = schedule_step(sched, gamma, a, a_f)
-        return x_next, gamma_next, a_next, False, None
+        return x_next, gamma_next, a_next, None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, strict)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step)

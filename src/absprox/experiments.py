@@ -28,8 +28,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentRun",
     "build_oracle",
-    "build_schedule",
-    "build_set",
     "run_config",
     "run_named_experiment",
     "write_csv",
@@ -268,18 +266,19 @@ def _resolve_reference(cfg, f, result):
 
 
 def run_config(cfg: ExperimentConfig, strict: bool = False) -> ExperimentRun:
-    """Build everything from a parsed config and execute the run."""
+    """Build everything from a parsed config and execute the run.  ``strict``
+    makes a failed descent check of ppa (fb and psg assert none) an error."""
     f, g = build_oracle(cfg)
     sched = build_schedule(cfg)
     if cfg.algorithm == "ppa":
         result = run_ppa(f, cfg.x0, sched, cfg.n_iter, strict=strict)
     elif cfg.algorithm == "psg":
         result = run_psg(f, build_set(cfg.set_desc), cfg.x0, sched, cfg.n_iter,
-                         a_f_override=cfg.a_f, strict=strict)
+                         a_f_override=cfg.a_f)
     else:  # fb, whose config always names the smooth part
         if cfg.set_desc is not None:
             f = IndicatorSet(build_set(cfg.set_desc))
-        result = run_fb(f, g, cfg.x0, sched, cfg.n_iter, strict=strict)
+        result = run_fb(f, g, cfg.x0, sched, cfg.n_iter)
 
     # the reference is resolved after the run: auto_eigen signs it toward
     # the final iterate

@@ -57,7 +57,7 @@ class ProxRequest:
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if 2.0 * self.gamma * self.a0 < -1.0:
+        if not 2.0 * self.gamma * self.a0 >= -1.0:  # a NaN a0 fails too
             raise InfeasibleCoefficientError(
                 f"a0={self.a0} violates a0 >= -1/(2*gamma) = {-1 / (2 * self.gamma)}"
             )

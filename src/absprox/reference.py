@@ -166,7 +166,7 @@ def subgrad_inequality_sampler(
     fx = float(f(x))
     phix = -a * float(x @ x) + float(u @ x)
 
-    pts = [rng.uniform_vector(x - radius, x + radius, n) for _ in range(num)]
+    pts = list(rng.uniform_vector(x - radius, x + radius, (num, n)))
     for i in range(n):
         for sgn in (-1.0, 1.0):
             p = x.copy()

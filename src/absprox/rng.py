@@ -14,6 +14,8 @@ Doubles in [0, 1) take the top 53 bits of the output: (output >> 11) * 2^-53.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -46,12 +48,15 @@ class XorShift64Star:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_double()
 
-    def uniform_vector(self, lo, hi, n: int) -> np.ndarray:
-        """n draws, component i uniform on [lo_i, hi_i); scalar bounds
-        apply to every component."""
+    def uniform_vector(self, lo, hi, n) -> np.ndarray:
+        """Draws uniform on [lo_i, hi_i) componentwise, the bounds broadcast
+        over the last axis.  ``n`` is a count, or a shape ``(num, n)`` whose
+        rows are bit for bit num sequential calls with count n."""
+        shape = tuple(map(int, np.atleast_1d(n)))
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        out = lo + (hi - lo) * np.array([self.next_double() for _ in range(n)])
-        if out.shape != (n,):
+        draws = [self.next_double() for _ in range(math.prod(shape))]
+        out = lo + (hi - lo) * np.reshape(draws, shape)
+        if out.shape != shape:
             raise ValueError(f"bounds of shape {lo.shape} and {hi.shape} "
-                             f"do not give {n} components")
+                             f"do not give draws of shape {shape}")
         return out

@@ -29,29 +29,19 @@ from absprox import (
     QuadraticForm,
     ResultKind,
     SmoothBlackBox,
-    duality_map_element,
     duality_map_inverse,
-    eval_oracle,
-    prox_abs_square_closed_form,
     prox_via_argmin,
     run_fb,
     run_psg,
     subgrad_at,
 )
+from absprox import checks
+from absprox.checks import Q3, Q5
 from absprox.diagnostics import check_fejer
 from absprox.experiments import build_oracle, hessian_example, run_named_experiment
 from absprox.oracles import AbsPlusSquare
-from absprox.reference import (
-    eig_sym,
-    fd_gradient,
-    grid_argmin_1d,
-    subgrad_inequality_sampler,
-)
+from absprox.reference import eig_sym, fd_gradient
 from absprox.rng import XorShift64Star
-
-Q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
-Q5 = np.array([[1.0, 0, -1, 1, 0], [0, 1, 1, -1, 0], [-1, 1, -1, 1, 1],
-               [1, -1, 1, -1, 1], [0, 0, 1, 1, 1]])
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):
@@ -69,13 +59,11 @@ def sweep(name: str):
 def test_criterion_1_eigenvalues():
     t3 = min(_timed(eig_sym, Q3) for _ in range(5))
     t5 = min(_timed(eig_sym, Q5) for _ in range(5))
-    w3, _ = eig_sym(Q3)
-    w5, _ = eig_sym(Q5)
-    ok3 = np.allclose(w3, [-4, 2, 4], rtol=0, atol=1e-9)
-    ok5 = np.allclose(w5, [-3, -1, 1, 2, 2], rtol=0, atol=1e-9)
-    report(1, "eigenvalues (-4,2,4) and (-3,-1,1,2,2) to 1e-9 in under 1 ms",
-           ok3 and ok5 and t3 < 1e-3 and t5 < 1e-3,
-           f"w3={w3}, w5={w5}, t3={t3:.2e}s, t5={t5:.2e}s")
+    results = checks.spectra()
+    report(1, "eigenvalues (-4,2,4) and (-3,-1,1,2,2) to 1e-9 in under 1 ms, "
+              "LAPACK's agree and the eigenvector residual is small",
+           all(ok for _, ok, _ in results) and t3 < 1e-3 and t5 < 1e-3,
+           f"{results}, t3={t3:.2e}s, t5={t5:.2e}s")
 
 
 def _timed(fn, *args):
@@ -142,27 +130,15 @@ def test_criterion_4_ppa_descent_and_anchor():
 
 
 def test_criterion_5_prox_closed_form_consistency():
-    rng = XorShift64Star(555)
     t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        gamma = rng.uniform(0.01, 10.0)
-        a0 = rng.uniform(-1.0 / (2.0 * gamma), 10.0)
-        x0 = rng.uniform(-20.0, 20.0)
-        closed = prox_abs_square_closed_form(x0, gamma, a0)
-        w = 0.5 / gamma + a0
-
-        def h(z):
-            return np.abs(z) + z * z + w * (z - x0) ** 2
-
-        worst = max(worst, abs(closed - grid_argmin_1d(h, -25.0, 25.0)))
+    [(_, ok, detail)] = checks.closed_form_prox(XorShift64Star(555), 1000)
     dt = time.perf_counter() - t0
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented = "denominator" in readme.lower()
     report(5, "closed-form prox matches brute-force argmin to 1e-8 on 1000 "
               "draws in under 1 s; denominator note present in README",
-           worst <= 1e-8 and dt < 1.0 and documented,
-           f"worst={worst:.2e}, dt={dt:.2f}s, documented={documented}")
+           ok and dt < 1.0 and documented,
+           f"{detail}, dt={dt:.2f}s, documented={documented}")
 
 
 def test_criterion_6_subgradient_certificates():
@@ -185,48 +161,25 @@ def test_criterion_6_subgradient_certificates():
         # cosine with a curvature bound valid on the whole line
         return cos_g, rng.uniform(-10, 10, 1), 0.5 + 10 * rng.random()
 
-    worst, all_passed = 0.0, True
-    for kind in ("abs+square", "norm-square", "quadratic", "indicator", "blackbox"):
-        for i in range(100):
-            f, x, a = draw(kind)
-            u = subgrad_at(f, x, a).u
-            rep = subgrad_inequality_sampler(
-                lambda y: eval_oracle(f, y), x, a, u, num=300, seed=9000 + i)
-            all_passed = all_passed and rep["passed"]
-            worst = min(worst, rep["worst_margin"])
-
-    # negative control: a coefficient 1e-3 below the feasible threshold
-    # violates the inequality only inside a thin cone around the bottom
-    # eigenvector, so the control draws enough points to land in it
-    x_neg = np.array([1.0, 1, 1])
-    bad_a = 4.0 - 1e-3
-    bad_u = 2.0 * (Q3 + bad_a * np.eye(3)) @ x_neg
-    f3 = QuadraticForm(Q3)
-    control = subgrad_inequality_sampler(
-        lambda y: eval_oracle(f3, y), x_neg, bad_a, bad_u,
-        num=10_000, seed=6)
+    kinds = ("abs+square", "norm-square", "quadratic", "indicator", "blackbox")
+    cases = [(*draw(kind), 9000 + i) for kind in kinds for i in range(100)]
+    [(_, certified, detail)] = checks.certificates(cases, num=300)
+    [(_, flagged, control)] = checks.below_threshold_control()
     report(6, "500 sampled certificates pass across all oracle kinds and the "
               "below-threshold control is flagged",
-           all_passed and worst >= -1e-9 and not control["passed"],
-           f"all_passed={all_passed}, worst={worst:.2e}, "
-           f"control_passed={control['passed']}")
+           certified and flagged and len({type(f) for f, *_ in cases}) == 5,
+           f"certified={certified} ({detail}), flagged={flagged} ({control})")
 
 
 def test_criterion_7_duality_map_identities():
     rng = np.random.default_rng(77)
-    round_trip_ok = empty_ok = True
+    feasible, empty_ok = [], True
     for i in range(1000):
         dim = 1 + i % 5
         gamma = float(10.0 ** rng.uniform(-2, 1))
         u = rng.uniform(-10, 10, dim)
         a = float(rng.uniform(-0.99, 20.0)) / (2.0 * gamma)  # 2*gamma*a > -1
-        res = duality_map_inverse(PhiElement(a, u), gamma)
-        if res.kind is not ResultKind.POINT:
-            round_trip_ok = False
-            continue
-        back = duality_map_element(res.point, gamma, a)
-        if back.a != a or np.abs(back.u - u).max() > 1e-9 * max(1.0, np.abs(u).max()):
-            round_trip_ok = False
+        feasible.append((gamma, a, u))
 
         # strictly below the threshold the preimage is empty, u irrelevant
         a_low = float(rng.uniform(-20.0, -1.001)) / (2.0 * gamma)
@@ -240,10 +193,11 @@ def test_criterion_7_duality_map_identities():
         if (duality_map_inverse(PhiElement(a_edge, np.zeros(dim)), gamma).kind
                 is not ResultKind.WHOLE_SPACE):
             empty_ok = False
+    [(_, round_trip_ok, detail)] = checks.duality_round_trip(feasible)
     report(7, "inverse duality map round-trips on 1000 feasible draws and is "
               "empty exactly on the infeasible region",
            round_trip_ok and empty_ok,
-           f"round_trip_ok={round_trip_ok}, empty_ok={empty_ok}")
+           f"round_trip_ok={round_trip_ok} ({detail}), empty_ok={empty_ok}")
 
 
 def test_criterion_8_indicator_prox_is_projection():

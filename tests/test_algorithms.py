@@ -13,6 +13,8 @@ from absprox import (
     DegenerateStepError,
     FbConstant,
     IndicatorSet,
+    InfeasibleCoefficientError,
+    NormSquare,
     PpaAdditive,
     PsgAdaptiveV1,
     PsgAdaptiveV2,
@@ -33,8 +35,7 @@ from absprox import (
     schedule_step,
 )
 from absprox.algorithms import _flag
-
-Q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
+from absprox.checks import Q3
 BALL3 = Ball(np.zeros(3), 1.0)
 
 
@@ -208,6 +209,20 @@ def test_fb_degenerate_weight_raises_under_constant_schedule():
     with pytest.raises(DegenerateStepError):
         run_fb(IndicatorSet(BALL3), _quadratic_blackbox(), [0.5, 0.0, 0.0],
                FbConstant(gamma0=1.0, a0=0.0, a_const=0.0), 3, a_g_override=4.0)
+
+
+@pytest.mark.parametrize("sched", [FbConstant(1.0, 1.0, a_const=1.0), PsgConstantGamma(1.0, 1.0)],
+                         ids=["fb-constant", "psg-constant"])
+@pytest.mark.parametrize("f", [NormSquare(1.0), AbsPlusSquare(), QuadraticForm(np.array([[2.0]])),
+                               IndicatorSet(Ball(np.zeros(1), 1.0))],
+                         ids=["norm-square", "abs-square", "quadratic", "indicator"])
+def test_fb_refuses_a_nan_curvature_coefficient(f, sched):
+    # a NaN a_g makes the prox coefficient a_n - a_g NaN, which the prox
+    # request refuses whatever f is (the CLI maps the error to exit 3)
+    g = SmoothBlackBox(value=lambda p: float(p @ p), gradient=lambda p: 2.0 * p,
+                       kappa=lambda p: np.nan, eps=0.1, dim=1)
+    with pytest.raises(InfeasibleCoefficientError):
+        run_fb(f, g, [0.5], sched, 3)
 
 
 def test_fb_matches_psg_on_projection_problem():

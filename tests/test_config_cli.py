@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absprox import FbConstant, PpaAdditive, PsgAdaptiveV1, PsgAdaptiveV2, PsgConstantGamma, cli
-from absprox.config import _SCHEDULES, ConfigError, parse_config
+from absprox.config import _SCHEDULES, ConfigError, build_schedule, parse_config
 from absprox.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
-    build_schedule,
     named_experiment_configs,
     run_config,
     run_named_experiment,
@@ -285,9 +284,16 @@ def test_cli_reproduce(tmp_path, capsys):
 
 def test_cli_verify(capsys):
     assert cli.main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok ") == 7
-    assert "FAIL" not in out
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in [
+        "ok   eigendecomposition 3x3 -> (-4, 2, 4), Jacobi and LAPACK",
+        "ok   eigendecomposition 5x5 -> (-3, -1, 1, 2, 2), Jacobi and LAPACK",
+        "ok   eigenvector residual ||Qv - wv|| small",
+        "ok   closed-form prox of |x|+x^2 matches brute-force argmin (1000 draws)",
+        "ok   sampled global inequality for analytic subgradients",
+        "ok   sampler flags a coefficient below the feasible threshold",
+        "ok   duality map round trip (1000 draws)",
+        "7/7 checks passed",
+    ])
 
 
 def test_cli_verify_exits_1_on_a_failed_check(monkeypatch, capsys):

@@ -13,8 +13,7 @@ from absprox import (
     run_ppa,
     run_psg,
 )
-
-Q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
+from absprox.checks import Q3
 
 
 def _v_min():

@@ -22,9 +22,7 @@ from absprox import (
     feasible_range,
     subgrad_at,
 )
-from absprox.reference import subgrad_inequality_sampler
-
-Q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
+from absprox.checks import Q3, certificates
 
 
 def test_eval_each_kind():
@@ -121,12 +119,9 @@ def test_indicator_subgrad_negative_a_has_no_selector():
 # --- global inequality, sampled --------------------------------------------
 
 
-def _sampled_ok(f, x, a, radius=10.0, num=300, seed=5):
-    phi = subgrad_at(f, np.asarray(x, dtype=float), a)
-    rep = subgrad_inequality_sampler(
-        lambda y: eval_oracle(f, y), np.asarray(x, dtype=float), phi.a, phi.u,
-        radius=radius, num=num, seed=seed)
-    return rep["passed"]
+def _sampled_ok(f, x, a):
+    [(_, ok, _)] = certificates([(f, x, a, 5)], num=300)
+    return ok
 
 
 def test_global_inequality_all_certified_kinds():

@@ -28,12 +28,9 @@ from absprox import (
     prox_indicator,
     prox_via_argmin,
 )
+from absprox.checks import Q3, Q5, closed_form_prox
 from absprox.reference import grid_argmin_1d
 from absprox.rng import XorShift64Star
-
-Q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
-Q5 = np.array([[1.0, 0, -1, 1, 0], [0, 1, 1, -1, 0], [-1, 1, -1, 1, 1],
-               [1, -1, 1, -1, 1], [0, 0, 1, 1, 1]])
 
 
 # --- closed form for |x| + x^2 ----------------------------------------------
@@ -65,15 +62,8 @@ def test_closed_form_infeasible():
 
 
 def test_closed_form_matches_brute_force_on_draws():
-    rng = XorShift64Star(11)
-    for _ in range(200):
-        gamma = rng.uniform(0.01, 10.0)
-        a0 = rng.uniform(-1.0 / (2.0 * gamma), 10.0)
-        x0 = rng.uniform(-20.0, 20.0)
-        w = 0.5 / gamma + a0
-        h = lambda z: np.abs(z) + z * z + w * (z - x0) ** 2
-        assert prox_abs_square_closed_form(x0, gamma, a0) == pytest.approx(
-            grid_argmin_1d(h, -25.0, 25.0), abs=1e-8)
+    [(_, ok, detail)] = closed_form_prox(XorShift64Star(11), 200)
+    assert ok, detail
 
 
 # --- generic prox -----------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 
 import absprox.oracles
 import absprox.prox
+import absprox.reference
+from absprox.checks import Q3, Q5
 from absprox.oracles import QuadraticForm
 from absprox.reference import (
     eig_sym,
@@ -20,10 +22,6 @@ from absprox.reference import (
     subgrad_inequality_sampler,
 )
 from absprox.rng import XorShift64Star
-
-Q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
-Q5 = np.array([[1.0, 0, -1, 1, 0], [0, 1, 1, -1, 0], [-1, 1, -1, 1, 1],
-               [1, -1, 1, -1, 1], [0, 0, 1, 1, 1]])
 
 
 def test_golden_section_parabola():
@@ -108,15 +106,23 @@ def test_eig_matches_lapack_on_random_matrices():
         assert np.abs(QuadraticForm(q).eigenvalues - eig_sym(q)[0]).max() <= tol
 
 
-def test_prox_imports_nothing_from_the_arbiters():
-    # the prox is checked against reference's argmins, so it must not use them
-    names = set()
-    for node in ast.walk(ast.parse(inspect.getsource(absprox.prox))):
+def _package_imports(module) -> set[str]:
+    """The absprox modules that ``module``'s source imports from."""
+    dotted = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
         if isinstance(node, ast.ImportFrom):
-            names.update(f"{node.module or ''}.{a.name}" for a in node.names)
+            base = f"absprox.{node.module or ''}".rstrip(".") if node.level else node.module
+            dotted += [f"{base}.{a.name}" for a in node.names]
         elif isinstance(node, ast.Import):
-            names.update(a.name for a in node.names)
-    assert not any(part in ("reference", "rng") for name in names for part in name.split("."))
+            dotted += [a.name for a in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("absprox.")}
+
+
+def test_prox_imports_nothing_from_the_arbiters():
+    # the prox is checked against reference's argmins, so it must not use
+    # them, and the arbiters use nothing of the package but the generator
+    assert not _package_imports(absprox.prox) & {"reference", "rng"}
+    assert _package_imports(absprox.reference) == {"rng"}
 
 
 # --- finite differences ----------------------------------------------------
@@ -225,7 +231,11 @@ def test_rng_uniform_spans_interval():
     assert [v.hex() for v in got] == [
         "0x1.0cf536be9e60ep+1", "0x1.521b0f2a768a0p+1",
         "-0x1.8da1ecea1ae4fp+0", "-0x1.763ca515f4afdp+0"]
-    got = XorShift64Star(7).uniform_vector(
-        np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 2.5]), 3)
-    assert [v.hex() for v in got] == [
+    lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 2.5])
+    r = XorShift64Star(7)
+    rows = [r.uniform_vector(lo, hi, 3) for _ in range(2)]
+    assert [v.hex() for v in rows[0]] == [
         "0x1.47eebdfdca34ap-1", "0x1.290d87953b450p+2", "0x1.05b7e75ab1dafp+1"]
+    # a (num, n) block is num sequential n-draws, bit for bit
+    block = XorShift64Star(7).uniform_vector(lo, hi, (2, 3))
+    assert [[v.hex() for v in row] for row in block] == [[v.hex() for v in row] for row in rows]
