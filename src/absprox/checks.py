@@ -72,15 +72,12 @@ def certificates(cases, num: int) -> list[tuple[str, bool, str]]:
     """The sampled global inequality for each case ``(f, x, a, seed)``: the
     element (a, u) = ``subgrad_at(f, x, a)`` against ``num`` points drawn
     with ``seed``."""
-    passed, worst = True, np.inf
-    for f, x, a, seed in cases:
-        rep = subgrad_inequality_sampler(
-            lambda y, f=f: eval_oracle(f, y), x, a, subgrad_at(f, x, a).u,
-            num=num, seed=seed)
-        passed = passed and rep["passed"]
-        worst = min(worst, rep["worst_margin"])
-    return [("sampled global inequality for analytic subgradients", passed,
-             f"worst margin {worst:.3g}")]
+    reps = [subgrad_inequality_sampler(lambda y, f=f: eval_oracle(f, y), x, a,
+                                       subgrad_at(f, x, a).u, num=num, seed=seed)
+            for f, x, a, seed in cases]
+    worst = float(np.min([rep["worst_margin"] for rep in reps], initial=np.inf))
+    return [("sampled global inequality for analytic subgradients",
+             all(rep["passed"] for rep in reps), f"worst margin {worst:.3g}")]
 
 
 def below_threshold_control() -> list[tuple[str, bool, str]]:

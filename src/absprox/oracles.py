@@ -17,7 +17,8 @@ The feasible coefficients form a half-line a >= a_min whose endpoint depends
 on the class; requesting a below it raises ``InfeasibleCoefficientError``.
 Each class carries its own formulas as methods; ``eval_oracle``,
 ``feasible_range`` and ``subgrad_at`` are the entry points, which check the
-point's dimension and the requested coefficient.
+point's dimension and the requested coefficient.  ``eval_oracle`` also takes
+a block (m, n) of points and returns their m values.
 """
 
 from __future__ import annotations
@@ -85,9 +86,10 @@ class Ball:
             return x
         return self.center + (self.radius / nd) * d
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = _vec(x)
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol * self.char_size()
+    def contains(self, x, tol: float = 1e-9):
+        d = _vec(x) - self.center
+        # sqrt(d . d) per row is how np.linalg.norm computes one vector's norm
+        return np.sqrt(np.vecdot(d, d)) <= self.radius + tol * self.char_size()
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,10 @@ class Box:
     def project(self, x) -> np.ndarray:
         return np.clip(_vec(x), self.lo, self.hi)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = 1e-9):
         x = _vec(x)
         pad = tol * self.char_size()
-        return bool(np.all(x >= self.lo - pad) and np.all(x <= self.hi + pad))
+        return np.all((x >= self.lo - pad) & (x <= self.hi + pad), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,9 @@ class Halfspace:
             return x
         return x - (excess / float(n @ n)) * n
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = _vec(x)
+    def contains(self, x, tol: float = 1e-9):
         nn = float(np.linalg.norm(self.normal))
-        return float(self.normal @ x) - self.offset <= tol * self.char_size() * nn
+        return np.vecdot(_vec(x), self.normal) - self.offset <= tol * self.char_size() * nn
 
 
 SetDescriptor = Ball | Box | Halfspace
@@ -161,9 +162,11 @@ SetDescriptor = Ball | Box | Halfspace
 # Each class carries its behaviour: ``value(x)``, ``feasible_range(x)`` (the
 # admissible coefficients at x), ``element(x, a)`` (the subdifferential
 # element for an admissible a) and, except SmoothBlackBox, ``prox(req)``
-# (the closed-form proximal point for a ProxRequest).  The methods assume a
-# point of the right dimension; callers go through the module functions
-# below, which check it.
+# (the closed-form proximal point for a ProxRequest).  ``value`` and the
+# sets' ``contains`` take a point (n,) or a block (m, n) of points, one
+# result per row, each row bit for bit its single-point result.  The methods
+# assume points of the right dimension; callers go through the module
+# functions below, which check it.
 
 
 class UnboundedObjectiveError(ValueError):
@@ -194,8 +197,8 @@ class NormSquare:
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
-    def value(self, x) -> float:
-        return float(x @ x) / (2.0 * self.gamma)
+    def value(self, x):
+        return np.vecdot(x, x) / (2.0 * self.gamma)
 
     def feasible_range(self, x) -> FeasibleRange:
         return FeasibleRange(-1.0 / (2.0 * self.gamma))
@@ -238,8 +241,9 @@ class QuadraticForm:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
 
-    def value(self, x) -> float:
-        return float(x @ self.q @ x)
+    def value(self, x):
+        # the rows' x @ q @ x bit for bit; a block x @ q is not
+        return np.vecdot(np.matvec(self.q.T, x), x)
 
     def feasible_range(self, x) -> FeasibleRange:
         return FeasibleRange(-self.min_eigenvalue)
@@ -302,9 +306,9 @@ class AbsPlusSquare:
     def dim(self) -> int:
         return 1
 
-    def value(self, x) -> float:
-        t = float(x[0])
-        return abs(t) + t * t
+    def value(self, x):
+        t = x[..., 0]
+        return np.abs(t) + t * t
 
     def feasible_range(self, x) -> FeasibleRange:
         return FeasibleRange(-1.0)
@@ -328,8 +332,8 @@ class IndicatorSet:
     def dim(self) -> int:
         return self.set.dim
 
-    def value(self, x) -> float:
-        return 0.0 if self.set.contains(x) else np.inf
+    def value(self, x):
+        return np.where(self.set.contains(x), 0.0, np.inf)
 
     def feasible_range(self, x) -> FeasibleRange:
         if not self.set.contains(x):
@@ -360,9 +364,10 @@ class SmoothBlackBox:
     z -> g(z) + a||z - x||^2 convex there; the default coefficient is
     kappa(x) + eps.  The callbacks must be pure and re-entrant.  When kappa
     is only a local bound the produced elements are certified locally, not
-    globally.  ``value`` is the callback itself; there is no closed-form
-    prox, so the inner solver descends on ``gradient`` and certifies its
-    answer with kappa.
+    globally.  ``value`` is the callback itself, called on one point at a
+    time (``eval_oracle`` loops over the rows of a block).  There is no
+    closed-form prox, so the inner solver descends on ``gradient`` and
+    certifies its answer with kappa.
     """
 
     value: Callable[[np.ndarray], float]
@@ -389,15 +394,24 @@ Oracle = NormSquare | QuadraticForm | AbsPlusSquare | IndicatorSet | SmoothBlack
 
 
 def _check_dim(f: Oracle, x: np.ndarray):
-    if x.size != f.dim:
-        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, point dim {x.size}")
+    if x.shape != (f.dim,):
+        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, point of shape {x.shape}")
 
 
-def eval_oracle(f: Oracle, x) -> float:
-    """f(x); +inf for an indicator evaluated outside its set."""
+def eval_oracle(f: Oracle, x) -> float | np.ndarray:
+    """f(x); +inf for an indicator evaluated outside its set.
+
+    A point (n,) gives a float, a block (m, n) the array of its m row values.
+    A black box's callback sees one row at a time.
+    """
     x = _vec(x)
-    _check_dim(f, x)
-    return float(f.value(x))
+    if x.ndim > 2 or x.shape[-1] != f.dim:
+        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, points of shape {x.shape}")
+    if x.ndim == 1:
+        return float(f.value(x))
+    if isinstance(f, SmoothBlackBox):
+        return np.array([float(f.value(row)) for row in x])
+    return f.value(x)
 
 
 def feasible_range(f: Oracle, x) -> FeasibleRange:

@@ -125,10 +125,10 @@ def duality_map_element(x, gamma: float, a: float) -> PhiElement:
     x = _vec(x)
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    if 2.0 * gamma * a < -1.0:
+    if not 2.0 * gamma * a >= -1.0:
         raise InfeasibleCoefficientError(
             f"no element with a={a} exists in the duality map: 2*gamma*a = "
-            f"{2 * gamma * a} < -1"
+            f"{2 * gamma * a}, not >= -1"
         )
     return PhiElement(a, (1.0 / gamma + 2.0 * a) * x, 0.0)
 

@@ -143,7 +143,7 @@ def fd_gradient(g: Callable[[np.ndarray], float], x: np.ndarray,
 
 
 def subgrad_inequality_sampler(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     a: float,
     u: np.ndarray,
@@ -153,40 +153,34 @@ def subgrad_inequality_sampler(
 ) -> dict:
     """Sampled check of the global inequality f(y)-f(x) >= phi(y)-phi(x).
 
-    phi(y) = -a||y||^2 + <u, y>.  Draws ``num`` uniform points from the box
-    x +/- radius, adds the axis-aligned extreme points of that box, and
-    reports the worst margin.  Passes when the margin stays above -1e-9.  A
-    NaN margin fails the check and is reported as the worst; a point outside
-    an indicator's domain has f(y) = +inf, a margin of +inf, and passes.
+    phi(y) = -a||y||^2 + <u, y>.  ``f`` maps a block (m, n) of points to
+    their m values, and is called once, on x, then ``num`` uniform draws
+    from the box x +/- radius, then the 2n axis-aligned extreme points of
+    that box.  Reports the worst margin over the draws and extreme points.
+    Passes when the margin stays above -1e-9.  A NaN margin fails the check
+    and the first one is reported as the worst; a point outside an
+    indicator's domain has f(y) = +inf, a margin of +inf, and passes.  When
+    no margin is below +inf the reported point is x.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     n = x.size
     rng = XorShift64Star(seed)
-    fx = float(f(x))
-    phix = -a * float(x @ x) + float(u @ x)
+    extremes = np.tile(x, (2 * n, 1))
+    axes = np.arange(n)
+    extremes[2 * axes, axes] -= radius
+    extremes[2 * axes + 1, axes] += radius
+    pts = np.vstack([x, rng.uniform_vector(x - radius, x + radius, (num, n)), extremes])
 
-    pts = list(rng.uniform_vector(x - radius, x + radius, (num, n)))
-    for i in range(n):
-        for sgn in (-1.0, 1.0):
-            p = x.copy()
-            p[i] += sgn * radius
-            pts.append(p)
-
-    worst = np.inf
-    worst_y = x
-    for y in pts:
-        lhs = float(f(y)) - fx
-        rhs = -a * float(y @ y) + float(u @ y) - phix
-        m = lhs - rhs
-        if np.isnan(m):
-            worst, worst_y = m, y
-            break
-        if m < worst:
-            worst, worst_y = m, y
+    vals = np.asarray(f(pts), dtype=float)
+    phi = -a * np.vecdot(pts, pts) + np.vecdot(pts, u)
+    margins = (vals[1:] - vals[0]) - (phi[1:] - phi[0])
+    # argmin returns the first NaN if there is one, else the first minimum
+    k = int(np.argmin(margins))
+    worst = float(margins[k])
     return {
         "passed": bool(worst >= -1e-9),
         "worst_margin": worst,
-        "worst_point": np.asarray(worst_y),
-        "num_points": len(pts),
+        "worst_point": x if worst == np.inf else pts[k + 1],
+        "num_points": len(margins),
     }

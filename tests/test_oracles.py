@@ -34,6 +34,80 @@ def test_eval_each_kind():
     assert eval_oracle(ind, (2.0, 0.0)) == np.inf
 
 
+def _random_symmetric(n):
+    m = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+    return m + m.T
+
+
+_BOUNDARY_SETS = [
+    # (set, rows inside, on the boundary, within tolerance and outside it)
+    (Ball(np.array([0.5, -0.5]), 2.0),
+     [[0.5, -0.5], [2.5, -0.5], [0.5, 1.5], [1.7, 1.1], [2.5 + 1e-9, -0.5], [2.5 + 1e-8, -0.5],
+      [9.0, 0.0]]),
+    (Box(np.array([-1.0, -2.0]), np.array([3.0, 2.0])),
+     [[0.0, 0.0], [-1.0, -2.0], [3.0, 2.0], [3.0 + 3e-9, 0.0], [3.0 + 5e-9, 0.0],
+      [-1.0, 2.5], [np.nan, 0.0]]),
+    (Halfspace(np.array([1.0, 1.0]), 2.0),
+     [[0.0, 0.0], [1.0, 1.0], [0.3, 1.7], [2.0 + 2e-9, 0.0], [2.0 + 5e-9, 0.0], [5.0, 5.0]]),
+]
+
+
+@pytest.mark.parametrize("f", [
+    NormSquare(gamma=0.7, dim=16),
+    QuadraticForm(Q3),
+    QuadraticForm(_random_symmetric(8)),
+    QuadraticForm(_random_symmetric(64)),
+    AbsPlusSquare(),
+    IndicatorSet(Ball(np.zeros(4), 3.0)),
+    SmoothBlackBox(value=lambda p: float(np.cos(p).sum()), gradient=lambda p: -np.sin(p),
+                   kappa=lambda p: 0.5, eps=1e-6, dim=2),
+], ids=["norm-square", "quadratic-3", "quadratic-8", "quadratic-64", "abs+square",
+        "indicator", "blackbox"])
+def test_block_evaluation_is_each_rows_value_bit_for_bit(f):
+    block = np.random.default_rng(f.dim).uniform(-5.0, 5.0, (500, f.dim))
+    rows = [eval_oracle(f, y) for y in block]
+    assert eval_oracle(f, block).tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("s, points", _BOUNDARY_SETS, ids=["ball", "box", "halfspace"])
+def test_block_indicator_and_contains_match_rows_on_the_boundary(s, points):
+    block = np.array(points)
+    rows = [eval_oracle(IndicatorSet(s), y) for y in block]
+    assert eval_oracle(IndicatorSet(s), block).tobytes() == np.array(rows).tobytes()
+    assert list(s.contains(block)) == [s.contains(y) for y in block]
+    # the rows straddle the set: some inside, some outside
+    assert 0.0 in rows and np.inf in rows
+
+
+def test_eval_oracle_block_contract():
+    f = NormSquare(gamma=0.5, dim=2)
+    assert isinstance(eval_oracle(f, (1.0, 2.0)), float)
+    assert eval_oracle(f, [[1.0, 2.0], [0.0, 0.0], [2.0, 0.0]]).tolist() == [5.0, 0.0, 4.0]
+    for bad in (np.zeros((4, 3)), np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            eval_oracle(f, bad)
+    # the other entry points take one point only
+    ind = IndicatorSet(Ball(np.zeros(2), 1.0))
+    for entry in (feasible_range, lambda f, x: subgrad_at(f, x, 1.0)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            entry(ind, [[0.1], [0.2]])
+
+
+def test_black_box_callback_sees_one_row_per_call():
+    seen = []
+
+    def value(p):
+        seen.append(p.copy())
+        return float(p @ p)
+
+    g = SmoothBlackBox(value=value, gradient=lambda p: 2.0 * p, kappa=lambda p: 0.0,
+                       eps=1.0, dim=3)
+    block = np.arange(12.0).reshape(4, 3)
+    assert eval_oracle(g, block).tolist() == [5.0, 50.0, 149.0, 302.0]
+    assert len(seen) == 4
+    assert all(p.shape == (3,) and np.array_equal(p, row) for p, row in zip(seen, block))
+
+
 def test_feasible_ranges():
     assert feasible_range(NormSquare(gamma=2.0), (1.0,)).a_min == -0.25
     assert feasible_range(QuadraticForm(Q3), np.ones(3)).a_min == pytest.approx(4.0, abs=1e-9)
@@ -129,6 +203,16 @@ def test_global_inequality_all_certified_kinds():
     assert _sampled_ok(NormSquare(gamma=0.5, dim=2), [1.0, -1.0], 0.0)
     assert _sampled_ok(QuadraticForm(Q3), [1.0, 1.0, 1.0], 4.5)
     assert _sampled_ok(IndicatorSet(Ball(np.zeros(2), 1.0)), [0.3, 0.4], 2.0)
+
+
+def test_certificates_report_a_nan_margin():
+    # NaN off |y| <= 3: the check fails, and its detail must not read "inf"
+    g = SmoothBlackBox(value=lambda p: float(p @ p) if np.abs(p).max() <= 3.0 else np.nan,
+                       gradient=lambda p: 2.0 * p, kappa=lambda p: 0.0, eps=1.0, dim=2)
+    [(_, ok, detail)] = certificates([(g, np.zeros(2), 1.0, 5), (AbsPlusSquare(), [1.5], 0.3, 5)],
+                                     num=100)
+    assert not ok
+    assert "nan" in detail
 
 
 def test_global_inequality_at_feasible_boundary():

@@ -142,12 +142,13 @@ NAN = float("nan")
                            kappa=lambda p: 0.0, eps=NAN),
     lambda: ProxRequest(AbsPlusSquare(), [1.0], gamma=NAN, a0=0.0),
     lambda: duality_map_element([1.0], NAN, 0.0),
+    lambda: duality_map_element([1.0], 1.0, NAN),
     lambda: duality_map_inverse(PhiElement(0.0, [1.0]), NAN),
     lambda: prox_abs_square_closed_form(1.0, NAN, 0.0),
     lambda: prox_abs_square_closed_form(1.0, 1.0, NAN),
 ], ids=["schedule-gamma0", "adaptive-v2-epsilon", "norm-square-gamma", "ball-radius",
         "box-lo", "box-hi", "halfspace-normal", "blackbox-eps", "prox-request-gamma",
-        "duality-element-gamma", "duality-inverse-gamma", "abs-square-gamma",
+        "duality-element-gamma", "duality-element-a", "duality-inverse-gamma", "abs-square-gamma",
         "abs-square-a0"])
 def test_nan_fails_each_positivity_check(build):
     # NaN fails every comparison, so a check written `x <= 0` would accept it

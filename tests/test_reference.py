@@ -13,7 +13,8 @@ import absprox.oracles
 import absprox.prox
 import absprox.reference
 from absprox.checks import Q3, Q5
-from absprox.oracles import QuadraticForm
+from absprox.oracles import (AbsPlusSquare, Ball, Box, Halfspace, IndicatorSet, NormSquare,
+                             QuadraticForm, SmoothBlackBox, eval_oracle, subgrad_at)
 from absprox.reference import (
     eig_sym,
     fd_gradient,
@@ -147,8 +148,8 @@ def test_fd_gradient_quadratic():
 
 
 def _abs_sq(y):
-    y = np.atleast_1d(y)
-    return float(np.abs(y[0]) + y[0] ** 2)
+    # the sampler passes its whole block of points (m, 1)
+    return np.abs(y[:, 0]) + y[:, 0] ** 2
 
 
 def test_sampler_accepts_valid_element():
@@ -180,20 +181,21 @@ def test_sampler_deterministic():
 
 def test_sampler_skips_infinite_domain_gaps():
     def indicator(y):
-        return 0.0 if abs(float(np.atleast_1d(y)[0])) <= 1.0 else np.inf
+        return np.where(np.abs(y[:, 0]) <= 1.0, 0.0, np.inf)
 
     rep = subgrad_inequality_sampler(indicator, np.array([0.5]), 1.0, np.array([1.0]))
     assert np.isfinite(rep["worst_margin"])
 
 
 def test_sampler_fails_a_nan_margin_and_reports_it():
-    rep = subgrad_inequality_sampler(lambda y: np.nan, np.array([0.5]), 0.0, np.array([0.0]))
+    rep = subgrad_inequality_sampler(lambda y: np.full(len(y), np.nan), np.array([0.5]), 0.0,
+                                     np.array([0.0]))
     assert not rep["passed"]
     assert np.isnan(rep["worst_margin"])
 
     # NaN off |y| <= 3 fails with a witness there; +inf off it passes
     def box(off):
-        return lambda y: float(y @ y) if np.abs(y).max() <= 3.0 else off
+        return lambda y: np.where(np.abs(y).max(axis=1) <= 3.0, np.vecdot(y, y), off)
 
     x, u = np.zeros(2), np.zeros(2)
     rep = subgrad_inequality_sampler(box(np.nan), x, 0.0, u)
@@ -201,6 +203,45 @@ def test_sampler_fails_a_nan_margin_and_reports_it():
     assert np.isnan(rep["worst_margin"])
     assert np.abs(rep["worst_point"]).max() > 3.0
     assert subgrad_inequality_sampler(box(np.inf), x, 0.0, u)["passed"]
+
+
+_COS = SmoothBlackBox(value=lambda p: float(np.cos(p[0])),
+                      gradient=lambda p: np.array([-np.sin(p[0])]), kappa=lambda p: 0.5,
+                      eps=1e-6)
+
+
+# worst margin and point of one call per oracle kind, recorded when the
+# sampler still evaluated point by point
+@pytest.mark.parametrize("f, x, a, margin, point", [
+    (NormSquare(0.7, dim=3), [1.0, -2.0, 0.5], 0.3, "0x1.f444dd2adc4e4p+2",
+     ["0x1.7d974cdd9acacp+1", "-0x1.50e729465aec0p-2", "0x1.7ea0ffe27f848p+0"]),
+    (QuadraticForm(Q3), [1.0, 1.0, 1.0], 4.5, "0x1.4b14e58100fbep+4",
+     ["0x1.244876d4a8ce8p+1", "-0x1.641074ba4df6cp+0", "-0x1.25eb10d368f00p-3"]),
+    (AbsPlusSquare(), [0.5], -0.5, "0x1.a81d027845800p-12", ["0x1.e2e02bdd3c500p-2"]),
+    (IndicatorSet(Ball([0.5, -0.5], 2.0)), [1.5, 0.0], 0.7, "0x1.0a17937a67ec0p-5",
+     ["0x1.8808f32a4d440p+0", "-0x1.b47537bd84fc0p-3"]),
+    (IndicatorSet(Box([-1.0, -1.0], [1.0, 2.0])), [1.0, 0.0], 0.7, "0x1.00c9b3b70f8fap+1",
+     ["-0x1.8aff8701b6ec0p-3", "0x1.3384ff5b83b28p+0"]),
+    (IndicatorSet(Halfspace([1.0, 1.0], 1.0)), [0.5, 0.5], 0.7, "0x1.0a17937a67ee8p-5",
+     ["0x1.1011e6549a880p-1", "0x1.25c564213d820p-2"]),
+    (_COS, [1.0], 0.6, "0x1.146b32bea8000p-12", ["0x1.f17015ee9e280p-1"]),
+], ids=["norm-square", "quadratic", "abs+square", "ball", "box", "halfspace", "blackbox"])
+def test_sampler_worst_margin_and_point_are_pinned(f, x, a, margin, point):
+    x = np.array(x)
+    rep = subgrad_inequality_sampler(lambda y: eval_oracle(f, y), x, a, subgrad_at(f, x, a).u,
+                                     num=100, seed=7)
+    assert rep["passed"]
+    assert float(rep["worst_margin"]).hex() == margin
+    assert [float(v).hex() for v in rep["worst_point"]] == point
+
+
+def test_sampler_with_every_margin_infinite_passes_at_x():
+    x = np.array([0.25, -0.5])
+    tiny = IndicatorSet(Ball(x, 1e-3))
+    rep = subgrad_inequality_sampler(lambda y: eval_oracle(tiny, y), x, 1.0, np.zeros(2), num=50)
+    assert rep["passed"] and rep["worst_margin"] == np.inf
+    assert np.array_equal(rep["worst_point"], x)
+    assert rep["num_points"] == 54
 
 
 # --- deterministic RNG -----------------------------------------------------
