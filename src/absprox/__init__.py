@@ -16,9 +16,6 @@ from .phi import (
     SetValuedResult,
     duality_map_element,
     duality_map_inverse,
-    eval_phi,
-    phi_geq_minorant,
-    sub_phi,
 )
 from .oracles import (
     AbsPlusSquare,
@@ -58,9 +55,6 @@ from .algorithms import (
     Schedule,
     ScheduleDegenerateError,
     ScheduleInfeasibleError,
-    Terminal,
-    TerminalKind,
-    TheoremViolationError,
     TheoremViolationWarning,
     run_fb,
     run_ppa,

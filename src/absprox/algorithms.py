@@ -4,12 +4,13 @@ All three methods share the coefficient/stepsize schedules and one
 iteration loop: each supplies only its step (a prox or a projection plus
 its guard), and the loop owns the records, the non-finite abort, the
 descent check and the stopping rules.  A run emits a :class:`RunResult`
-holding one :class:`IterationRecord` per iterate.  Runs are deterministic
+holding one :class:`IterationRecord` per iterate; the last record's stop
+tag says how the run ended (None at the horizon).  Runs are deterministic
 given their inputs.  Proximal point's descent guarantee is checked at
-runtime and reported through :class:`TheoremViolationWarning` (or raised as
-:class:`TheoremViolationError` under ``strict=True``); guard conditions
-terminate runs with a recorded stop tag instead of an exception wherever a
-stop is an expected outcome of the update rule itself.
+runtime and reported through :class:`TheoremViolationWarning`, which the
+warnings filter turns into an error where a caller wants one; guard
+conditions terminate runs with a recorded stop tag instead of an exception
+wherever a stop is an expected outcome of the update rule itself.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import ClassVar
 
 import numpy as np
@@ -34,14 +34,11 @@ __all__ = [
     "FbConstant",
     "schedule_step",
     "IterationRecord",
-    "TerminalKind",
-    "Terminal",
     "RunResult",
     "run_ppa",
     "run_fb",
     "run_psg",
     "TheoremViolationWarning",
-    "TheoremViolationError",
     "ScheduleInfeasibleError",
     "ScheduleDegenerateError",
     "DegenerateStepError",
@@ -53,10 +50,6 @@ __all__ = [
 
 class TheoremViolationWarning(UserWarning):
     """A guaranteed monotonicity property failed numerically."""
-
-
-class TheoremViolationError(RuntimeError):
-    """Strict-mode version of :class:`TheoremViolationWarning`."""
 
 
 class ScheduleInfeasibleError(ValueError):
@@ -74,13 +67,6 @@ class DegenerateStepError(ValueError):
 STOP_GUARD = "stepsize-guard"
 STOP_GLOBAL_MIN = "global-min-certificate"
 STOP_NONFINITE = "nonfinite-abort"
-
-
-def _flag(message: str, strict: bool):
-    if strict:
-        raise TheoremViolationError(message)
-    # 4: _flag, _iterate, run_*, then the caller of run_*
-    warnings.warn(message, TheoremViolationWarning, stacklevel=4)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +116,11 @@ class PsgConstantGamma(Schedule):
 
 @dataclass(frozen=True)
 class PsgAdaptiveV1(Schedule):
-    """a fixed at a_const; gamma_{n+1} = gamma_n (a_n - a_f) / a_{n+1}."""
+    """a fixed at a_const; gamma_{n+1} = gamma_n (a_n - a_n^f) / a_{n+1}.
+
+    a_n^f is the coefficient the run queried: ``a_f_const`` unless the run
+    pins another one.
+    """
 
     a_const: float = 0.0
     a_f_const: float = 0.0
@@ -142,7 +132,7 @@ class PsgAdaptiveV1(Schedule):
     def step(self, gamma_n, a_n, a_fn):
         if self.a_const == 0.0:
             raise ScheduleDegenerateError("adaptive stepsize divides by a_{n+1} = 0")
-        return gamma_n * (a_n - self.a_f_const) / self.a_const, self.a_const
+        return gamma_n * (a_n - a_fn) / self.a_const, self.a_const
 
 
 @dataclass(frozen=True)
@@ -206,25 +196,18 @@ class IterationRecord:
     stopped_by: str | None = None
 
 
-class TerminalKind(Enum):
-    MAX_ITER = "max-iter"
-    STOP_RULE = "stop-rule"
-
-
-@dataclass(frozen=True)
-class Terminal:
-    kind: TerminalKind
-    tag: str | None = None
-
-
 @dataclass
 class RunResult:
     records: list[IterationRecord]
-    terminal: Terminal
 
     @property
     def final(self) -> IterationRecord:
         return self.records[-1]
+
+    @property
+    def terminal(self) -> str | None:
+        """The stop tag that ended the run, or None at the horizon."""
+        return self.records[-1].stopped_by
 
     def set_fejer(self, x_star) -> None:
         """Fill every record's Fejér column against the reference ``x_star``."""
@@ -235,43 +218,44 @@ class RunResult:
 
 
 def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
-             strict: bool | None = None) -> RunResult:
+             check_descent: bool = False) -> RunResult:
     """The loop the three methods share.
 
     ``step(rec)`` advances from the current record (it may fill
     ``rec.a_fn``).  It returns None when the method's guard stops the run
     at ``rec``, else ``(x_next, gamma_next, a_next, tag)``: a tag stops the
     run at the new record.  Non-finite or nonpositive-stepsize updates
-    abort.  Unless ``strict`` is None, each step checks objective descent
-    and flags a violation (see ``_flag``).
+    abort.  Under ``check_descent`` each step checks objective descent and
+    warns with :class:`TheoremViolationWarning` on a violation.
     """
     x = np.array(x0, dtype=float, ndmin=1)
     rec = IterationRecord(0, sched.gamma0, sched.a0, np.nan, x, float(objective(x)), 0.0)
     records = [rec]
-    stop = TerminalKind.MAX_ITER, None
+    stop = None
     for n in range(n_iter):
         out = step(rec)
         if out is None:
-            stop = TerminalKind.STOP_RULE, STOP_GUARD
+            stop = STOP_GUARD
             break
         x_next, gamma_next, a_next, tag = out
         if not (math.isfinite(gamma_next) and math.isfinite(a_next)
                 and np.isfinite(x_next).all()) or gamma_next <= 0:
-            stop = TerminalKind.STOP_RULE, STOP_NONFINITE
+            stop = STOP_NONFINITE
             break
         f_next = float(objective(x_next))
-        if strict is not None and f_next > rec.f_xn + 1e-10:
-            _flag(f"descent violated at iteration {n}: f went from "
-                  f"{rec.f_xn} to {f_next}", strict)
+        if check_descent and f_next > rec.f_xn + 1e-10:
+            # 3: _iterate, run_ppa, then the caller of run_ppa
+            warnings.warn(f"descent violated at iteration {n}: f went from "
+                          f"{rec.f_xn} to {f_next}", TheoremViolationWarning, stacklevel=3)
         step_norm = float(np.linalg.norm(x_next - rec.x_n))
         rec = IterationRecord(n + 1, gamma_next, a_next, np.nan,
                               np.array(x_next, dtype=float), f_next, step_norm)
         records.append(rec)
         if tag is not None:
-            stop = TerminalKind.STOP_RULE, tag
+            stop = tag
             break
-    rec.stopped_by = stop[1]
-    return RunResult(records, Terminal(*stop))
+    rec.stopped_by = stop
+    return RunResult(records)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +263,13 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
 # ---------------------------------------------------------------------------
 
 
-def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int, strict: bool = False) -> RunResult:
+def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
     """Proximal-point iteration x_{n+1} in argmin f(z) + (1/2g + a_n)||z-x_n||^2.
 
     Stops at the horizon ``n_iter``, or with a global-minimizer certificate
     when 1/(2 gamma) + a_n hits zero (the next prox output then minimizes f
-    itself).  Objective descent f(x_{n+1}) <= f(x_n) is asserted each step.
+    itself).  Objective descent f(x_{n+1}) <= f(x_n) is checked each step;
+    a violation warns with :class:`TheoremViolationWarning`.
     """
     def step(rec):
         gamma, a = rec.gamma_n, rec.a_n
@@ -300,7 +285,7 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int, strict: bool = False) -
         certificate = abs(0.5 / gamma + a) <= 1e-12
         return x_next, gamma_next, a_next, STOP_GLOBAL_MIN if certificate else None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, strict)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, check_descent=True)
 
 
 def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,

@@ -5,9 +5,11 @@ Subcommands: ``run <config>`` executes one config file and writes its CSV;
 the independent-oracle cross-check suites; ``list`` shows the bundled
 experiment names.  Exit codes: 0 success, 1 a ``verify`` check failed,
 2 config error (or an unreadable config), 3 runtime failure, unwritable
-CSV, or guarantee violation (under strict mode).  Setting
-``ABSPROX_STRICT=1`` turns a failed descent check of ``ppa`` (the only
-method that asserts descent) from a warning into a failure.
+CSV, or guarantee violation under ``ABSPROX_STRICT=1``.  A failed descent
+check of ``ppa`` (the only method that asserts descent) is a
+``TheoremViolationWarning``; ``ABSPROX_STRICT=1`` makes the warnings filter
+raise it for the duration of the command.  A run's ``terminal`` is
+``max-iter`` at the horizon, else ``stop-rule/<tag>``.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from . import checks
 from .algorithms import (
     DegenerateStepError,
     ScheduleDegenerateError,
     ScheduleInfeasibleError,
-    TheoremViolationError,
+    TheoremViolationWarning,
 )
 from .config import ConfigError, parse_config
 from .experiments import EXPERIMENTS, run_config, run_named_experiment, write_csv
@@ -30,7 +33,7 @@ from .phi import InfeasibleCoefficientError
 from .prox import SolverToleranceError, UnboundedObjectiveError
 
 _RUNTIME_ERRORS = (
-    TheoremViolationError,
+    TheoremViolationWarning,  # raised under ABSPROX_STRICT=1
     DegenerateStepError,
     ScheduleDegenerateError,
     ScheduleInfeasibleError,
@@ -42,8 +45,8 @@ _RUNTIME_ERRORS = (
 )
 
 
-def _strict() -> bool:
-    return os.environ.get("ABSPROX_STRICT", "") == "1"
+def _terminal(result) -> str:
+    return f"stop-rule/{result.terminal}" if result.terminal else "max-iter"
 
 
 def _cmd_run(args) -> int:
@@ -64,16 +67,13 @@ def _cmd_run(args) -> int:
         base = os.path.splitext(os.path.basename(args.config))[0]
         out = base + ".csv"
     try:
-        run = run_config(cfg, strict=_strict())
+        run = run_config(cfg)
         write_csv(run.result, out, x_star=run.x_star)
     except _RUNTIME_ERRORS as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 3
-    final = run.result.final
     print(f"{args.config}: {len(run.result.records)} records, "
-          f"terminal={run.result.terminal.kind.value}"
-          f"{'/' + run.result.terminal.tag if run.result.terminal.tag else ''}, "
-          f"final f={final.f_xn:.12g} -> {out}")
+          f"terminal={_terminal(run.result)}, final f={run.result.final.f_xn:.12g} -> {out}")
     return 0
 
 
@@ -84,17 +84,13 @@ def _cmd_reproduce(args) -> int:
             print(f"  {name}", file=sys.stderr)
         return 2
     try:
-        runs = run_named_experiment(args.name, out_dir=args.out_dir,
-                                    strict=_strict())
+        runs = run_named_experiment(args.name, out_dir=args.out_dir)
     except _RUNTIME_ERRORS as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 3
     for path, run in runs:
-        final = run.result.final
-        term = run.result.terminal
-        tail = f"/{term.tag}" if term.tag else ""
         print(f"{path}: gamma0={run.config.gamma0:g} records={len(run.result.records)} "
-              f"terminal={term.kind.value}{tail} final_f={final.f_xn:.12g}")
+              f"terminal={_terminal(run.result)} final_f={run.result.final.f_xn:.12g}")
     return 0
 
 
@@ -139,7 +135,10 @@ def main(argv=None) -> int:
     p_list.set_defaults(func=_cmd_list)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    with warnings.catch_warnings():
+        if os.environ.get("ABSPROX_STRICT", "") == "1":
+            warnings.simplefilter("error", TheoremViolationWarning)
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -265,13 +265,12 @@ def _resolve_reference(cfg, f, result):
     return np.atleast_1d(np.asarray(cfg.reference, dtype=float))
 
 
-def run_config(cfg: ExperimentConfig, strict: bool = False) -> ExperimentRun:
-    """Build everything from a parsed config and execute the run.  ``strict``
-    makes a failed descent check of ppa (fb and psg assert none) an error."""
+def run_config(cfg: ExperimentConfig) -> ExperimentRun:
+    """Build everything from a parsed config and execute the run."""
     f, g = build_oracle(cfg)
     sched = build_schedule(cfg)
     if cfg.algorithm == "ppa":
-        result = run_ppa(f, cfg.x0, sched, cfg.n_iter, strict=strict)
+        result = run_ppa(f, cfg.x0, sched, cfg.n_iter)
     elif cfg.algorithm == "psg":
         result = run_psg(f, build_set(cfg.set_desc), cfg.x0, sched, cfg.n_iter,
                          a_f_override=cfg.a_f)
@@ -290,15 +289,15 @@ def run_config(cfg: ExperimentConfig, strict: bool = False) -> ExperimentRun:
     return ExperimentRun(config=cfg, result=result, x_star=x_star, f_star=f_star)
 
 
-def run_named_experiment(name: str, out_dir: str | None = None,
-                         strict: bool = False) -> list[tuple[str, ExperimentRun]]:
+def run_named_experiment(name: str,
+                         out_dir: str | None = None) -> list[tuple[str, ExperimentRun]]:
     """Run every sweep member of a named experiment; optionally write CSVs.
 
     Returns (csv_path_or_label, run) pairs in sweep order.
     """
     out = []
     for gamma, cfg in named_experiment_configs(name):
-        run = run_config(cfg, strict=strict)
+        run = run_config(cfg)
         label = f"{name}-gamma{gamma:g}.csv"
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)

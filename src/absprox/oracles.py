@@ -55,6 +55,10 @@ def _vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+# membership slack of the sets' ``contains``, relative to the set's size
+_CONTAINS_TOL = 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Set descriptors with exact projections
 # ---------------------------------------------------------------------------
@@ -86,10 +90,10 @@ class Ball:
             return x
         return self.center + (self.radius / nd) * d
 
-    def contains(self, x, tol: float = 1e-9):
+    def contains(self, x):
         d = _vec(x) - self.center
         # sqrt(d . d) per row is how np.linalg.norm computes one vector's norm
-        return np.sqrt(np.vecdot(d, d)) <= self.radius + tol * self.char_size()
+        return np.sqrt(np.vecdot(d, d)) <= self.radius + _CONTAINS_TOL * self.char_size()
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,9 @@ class Box:
     def project(self, x) -> np.ndarray:
         return np.clip(_vec(x), self.lo, self.hi)
 
-    def contains(self, x, tol: float = 1e-9):
+    def contains(self, x):
         x = _vec(x)
-        pad = tol * self.char_size()
+        pad = _CONTAINS_TOL * self.char_size()
         return np.all((x >= self.lo - pad) & (x <= self.hi + pad), axis=-1)
 
 
@@ -147,9 +151,10 @@ class Halfspace:
             return x
         return x - (excess / float(n @ n)) * n
 
-    def contains(self, x, tol: float = 1e-9):
+    def contains(self, x):
         nn = float(np.linalg.norm(self.normal))
-        return np.vecdot(_vec(x), self.normal) - self.offset <= tol * self.char_size() * nn
+        return (np.vecdot(_vec(x), self.normal) - self.offset
+                <= _CONTAINS_TOL * self.char_size() * nn)
 
 
 SetDescriptor = Ball | Box | Halfspace
@@ -175,15 +180,12 @@ class UnboundedObjectiveError(ValueError):
 
 @dataclass(frozen=True)
 class FeasibleRange:
-    """Half-line of admissible coefficients: a >= a_min (a > a_min if open)."""
+    """Half-line of admissible coefficients a >= a_min; NaN is never admitted."""
 
     a_min: float
-    open: bool = False
 
     def admits(self, a: float) -> bool:
-        if self.a_min == -np.inf:
-            return True
-        return a > self.a_min if self.open else a >= self.a_min
+        return a >= self.a_min
 
 
 @dataclass(frozen=True)
@@ -340,7 +342,7 @@ class IndicatorSet:
             raise EmptySubdifferentialError(
                 "point lies outside the indicator's set; subdifferential is empty"
             )
-        return FeasibleRange(-np.inf, open=True)
+        return FeasibleRange(-np.inf)
 
     def element(self, x, a: float) -> PhiElement:
         # x = Proj_C(u/(2a)) holds with u = 2a*x whenever a >= 0; there is no

@@ -22,17 +22,28 @@ from .rng import XorShift64Star
 
 # inverse golden ratio, 2/(1+sqrt(5))
 _INVPHI = 2.0 / (1.0 + np.sqrt(5.0))
+# golden section stops at this relative bracket width or iteration count
+_GOLDEN_TOL = 1e-12
+_GOLDEN_MAX_ITER = 400
+# points of the coarse scan in grid_argmin_1d
+_GRID_NUM = 10_000
+# Jacobi stops at this relative off-diagonal norm or sweep count
+_JACOBI_TOL = 1e-12
+_JACOBI_MAX_SWEEPS = 60
+# central-difference step, relative to max(1, ||x||)
+_FD_STEP = 1e-6
+# half-width of the sampler's box around x
+_SAMPLER_RADIUS = 10.0
 
 
-def golden_section_min(h: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-12, max_iter: int = 400) -> float:
+def golden_section_min(h: Callable[[float], float], lo: float, hi: float) -> float:
     """Minimize a unimodal scalar function on [lo, hi] by golden section."""
     a, b = float(lo), float(hi)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     h1, h2 = h(x1), h(x2)
     it = 0
-    while (b - a) > tol * max(1.0, abs(a), abs(b)) and it < max_iter:
+    while (b - a) > _GOLDEN_TOL * max(1.0, abs(a), abs(b)) and it < _GOLDEN_MAX_ITER:
         if h1 <= h2:
             b, x2, h2 = x2, x1, h1
             x1 = b - _INVPHI * (b - a)
@@ -45,16 +56,15 @@ def golden_section_min(h: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
-def grid_argmin_1d(h: Callable[[float], float], lo: float, hi: float,
-                   num: int = 10_000) -> float:
+def grid_argmin_1d(h: Callable[[float], float], lo: float, hi: float) -> float:
     """Global argmin of a scalar function on [lo, hi].
 
-    Coarse scan over ``num`` points picks the best bracket, then golden
+    Coarse scan over ``_GRID_NUM`` points picks the best bracket, then golden
     section polishes inside the two neighbouring cells.  The scan tries a
     vectorized call first and falls back to a Python loop for callables
     that only accept scalars.
     """
-    grid = np.linspace(lo, hi, num)
+    grid = np.linspace(lo, hi, _GRID_NUM)
     try:
         vals = np.asarray(h(grid), dtype=float)
         if vals.shape != grid.shape:
@@ -63,7 +73,7 @@ def grid_argmin_1d(h: Callable[[float], float], lo: float, hi: float,
         vals = np.array([h(float(t)) for t in grid], dtype=float)
     k = int(np.argmin(vals))
     a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, num - 1)]
+    b = grid[min(k + 1, _GRID_NUM - 1)]
     hs = lambda t: float(h(float(t)))
     z = golden_section_min(hs, a, b)
     # Value-only search cannot localize a smooth valley floor better than
@@ -83,13 +93,13 @@ def grid_argmin_1d(h: Callable[[float], float], lo: float, hi: float,
     return z
 
 
-def eig_sym(q: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
+def eig_sym(q: np.ndarray):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
     columns ``v[:, i]``.  Raises ``ValueError`` on an asymmetric input.
-    Iterates until the off-diagonal Frobenius norm falls below ``tol``
-    relative to the matrix norm.
+    Iterates until the off-diagonal Frobenius norm falls below
+    ``_JACOBI_TOL`` relative to the matrix norm.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -105,8 +115,8 @@ def eig_sym(q: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
     def offdiag(m):
         return np.sqrt(np.sum(np.tril(m, -1) ** 2) * 2.0)
 
-    for _ in range(max_sweeps):
-        if offdiag(a) <= tol * scale:
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        if offdiag(a) <= _JACOBI_TOL * scale:
             break
         for p in range(n - 1):
             for r in range(p + 1, n):
@@ -128,12 +138,10 @@ def eig_sym(q: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
     return w[order], v[:, order]
 
 
-def fd_gradient(g: Callable[[np.ndarray], float], x: np.ndarray,
-                h: float | None = None) -> np.ndarray:
+def fd_gradient(g: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central-difference gradient with step 1e-6 * max(1, ||x||)."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    h = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
     out = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
@@ -147,7 +155,6 @@ def subgrad_inequality_sampler(
     x: np.ndarray,
     a: float,
     u: np.ndarray,
-    radius: float = 10.0,
     num: int = 1000,
     seed: int = 1,
 ) -> dict:
@@ -155,8 +162,8 @@ def subgrad_inequality_sampler(
 
     phi(y) = -a||y||^2 + <u, y>.  ``f`` maps a block (m, n) of points to
     their m values, and is called once, on x, then ``num`` uniform draws
-    from the box x +/- radius, then the 2n axis-aligned extreme points of
-    that box.  Reports the worst margin over the draws and extreme points.
+    from the box x +/- 10, then the 2n axis-aligned extreme points of that
+    box.  Reports the worst margin over the draws and extreme points.
     Passes when the margin stays above -1e-9.  A NaN margin fails the check
     and the first one is reported as the worst; a point outside an
     indicator's domain has f(y) = +inf, a margin of +inf, and passes.  When
@@ -168,9 +175,10 @@ def subgrad_inequality_sampler(
     rng = XorShift64Star(seed)
     extremes = np.tile(x, (2 * n, 1))
     axes = np.arange(n)
-    extremes[2 * axes, axes] -= radius
-    extremes[2 * axes + 1, axes] += radius
-    pts = np.vstack([x, rng.uniform_vector(x - radius, x + radius, (num, n)), extremes])
+    r = _SAMPLER_RADIUS
+    extremes[2 * axes, axes] -= r
+    extremes[2 * axes + 1, axes] += r
+    pts = np.vstack([x, rng.uniform_vector(x - r, x + r, (num, n)), extremes])
 
     vals = np.asarray(f(pts), dtype=float)
     phi = -a * np.vecdot(pts, pts) + np.vecdot(pts, u)

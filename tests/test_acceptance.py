@@ -81,14 +81,14 @@ def test_criterion_2_psg_constant_stepsize():
     diag = check_fejer(r1.result.records, r1.x_star, "psg",
                        f=build_oracle(r1.config)[0])
     small = runs[0.01].result
-    early = (small.terminal.tag == STOP_GUARD
+    early = (small.terminal == STOP_GUARD
              and len(small.records) < small.records[-1].n + 2
              and len(small.records) < 102)
     report(2, "constant stepsize reaches f=-4 within 1e-2, anchored "
               "inequality holds, gamma=0.01 stops on the guard, under 1 s",
            gap <= 1e-2 and diag.fejer_monotone and early and dt < 1.0,
            f"gap={gap:.2e}, fejer={diag.fejer_monotone}, "
-           f"tag={small.terminal.tag!r}, n={len(small.records)}, dt={dt:.2f}s")
+           f"tag={small.terminal!r}, n={len(small.records)}, dt={dt:.2f}s")
 
 
 def test_criterion_3_psg_adaptive_coupling():
@@ -245,7 +245,7 @@ def test_criterion_9_fb_psg_equivalence():
     worst = max(float(np.abs(rf.x_n - rp.x_n).max())
                 for rf, rp in zip(fb.records, psg.records))
     same = (len(fb.records) == len(psg.records)
-            and fb.terminal.kind == psg.terminal.kind)
+            and fb.terminal == psg.terminal)
     report(9, "forward-backward and projected subgradient trajectories "
               "coincide to 1e-10 over 50 steps",
            same and worst <= 1e-10,
@@ -287,7 +287,7 @@ def test_criterion_10_fb_hessian_example():
         np.isfinite([rec.gamma_n, rec.a_n, rec.f_xn, rec.step_norm]).all()
         and np.isfinite(rec.x_n).all()
         for r in runs.values() for rec in r.result.records
-    ) and all(r.result.terminal.tag != STOP_NONFINITE for r in runs.values())
+    ) and all(r.result.terminal != STOP_NONFINITE for r in runs.values())
 
     g = hessian_example(0.1)
     identity_worst = fd_worst = 0.0
@@ -316,14 +316,14 @@ def test_criterion_10_fb_hessian_example():
             )
         # the run's own guard values c_n, read from its records
         c_run = [0.5 / r.gamma_n + r.a_n - r.a_fn for r in recs]
-        guard_ok &= (run.result.terminal.tag == STOP_GUARD
+        guard_ok &= (run.result.terminal == STOP_GUARD
                      and recs[-1].stopped_by == STOP_GUARD
                      and all(c > 0.0 for c in c_run[:-1]) and c_run[-1] <= 0.0)
         # c_n <= 1/(2 gamma) + a0 - (n + 1)(1 + eps), since every a_g >= 1 + eps
         max_steps = int(np.ceil((0.5 / gamma + cfg.a0) / (1.0 + cfg.epsilon)))
         bound_ok &= len(recs) - 1 <= max_steps < cfg.n_iter
         details.append(f"gamma={gamma}: {len(recs)} records vs {len(xs)} by hand, "
-                       f"tag={run.result.terminal.tag}, c_last={c_run[-1]:.3g}, "
+                       f"tag={run.result.terminal}, c_last={c_run[-1]:.3g}, "
                        f"max_steps={max_steps}")
 
     report(10, "fb-hessian runs stay finite, u-2ax recovers the gradient, "

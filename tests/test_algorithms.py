@@ -26,15 +26,12 @@ from absprox import (
     STOP_GLOBAL_MIN,
     STOP_GUARD,
     STOP_NONFINITE,
-    TerminalKind,
-    TheoremViolationError,
     TheoremViolationWarning,
     run_fb,
     run_ppa,
     run_psg,
     schedule_step,
 )
-from absprox.algorithms import _flag
 from absprox.checks import Q3
 BALL3 = Ball(np.zeros(3), 1.0)
 
@@ -48,7 +45,7 @@ def test_schedule_ppa_additive():
 
 def test_schedule_psg_constant_decrement_and_guard():
     sched = PsgConstantGamma(gamma0=1.0, a0=200.0)
-    assert schedule_step(sched, 1.0, 200.0, 4.0) == (1.0, 196.0)
+    assert schedule_step(sched, 1.0, 200.0, a_fn=4.0) == (1.0, 196.0)
     # past the guard the step still decrements; the run's weight check
     # (1 + 2 gamma (a_n - a_f) <= 0) is what stops it
     assert schedule_step(sched, 1.0, 7.0, 4.0) == (1.0, 3.0)
@@ -56,11 +53,12 @@ def test_schedule_psg_constant_decrement_and_guard():
 
 def test_schedule_adaptive_v1():
     sched = PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=5.0, a_f_const=4.0)
-    g, a = schedule_step(sched, 1.0, 200.0)
+    g, a = schedule_step(sched, 1.0, 200.0, a_fn=4.0)
     assert g == pytest.approx((200.0 - 4.0) / 5.0)
     assert a == 5.0
     with pytest.raises(ScheduleDegenerateError):
-        schedule_step(PsgAdaptiveV1(gamma0=1.0, a0=1.0, a_const=0.0, a_f_const=4.0), 1.0, 1.0)
+        schedule_step(PsgAdaptiveV1(gamma0=1.0, a0=1.0, a_const=0.0, a_f_const=4.0), 1.0, 1.0,
+                      a_fn=4.0)
 
 
 def test_schedule_adaptive_v2_invariant():
@@ -95,7 +93,7 @@ def test_ppa_descent_and_dead_zone():
     f = [r.f_xn for r in res.records]
     assert all(f[n + 1] <= f[n] + 1e-10 for n in range(len(f) - 1))
     assert res.final.x_n[0] == 0.0  # lands exactly on the kink
-    assert res.terminal.kind is TerminalKind.MAX_ITER
+    assert res.terminal is None
 
 
 def test_ppa_small_gamma_endpoint_frozen():
@@ -109,8 +107,7 @@ def test_ppa_global_min_certificate():
     # at a_0 = -1/(2 gamma) the regularizer weight vanishes: the prox
     # minimizes f itself, and the run stops with the certificate tag
     res = run_ppa(AbsPlusSquare(), [5.0], PpaAdditive(gamma0=0.5, a0=-1.0, delta=1.0), 50)
-    assert res.terminal.kind is TerminalKind.STOP_RULE
-    assert res.terminal.tag == STOP_GLOBAL_MIN
+    assert res.terminal == STOP_GLOBAL_MIN
     assert res.final.stopped_by == STOP_GLOBAL_MIN
     assert res.final.x_n[0] == 0.0
 
@@ -140,8 +137,7 @@ def test_psg_constant_guard_stop_frozen_endpoint():
     res = run_psg(QuadraticForm(Q3), BALL3, [-5.0, 5.0, -5.0], sched, 101,
                   a_f_override=4.0)
     assert len(res.records) == 51
-    assert res.terminal.kind is TerminalKind.STOP_RULE
-    assert res.terminal.tag == STOP_GUARD
+    assert res.terminal == STOP_GUARD
     assert res.final.stopped_by == STOP_GUARD
     assert res.final.f_xn == pytest.approx(-3.9999984870526388, rel=1e-12)
 
@@ -175,14 +171,14 @@ def test_psg_adaptive_v2_runs_full_horizon_frozen():
     res = run_psg(QuadraticForm(q5), Ball(np.zeros(5), 1.0),
                   [-10.0, 10.0, -10.0, 10.0, -10.0], sched, 101)
     assert len(res.records) == 102
-    assert res.terminal.kind is TerminalKind.MAX_ITER
+    assert res.terminal is None
     assert res.final.f_xn == pytest.approx(-3.0, abs=1e-8)
 
 
 def test_psg_nonfinite_schedule_aborts():
     sched = PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=-5.0, a_f_const=4.0)
     res = run_psg(QuadraticForm(Q3), BALL3, [-5.0, 5.0, -5.0], sched, 20)
-    assert res.terminal.tag == STOP_NONFINITE
+    assert res.terminal == STOP_NONFINITE
     assert res.final.stopped_by == STOP_NONFINITE
 
 
@@ -245,7 +241,7 @@ def test_fb_hessian_sweep_guard_stop_frozen():
     zero = QuadraticForm(np.zeros((2, 2)))
     res = run_fb(zero, g, [-5.0, -1.0], PsgConstantGamma(gamma0=0.1, a0=200.0), 1001)
     assert len(res.records) == 74
-    assert res.terminal.tag == STOP_GUARD
+    assert res.terminal == STOP_GUARD
     assert res.final.x_n[0] == pytest.approx(-1.132991123074689, rel=1e-10)
     assert res.final.x_n[1] == pytest.approx(-2.5491194587063757, rel=1e-10)
     assert all(np.all(np.isfinite(r.x_n)) for r in res.records)
@@ -271,18 +267,23 @@ def test_fb_descent_asserted_under_lipschitz_condition():
 # --- theorem-violation plumbing ----------------------------------------------
 
 
-def test_flag_warns_by_default_and_raises_when_strict():
-    with pytest.warns(TheoremViolationWarning):
-        _flag("descent violated (synthetic)", strict=False)
-    with pytest.raises(TheoremViolationError):
-        _flag("descent violated (synthetic)", strict=True)
+def _ascending_blackbox():
+    # a value that grows with every call makes each step look like ascent
+    calls = itertools.count()
+    return SmoothBlackBox(value=lambda p: float(next(calls)), gradient=lambda p: np.zeros(1),
+                          kappa=lambda p: 0.0, eps=0.1, dim=1)
+
+
+def test_descent_violation_raises_under_the_error_filter():
+    g = _ascending_blackbox()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TheoremViolationWarning)
+        with pytest.raises(TheoremViolationWarning, match="descent violated at iteration 0"):
+            run_ppa(g, [1.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.0), 3)
 
 
 def test_descent_warning_points_at_the_caller_of_run():
-    # a value that grows with every call makes each step look like ascent
-    calls = itertools.count()
-    g = SmoothBlackBox(value=lambda p: float(next(calls)), gradient=lambda p: np.zeros(1),
-                       kappa=lambda p: 0.0, eps=0.1, dim=1)
+    g = _ascending_blackbox()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_ppa(g, [1.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.0), 1)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absprox import FbConstant, PpaAdditive, PsgAdaptiveV1, PsgAdaptiveV2, PsgConstantGamma, cli
+from absprox import (
+    FbConstant,
+    PpaAdditive,
+    PsgAdaptiveV1,
+    PsgAdaptiveV2,
+    PsgConstantGamma,
+    TheoremViolationWarning,
+    cli,
+    oracles,
+)
 from absprox.config import _SCHEDULES, ConfigError, build_schedule, parse_config
 from absprox.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
+    Q3_TEXT,
     named_experiment_configs,
     run_config,
     run_named_experiment,
@@ -432,6 +443,49 @@ def test_cli_unwritable_output_is_a_run_failure(tmp_path, capsys):
     cfg.write_text(PSG_TEXT)
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "no" / "x.csv")]) == 3
     assert "cannot write CSV" in capsys.readouterr().err
+
+
+def test_cli_descent_violation_warns_or_fails_under_strict(tmp_path, monkeypatch):
+    # a prox that always steps left of x0 = -10 makes every ppa step ascend
+    monkeypatch.setattr(oracles, "prox_abs_square_closed_form", lambda x0, gamma, a0: x0 - 1.0)
+    monkeypatch.delenv("ABSPROX_STRICT", raising=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = _run_cli(tmp_path, PPA_TEXT)
+    flagged = [w for w in caught if issubclass(w.category, TheoremViolationWarning)]
+    assert code == 0
+    # one per step of N = 20, each naming the caller of run_ppa
+    assert [Path(w.filename).name for w in flagged] == ["experiments.py"] * 20
+
+    monkeypatch.setenv("ABSPROX_STRICT", "1")
+    before = list(warnings.filters)
+    code, err = _run_cli(tmp_path, PPA_TEXT)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("run failed: descent violated at iteration 0")
+    assert "Traceback" not in err
+    assert list(warnings.filters) == before
+
+
+ADAPTIVE_V1_TEXT = f"""
+algorithm = psg
+Q = {Q3_TEXT}
+set = ball(0,1)
+x0 = [-5,5,-5]
+gamma0 = 1
+a0 = 5
+a_f = 4.5
+schedule = psg_adaptive_v1(5,4)
+N = 3
+"""
+
+
+def test_adaptive_v1_steps_with_the_configured_a_f():
+    # the config's a_f drives the stepsize as well as the subgradient:
+    # gamma_{n+1} = gamma_n (5 - 4.5) / 5, not gamma_n (5 - 4) / 5
+    records = run_config(parse_config(ADAPTIVE_V1_TEXT)).result.records
+    assert [r.a_fn for r in records[:-1]] == [4.5, 4.5, 4.5]
+    assert [r.gamma_n for r in records] == pytest.approx([1.0, 0.1, 0.01, 0.001], rel=1e-12)
 
 
 _NUMBERS = st.sampled_from(["1", "0.5", "-1", "0", "4", "200", "1e-3", "nan", "inf",

@@ -1,4 +1,4 @@
-"""Quadratic elementary functions phi(x) = -a||x||^2 + <u,x> + c and the
+"""Quadratic elementary functions phi(x) = -a||x||^2 + <u,x> and the
 duality map between points and elements."""
 
 import numpy as np
@@ -12,39 +12,13 @@ from absprox import (
     ResultKind,
     duality_map_element,
     duality_map_inverse,
-    eval_phi,
-    phi_geq_minorant,
-    sub_phi,
 )
-
-
-def test_eval_phi_worked_example():
-    phi = PhiElement(1.0, (2.0, 0.0), 1.0)
-    assert eval_phi(phi, (1.0, 1.0)) == 1.0  # -2 + 2 + 1
-
-
-def test_eval_phi_zero_element():
-    assert eval_phi(PhiElement(0.0, (0.0,)), (3.0,)) == 0.0
 
 
 def test_phi_element_coerces_u_to_vector():
     phi = PhiElement(0.5, 2.0)
     assert phi.u.shape == (1,)
     assert phi.dim == 1
-
-
-def test_sub_phi_subtracts_componentwise():
-    p = PhiElement(3.0, (1.0, 2.0), 5.0)
-    q = PhiElement(1.0, (0.5, 0.5), 1.0)
-    d = sub_phi(p, q)
-    assert d.a == 2.0
-    assert np.array_equal(d.u, [0.5, 1.5])
-    assert d.c == 4.0
-
-
-def test_phi_equality_ignores_offset():
-    # two elements that differ only in c act identically as subgradients
-    assert PhiElement(1.0, (2.0,), 0.0) == PhiElement(1.0, (2.0,), 7.0)
 
 
 def test_phi_equality_compares_coefficient_and_slope():
@@ -113,40 +87,3 @@ def test_duality_round_trip(gamma, a, x):
     assert res.kind is ResultKind.POINT
     assert np.allclose(res.point, x, rtol=0, atol=1e-9 * max(1.0, float(np.abs(x).max())))
 
-
-# --- minorant flattening ---------------------------------------------------
-
-
-def test_minorant_worked_example():
-    psi = phi_geq_minorant(PhiElement(-1.0, (2.0,), 0.0), (1.0,))
-    assert psi.a == 0.0
-    assert np.allclose(psi.u, [4.0])
-    assert psi.c == -1.0
-
-
-def test_minorant_two_dim_example():
-    psi = phi_geq_minorant(PhiElement(-2.0, (0.0, 0.0), 5.0), (1.0, 1.0))
-    assert psi == PhiElement(0.0, (4.0, 4.0))
-    assert psi.c == 1.0
-
-
-def test_minorant_keeps_nonnegative_a():
-    phi = PhiElement(2.0, (1.0,), 3.0)
-    assert phi_geq_minorant(phi, (5.0,)) is phi
-
-
-@given(
-    a=st.floats(-10.0, -0.01),
-    u=st.floats(-20.0, 20.0),
-    c=st.floats(-5.0, 5.0),
-    x0=st.floats(-10.0, 10.0),
-    y=st.floats(-30.0, 30.0),
-)
-@settings(max_examples=300, deadline=None)
-def test_minorant_touches_and_stays_below(a, u, c, x0, y):
-    phi = PhiElement(a, (u,), c)
-    psi = phi_geq_minorant(phi, (x0,))
-    # touches at the anchor
-    assert eval_phi(psi, (x0,)) == pytest.approx(eval_phi(phi, (x0,)), abs=1e-9)
-    # affine minorant of the concave-quadratic element everywhere else
-    assert eval_phi(psi, (y,)) <= eval_phi(phi, (y,)) + 1e-9 * max(1.0, abs(y) ** 2)

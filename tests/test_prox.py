@@ -27,6 +27,7 @@ from absprox import (
     prox_abs_square_closed_form,
     prox_indicator,
     prox_via_argmin,
+    subgrad_at,
 )
 from absprox.checks import Q3, Q5, closed_form_prox
 from absprox.reference import grid_argmin_1d
@@ -146,10 +147,11 @@ NAN = float("nan")
     lambda: duality_map_inverse(PhiElement(0.0, [1.0]), NAN),
     lambda: prox_abs_square_closed_form(1.0, NAN, 0.0),
     lambda: prox_abs_square_closed_form(1.0, 1.0, NAN),
+    lambda: subgrad_at(IndicatorSet(Ball(np.zeros(2), 1.0)), [0.0, 0.0], NAN),
 ], ids=["schedule-gamma0", "adaptive-v2-epsilon", "norm-square-gamma", "ball-radius",
         "box-lo", "box-hi", "halfspace-normal", "blackbox-eps", "prox-request-gamma",
         "duality-element-gamma", "duality-element-a", "duality-inverse-gamma", "abs-square-gamma",
-        "abs-square-a0"])
+        "abs-square-a0", "indicator-subgrad-a"])
 def test_nan_fails_each_positivity_check(build):
     # NaN fails every comparison, so a check written `x <= 0` would accept it
     with pytest.raises(ValueError):
