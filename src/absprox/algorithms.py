@@ -5,12 +5,15 @@ iteration loop: each supplies only its step (a prox or a projection plus
 its guard), and the loop owns the records, the non-finite abort, the
 descent check and the stopping rules.  A run emits a :class:`RunResult`
 holding one :class:`IterationRecord` per iterate; the last record's stop
-tag says how the run ended (None at the horizon).  Runs are deterministic
-given their inputs.  Proximal point's descent guarantee is checked at
-runtime and reported through :class:`TheoremViolationWarning`, which the
-warnings filter turns into an error where a caller wants one; guard
-conditions terminate runs with a recorded stop tag instead of an exception
-wherever a stop is an expected outcome of the update rule itself.
+tag says how the run ended (None at the horizon).  The records are the
+run's only store: :func:`column` reads a field of them as an array and
+:func:`sq_distances` their squared distances to a reference point.  Runs
+are deterministic given their inputs.  Proximal point's descent guarantee
+is checked at runtime and reported through
+:class:`TheoremViolationWarning`, which the warnings filter turns into an
+error where a caller wants one; guard conditions terminate runs with a
+recorded stop tag instead of an exception wherever a stop is an expected
+outcome of the update rule itself.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ __all__ = [
     "schedule_step",
     "IterationRecord",
     "RunResult",
+    "column",
+    "sq_distances",
     "run_ppa",
     "run_fb",
     "run_psg",
@@ -211,10 +216,25 @@ class RunResult:
 
     def set_fejer(self, x_star) -> None:
         """Fill every record's Fejér column against the reference ``x_star``."""
-        x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-        for r in self.records:
-            d = x_star - r.x_n
-            r.fejer = (0.5 / r.gamma_n + r.a_n) * float(d @ d)
+        weight = 0.5 / column(self.records, "gamma_n") + column(self.records, "a_n")
+        for r, v in zip(self.records, (weight * sq_distances(self.records, x_star)).tolist()):
+            r.fejer = v
+
+
+def column(records: list[IterationRecord], name: str) -> np.ndarray:
+    """The field ``name`` of every record as an array (``x_n``: an (N+1, n) block)."""
+    return np.array([getattr(r, name) for r in records], dtype=float)
+
+
+def sq_distances(records: list[IterationRecord], x_star) -> np.ndarray:
+    """||x_star - x_n||^2 for every record, with the bits of each row's own
+    ``d @ d``; ValueError unless ``x_star`` has the iterates' dimension."""
+    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
+    x = column(records, "x_n")
+    if x_star.shape != x.shape[1:]:
+        raise ValueError(f"dimension mismatch: reference {x_star.shape}, iterates {x.shape}")
+    d = x_star - x
+    return np.vecdot(d, d)
 
 
 def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
@@ -288,12 +308,10 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
     return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, check_descent=True)
 
 
-def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
-           a_g_override: float | None = None) -> RunResult:
+def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> RunResult:
     """Forward-backward splitting for f + g with smooth black-box g.
 
-    Each step queries a_n^g (the curvature rule of g, unless pinned by
-    ``a_g_override``) and grad g(x_n), then solves
+    Each step queries a_n^g (the curvature rule of g) and grad g(x_n), then solves
 
         x_{n+1} in argmin f(z) + <grad g(x_n), z> + (1/2g + a_n - a_n^g)||z - x_n||^2,
 
@@ -310,7 +328,7 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int,
 
     def step(rec):
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
-        a_g = float(a_g_override) if a_g_override is not None else g.default_coefficient(x)
+        a_g = g.default_coefficient(x)
         grad = np.atleast_1d(np.asarray(g.gradient(x), dtype=float))
         rec.a_fn = a_g
         c = 0.5 / gamma + a - a_g

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import IterationRecord
+from .algorithms import IterationRecord, column, sq_distances
 from .oracles import Oracle, subgrad_at
 
 __all__ = [
@@ -33,30 +33,31 @@ class DiagnosticsReport:
     quasi_fejer_slack: list[float] = field(default_factory=list)
 
 
-def _psg_slack(records: list[IterationRecord], f: Oracle | None) -> list[float]:
+def _psg_slack(records: list[IterationRecord], f: Oracle | None) -> np.ndarray:
     """Per-step allowance eps_n = gamma_n^2 U^2 / (1 + 2 gamma_n (a_n - a_n^f)).
 
     U bounds ||2 a_n^f x_n - u_n^f|| along the run; the subgradients are
     re-queried from the oracle at the recorded coefficients.
     """
-    if f is None:
-        return [0.0] * max(len(records) - 1, 0)
-    norms, denoms, gammas = [], [], []
-    for r in records[:-1]:
-        if np.isnan(r.a_fn):
-            norms.append(0.0)
-            denoms.append(1.0)
-            gammas.append(r.gamma_n)
-            continue
-        u = subgrad_at(f, r.x_n, r.a_fn).u
-        norms.append(float(np.linalg.norm(2.0 * r.a_fn * r.x_n - u)))
-        denoms.append(1.0 + 2.0 * r.gamma_n * (r.a_n - r.a_fn))
-        gammas.append(r.gamma_n)
-    big_u = max(norms) if norms else 0.0
-    return [
-        (g * g * big_u * big_u / d) if d > 0 else np.inf
-        for g, d in zip(gammas, denoms)
-    ]
+    steps = records[:-1]
+    if f is None or not steps:
+        return np.zeros(len(steps))
+    gamma, a, a_f, x = (column(steps, name) for name in ("gamma_n", "a_n", "a_fn", "x_n"))
+    queried = ~np.isnan(a_f)
+    v = np.zeros_like(x)
+    for i in np.flatnonzero(queried):
+        v[i] = 2.0 * a_f[i] * x[i] - subgrad_at(f, x[i], a_f[i]).u
+    big_u = float(np.sqrt(np.vecdot(v, v)).max())
+    denom = np.where(queried, 1.0 + 2.0 * gamma * (a - a_f), 1.0)
+    return np.divide(gamma * gamma * big_u * big_u, denom,
+                     out=np.full_like(denom, np.inf), where=denom > 0)
+
+
+def _first_rise(new: np.ndarray, old: np.ndarray) -> int | None:
+    """The first step n with new[n] > old[n] beyond the relative tolerance,
+    or None."""
+    bad = new > old + _RTOL * np.maximum(1.0, np.maximum(np.abs(new), np.abs(old)))
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
@@ -67,49 +68,38 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
     1/(2 gamma_n) + a_n with no allowance; "psg" uses alpha_n =
     1 + 2 gamma_n a_n, b_n = 0, and the subgradient-magnitude allowance
     (pass the oracle ``f`` to enable its computation, else it is zero).
-    Also reports objective monotonicity over the same records.
+    Also reports objective monotonicity over the same records.  Raises
+    ValueError unless ``x_star`` has the iterates' dimension.
     """
     if not records:
         raise ValueError("records must be nonempty")
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    dist = [float(np.linalg.norm(x_star - r.x_n)) for r in records]
-
+    dist = np.sqrt(sq_distances(records, x_star))
+    gamma, a = column(records, "gamma_n"), column(records, "a_n")
     if alpha_rule == "ppa":
-        alpha = [0.5 / r.gamma_n + r.a_n for r in records]
+        alpha = 0.5 / gamma + a
         beta = alpha[:-1]
-        eps = [0.0] * (len(records) - 1)
+        eps = np.zeros(len(records) - 1)
     elif alpha_rule == "psg":
-        alpha = [1.0 + 2.0 * r.gamma_n * r.a_n for r in records]
-        beta = [0.0] * (len(records) - 1)
+        alpha = 1.0 + 2.0 * gamma * a
+        beta = np.zeros(len(records) - 1)
         eps = _psg_slack(records, f)
     else:
         raise ValueError("alpha_rule must be 'ppa' or 'psg'")
 
-    fejer_ok, fejer_bad = True, None
-    for n in range(len(records) - 1):
-        lhs = alpha[n + 1] * dist[n + 1] ** 2
-        step = records[n + 1].step_norm
-        rhs = alpha[n] * dist[n] ** 2 - beta[n] * step * step + eps[n]
-        if lhs > rhs + _RTOL * max(1.0, abs(lhs), abs(rhs)):
-            fejer_ok, fejer_bad = False, n
-            break
-
-    obj_ok, obj_bad = True, None
-    for n in range(len(records) - 1):
-        cur, nxt = records[n].f_xn, records[n + 1].f_xn
-        if nxt > cur + _RTOL * max(1.0, abs(cur), abs(nxt)):
-            obj_ok, obj_bad = False, n
-            break
-
-    step_sq = sum(
-        b * records[n + 1].step_norm ** 2 for n, b in enumerate(beta)
-    )
+    step = column(records, "step_norm")[1:]
+    # the check squares the reported distances through C pow, as Python's
+    # float ** does: ** on an array multiplies, which can differ in the last bit
+    weighted = alpha * np.float_power(dist, 2)
+    fejer_bad = _first_rise(weighted[1:], weighted[:-1] - beta * step * step + eps)
+    f_xn = column(records, "f_xn")
+    obj_bad = _first_rise(f_xn[1:], f_xn[:-1])
     return DiagnosticsReport(
-        fejer_monotone=fejer_ok,
+        fejer_monotone=fejer_bad is None,
         fejer_first_violation=fejer_bad,
-        objective_monotone=obj_ok,
+        objective_monotone=obj_bad is None,
         objective_first_violation=obj_bad,
-        step_sq_sum=float(step_sq),
-        dist_series=dist,
-        quasi_fejer_slack=list(eps),
+        # a plain left-to-right sum: np.sum's pairwise order moves the last bits
+        step_sq_sum=float(sum((beta * np.float_power(step, 2)).tolist())),
+        dist_series=dist.tolist(),
+        quasi_fejer_slack=eps.tolist(),
     )

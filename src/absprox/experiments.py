@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import RunResult, run_fb, run_ppa, run_psg
+from .algorithms import RunResult, run_fb, run_ppa, run_psg, sq_distances
 from .config import ExperimentConfig, build_schedule, build_set, parse_config
 from .oracles import (
     AbsPlusSquare,
@@ -313,29 +313,22 @@ def run_named_experiment(name: str,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    if np.isnan(v):
-        return ""
-    return format(float(v), ".17g")
+_ROW = ",".join(["%d"] + ["%.17g"] * 7)
 
 
 def write_csv(result: RunResult, path: str, x_star=None) -> None:
-    """Write one run: fixed header, one row per record, NaN as empty field."""
-    x_star = None if x_star is None else np.atleast_1d(np.asarray(x_star, dtype=float))
+    """Write one run: fixed header, one row per record, NaN as empty field.
+
+    Raises ValueError unless ``x_star`` has the iterates' dimension.
+    """
+    records = result.records
+    dist = (np.full(len(records), np.nan) if x_star is None
+            else np.sqrt(sq_distances(records, x_star)))
     rows = [CSV_HEADER]
-    for r in result.records:
-        dist = np.nan if x_star is None else float(np.linalg.norm(x_star - r.x_n))
-        rows.append(",".join([
-            str(r.n),
-            _fmt(r.gamma_n),
-            _fmt(r.a_n),
-            _fmt(r.a_fn),
-            _fmt(r.f_xn),
-            _fmt(r.step_norm),
-            _fmt(dist),
-            _fmt(r.fejer),
-            r.stopped_by or "",
-        ]))
+    for r, d in zip(records, dist.tolist()):
+        # "%.17g" writes NaN as "nan", which no other numeric field contains
+        nums = _ROW % (r.n, r.gamma_n, r.a_n, r.a_fn, r.f_xn, r.step_norm, d, r.fejer)
+        rows.append(f"{nums.replace('nan', '')},{r.stopped_by or ''}")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(rows) + "\n")

@@ -236,11 +236,11 @@ def test_criterion_8_indicator_prox_is_projection():
 def test_criterion_9_fb_psg_equivalence():
     g = SmoothBlackBox(value=lambda p: float(p @ Q3 @ p),
                        gradient=lambda p: 2.0 * (Q3 @ p),
-                       kappa=lambda p: 4.0, eps=1e-9, dim=3)
+                       kappa=lambda p: 3.5, eps=0.5, dim=3)  # a_g = 4.0 exactly
     ball = Ball(np.zeros(3), 1.0)
     sched = PsgConstantGamma(gamma0=1.0, a0=200.0)
     x0 = [-5.0, 5.0, -5.0]
-    fb = run_fb(IndicatorSet(ball), g, x0, sched, 50, a_g_override=4.0)
+    fb = run_fb(IndicatorSet(ball), g, x0, sched, 50)
     psg = run_psg(QuadraticForm(Q3), ball, x0, sched, 50, a_f_override=4.0)
     worst = max(float(np.abs(rf.x_n - rp.x_n).max())
                 for rf, rp in zip(fb.records, psg.records))

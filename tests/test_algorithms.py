@@ -27,10 +27,12 @@ from absprox import (
     STOP_GUARD,
     STOP_NONFINITE,
     TheoremViolationWarning,
+    check_fejer,
     run_fb,
     run_ppa,
     run_psg,
     schedule_step,
+    write_csv,
 )
 from absprox.checks import Q3
 BALL3 = Ball(np.zeros(3), 1.0)
@@ -129,6 +131,19 @@ def test_ppa_fejer_column():
     assert all(vals[n + 1] <= vals[n] + 1e-10 for n in range(len(vals) - 1))
 
 
+@pytest.mark.parametrize("anchor", [[0.5], [0.5, 0.5]], ids=["short-1", "short-2"])
+@pytest.mark.parametrize("entry", ["set_fejer", "check_fejer", "write_csv"])
+def test_reference_of_the_wrong_dimension_raises(entry, anchor, tmp_path):
+    # a 1-vector anchor would otherwise broadcast over a 3-D run
+    res = run_psg(QuadraticForm(Q3), BALL3, [-5.0, 5.0, -5.0],
+                  PsgConstantGamma(gamma0=1.0, a0=200.0), 5, a_f_override=4.0)
+    call = {"set_fejer": lambda: res.set_fejer(anchor),
+            "check_fejer": lambda: check_fejer(res.records, anchor, "ppa"),
+            "write_csv": lambda: write_csv(res, str(tmp_path / "run.csv"), x_star=anchor)}
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call[entry]()
+
+
 # --- projected subgradient ---------------------------------------------------
 
 
@@ -185,12 +200,13 @@ def test_psg_nonfinite_schedule_aborts():
 # --- forward-backward --------------------------------------------------------
 
 
-def _quadratic_blackbox(a_hint=4.0):
+def _quadratic_blackbox():
+    # a_g = kappa + eps = 4.0 exactly, the threshold of <x, Q3 x>
     return SmoothBlackBox(
         value=lambda p: float(p @ Q3 @ p),
         gradient=lambda p: 2.0 * (Q3 @ p),
-        kappa=lambda p: a_hint,
-        eps=1e-9,
+        kappa=lambda p: 3.5,
+        eps=0.5,
         dim=3,
     )
 
@@ -204,7 +220,7 @@ def test_fb_requires_blackbox():
 def test_fb_degenerate_weight_raises_under_constant_schedule():
     with pytest.raises(DegenerateStepError):
         run_fb(IndicatorSet(BALL3), _quadratic_blackbox(), [0.5, 0.0, 0.0],
-               FbConstant(gamma0=1.0, a0=0.0, a_const=0.0), 3, a_g_override=4.0)
+               FbConstant(gamma0=1.0, a0=0.0, a_const=0.0), 3)
 
 
 @pytest.mark.parametrize("sched", [FbConstant(1.0, 1.0, a_const=1.0), PsgConstantGamma(1.0, 1.0)],
@@ -226,8 +242,7 @@ def test_fb_matches_psg_on_projection_problem():
     center collapses to the subgradient step, so both runs coincide."""
     sched = PsgConstantGamma(gamma0=1.0, a0=200.0)
     x0 = [-5.0, 5.0, -5.0]
-    fb = run_fb(IndicatorSet(BALL3), _quadratic_blackbox(), x0, sched, 50,
-                a_g_override=4.0)
+    fb = run_fb(IndicatorSet(BALL3), _quadratic_blackbox(), x0, sched, 50)
     psg = run_psg(QuadraticForm(Q3), BALL3, x0, sched, 50, a_f_override=4.0)
     assert len(fb.records) == len(psg.records)
     for rf, rp in zip(fb.records, psg.records):

@@ -31,6 +31,7 @@ from absprox.experiments import (
     named_experiment_configs,
     run_config,
     run_named_experiment,
+    write_csv,
 )
 
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "sweeps_sha256.json"
@@ -326,7 +327,6 @@ def test_run_config_reference_distance_column(tmp_path):
     # dist_to_ref is populated when a reference is given and empty when not
     run = run_config(parse_config(PPA_TEXT))
     assert run.x_star is not None and run.f_star == 0.0
-    from absprox.experiments import write_csv
 
     path = tmp_path / "with_ref.csv"
     write_csv(run.result, str(path), x_star=run.x_star)
@@ -336,6 +336,20 @@ def test_run_config_reference_distance_column(tmp_path):
     path2 = tmp_path / "no_ref.csv"
     write_csv(run.result, str(path2))
     assert path2.read_text().splitlines()[1].split(",")[6] == ""
+
+
+def test_a_huge_horizon_allocates_nothing_for_it(tmp_path):
+    # this run stops at the guard after 51 records; a horizon of 1e18 must
+    # cost no more than one of 101
+    text = EXPERIMENTS["psg-q3-const"]["template"].format(gamma=1.0, q3=Q3_TEXT)
+    csvs = []
+    for n_iter in ("101", "1e18"):
+        run = run_config(parse_config(_with(text, "N", n_iter)))
+        path = tmp_path / f"n{n_iter}.csv"
+        write_csv(run.result, str(path), x_star=run.x_star)
+        csvs.append(path.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(run.result.records) == 51 and run.result.terminal == "stepsize-guard"
 
 
 def _with(text, key, value):

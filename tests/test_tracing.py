@@ -1,16 +1,28 @@
-"""The benchmark tracer's entry points still exist and still see the calls.
+"""The benchmark tracer's entry points still exist and still see the calls,
+and a run still offers what the benchmark reads from it.
 
 ``bench/tracing.py`` wraps library functions by name; a refactor that stops
 calling those names would silently zero the per-layer figures.  The module
 is loaded from its source text, so nothing is written under ``bench/``.
 """
 
+import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from absprox import EXPERIMENTS, run_named_experiment
+from absprox import (
+    EXPERIMENTS,
+    Ball,
+    PsgAdaptiveV2,
+    QuadraticForm,
+    check_fejer,
+    run_named_experiment,
+    run_psg,
+)
+from absprox.checks import Q3
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -48,3 +60,29 @@ def test_bundled_sweeps_call_counts(tracing):
         "oracles.project": 1587,
         "prox.closed": 639,
     }
+
+
+def test_run_offers_what_the_bench_reads():
+    # bench/test_bench.py, outside tier-1, compares runs row by row, dumps
+    # record counts to JSON, perturbs a stored iterate, and compares reports
+    f = QuadraticForm(Q3)
+
+    def run():
+        return run_psg(f, Ball(np.zeros(3), 1.0), [0.3, -0.2, 0.1],
+                       PsgAdaptiveV2(gamma0=1.0, a0=5.0, epsilon=1.0), 20)
+
+    def rows(res):
+        return [(r.n, r.gamma_n, r.a_n, r.a_fn, r.x_n.tobytes(), r.f_xn, r.step_norm,
+                 r.fejer, r.stopped_by) for r in res.records]
+
+    first, second = run(), run()
+    assert np.isnan(first.records[0].fejer) and np.isnan(first.final.a_fn)
+    assert rows(first) == rows(second)  # NaN fields included
+    assert json.loads(json.dumps([r.n for r in first.records])) == list(range(21))
+    moved = first.records[2].x_n + 1e-4
+    first.records[2].x_n = moved
+    assert first.records[2].x_n is moved
+    # an array field would make == raise instead of answering
+    anchor = np.ones(3) / np.sqrt(3.0)
+    assert vars(check_fejer(second.records, anchor, "psg", f=f)) == vars(
+        check_fejer(second.records, anchor, "psg", f=f))
