@@ -1,9 +1,10 @@
 """Independent reference oracles.
 
 These routines deliberately avoid the main code paths (and, for the
-eigensolver, numpy.linalg) so they can arbitrate disagreements: a slow
-grid-plus-golden-section argmin, a cyclic Jacobi eigensolver, central
-finite differences, and a sampled global-inequality checker built on the
+eigensolver, numpy.linalg) so they can arbitrate disagreements: a
+brute-force grid-plus-golden-section argmin that solves a block of 1-D
+problems in one call, a cyclic Jacobi eigensolver, central finite
+differences, and a sampled global-inequality checker built on the
 deterministic RNG in :mod:`absprox.rng`.
 
 ``QuadraticForm`` takes its spectrum from LAPACK (``numpy.linalg.eigh``).
@@ -25,8 +26,11 @@ _INVPHI = 2.0 / (1.0 + np.sqrt(5.0))
 # golden section stops at this relative bracket width or iteration count
 _GOLDEN_TOL = 1e-12
 _GOLDEN_MAX_ITER = 400
-# points of the coarse scan in grid_argmin_1d
+# points of the coarse scan in grid_argmin_1d, and the problems it scans at
+# a time: 4 rows of 10k doubles make 320 KB temporaries, whose few live at
+# once stay inside a 2 MiB L2 cache (8 rows spill it and run slower)
 _GRID_NUM = 10_000
+_SCAN_ROWS = 4
 # Jacobi stops at this relative off-diagonal norm or sweep count
 _JACOBI_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 60
@@ -36,61 +40,107 @@ _FD_STEP = 1e-6
 _SAMPLER_RADIUS = 10.0
 
 
-def golden_section_min(h: Callable[[float], float], lo: float, hi: float) -> float:
-    """Minimize a unimodal scalar function on [lo, hi] by golden section."""
-    a, b = float(lo), float(hi)
+def golden_section_min(h: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
+    """Minimize unimodal functions by golden section, one lane per bracket.
+
+    ``lo`` and ``hi`` are brackets of any matching shape, and ``h`` maps an
+    array of points of that shape, one per lane, to their values.  All lanes
+    step in lock step, and a lane whose bracket width has fallen below
+    ``_GOLDEN_TOL`` relative to max(1, |a|, |b|) stays frozen while the
+    others go on, so each lane ends where a run on its bracket alone
+    would.  Returns the midpoints of the final brackets.
+    """
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     h1, h2 = h(x1), h(x2)
-    it = 0
-    while (b - a) > _GOLDEN_TOL * max(1.0, abs(a), abs(b)) and it < _GOLDEN_MAX_ITER:
-        if h1 <= h2:
-            b, x2, h2 = x2, x1, h1
-            x1 = b - _INVPHI * (b - a)
-            h1 = h(x1)
-        else:
-            a, x1, h1 = x1, x2, h2
-            x2 = a + _INVPHI * (b - a)
-            h2 = h(x2)
-        it += 1
+    for _ in range(_GOLDEN_MAX_ITER):
+        live = (b - a) > _GOLDEN_TOL * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+        if not live.any():
+            break
+        # a live lane keeps [a, x2] when h1 <= h2, else [x1, b]; a frozen
+        # lane keeps its bracket, and its inner points no longer matter
+        left = live & (h1 <= h2)
+        right = live ^ left
+        b = np.where(left, x2, b)
+        a = np.where(right, x1, a)
+        step = _INVPHI * (b - a)
+        new = np.where(left, b - step, a + step)
+        h_new = h(new)
+        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
+        h1, h2 = np.where(left, h_new, h2), np.where(left, h1, h_new)
     return 0.5 * (a + b)
 
 
-def grid_argmin_1d(h: Callable[[float], float], lo: float, hi: float) -> float:
-    """Global argmin of a scalar function on [lo, hi].
+def grid_argmin_1d(h: Callable[..., np.ndarray], lo: float, hi: float, *params):
+    """Global argmins of the functions z -> h(z, *p_i) on [lo, hi].
 
-    Coarse scan over ``_GRID_NUM`` points picks the best bracket, then golden
-    section polishes inside the two neighbouring cells.  The scan tries a
-    vectorized call first and falls back to a Python loop for callables
-    that only accept scalars.
+    Each row i of the 1-D parameter arrays ``params`` is one problem, and
+    ``h`` is called on arrays that broadcast: the coarse scan passes the
+    ``_GRID_NUM``-point grid with parameter columns of ``_SCAN_ROWS`` rows
+    at a time and expects a ``(rows, _GRID_NUM)`` block, and golden section
+    and the polish pass one point per problem with the parameter arrays
+    themselves.  So h always sees arrays, and its ``**`` multiplies (C
+    ``pow`` on Python floats can differ in the last bit).  Each row equals
+    the one-problem call ``grid_argmin_1d(lambda z: h(z, *p_i), lo, hi)``
+    bit for bit.
+
+    The scan picks the best grid point of each problem, then golden section
+    searches the two neighbouring cells.  A problem whose scan holds a NaN
+    has no trusted argmin, and its row is NaN.
+
+    ``h`` may also be a callable that only takes scalars: if the scan's
+    array call raises ``TypeError`` or ``ValueError`` or gives the wrong
+    shape, h is evaluated point by point.  With no ``params`` this solves
+    the one problem z -> h(z) and returns a float; with ``params`` it
+    returns an array of argmins, one per row.
     """
     grid = np.linspace(lo, hi, _GRID_NUM)
+    params = [np.asarray(p, dtype=float) for p in params]
     try:
-        vals = np.asarray(h(grid), dtype=float)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except Exception:
-        vals = np.array([h(float(t)) for t in grid], dtype=float)
-    k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, _GRID_NUM - 1)]
-    hs = lambda t: float(h(float(t)))
-    z = golden_section_min(hs, a, b)
+        k = _scan_argmin(h, grid, params)
+    except (TypeError, ValueError):  # h takes scalars only
+        h = np.vectorize(h, otypes=[float])
+        k = _scan_argmin(h, grid, params)
+    lanes = lambda z: h(z, *params)
+    a = grid[np.maximum(k - 1, 0)]
+    b = grid[np.minimum(k + 1, _GRID_NUM - 1)]
+    z = golden_section_min(lanes, a, b)
     # Value-only search cannot localize a smooth valley floor better than
     # ~sqrt(eps*|h|/h''), so polish with one finite-difference Newton step.
     # The step is capped at the stencil width and rejected unless the value
     # weakly improves, which keeps kink-bottom minimizers untouched.
-    d = 1e-5 * max(1.0, abs(z))
-    h0, hp, hm = hs(z), hs(z + d), hs(z - d)
-    g1 = (hp - hm) / (2.0 * d)
-    g2 = (hp - 2.0 * h0 + hm) / (d * d)
-    if np.isfinite(g1) and np.isfinite(g2) and g2 > 0.0:
-        step = -g1 / g2
-        cand = min(max(z + step, lo), hi)
-        tol_h = 8.0 * np.finfo(float).eps * max(1.0, abs(h0))
-        if abs(step) <= d and hs(cand) <= h0 + tol_h:
-            return cand
-    return z
+    d = 1e-5 * np.maximum(1.0, np.abs(z))
+    h0, hp, hm = lanes(z), lanes(z + d), lanes(z - d)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g1 = (hp - hm) / (2.0 * d)
+        g2 = (hp - 2.0 * h0 + hm) / (d * d)
+        newton = np.isfinite(g1) & np.isfinite(g2) & (g2 > 0.0)
+        step = np.where(newton, -g1 / g2, 0.0)
+    newton &= np.abs(step) <= d
+    cand = np.where(newton, np.minimum(np.maximum(z + step, lo), hi), z)
+    tol_h = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(h0))
+    z = np.where(newton & (lanes(cand) <= h0 + tol_h), cand, z)
+    z = np.where(k < 0, np.nan, z)
+    return z if params else float(z[0])
+
+
+def _scan_argmin(h, grid, params) -> np.ndarray:
+    """Index of each problem's least grid value, or -1 if its scan holds a
+    NaN, scanning ``_SCAN_ROWS`` problems at a time so each block of values
+    stays cache-sized."""
+    m = len(params[0]) if params else 1
+    k = np.empty(m, dtype=int)
+    for i in range(0, m, _SCAN_ROWS):
+        cols = [p[i:i + _SCAN_ROWS, None] for p in params]
+        vals = np.asarray(h(grid, *cols), dtype=float)
+        if vals.shape != np.broadcast_shapes(grid.shape, *(c.shape for c in cols)):
+            raise ValueError(f"h gave values of shape {vals.shape} on the scan")
+        vals = vals.reshape(-1, _GRID_NUM)
+        # argmin returns the first NaN of a row if it has one
+        ki = np.argmin(vals, axis=1)
+        k[i:i + _SCAN_ROWS] = np.where(np.isnan(vals[np.arange(len(ki)), ki]), -1, ki)
+    return k
 
 
 def eig_sym(q: np.ndarray):

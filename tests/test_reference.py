@@ -4,7 +4,9 @@ against numpy's LAPACK wrapper, which the production ``QuadraticForm`` uses.
 """
 
 import ast
+import hashlib
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import absprox.oracles
 import absprox.prox
 import absprox.reference
-from absprox.checks import Q3, Q5
+from absprox.checks import Q3, Q5, closed_form_prox
 from absprox.oracles import (AbsPlusSquare, Ball, Box, Halfspace, IndicatorSet, NormSquare,
                              QuadraticForm, SmoothBlackBox, eval_oracle, subgrad_at)
 from absprox.reference import (
@@ -55,6 +57,102 @@ def test_grid_argmin_scalar_only_callable():
         return float(z) ** 2  # TypeError on array input -> loop fallback
 
     assert grid_argmin_1d(h, -3, 3) == pytest.approx(0.0, abs=1e-9)
+
+    def h2(z, c):
+        return (float(z) - c) ** 2
+
+    assert grid_argmin_1d(h2, -3, 3, [0.5, -1.0]) == pytest.approx([0.5, -1.0], abs=1e-9)
+
+
+def _prox_objective(z, w, x0):
+    return np.abs(z) + z * z + w * (z - x0) ** 2
+
+
+def _prox_draws(seed, num):
+    """The (w, x0) of closed_form_prox's draws, w = 1/(2 gamma) + a0."""
+    rng = XorShift64Star(seed)
+    w, x0 = [], []
+    for _ in range(num):
+        gamma = rng.uniform(0.01, 10.0)
+        a0 = rng.uniform(-1.0 / (2.0 * gamma), 10.0)
+        x0.append(rng.uniform(-20.0, 20.0))
+        w.append(0.5 / gamma + a0)
+    return np.array(w), np.array(x0)
+
+
+def test_grid_argmin_block_rows_match_single_calls():
+    w, x0 = _prox_draws(2024, 1000)
+    # kink-bottom rows: |2 w x0| <= 1, so the argmin is 0
+    w = np.append(w, [0.5, 2.0, 10.0])
+    x0 = np.append(x0, [0.3, -0.2, 0.0])
+    block = grid_argmin_1d(_prox_objective, -25.0, 25.0, w, x0)
+    singles = [grid_argmin_1d(lambda z: _prox_objective(z, wi, xi), -25.0, 25.0)
+               for wi, xi in zip(w, x0)]
+    assert [float(v).hex() for v in block] == [v.hex() for v in singles]
+    assert np.abs(block[-3:]).max() <= 1e-8
+
+    # boundary minima: c z on [1, 4] is least at 1 for c > 0 and at 4 for c < 0
+    c = np.array([1.0, -2.0, 0.5])
+    block = grid_argmin_1d(lambda z, c: c * z, 1.0, 4.0, c)
+    singles = [grid_argmin_1d(lambda z: ci * z, 1.0, 4.0) for ci in c]
+    assert [float(v).hex() for v in block] == [v.hex() for v in singles]
+    assert block == pytest.approx([1.0, 4.0, 1.0], abs=1e-8)
+
+
+def test_golden_section_lanes_match_per_lane_calls():
+    # brackets of different widths converge after different step counts;
+    # the zero-width lane is frozen from the start
+    t = np.array([2.0, 0.25, 3.1, -7.0, 5.0])
+    lo = np.array([-10.0, 0.0, 3.0, -7.0, -1e6])
+    hi = np.array([10.0, 1.0, 3.0001, -7.0, 1e6])
+    lanes = golden_section_min(lambda z: (z - t) ** 2, lo, hi)
+    each = [golden_section_min(lambda z: (z - ti) ** 2, a, b) for ti, a, b in zip(t, lo, hi)]
+    assert [float(v).hex() for v in lanes] == [float(v).hex() for v in each]
+    assert lanes == pytest.approx(np.clip(t, lo, hi), abs=1e-6)
+
+
+def _with_nans(z, mode):
+    """(z + 1)^2, least at -1, with NaN on z > 2 (mode 1), in the one grid
+    cell nearest 3 (mode 2) or everywhere (mode 3)."""
+    nan = (((mode == 1) & (z > 2.0)) | ((mode == 2) & (np.abs(z - 3.0) < 5e-4))
+           | (mode == 3))
+    return np.where(nan, np.nan, (z + 1.0) ** 2)
+
+
+def test_grid_argmin_returns_nan_when_the_scan_holds_one():
+    for mode in (1.0, 2.0, 3.0):
+        assert np.isnan(grid_argmin_1d(lambda z: _with_nans(z, mode), -5.0, 5.0))
+    clean = grid_argmin_1d(lambda z: _with_nans(z, 0.0), -5.0, 5.0)
+    assert clean == pytest.approx(-1.0, abs=1e-9)
+
+    # in a block only the NaN rows go NaN; the others keep their bits
+    modes = np.array([0.0, 1.0, 0.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    got = grid_argmin_1d(_with_nans, -5.0, 5.0, modes)
+    assert np.array_equal(np.isnan(got), modes > 0)
+    assert {float(v).hex() for v in got[modes == 0]} == {clean.hex()}
+
+
+def test_grid_argmins_of_the_seed_11_draws_are_pinned():
+    # test_prox's 200 draws: SHA-256 of the float.hex of each one-problem
+    # argmin, recorded when golden section still ran on Python floats
+    w, x0 = _prox_draws(11, 200)
+    hexes = [float(grid_argmin_1d(lambda z: _prox_objective(z, wi, xi), -25.0, 25.0)).hex()
+             for wi, xi in zip(w, x0)]
+    digest = hashlib.sha256("\n".join(hexes).encode()).hexdigest()
+    assert digest == "0725797089e02b6493d385340829d527f3f425bd0c32fb278f96293ca69e4bf4"
+
+
+def test_closed_form_prox_scans_in_cache_sized_chunks():
+    # an unchunked scan of 1000 problems allocates about 76 MiB per temporary
+    closed_form_prox(XorShift64Star(2024), 10)  # lazy set-up outside the count
+    tracemalloc.start()
+    try:
+        [(_, ok, _)] = closed_form_prox(XorShift64Star(2024), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak <= 2 * 2**20
 
 
 # --- eigensolver -----------------------------------------------------------
