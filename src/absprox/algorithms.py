@@ -25,7 +25,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .oracles import Oracle, SetDescriptor, SmoothBlackBox, eval_oracle, feasible_range, subgrad_at
+from .oracles import (Oracle, SetDescriptor, SmoothBlackBox, _norm, eval_oracle, feasible_range,
+                      subgrad_at)
 from .prox import ProxRequest, prox_via_argmin
 
 __all__ = [
@@ -267,7 +268,7 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
             # 3: _iterate, run_ppa, then the caller of run_ppa
             warnings.warn(f"descent violated at iteration {n}: f went from "
                           f"{rec.f_xn} to {f_next}", TheoremViolationWarning, stacklevel=3)
-        step_norm = float(np.linalg.norm(x_next - rec.x_n))
+        step_norm = _norm(x_next - rec.x_n)
         rec = IterationRecord(n + 1, gamma_next, a_next, np.nan,
                               np.array(x_next, dtype=float), f_next, step_norm)
         records.append(rec)

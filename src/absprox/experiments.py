@@ -245,28 +245,35 @@ class ExperimentRun:
     f_star: float
 
 
-def _resolve_reference(cfg, f, result):
+def _resolve_reference(cfg, f, result, eigen: dict):
     """Reference point for diagnostics; eigen-based references pick the unit
     eigenvector of the smallest eigenvalue, signed toward the final iterate.
 
     The eigenvector comes from the Jacobi arbiter, not from the oracle's
     LAPACK decomposition: it is a diagnostic target, and the frozen
     ``dist_to_ref``/``fejer`` columns of the bundled sweeps carry its bits.
-    The parser admits ``auto_eigen`` only with ``Q``, so ``f`` is quadratic.
+    ``eigen`` holds the unsigned vector per matrix, so the runs that share
+    it solve once.  The parser admits ``auto_eigen`` only with ``Q``, so
+    ``f`` is quadratic.
     """
     if cfg.reference is None:
         return None
     if isinstance(cfg.reference, str):  # auto_eigen
-        v = eig_sym(f.q)[1][:, 0]
-        v = v / np.linalg.norm(v)
-        if float(v @ result.final.x_n) < 0.0:
-            v = -v
-        return v
+        key = f.q.tobytes()
+        if key not in eigen:
+            v = eig_sym(f.q)[1][:, 0]
+            eigen[key] = v / np.linalg.norm(v)
+        v = eigen[key]
+        return -v if float(v @ result.final.x_n) < 0.0 else v.copy()
     return np.atleast_1d(np.asarray(cfg.reference, dtype=float))
 
 
-def run_config(cfg: ExperimentConfig) -> ExperimentRun:
-    """Build everything from a parsed config and execute the run."""
+def run_config(cfg: ExperimentConfig, *, _eigen: dict | None = None) -> ExperimentRun:
+    """Build everything from a parsed config and execute the run.
+
+    ``_eigen`` lets the members of one sweep share their ``auto_eigen``
+    solve (see ``run_named_experiment``).
+    """
     f, g = build_oracle(cfg)
     sched = build_schedule(cfg)
     if cfg.algorithm == "ppa":
@@ -281,7 +288,7 @@ def run_config(cfg: ExperimentConfig) -> ExperimentRun:
 
     # the reference is resolved after the run: auto_eigen signs it toward
     # the final iterate
-    x_star = _resolve_reference(cfg, f, result)
+    x_star = _resolve_reference(cfg, f, result, {} if _eigen is None else _eigen)
     f_star = np.nan
     if x_star is not None:
         f_star = eval_oracle(f, x_star)
@@ -293,11 +300,13 @@ def run_named_experiment(name: str,
                          out_dir: str | None = None) -> list[tuple[str, ExperimentRun]]:
     """Run every sweep member of a named experiment; optionally write CSVs.
 
-    Returns (csv_path_or_label, run) pairs in sweep order.
+    Returns (csv_path_or_label, run) pairs in sweep order.  The members
+    share one ``auto_eigen`` solve, held only for this call.
     """
     out = []
+    eigen = {}
     for gamma, cfg in named_experiment_configs(name):
-        run = run_config(cfg)
+        run = run_config(cfg, _eigen=eigen)
         label = f"{name}-gamma{gamma:g}.csv"
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
@@ -313,24 +322,26 @@ def run_named_experiment(name: str,
 # ---------------------------------------------------------------------------
 
 
-_ROW = ",".join(["%d"] + ["%.17g"] * 7)
+# one record's numeric fields and the comma before its stop tag
+_ROW = ",".join(["%d"] + ["%.17g"] * 7) + ",\n"
 
 
 def write_csv(result: RunResult, path: str, x_star=None) -> None:
     """Write one run: fixed header, one row per record, NaN as empty field.
 
+    Only the last record carries a stop tag (see ``RunResult.terminal``).
     Raises ValueError unless ``x_star`` has the iterates' dimension.
     """
     records = result.records
     dist = (np.full(len(records), np.nan) if x_star is None
             else np.sqrt(sq_distances(records, x_star)))
-    rows = [CSV_HEADER]
+    values = []
     for r, d in zip(records, dist.tolist()):
-        # "%.17g" writes NaN as "nan", which no other numeric field contains
-        nums = _ROW % (r.n, r.gamma_n, r.a_n, r.a_fn, r.f_xn, r.step_norm, d, r.fejer)
-        rows.append(f"{nums.replace('nan', '')},{r.stopped_by or ''}")
+        values += (r.n, r.gamma_n, r.a_n, r.a_fn, r.f_xn, r.step_norm, d, r.fejer)
+    # "%.17g" writes NaN as "nan", which no other numeric field contains
+    body = (_ROW * len(records) % tuple(values)).replace("nan", "")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write(f"{CSV_HEADER}\n{body[:-1]}{records[-1].stopped_by or ''}\n")
     except OSError as e:
         raise OSError(f"cannot write CSV to {path}: {e}") from e

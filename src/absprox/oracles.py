@@ -23,6 +23,7 @@ a block (m, n) of points and returns their m values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,8 +52,20 @@ class EmptySubdifferentialError(ValueError):
     """The subdifferential at the requested point is empty (x outside dom f)."""
 
 
+_F64 = np.dtype(np.float64)
+
+
 def _vec(x) -> np.ndarray:
+    if type(x) is np.ndarray and x.dtype is _F64 and x.ndim:
+        return x  # what the conversion below would return
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a 1-D array: sqrt(v . v), bit for bit what np.linalg.norm
+    computes, or the overflow-safe ``math.hypot`` where v . v overflows."""
+    nd = math.sqrt(v.dot(v))
+    return nd if nd != math.inf else math.hypot(*v)
 
 
 # membership slack of the sets' ``contains``, relative to the set's size
@@ -85,9 +98,12 @@ class Ball:
     def project(self, x) -> np.ndarray:
         x = _vec(x)
         d = x - self.center
-        nd = float(np.linalg.norm(d))
+        nd = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic
         if nd <= self.radius:
             return x
+        if nd == math.inf:  # d . d overflows; d scaled to max |d_i| = 1 points the same way
+            d = d / np.abs(d).max()
+            nd = math.sqrt(d.dot(d))
         return self.center + (self.radius / nd) * d
 
     def contains(self, x):
@@ -133,7 +149,7 @@ class Halfspace:
     def __post_init__(self):
         object.__setattr__(self, "normal", _vec(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
-        if not float(np.linalg.norm(self.normal)) > 0.0:
+        if not _norm(self.normal) > 0.0:
             raise ValueError("halfspace normal must be nonzero")
 
     @property
@@ -141,7 +157,7 @@ class Halfspace:
         return self.normal.size
 
     def char_size(self) -> float:
-        return max(1.0, abs(self.offset) / float(np.linalg.norm(self.normal)))
+        return max(1.0, abs(self.offset) / _norm(self.normal))
 
     def project(self, x) -> np.ndarray:
         x = _vec(x)
@@ -149,10 +165,15 @@ class Halfspace:
         excess = float(n @ x) - self.offset
         if excess <= 0.0:
             return x
-        return x - (excess / float(n @ n)) * n
+        nn = float(n @ n)
+        if nn == math.inf:  # n . n overflows; rescale the normal to max |n_i| = 1
+            scale = float(np.abs(n).max())
+            n = n / scale
+            excess, nn = float(n @ x) - self.offset / scale, float(n @ n)
+        return x - (excess / nn) * n
 
     def contains(self, x):
-        nn = float(np.linalg.norm(self.normal))
+        nn = _norm(self.normal)
         return (np.vecdot(_vec(x), self.normal) - self.offset
                 <= _CONTAINS_TOL * self.char_size() * nn)
 

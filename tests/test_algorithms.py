@@ -179,6 +179,17 @@ def test_psg_iterates_feasible_after_first_step():
         assert float(np.linalg.norm(r.x_n)) <= 1.0 + 1e-12
 
 
+def test_psg_from_a_far_start_lands_on_the_ball():
+    # ||x0||^2 overflows; the first step must still project onto the
+    # boundary point nearest z and record a finite step length
+    res = run_psg(QuadraticForm(np.eye(2)), Ball(np.zeros(2), 1.0), [1e200, 1e200],
+                  PsgConstantGamma(gamma0=0.1, a0=1.0), 1)
+    x1 = res.records[1].x_n
+    assert np.allclose(x1, [2**-0.5, 2**-0.5], rtol=1e-15, atol=0)
+    assert res.records[1].f_xn == pytest.approx(1.0)
+    assert res.records[1].step_norm == pytest.approx(2**0.5 * 1e200)
+
+
 def test_psg_adaptive_v2_runs_full_horizon_frozen():
     sched = PsgAdaptiveV2(gamma0=1.0, a0=4.0, epsilon=1.0)
     q5 = np.array([[1.0, 0, -1, 1, 0], [0, 1, 1, -1, 0], [-1, 1, -1, 1, 1],

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -14,14 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absprox import (
+    Ball,
     FbConstant,
     PpaAdditive,
     PsgAdaptiveV1,
     PsgAdaptiveV2,
     PsgConstantGamma,
+    QuadraticForm,
     TheoremViolationWarning,
     cli,
     oracles,
+    run_psg,
 )
 from absprox.config import _SCHEDULES, ConfigError, build_schedule, parse_config
 from absprox.experiments import (
@@ -336,6 +340,58 @@ def test_run_config_reference_distance_column(tmp_path):
     path2 = tmp_path / "no_ref.csv"
     write_csv(run.result, str(path2))
     assert path2.read_text().splitlines()[1].split(",")[6] == ""
+
+
+def _csv_row_by_row(result, x_star=None):
+    """The CSV as a writer formatting one record at a time makes it: each
+    row's "nan" fields blanked, each row's own stop tag appended."""
+    rows = [CSV_HEADER]
+    for r in result.records:
+        d = np.nan if x_star is None else math.sqrt(float((x_star - r.x_n) @ (x_star - r.x_n)))
+        nums = ",".join(["%d"] + ["%.17g"] * 7) % (
+            r.n, r.gamma_n, r.a_n, r.a_fn, r.f_xn, r.step_norm, d, r.fejer)
+        rows.append(f"{nums.replace('nan', '')},{r.stopped_by or ''}")
+    return "\n".join(rows) + "\n"
+
+
+def _edge_runs():
+    q3_guard = run_config(parse_config(
+        EXPERIMENTS["psg-q3-const"]["template"].format(gamma=1.0, q3=Q3_TEXT)))
+    ppa = run_config(parse_config(_with(PPA_TEXT, "N", "5")))
+    ball = Ball(np.zeros(2), 1.0)
+    one = run_psg(QuadraticForm(np.eye(2)), ball, [0.5, 0.25],
+                  PsgConstantGamma(gamma0=0.1, a0=1.0), 0)
+    far = run_psg(QuadraticForm(np.eye(2)), ball, [1e200, 1e200],
+                  PsgConstantGamma(gamma0=0.1, a0=1.0), 3)
+    far.set_fejer(np.zeros(2))
+    far.records[2].a_n, far.records[2].gamma_n = -math.inf, math.inf
+    aborted = run_psg(QuadraticForm(np.eye(2)), ball, [0.5, 0.25],
+                      PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=-5.0, a_f_const=4.0), 20)
+    return {
+        "guard stop": (q3_guard.result, q3_guard.x_star, "stepsize-guard"),
+        "horizon, NaN a_f": (ppa.result, ppa.x_star, None),
+        "horizon, no reference": (ppa.result, None, None),
+        "one record": (one, np.array([1.0, 0.0]), None),
+        "inf fields": (far, np.zeros(2), None),
+        "nonfinite abort": (aborted, None, "nonfinite-abort"),
+    }
+
+
+def test_csv_bytes_match_a_row_by_row_writer(tmp_path):
+    runs = _edge_runs()
+    for label, (result, x_star, tag) in runs.items():
+        assert result.terminal == tag, label
+        path = tmp_path / "run.csv"
+        write_csv(result, str(path), x_star=x_star)
+        assert path.read_bytes() == _csv_row_by_row(result, x_star).encode(), label
+    one = tmp_path / "one.csv"
+    write_csv(runs["one record"][0], str(one))
+    assert one.read_text().splitlines()[1:] == ["0,0.10000000000000001,1,,0.3125,0,,,"]
+    far, anchor, _ = runs["inf fields"]
+    write_csv(far, str(one), x_star=anchor)
+    rows = one.read_text().splitlines()
+    assert rows[1].split(",")[4:8] == ["inf", "0", "inf", "inf"]
+    assert rows[3].split(",")[1:3] == ["inf", "-inf"]
 
 
 def test_a_huge_horizon_allocates_nothing_for_it(tmp_path):

@@ -20,6 +20,8 @@ from absprox import (
     SmoothBlackBox,
     eval_oracle,
     feasible_range,
+    oracles,
+    phi,
     subgrad_at,
 )
 from absprox.checks import Q3, certificates
@@ -273,3 +275,55 @@ def test_contains():
     assert not BALL.contains((4.0, 0.0))
     assert HALF.contains((0.0, 0.0))
     assert not HALF.contains((2.0, 1.0))
+
+
+def test_projections_of_far_points():
+    # x . x overflows to inf here, and at 1.5e308 so does ||x||; the
+    # projection must still land on the boundary point nearest x, not at
+    # the centre or back at x
+    ball = Ball(np.zeros(2), 1.0)
+    for far in (1e200, 1.5e308):
+        assert np.allclose(ball.project([far, far]), [2**-0.5, 2**-0.5], rtol=1e-15, atol=0)
+    assert np.array_equal(ball.project([1e200, 0.0]), [1.0, 0.0])
+    half = Halfspace(np.array([1e200, 0.0]), 1e200)  # {x : x_1 <= 1}
+    assert np.array_equal(half.project([3.0, 5.0]), [1.0, 5.0])
+    assert not half.contains([3.0, 5.0]) and half.contains([1.0, 5.0])
+    tilted = Halfspace(np.array([1.5e308, 1.5e308]), 0.0)  # {x : x_1 + x_2 <= 0}
+    assert np.array_equal(tilted.project([1.0, 1.0]), [0.0, 0.0])
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+_F64_CASES = [np.arange(3.0), np.arange(6.0).reshape(2, 3)]
+_CONVERTED_CASES = [
+    [1, 2.5], 3, 4.5, np.array(2.0), np.arange(3, dtype=np.float32),
+    np.arange(3, dtype=">f8"), np.arange(3.0).view(_Sub), np.arange(3),
+]
+
+
+@pytest.mark.parametrize("x", _F64_CASES)
+def test_vec_passes_float64_arrays_through(x):
+    assert oracles._vec(x) is x
+
+
+@pytest.mark.parametrize("x", _CONVERTED_CASES)
+def test_vec_converts_everything_else_as_numpy_does(x):
+    got, want = oracles._vec(x), np.atleast_1d(np.asarray(x, dtype=float))
+    assert type(got) is type(want) is np.ndarray
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # and phi's 1-D conversion agrees wherever the input is a vector
+    got = phi._vec(x)
+    assert type(got) is np.ndarray and got.dtype == want.dtype
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_phi_vec_passes_vectors_through_and_refuses_matrices():
+    x = np.arange(3.0)
+    assert phi._vec(x) is x
+    with pytest.raises(ValueError, match="1-D"):
+        phi._vec(np.arange(6.0).reshape(2, 3))
+    with pytest.raises(ValueError, match="1-D"):
+        phi._vec([[1.0, 2.0]])

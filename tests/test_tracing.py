@@ -51,7 +51,7 @@ def test_bundled_sweeps_call_counts(tracing):
             run_named_experiment(name)
     calls = {key: tracer.calls[key] for key in (
         "algorithms.schedule_step", "oracles.subgrad", "oracles.feasible_range",
-        "oracles.eval", "oracles.project", "prox.closed")}
+        "oracles.eval", "oracles.project", "prox.closed", "reference.eig_sym")}
     assert calls == {
         "algorithms.schedule_step": 2226,
         "oracles.subgrad": 1599,
@@ -59,6 +59,8 @@ def test_bundled_sweeps_call_counts(tracing):
         "oracles.eval": 2515,
         "oracles.project": 1587,
         "prox.closed": 639,
+        # one auto_eigen solve per sweep, not per member
+        "reference.eig_sym": 5,
     }
 
 
