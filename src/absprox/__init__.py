@@ -22,7 +22,6 @@ from .oracles import (
     Ball,
     Box,
     EmptySubdifferentialError,
-    FeasibleRange,
     Halfspace,
     IndicatorSet,
     NormSquare,

@@ -298,7 +298,7 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
         gamma_next, a_next = schedule_step(sched, gamma, a)
         # the consumed subgradient difference has coefficient a_n - a_{n+1};
         # it must stay feasible for f at the new iterate
-        if not feasible_range(f, x_next).admits(a - a_next):
+        if not a - a_next >= feasible_range(f, x_next):
             raise ScheduleInfeasibleError(
                 f"schedule decrement a_n - a_(n+1) = {a - a_next} is below the "
                 f"oracle's feasible threshold at iterate {rec.n + 1}"
@@ -369,7 +369,7 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
         elif sched.a_f_pin is not None:
             a_f = sched.a_f_pin
         else:
-            a_f = feasible_range(f, x).a_min
+            a_f = feasible_range(f, x)
         u = subgrad_at(f, x, a_f).u
         rec.a_fn = a_f
         denom = 1.0 + 2.0 * gamma * (a - a_f)

@@ -122,7 +122,7 @@ def verify_results() -> list[tuple[str, bool, str]]:
     for f in (AbsPlusSquare(), NormSquare(gamma=0.5, dim=2), QuadraticForm(Q3)):
         for k in range(25):
             x = rng.uniform_vector(-5, 5, f.dim)
-            cases.append((f, x, feasible_range(f, x).a_min + rng.uniform(0.0, 5.0), k + 1))
+            cases.append((f, x, feasible_range(f, x) + rng.uniform(0.0, 5.0), k + 1))
     results += certificates(cases, num=200) + below_threshold_control()
     cases = []
     for _ in range(1000):

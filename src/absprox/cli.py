@@ -89,7 +89,7 @@ def _cmd_reproduce(args) -> int:
         print(f"run failed: {e}", file=sys.stderr)
         return 3
     for path, run in runs:
-        print(f"{path}: gamma0={run.config.gamma0:g} records={len(run.result.records)} "
+        print(f"{path}: gamma0={run.config.schedule.gamma0:g} records={len(run.result.records)} "
               f"terminal={_terminal(run.result)} final_f={run.result.final.f_xn:.12g}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Flat `key = value` experiment configs.
+"""Flat `key = value` experiment configs, parsed into the objects a run takes.
 
 Grammar::
 
@@ -22,6 +22,10 @@ the algorithm cannot take (fb runs only ``hessian_example``, which only
 fb runs), ``auto_eigen`` without ``Q``, and sets or schedules their
 constructors would reject.  A number given for a set's center, bounds or
 normal stands for that number in every coordinate.
+
+A parsed :class:`ExperimentConfig` holds the run's objects, each built once
+from pieces that parsed: the oracle ``f``, fb's smooth part ``g``, psg's
+``set`` and the ``schedule``, which carries ``gamma0`` and ``a0``.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algorithms import FbConstant, PpaAdditive, PsgAdaptiveV1, PsgAdaptiveV2, PsgConstantGamma
-from .oracles import Ball, Box, Halfspace
+from .algorithms import (FbConstant, PpaAdditive, PsgAdaptiveV1, PsgAdaptiveV2, PsgConstantGamma,
+                         Schedule)
+from .oracles import (AbsPlusSquare, Ball, Box, Halfspace, IndicatorSet, Oracle, QuadraticForm,
+                      SetDescriptor, SmoothBlackBox)
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "build_set", "build_schedule"]
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "hessian_example"]
 
 _ALGORITHMS = ("ppa", "fb", "psg")
 _FUNCTIONS = ("abs_plus_square", "hessian_example")
@@ -56,6 +62,36 @@ _READ_BY = {"set": ("psg", "fb"), "a_f": ("psg",), "epsilon": ("fb",)}
 _SETS = {"ball": Ball, "box": Box, "halfspace": Halfspace}
 
 
+def _hessian_value(p: np.ndarray) -> float:
+    x, y = float(p[0]), float(p[1])
+    return x**4 / 12.0 + x**2 / 2.0 - y**4 / 12.0 - y**2 / 2.0
+
+
+def _hessian_gradient(p: np.ndarray) -> np.ndarray:
+    x, y = float(p[0]), float(p[1])
+    return np.array([x**3 / 3.0 + x, -(y**3) / 3.0 - y])
+
+
+def _hessian_kappa(p: np.ndarray) -> float:
+    # magnitude of the negative Hessian eigenvalue -(y^2 + 1)
+    return float(p[1]) ** 2 + 1.0
+
+
+def hessian_example(eps: float) -> SmoothBlackBox:
+    """The 2-D smooth function ``function = hessian_example`` names, with one
+    negative Hessian eigenvalue: g(x, y) = x^4/12 + x^2/2 - y^4/12 - y^2/2,
+    curvature rule y^2 + 1 + eps.
+
+    g is unbounded below along y, so it has no minimizer, and the bundled
+    fb-hessian runs drift off in y.  kappa(x, y) = y^2 + 1 bounds the curvature of -g only
+    near (x, y): at a point z, -g curves by z_y^2 + 1, which exceeds kappa
+    wherever |z_y| > |y|.  So the oracle's elements are certified locally,
+    not globally (see ``SmoothBlackBox``).
+    """
+    return SmoothBlackBox(value=_hessian_value, gradient=_hessian_gradient,
+                          kappa=_hessian_kappa, eps=eps, dim=2)
+
+
 class ConfigError(ValueError):
     """Carries the full list of config problems, one string per error."""
 
@@ -66,17 +102,20 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """The objects a parsed config's run takes.  ``f`` is ``Q``'s
+    ``QuadraticForm`` or ``AbsPlusSquare``; for fb it is the indicator of
+    the set, or without one the zero ``QuadraticForm``, and ``g`` is
+    ``hessian_example(epsilon)``.  ``set`` is psg's (None for ppa and fb).
+    ``schedule`` carries ``gamma0`` and ``a0``."""
+
     algorithm: str
     x0: np.ndarray
-    gamma0: float
-    a0: float
-    schedule: tuple  # (name, (args...))
+    f: Oracle
+    schedule: Schedule
     n_iter: int
-    function: str | None = None
-    q: np.ndarray | None = None
-    set_desc: tuple | None = None  # (kind, (args...))
+    g: SmoothBlackBox | None = None
+    set: SetDescriptor | None = None
     a_f: float | None = None
-    epsilon: float | None = None
     reference: np.ndarray | str | None = None  # vector or "auto_eigen"
     output: str | None = None
 
@@ -148,29 +187,16 @@ def _parse_set(text: str):
     return kind, (first, second)
 
 
-def _fit_set(desc: tuple, dim: int) -> tuple:
-    """Broadcast a set descriptor's numbers to vectors of dimension ``dim``
-    and check that the set can be built; raises ValueError."""
+def _fit_set(desc: tuple, dim: int) -> SetDescriptor:
+    """The set a (kind, args) descriptor names, its numbers broadcast to
+    vectors of dimension ``dim``; raises ValueError."""
     kind, args = desc
     # both box bounds are vectors; a radius or an offset stays a number
     vectors = 2 if kind == "box" else 1
     if any(np.size(a) not in (1, dim) for a in args[:vectors]):
         raise ValueError("set descriptor dimension does not match x0")
     args = tuple(np.broadcast_to(a, dim).copy() for a in args[:vectors]) + args[vectors:]
-    build_set((kind, args))
-    return kind, args
-
-
-def build_set(desc: tuple):
-    """The set a (kind, args) descriptor names."""
-    kind, args = desc
     return _SETS[kind](*args)
-
-
-def build_schedule(cfg: ExperimentConfig):
-    """The schedule a config names, with its gamma0 and a0."""
-    name, args = cfg.schedule
-    return _SCHEDULES[name](cfg.gamma0, cfg.a0, *args)
 
 
 def _parse_schedule(text: str):
@@ -192,7 +218,8 @@ def _parse_schedule(text: str):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate config text; raises ConfigError listing every problem."""
+    """Parse and validate config text and build its run's objects; raises
+    ConfigError listing every problem."""
     errors: list[str] = []
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -283,7 +310,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "Q" not in raw and "function" not in raw:
         errors.append("missing oracle: give Q or function")
 
-    set_desc = None
+    set_desc = set_c = None
     if "set" in raw:
         try:
             set_desc = _parse_set(raw["set"])
@@ -321,7 +348,7 @@ def parse_config(text: str) -> ExperimentConfig:
             fail("x0", "hessian_example is two-dimensional")
         if set_desc is not None:
             try:
-                set_desc = _fit_set(set_desc, dim)
+                set_c = _fit_set(set_desc, dim)
             except ValueError as e:
                 fail("set", str(e))
         if isinstance(reference, np.ndarray) and reference.size != dim:
@@ -359,8 +386,15 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
+    # every piece parsed, so no constructor below can refuse it
+    fb = algorithm == "fb"
+    if fb:  # f = 0 unless a set constrains the iterates
+        f = QuadraticForm(np.zeros((2, 2))) if set_c is None else IndicatorSet(set_c)
+    else:
+        f = AbsPlusSquare() if q is None else QuadraticForm(q)
+    name, args = schedule
     return ExperimentConfig(
-        algorithm=algorithm, x0=x0, gamma0=gamma0, a0=a0, schedule=schedule,
-        n_iter=n_iter, function=function, q=q, set_desc=set_desc, a_f=a_f,
-        epsilon=epsilon, reference=reference, output=raw.get("output"),
+        algorithm=algorithm, x0=x0, f=f, schedule=_SCHEDULES[name](gamma0, a0, *args),
+        n_iter=n_iter, g=hessian_example(epsilon) if fb else None,
+        set=None if fb else set_c, a_f=a_f, reference=reference, output=raw.get("output"),
     )

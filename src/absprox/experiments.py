@@ -14,20 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import RunResult, run_fb, run_ppa, run_psg, sq_distances
-from .config import ExperimentConfig, build_schedule, build_set, parse_config
-from .oracles import (
-    AbsPlusSquare,
-    IndicatorSet,
-    QuadraticForm,
-    SmoothBlackBox,
-    eval_oracle,
-)
+from .config import ExperimentConfig, parse_config
+from .oracles import eval_oracle
 from .reference import eig_sym
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentRun",
-    "build_oracle",
     "run_config",
     "run_named_experiment",
     "write_csv",
@@ -46,35 +39,6 @@ Q3_TEXT = "[[-2,2,2];[2,2,-2];[2,-2,2]]"
 # 5x5 indefinite symmetric matrix with eigenvalues (-3, -1, 1, 2, 2)
 Q5_TEXT = ("[[1,0,-1,1,0];[0,1,1,-1,0];[-1,1,-1,1,1];"
            "[1,-1,1,-1,1];[0,0,1,1,1]]")
-
-
-def _hessian_value(p: np.ndarray) -> float:
-    x, y = float(p[0]), float(p[1])
-    return x**4 / 12.0 + x**2 / 2.0 - y**4 / 12.0 - y**2 / 2.0
-
-
-def _hessian_gradient(p: np.ndarray) -> np.ndarray:
-    x, y = float(p[0]), float(p[1])
-    return np.array([x**3 / 3.0 + x, -(y**3) / 3.0 - y])
-
-
-def _hessian_kappa(p: np.ndarray) -> float:
-    # magnitude of the negative Hessian eigenvalue -(y^2 + 1)
-    return float(p[1]) ** 2 + 1.0
-
-
-def hessian_example(eps: float) -> SmoothBlackBox:
-    """The bundled 2-D smooth test function with one negative Hessian eigenvalue:
-    g(x, y) = x^4/12 + x^2/2 - y^4/12 - y^2/2, curvature rule y^2 + 1 + eps.
-
-    g is unbounded below along y, so it has no minimizer, and the bundled
-    fb-hessian runs drift off in y.  kappa(x, y) = y^2 + 1 bounds the curvature of -g only
-    near (x, y): at a point z, -g curves by z_y^2 + 1, which exceeds kappa
-    wherever |z_y| > |y|.  So the oracle's elements are certified locally,
-    not globally (see ``SmoothBlackBox``).
-    """
-    return SmoothBlackBox(value=_hessian_value, gradient=_hessian_gradient,
-                          kappa=_hessian_kappa, eps=eps, dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +184,8 @@ def named_experiment_configs(name: str) -> list[tuple[float, ExperimentConfig]]:
 
 
 # ---------------------------------------------------------------------------
-# Config -> objects -> run
+# Parsed config -> run
 # ---------------------------------------------------------------------------
-
-
-def build_oracle(cfg: ExperimentConfig):
-    """Returns (f, g) where g is the smooth part (fb only, else None)."""
-    if cfg.q is not None:
-        return QuadraticForm(cfg.q), None
-    if cfg.function == "abs_plus_square":
-        return AbsPlusSquare(), None
-    if cfg.function == "hessian_example":
-        # smooth part g with f identically zero
-        zero = QuadraticForm(np.zeros((2, 2)))
-        return zero, hessian_example(cfg.epsilon)
-    raise ValueError("config carries no oracle")
 
 
 @dataclass
@@ -245,7 +196,7 @@ class ExperimentRun:
     f_star: float
 
 
-def _resolve_reference(cfg, f, result, eigen: dict):
+def _resolve_reference(cfg, result, eigen: dict):
     """Reference point for diagnostics; eigen-based references pick the unit
     eigenvector of the smallest eigenvalue, signed toward the final iterate.
 
@@ -254,14 +205,15 @@ def _resolve_reference(cfg, f, result, eigen: dict):
     ``dist_to_ref``/``fejer`` columns of the bundled sweeps carry its bits.
     ``eigen`` holds the unsigned vector per matrix, so the runs that share
     it solve once.  The parser admits ``auto_eigen`` only with ``Q``, so
-    ``f`` is quadratic.
+    ``cfg.f`` is Q's ``QuadraticForm``.
     """
     if cfg.reference is None:
         return None
     if isinstance(cfg.reference, str):  # auto_eigen
-        key = f.q.tobytes()
+        q = cfg.f.q
+        key = q.tobytes()
         if key not in eigen:
-            v = eig_sym(f.q)[1][:, 0]
+            v = eig_sym(q)[1][:, 0]
             eigen[key] = v / np.linalg.norm(v)
         v = eigen[key]
         return -v if float(v @ result.final.x_n) < 0.0 else v.copy()
@@ -269,29 +221,24 @@ def _resolve_reference(cfg, f, result, eigen: dict):
 
 
 def run_config(cfg: ExperimentConfig, *, _eigen: dict | None = None) -> ExperimentRun:
-    """Build everything from a parsed config and execute the run.
+    """Execute the run of a parsed config on the objects it holds.
 
     ``_eigen`` lets the members of one sweep share their ``auto_eigen``
     solve (see ``run_named_experiment``).
     """
-    f, g = build_oracle(cfg)
-    sched = build_schedule(cfg)
     if cfg.algorithm == "ppa":
-        result = run_ppa(f, cfg.x0, sched, cfg.n_iter)
+        result = run_ppa(cfg.f, cfg.x0, cfg.schedule, cfg.n_iter)
     elif cfg.algorithm == "psg":
-        result = run_psg(f, build_set(cfg.set_desc), cfg.x0, sched, cfg.n_iter,
-                         a_f_override=cfg.a_f)
-    else:  # fb, whose config always names the smooth part
-        if cfg.set_desc is not None:
-            f = IndicatorSet(build_set(cfg.set_desc))
-        result = run_fb(f, g, cfg.x0, sched, cfg.n_iter)
+        result = run_psg(cfg.f, cfg.set, cfg.x0, cfg.schedule, cfg.n_iter, a_f_override=cfg.a_f)
+    else:
+        result = run_fb(cfg.f, cfg.g, cfg.x0, cfg.schedule, cfg.n_iter)
 
     # the reference is resolved after the run: auto_eigen signs it toward
     # the final iterate
-    x_star = _resolve_reference(cfg, f, result, {} if _eigen is None else _eigen)
+    x_star = _resolve_reference(cfg, result, {} if _eigen is None else _eigen)
     f_star = np.nan
     if x_star is not None:
-        f_star = eval_oracle(f, x_star)
+        f_star = eval_oracle(cfg.f, x_star)
         result.set_fejer(x_star)
     return ExperimentRun(config=cfg, result=result, x_star=x_star, f_star=f_star)
 

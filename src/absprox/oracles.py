@@ -40,7 +40,6 @@ __all__ = [
     "AbsPlusSquare",
     "IndicatorSet",
     "SmoothBlackBox",
-    "FeasibleRange",
     "EmptySubdifferentialError",
     "eval_oracle",
     "feasible_range",
@@ -161,21 +160,29 @@ class Halfspace:
 
     def project(self, x) -> np.ndarray:
         x = _vec(x)
-        n = self.normal
-        excess = float(n @ x) - self.offset
+        n, b = self.normal, self.offset
+        excess = float(n @ x) - b
         if excess <= 0.0:
             return x
         nn = float(n @ n)
         if nn == math.inf:  # n . n overflows; rescale the normal to max |n_i| = 1
             scale = float(np.abs(n).max())
-            n = n / scale
-            excess, nn = float(n @ x) - self.offset / scale, float(n @ n)
+            n, b = n / scale, b / scale
+            excess, nn = float(n @ x) - b, float(n @ n)
+        if excess == math.inf:  # n . x overflows; project x scaled to max |x_i| = 1
+            scale = float(np.abs(x).max())
+            x = x / scale
+            return scale * (x - ((float(n @ x) - b / scale) / nn) * n)
         return x - (excess / nn) * n
 
     def contains(self, x):
-        nn = _norm(self.normal)
-        return (np.vecdot(_vec(x), self.normal) - self.offset
-                <= _CONTAINS_TOL * self.char_size() * nn)
+        n, b = self.normal, self.offset
+        nn = _norm(n)
+        if nn == math.inf:  # ||n|| overflows; rescale the normal to max |n_i| = 1
+            scale = float(np.abs(n).max())
+            n, b = n / scale, b / scale
+            nn = _norm(n)
+        return np.vecdot(_vec(x), n) - b <= _CONTAINS_TOL * self.char_size() * nn
 
 
 SetDescriptor = Ball | Box | Halfspace
@@ -186,27 +193,17 @@ SetDescriptor = Ball | Box | Halfspace
 # ---------------------------------------------------------------------------
 #
 # Each class carries its behaviour: ``value(x)``, ``feasible_range(x)`` (the
-# admissible coefficients at x), ``element(x, a)`` (the subdifferential
-# element for an admissible a) and, except SmoothBlackBox, ``prox(req)``
-# (the closed-form proximal point for a ProxRequest).  ``value`` and the
-# sets' ``contains`` take a point (n,) or a block (m, n) of points, one
-# result per row, each row bit for bit its single-point result.  The methods
-# assume points of the right dimension; callers go through the module
-# functions below, which check it.
+# least admissible coefficient a_min at x), ``element(x, a)`` (the
+# subdifferential element for an admissible a) and, except SmoothBlackBox,
+# ``prox(req)`` (the closed-form proximal point for a ProxRequest).
+# ``value`` and the sets' ``contains`` take a point (n,) or a block (m, n)
+# of points, one result per row, each row bit for bit its single-point
+# result.  The methods assume points of the right dimension; callers go
+# through the module functions below, which check it.
 
 
 class UnboundedObjectiveError(ValueError):
     """The regularized objective has no minimizer (unbounded below)."""
-
-
-@dataclass(frozen=True)
-class FeasibleRange:
-    """Half-line of admissible coefficients a >= a_min; NaN is never admitted."""
-
-    a_min: float
-
-    def admits(self, a: float) -> bool:
-        return a >= self.a_min
 
 
 @dataclass(frozen=True)
@@ -223,8 +220,8 @@ class NormSquare:
     def value(self, x):
         return np.vecdot(x, x) / (2.0 * self.gamma)
 
-    def feasible_range(self, x) -> FeasibleRange:
-        return FeasibleRange(-1.0 / (2.0 * self.gamma))
+    def feasible_range(self, x) -> float:
+        return -1.0 / (2.0 * self.gamma)
 
     def element(self, x, a: float) -> PhiElement:
         return PhiElement(a, (1.0 / self.gamma + 2.0 * a) * x)
@@ -268,8 +265,8 @@ class QuadraticForm:
         # the rows' x @ q @ x bit for bit; a block x @ q is not
         return np.vecdot(np.matvec(self.q.T, x), x)
 
-    def feasible_range(self, x) -> FeasibleRange:
-        return FeasibleRange(-self.min_eigenvalue)
+    def feasible_range(self, x) -> float:
+        return -self.min_eigenvalue
 
     def element(self, x, a: float) -> PhiElement:
         return PhiElement(a, 2.0 * (self.q @ x + a * x))
@@ -333,8 +330,8 @@ class AbsPlusSquare:
         t = x[..., 0]
         return np.abs(t) + t * t
 
-    def feasible_range(self, x) -> FeasibleRange:
-        return FeasibleRange(-1.0)
+    def feasible_range(self, x) -> float:
+        return -1.0
 
     def element(self, x, a: float) -> PhiElement:
         t = float(x[0])
@@ -358,12 +355,12 @@ class IndicatorSet:
     def value(self, x):
         return np.where(self.set.contains(x), 0.0, np.inf)
 
-    def feasible_range(self, x) -> FeasibleRange:
+    def feasible_range(self, x) -> float:
         if not self.set.contains(x):
             raise EmptySubdifferentialError(
                 "point lies outside the indicator's set; subdifferential is empty"
             )
-        return FeasibleRange(-np.inf)
+        return -math.inf
 
     def element(self, x, a: float) -> PhiElement:
         # x = Proj_C(u/(2a)) holds with u = 2a*x whenever a >= 0; there is no
@@ -406,8 +403,8 @@ class SmoothBlackBox:
     def default_coefficient(self, x) -> float:
         return float(self.kappa(_vec(x))) + self.eps
 
-    def feasible_range(self, x) -> FeasibleRange:
-        return FeasibleRange(float(self.kappa(x)))
+    def feasible_range(self, x) -> float:
+        return float(self.kappa(x))
 
     def element(self, x, a: float) -> PhiElement:
         return PhiElement(a, 2.0 * a * x + _vec(self.gradient(x)))
@@ -437,8 +434,9 @@ def eval_oracle(f: Oracle, x) -> float | np.ndarray:
     return f.value(x)
 
 
-def feasible_range(f: Oracle, x) -> FeasibleRange:
-    """Admissible coefficients a at x.  Raises if x is outside dom f."""
+def feasible_range(f: Oracle, x) -> float:
+    """a_min, the least admissible coefficient at x: the admissible ones are
+    a >= a_min, which no NaN satisfies.  Raises if x is outside dom f."""
     x = _vec(x)
     _check_dim(f, x)
     return f.feasible_range(x)
@@ -459,9 +457,7 @@ def subgrad_at(f: Oracle, x, a: float | None = None) -> PhiElement:
         else:
             raise TypeError("coefficient a is required for this oracle")
     a = float(a)
-    rng = feasible_range(f, x)
-    if not rng.admits(a):
-        raise InfeasibleCoefficientError(
-            f"a={a} below the feasible threshold a_min={rng.a_min}"
-        )
+    a_min = feasible_range(f, x)
+    if not a >= a_min:
+        raise InfeasibleCoefficientError(f"a={a} below the feasible threshold a_min={a_min}")
     return f.element(x, a)

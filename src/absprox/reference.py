@@ -87,21 +87,14 @@ def grid_argmin_1d(h: Callable[..., np.ndarray], lo: float, hi: float, *params):
 
     The scan picks the best grid point of each problem, then golden section
     searches the two neighbouring cells.  A problem whose scan holds a NaN
-    has no trusted argmin, and its row is NaN.
-
-    ``h`` may also be a callable that only takes scalars: if the scan's
-    array call raises ``TypeError`` or ``ValueError`` or gives the wrong
-    shape, h is evaluated point by point.  With no ``params`` this solves
-    the one problem z -> h(z) and returns a float; with ``params`` it
-    returns an array of argmins, one per row.
+    has no trusted argmin, and its row is NaN.  With no ``params`` this
+    solves the one problem z -> h(z) and returns a float; with ``params``
+    it returns an array of argmins, one per row.  Raises ValueError if the
+    scan's values do not have the broadcast shape.
     """
     grid = np.linspace(lo, hi, _GRID_NUM)
     params = [np.asarray(p, dtype=float) for p in params]
-    try:
-        k = _scan_argmin(h, grid, params)
-    except (TypeError, ValueError):  # h takes scalars only
-        h = np.vectorize(h, otypes=[float])
-        k = _scan_argmin(h, grid, params)
+    k = _scan_argmin(h, grid, params)
     lanes = lambda z: h(z, *params)
     a = grid[np.maximum(k - 1, 0)]
     b = grid[np.minimum(k + 1, _GRID_NUM - 1)]

@@ -38,7 +38,8 @@ from absprox import (
 from absprox import checks
 from absprox.checks import Q3, Q5
 from absprox.diagnostics import check_fejer
-from absprox.experiments import build_oracle, hessian_example, run_named_experiment
+from absprox.config import hessian_example
+from absprox.experiments import run_named_experiment
 from absprox.oracles import AbsPlusSquare
 from absprox.reference import eig_sym, fd_gradient
 from absprox.rng import XorShift64Star
@@ -53,7 +54,7 @@ def report(num: int, label: str, ok: bool, detail: str = ""):
 
 
 def sweep(name: str):
-    return {r.config.gamma0: r for _, r in run_named_experiment(name)}
+    return {r.config.schedule.gamma0: r for _, r in run_named_experiment(name)}
 
 
 def test_criterion_1_eigenvalues():
@@ -79,7 +80,7 @@ def test_criterion_2_psg_constant_stepsize():
     r1 = runs[1.0]
     gap = abs(r1.result.final.f_xn + 4.0)
     diag = check_fejer(r1.result.records, r1.x_star, "psg",
-                       f=build_oracle(r1.config)[0])
+                       f=r1.config.f)
     small = runs[0.01].result
     early = (small.terminal == STOP_GUARD
              and len(small.records) < small.records[-1].n + 2
@@ -96,7 +97,7 @@ def test_criterion_3_psg_adaptive_coupling():
     gap = abs(runs[1.0].result.final.f_xn + 3.0)
     identity_ok = True
     for r in runs.values():
-        eps = r.config.schedule[1][0]
+        eps = r.config.schedule.epsilon
         for rec in r.result.records[1:]:
             if np.isnan(rec.a_fn):
                 continue  # final point queried no subgradient
@@ -258,11 +259,11 @@ def _fb_hessian_by_hand(cfg):
     x_{n+1} = x_n - grad g(x_n)/(2 c_n) with c_n = 1/(2 gamma) + a_n - a_g(x_n),
     a_g(x, y) = y^2 + 1 + eps and a_{n+1} = a_n - a_g(x_n), stopping at the
     first c_n <= 0.  Returns the points x_n, the a_n and the a_g."""
-    x, a = np.array(cfg.x0, dtype=float), float(cfg.a0)
+    x, a = np.array(cfg.x0, dtype=float), float(cfg.schedule.a0)
     xs, a_ns, a_gs = [x], [a], []
     for _ in range(cfg.n_iter):
-        a_g = x[1] ** 2 + 1.0 + cfg.epsilon
-        c = 0.5 / cfg.gamma0 + a - a_g
+        a_g = x[1] ** 2 + 1.0 + cfg.g.eps
+        c = 0.5 / cfg.schedule.gamma0 + a - a_g
         a_gs.append(a_g)
         if c <= 0.0:
             break
@@ -320,7 +321,7 @@ def test_criterion_10_fb_hessian_example():
                      and recs[-1].stopped_by == STOP_GUARD
                      and all(c > 0.0 for c in c_run[:-1]) and c_run[-1] <= 0.0)
         # c_n <= 1/(2 gamma) + a0 - (n + 1)(1 + eps), since every a_g >= 1 + eps
-        max_steps = int(np.ceil((0.5 / gamma + cfg.a0) / (1.0 + cfg.epsilon)))
+        max_steps = int(np.ceil((0.5 / gamma + cfg.schedule.a0) / (1.0 + cfg.g.eps)))
         bound_ok &= len(recs) - 1 <= max_steps < cfg.n_iter
         details.append(f"gamma={gamma}: {len(recs)} records vs {len(xs)} by hand, "
                        f"tag={run.result.terminal}, c_last={c_run[-1]:.3g}, "

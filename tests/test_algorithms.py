@@ -261,7 +261,7 @@ def test_fb_matches_psg_on_projection_problem():
 
 
 def test_fb_hessian_sweep_guard_stop_frozen():
-    from absprox.experiments import hessian_example
+    from absprox.config import hessian_example
 
     g = hessian_example(0.1)
     zero = QuadraticForm(np.zeros((2, 2)))

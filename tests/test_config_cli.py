@@ -1,6 +1,7 @@
 """Config parsing and command-line behavior."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,8 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absprox import (
+    AbsPlusSquare,
     Ball,
     FbConstant,
+    Halfspace,
+    IndicatorSet,
     PpaAdditive,
     PsgAdaptiveV1,
     PsgAdaptiveV2,
@@ -27,7 +31,7 @@ from absprox import (
     oracles,
     run_psg,
 )
-from absprox.config import _SCHEDULES, ConfigError, build_schedule, parse_config
+from absprox.config import _SCHEDULES, ConfigError, hessian_example, parse_config
 from absprox.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -84,14 +88,23 @@ def errors_of(text):
     return ei.value.errors
 
 
+def _same(got, want) -> bool:
+    """== for the objects a config holds, with array fields compared by
+    np.array_equal: == on a dataclass that holds arrays raises."""
+    if not dataclasses.is_dataclass(want):
+        return np.array_equal(got, want)
+    return type(got) is type(want) and all(
+        _same(getattr(got, fd.name), getattr(want, fd.name))
+        for fd in dataclasses.fields(want) if fd.compare)
+
+
 def test_parse_psg_config():
     cfg = parse_config(PSG_TEXT)
     assert cfg.algorithm == "psg"
-    assert cfg.q.shape == (2, 2) and cfg.q[0, 1] == 2.0
-    assert cfg.set_desc[0] == "ball"
+    assert _same(cfg.f, QuadraticForm(np.array([[1.0, 2.0], [2.0, 1.0]])))
+    assert _same(cfg.set, Ball(np.zeros(2), 1.0)) and cfg.g is None
     np.testing.assert_array_equal(cfg.x0, [3.0, -3.0])
-    assert cfg.gamma0 == 1.0 and cfg.a0 == 50.0 and cfg.a_f == 3.0
-    assert cfg.schedule == ("psg_constant", ())
+    assert cfg.schedule == PsgConstantGamma(gamma0=1.0, a0=50.0) and cfg.a_f == 3.0
     assert cfg.n_iter == 40
     assert cfg.reference == "auto_eigen"
     assert cfg.output is None
@@ -100,9 +113,9 @@ def test_parse_psg_config():
 def test_parse_ppa_config():
     cfg = parse_config(PPA_TEXT)
     assert cfg.algorithm == "ppa"
-    assert cfg.function == "abs_plus_square" and cfg.q is None
+    assert cfg.f == AbsPlusSquare() and cfg.g is None and cfg.set is None
     np.testing.assert_array_equal(cfg.x0, [-10.0])  # scalar promoted to 1-vector
-    assert cfg.schedule == ("ppa_additive", (0.9,))
+    assert cfg.schedule == PpaAdditive(gamma0=0.5, a0=1.0, delta=0.9)
     np.testing.assert_array_equal(cfg.reference, [0.0])
     assert cfg.output == "somewhere.csv"
 
@@ -110,9 +123,13 @@ def test_parse_ppa_config():
 def test_parse_fb_config():
     cfg = parse_config(FB_TEXT)
     assert cfg.algorithm == "fb"
-    assert cfg.function == "hessian_example"
-    assert cfg.epsilon == 0.1
-    assert cfg.set_desc is None
+    # f = 0 without a set, the set's indicator with one; fb has no psg set
+    assert _same(cfg.f, QuadraticForm(np.zeros((2, 2))))
+    assert cfg.g == hessian_example(0.1) and cfg.set is None
+    assert cfg.schedule == PsgConstantGamma(gamma0=0.1, a0=200.0)
+    cfg = parse_config(_with(FB_TEXT, "set", "ball(0, 10)"))
+    assert _same(cfg.f, IndicatorSet(Ball(np.zeros(2), 10.0)))
+    assert cfg.g == hessian_example(0.1) and cfg.set is None
 
 
 def test_errors_are_collected_not_first_only():
@@ -229,7 +246,7 @@ def test_bundled_experiments_all_parse():
         pairs = named_experiment_configs(name)
         assert [g for g, _ in pairs] == list(EXPERIMENTS[name]["gammas"])
         for gamma, cfg in pairs:
-            assert cfg.gamma0 == gamma
+            assert cfg.schedule.gamma0 == gamma
     with pytest.raises(KeyError, match="unknown experiment"):
         named_experiment_configs("nope")
 
@@ -477,14 +494,15 @@ def test_cli_refuses_what_a_run_would_ignore_or_crash_on(tmp_path, base, edits, 
 
 
 # per schedule name: a base config of an algorithm that takes it, its
-# arguments, and the schedule the constructor builds from them directly
+# arguments, and the schedule the constructor builds from them and the
+# base's gamma0 and a0 directly
 _SCHEDULE_CASES = {
-    "ppa_additive": (PPA_PLAIN, "0.5", lambda g, a: PpaAdditive(g, a, delta=0.5)),
-    "psg_constant": (PSG_PLAIN, "", lambda g, a: PsgConstantGamma(g, a)),
+    "ppa_additive": (PPA_PLAIN, "0.5", PpaAdditive(0.5, 1.0, delta=0.5)),
+    "psg_constant": (PSG_PLAIN, "", PsgConstantGamma(1.0, 50.0)),
     "psg_adaptive_v1": (PSG_PLAIN, "0.5, 0.25",
-                        lambda g, a: PsgAdaptiveV1(g, a, a_const=0.5, a_f_const=0.25)),
-    "psg_adaptive_v2": (PSG_PLAIN, "0.5", lambda g, a: PsgAdaptiveV2(g, a, epsilon=0.5)),
-    "fb_constant": (FB_TEXT, "0.5", lambda g, a: FbConstant(g, a, a_const=0.5)),
+                        PsgAdaptiveV1(1.0, 50.0, a_const=0.5, a_f_const=0.25)),
+    "psg_adaptive_v2": (PSG_PLAIN, "0.5", PsgAdaptiveV2(1.0, 50.0, epsilon=0.5)),
+    "fb_constant": (FB_TEXT, "0.5", FbConstant(0.1, 200.0, a_const=0.5)),
 }
 
 
@@ -492,8 +510,8 @@ _SCHEDULE_CASES = {
 def test_each_schedule_name_builds_its_schedule(name):
     base, args, direct = _SCHEDULE_CASES[name]
     cfg = parse_config(_with(base, "schedule", f"{name}({args})"))
-    assert build_schedule(cfg) == direct(cfg.gamma0, cfg.a0)
-    k = len(cfg.schedule[1])
+    assert cfg.schedule == direct
+    k = args.count(",") + 1 if args else 0
     extra = f"{name}({args}, 1)" if args else f"{name}(1)"
     assert any(f"schedule {name} takes {k} parameter(s), got {k + 1}" in e
                for e in errors_of(_with(base, "schedule", extra)))
@@ -503,7 +521,7 @@ def test_set_numbers_broadcast_to_x0(tmp_path):
     # a number stands for itself in every coordinate, so a scalar halfspace
     # normal and a scalar ball center work in any dimension
     cfg = parse_config(_with(PSG_PLAIN, "set", "halfspace(1, 0)"))
-    np.testing.assert_array_equal(cfg.set_desc[1][0], [1.0, 1.0])
+    assert _same(cfg.set, Halfspace(np.ones(2), 0.0))
     assert _run_cli(tmp_path, _with(PSG_PLAIN, "set", "halfspace(1, 0)"))[0] == 0
     assert _run_cli(tmp_path, _with(FB_TEXT, "set", "ball(0, 10)"))[0] == 0
 

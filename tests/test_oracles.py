@@ -111,11 +111,12 @@ def test_black_box_callback_sees_one_row_per_call():
 
 
 def test_feasible_ranges():
-    assert feasible_range(NormSquare(gamma=2.0), (1.0,)).a_min == -0.25
-    assert feasible_range(QuadraticForm(Q3), np.ones(3)).a_min == pytest.approx(4.0, abs=1e-9)
-    assert feasible_range(AbsPlusSquare(), (0.0,)).a_min == -1.0
-    rng = feasible_range(IndicatorSet(Ball(np.zeros(2), 1.0)), (0.0, 0.0))
-    assert rng.a_min == -np.inf and rng.admits(-1e9)
+    assert feasible_range(NormSquare(gamma=2.0), (1.0,)) == -0.25
+    assert feasible_range(QuadraticForm(Q3), np.ones(3)) == pytest.approx(4.0, abs=1e-9)
+    assert feasible_range(AbsPlusSquare(), (0.0,)) == -1.0
+    a_min = feasible_range(IndicatorSet(Ball(np.zeros(2), 1.0)), (0.0, 0.0))
+    assert type(a_min) is float and a_min == -np.inf
+    assert -1e9 >= a_min and not np.nan >= a_min
 
 
 def test_quadratic_form_rejects_bad_matrices():
@@ -290,6 +291,16 @@ def test_projections_of_far_points():
     assert not half.contains([3.0, 5.0]) and half.contains([1.0, 5.0])
     tilted = Halfspace(np.array([1.5e308, 1.5e308]), 0.0)  # {x : x_1 + x_2 <= 0}
     assert np.array_equal(tilted.project([1.0, 1.0]), [0.0, 0.0])
+    # ||n|| overflows too, which must not make every point a member
+    assert tilted.contains([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]).tolist() == [False, True, True]
+    assert eval_oracle(IndicatorSet(tilted), [1.0, 1.0]) == np.inf
+    # n . x overflows while n . n does not, or overflows as well
+    for n, x, b, want in (([1.0, -1.0], [1e308, -1e308], 0.0, [0.0, 0.0]),
+                          ([1e200, -1e200], [1e308, -1e308], 0.0, [0.0, 0.0]),
+                          ([1.0, -1.0], [1.5e308, -0.5e308], 0.0, [5e307, 5e307]),
+                          ([1.0, -1.0], [1.5e308, -1.5e308], 1e308, [5e307, -5e307])):
+        got = Halfspace(np.array(n), b).project(x)
+        assert np.allclose(got, want, rtol=1e-15, atol=0), (n, x, b)
 
 
 class _Sub(np.ndarray):

@@ -52,16 +52,12 @@ def test_grid_argmin_large_offset():
     assert grid_argmin_1d(h, -20, 20) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_grid_argmin_scalar_only_callable():
-    def h(z):
-        return float(z) ** 2  # TypeError on array input -> loop fallback
-
-    assert grid_argmin_1d(h, -3, 3) == pytest.approx(0.0, abs=1e-9)
-
-    def h2(z, c):
-        return (float(z) - c) ** 2
-
-    assert grid_argmin_1d(h2, -3, 3, [0.5, -1.0]) == pytest.approx([0.5, -1.0], abs=1e-9)
+def test_grid_argmin_refuses_values_of_the_wrong_shape():
+    # h is always called on arrays, so one value for the whole scan raises
+    with pytest.raises(ValueError, match="shape"):
+        grid_argmin_1d(lambda z: 1.0, -3, 3)
+    with pytest.raises(ValueError, match="shape"):
+        grid_argmin_1d(lambda z, c: z, -3, 3, [0.5, -1.0])
 
 
 def _prox_objective(z, w, x0):
