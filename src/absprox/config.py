@@ -4,35 +4,42 @@ Grammar::
 
     algorithm = psg                     # ppa | fb | psg
     Q = [[-2,2,2];[2,2,-2];[2,-2,2]]    # matrix rows separated by ';'
+    function = abs_plus_square          # instead of Q: abs_plus_square | hessian_example
     set = ball(0,1)                     # ball(c,r) | box(lo,hi) | halfspace(n,b)
     x0 = [-5,5,-5]
     gamma0 = 1
     a0 = 200
     a_f = 4                             # optional oracle-coefficient pin
+    epsilon = 0.1                       # fb's curvature margin
     schedule = psg_constant             # or name(args): ppa_additive(0.9), ...
     N = 101
     reference = auto_eigen              # or a vector; optional
     output = run.csv                    # optional
 
+What each algorithm takes (one ``_METHODS`` row each)::
+
+    algorithm  oracle              schedules                                       requires  reads
+    ppa        Q, abs_plus_square  ppa_additive                                    -         -
+    fb         hessian_example     fb_constant, psg_constant, psg_adaptive_v2      epsilon   set
+    psg        Q, abs_plus_square  psg_constant, psg_adaptive_v1, psg_adaptive_v2  set       a_f
+
 `#` starts a comment.  Parsing collects every error (with line numbers)
 instead of stopping at the first.  It refuses what a run could not use:
-unknown keys, non-finite numbers, keys the chosen algorithm never reads
-(``set`` for ppa, ``a_f`` outside psg, ``epsilon`` outside fb), an oracle
-the algorithm cannot take (fb runs only ``hessian_example``, which only
-fb runs), ``auto_eigen`` without ``Q``, and sets or schedules their
+unknown keys, non-finite numbers, a vector not written ``[...]``, an empty
+call argument, a key, oracle or schedule the table does not give the
+algorithm, ``auto_eigen`` without ``Q``, and sets or schedules their
 constructors would reject.  A number given for a set's center, bounds or
-normal stands for that number in every coordinate.
-
-A parsed :class:`ExperimentConfig` holds the run's objects, each built once
-from pieces that parsed: the oracle ``f``, fb's smooth part ``g``, psg's
-``set`` and the ``schedule``, which carries ``gamma0`` and ``a0``.
+normal stands for that number in every coordinate.  A parsed
+:class:`ExperimentConfig` holds the objects its run takes.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -43,8 +50,22 @@ from .oracles import (AbsPlusSquare, Ball, Box, Halfspace, IndicatorSet, Oracle,
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "hessian_example"]
 
-_ALGORITHMS = ("ppa", "fb", "psg")
-_FUNCTIONS = ("abs_plus_square", "hessian_example")
+
+# One row per algorithm: the oracles it takes ("Q" or function names), the
+# schedules it steps with, the keys it reads of those only some algorithms
+# read, and the keys it requires, each with the words its refusal uses.
+_Method = namedtuple("_Method", "oracles schedules reads requires", defaults=((), {}))
+
+
+_METHODS = {
+    "ppa": _Method(("Q", "abs_plus_square"), ("ppa_additive",)),
+    "fb": _Method(("hessian_example",), ("fb_constant", "psg_constant", "psg_adaptive_v2"),
+                  reads=("set", "epsilon"), requires={"epsilon": "epsilon (curvature margin)"}),
+    "psg": _Method(("Q", "abs_plus_square"), ("psg_constant", "psg_adaptive_v1", "psg_adaptive_v2"),
+                   reads=("set", "a_f"), requires={"set": "a set"}),
+}
+_OPTIONAL = {key for m in _METHODS.values() for key in m.reads}
+_FUNCTIONS = {"abs_plus_square": 1, "hessian_example": 2}  # name -> dimension
 # a schedule's arguments are its constructor's fields after gamma0 and a0
 _SCHEDULES = {
     "ppa_additive": PpaAdditive,
@@ -53,12 +74,6 @@ _SCHEDULES = {
     "psg_adaptive_v2": PsgAdaptiveV2,
     "fb_constant": FbConstant,
 }
-_KNOWN_KEYS = (
-    "algorithm", "function", "Q", "set", "x0", "gamma0", "a0", "a_f",
-    "schedule", "N", "epsilon", "reference", "output",
-)
-# keys that only some algorithms read
-_READ_BY = {"set": ("psg", "fb"), "a_f": ("psg",), "epsilon": ("fb",)}
 _SETS = {"ball": Ball, "box": Box, "halfspace": Halfspace}
 
 
@@ -131,51 +146,62 @@ def _parse_number(text: str) -> float:
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    inner = text.strip()[1:-1].strip()
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError(f"vector must look like [...], got {text!r}")
+    inner = text[1:-1].strip()
     if not inner:
         raise ValueError("empty vector")
     return np.array([_parse_number(t) for t in inner.split(",")], dtype=float)
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    body = text.strip()
-    if not (body.startswith("[[") and body.endswith("]]")):
+    if not (text.startswith("[[") and text.endswith("]]")):
         raise ValueError("matrix must look like [[...];[...]]")
-    rows = body[1:-1].split(";")
-    parsed = [_parse_vector(r.strip()) for r in rows]
-    lens = {len(r) for r in parsed}
-    if len(lens) != 1:
+    parsed = [_parse_vector(r) for r in text[1:-1].split(";")]
+    if len({len(r) for r in parsed}) != 1:
         raise ValueError("matrix rows have unequal lengths")
-    return np.array(parsed, dtype=float)
+    q = np.array(parsed, dtype=float)
+    if q.shape[0] != q.shape[1]:
+        raise ValueError("Q must be square")
+    if not np.array_equal(q, q.T):
+        raise ValueError("Q must be symmetric")
+    return q
+
+
+def _parse_count(text: str) -> int:
+    try:
+        value = _parse_number(text)
+        if value == int(value) and value >= 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"N must be a nonnegative integer, got {text!r}")
 
 
 _CALL_RE = re.compile(r"^([a-z_0-9]+)\s*(?:\((.*)\))?$")
 
 
-def _split_args(argtext: str) -> list[str]:
-    """Split top-level comma-separated arguments, respecting brackets."""
-    out, depth, cur = [], 0, []
-    for ch in argtext:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur).strip())
-    return [a for a in out if a]
-
-
-def _parse_set(text: str):
-    m = _CALL_RE.match(text.strip())
+def _parse_call(text: str, what: str) -> tuple[str, list[str]]:
+    """``name`` or ``name(args)``: the name and its comma-separated arguments."""
+    m = _CALL_RE.match(text)
     if not m:
-        raise ValueError(f"malformed set descriptor {text!r}")
-    kind, argtext = m.group(1), m.group(2) or ""
-    args = _split_args(argtext)
+        raise ValueError(f"malformed {what} {text!r}")
+    argtext, args, depth = (m.group(2) or "").strip(), [], 0
+    for piece in argtext.split(",") if argtext else ():
+        if depth:  # the comma sits inside a bracket
+            args[-1] += "," + piece
+        else:
+            args.append(piece)
+        depth += piece.count("[") - piece.count("]")
+    args = [a.strip() for a in args]
+    if "" in args:
+        raise ValueError(f"empty argument in {text!r}")
+    return m.group(1), args
+
+
+def _parse_set(text: str) -> tuple[str, tuple]:
+    kind, args = _parse_call(text, "set descriptor")
     if kind not in _SETS:
         raise ValueError(f"unknown set kind {kind!r}")
     if len(args) != 2:
@@ -199,16 +225,11 @@ def _fit_set(desc: tuple, dim: int) -> SetDescriptor:
     return _SETS[kind](*args)
 
 
-def _parse_schedule(text: str):
-    m = _CALL_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"malformed schedule {text!r}")
-    name, argtext = m.group(1), m.group(2)
+def _parse_schedule(text: str) -> tuple[str, tuple]:
+    name, args = _parse_call(text, "schedule")
     if name not in _SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {name!r} (known: {', '.join(sorted(_SCHEDULES))})"
-        )
-    args = tuple(_parse_number(a) for a in _split_args(argtext or ""))
+        raise ValueError(f"unknown schedule {name!r} (known: {', '.join(sorted(_SCHEDULES))})")
+    args = tuple(_parse_number(a) for a in args)
     want = len(fields(_SCHEDULES[name])) - 2
     if len(args) != want:
         raise ValueError(f"schedule {name} takes {want} parameter(s), got {len(args)}")
@@ -217,13 +238,48 @@ def _parse_schedule(text: str):
     return name, args
 
 
+def _parse_reference(text: str) -> np.ndarray | str:
+    if text == "auto_eigen":
+        return text
+    if not text.startswith("["):
+        raise ValueError(f"reference must be auto_eigen or a vector, got {text!r}")
+    try:
+        return _parse_vector(text)
+    except ValueError as e:
+        raise ValueError(f"bad reference vector: {e}") from None
+
+
+def _parse_output(text: str) -> str:
+    if not text:
+        raise ValueError("output needs a path")
+    return text
+
+
+def _one_of(key: str, names, text: str) -> str:
+    if text not in names:
+        raise ValueError(f"{key} must be one of {tuple(names)}, got {text!r}")
+    return text
+
+
+# one parser per key, each taking the value text and returning the value or
+# raising ValueError with the problem; its keys are the keys a config may have
+_PARSERS = {
+    "algorithm": partial(_one_of, "algorithm", _METHODS),
+    "function": partial(_one_of, "function", _FUNCTIONS),
+    "Q": _parse_matrix, "set": _parse_set, "schedule": _parse_schedule, "N": _parse_count,
+    "x0": lambda t: _parse_vector(t) if t.startswith("[") else np.array([_parse_number(t)]),
+    **dict.fromkeys(("gamma0", "a0", "a_f", "epsilon"), _parse_number),
+    "reference": _parse_reference, "output": _parse_output,
+}
+# reference prefixes its vector problems itself, as its other one has none
+_PREFIXES = {"Q": "bad matrix: ", "x0": "bad x0: "}
+_REQUIRED = ("algorithm", "x0", "gamma0", "a0", "schedule", "N")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text and build its run's objects; raises
     ConfigError listing every problem."""
-    errors: list[str] = []
-    raw: dict[str, str] = {}
-    lines: dict[str, int] = {}
-
+    errors, raw, lines = [], {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -232,169 +288,87 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, value = (s.strip() for s in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             errors.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        if key in raw:
+        elif key in raw:
             errors.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        raw[key] = value
-        lines[key] = lineno
+        else:
+            raw[key], lines[key] = value, lineno
 
     def fail(key, msg):
-        errors.append(f"line {lines.get(key, 0)}: {msg}")
+        errors.append(f"line {lines[key]}: {msg}")
 
-    # required keys
-    for key in ("algorithm", "x0", "gamma0", "a0", "schedule", "N"):
-        if key not in raw:
-            errors.append(f"missing required key {key!r}")
-
-    algorithm = raw.get("algorithm", "")
-    if "algorithm" in raw and algorithm not in _ALGORITHMS:
-        fail("algorithm", f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
-
-    x0 = None
-    if "x0" in raw:
+    errors += [f"missing required key {key!r}" for key in _REQUIRED if key not in raw]
+    vals = {}
+    for key, value in raw.items():
         try:
-            x0 = _parse_vector(raw["x0"]) if raw["x0"].startswith("[") \
-                else np.array([_parse_number(raw["x0"])])
+            vals[key] = _PARSERS[key](value)
         except ValueError as e:
-            fail("x0", f"bad x0: {e}")
-
-    def number(key, default=None):
-        if key not in raw:
-            return default
-        try:
-            return _parse_number(raw[key])
-        except ValueError as e:
-            fail(key, str(e))
-            return default
-
-    gamma0 = number("gamma0")
-    a0 = number("a0")
-    a_f = number("a_f")
-    epsilon = number("epsilon")
-    if gamma0 is not None and gamma0 <= 0:
-        fail("gamma0", "gamma must be positive")
-    if epsilon is not None and epsilon <= 0:
-        fail("epsilon", "epsilon must be positive")
-
-    n_iter = None
-    if "N" in raw:
-        try:
-            n_val = _parse_number(raw["N"])
-            if n_val != int(n_val) or n_val < 0:
-                raise ValueError
-            n_iter = int(n_val)
-        except ValueError:
-            fail("N", f"N must be a nonnegative integer, got {raw['N']!r}")
-
-    q = None
-    if "Q" in raw:
-        try:
-            q = _parse_matrix(raw["Q"])
-            if q.shape[0] != q.shape[1]:
-                raise ValueError("Q must be square")
-            if not np.array_equal(q, q.T):
-                raise ValueError("Q must be symmetric")
-        except ValueError as e:
-            fail("Q", f"bad matrix: {e}")
-            q = None
-
-    function = raw.get("function")
-    if function is not None and function not in _FUNCTIONS:
-        fail("function", f"function must be one of {_FUNCTIONS}, got {function!r}")
-
+            fail(key, f"{_PREFIXES.get(key, '')}{e}")
+    # checked here, not by the parsers, so that a nonpositive epsilon still
+    # counts as given for fb
+    for key, word in (("gamma0", "gamma"), ("epsilon", "epsilon")):
+        if vals.get(key, 1.0) <= 0:
+            fail(key, f"{word} must be positive")
     if "Q" in raw and "function" in raw:
         fail("function", "give either Q or function, not both")
     if "Q" not in raw and "function" not in raw:
         errors.append("missing oracle: give Q or function")
-
-    set_desc = set_c = None
-    if "set" in raw:
-        try:
-            set_desc = _parse_set(raw["set"])
-        except ValueError as e:
-            fail("set", str(e))
-
-    schedule = None
-    if "schedule" in raw:
-        try:
-            schedule = _parse_schedule(raw["schedule"])
-        except ValueError as e:
-            fail("schedule", str(e))
-
-    reference = None
-    if "reference" in raw:
-        ref = raw["reference"].strip()
-        if ref == "auto_eigen":
-            reference = "auto_eigen"
-        elif ref.startswith("["):
-            try:
-                reference = _parse_vector(ref)
-            except ValueError as e:
-                fail("reference", f"bad reference vector: {e}")
-        else:
-            fail("reference", f"reference must be auto_eigen or a vector, got {ref!r}")
+    if raw.get("reference") == "auto_eigen" and "Q" not in raw:
+        fail("reference", "auto_eigen needs a quadratic oracle (Q)")
 
     # cross-field consistency (only when the pieces parsed)
+    x0, q, set_c = vals.get("x0"), vals.get("Q"), None
     if x0 is not None:
         dim = x0.size
         if q is not None and q.shape != (dim, dim):
             fail("Q", f"Q is {q.shape[0]}x{q.shape[1]} but x0 has dimension {dim}")
-        if function == "abs_plus_square" and dim != 1:
-            fail("x0", "abs_plus_square is one-dimensional")
-        if function == "hessian_example" and dim != 2:
-            fail("x0", "hessian_example is two-dimensional")
-        if set_desc is not None:
+        function_dim = _FUNCTIONS.get(vals.get("function"), dim)
+        if function_dim != dim:
+            fail("x0", f"{vals['function']} is {('one', 'two')[function_dim - 1]}-dimensional")
+        if "set" in vals:
             try:
-                set_c = _fit_set(set_desc, dim)
+                set_c = _fit_set(vals["set"], dim)
             except ValueError as e:
                 fail("set", str(e))
+        reference = vals.get("reference")
         if isinstance(reference, np.ndarray) and reference.size != dim:
             fail("reference", "reference vector dimension does not match x0")
 
-    if algorithm == "psg" and "set" not in raw:
-        errors.append("psg requires a set")
-    for key, readers in _READ_BY.items():
-        if key in raw and algorithm in _ALGORITHMS and algorithm not in readers:
+    algorithm = vals.get("algorithm")
+    method = _METHODS.get(algorithm)
+    if method is not None:
+        for key, what in method.requires.items():
+            # a set that does not parse is named by its own error, while an
+            # epsilon that is not a number counts as missing
+            if key not in (raw if key == "set" else vals):
+                errors.append(f"{algorithm} requires {what}")
+        for key in sorted(_OPTIONAL & raw.keys() - set(method.reads)):
             fail(key, f"{key} is not used by algorithm {algorithm}")
-    if algorithm == "fb":
-        if "Q" in raw or function not in (None, "hessian_example"):
-            fail("Q" if "Q" in raw else "function",
-                 "fb supports the hessian_example function")
-        if epsilon is None:
-            errors.append("fb requires epsilon (curvature margin)")
-    elif function == "hessian_example" and algorithm in _ALGORITHMS:
-        fail("function", f"hessian_example is the smooth part of fb, not an "
-                         f"oracle for {algorithm}")
-    if raw.get("output") == "":
-        fail("output", "output needs a path")
-    if isinstance(reference, str) and "Q" not in raw:  # auto_eigen
-        fail("reference", "auto_eigen needs a quadratic oracle (Q)")
-
-    if schedule is not None and algorithm in _ALGORITHMS:
-        name = schedule[0]
-        compatible = {
-            "ppa": ("ppa_additive",),
-            "psg": ("psg_constant", "psg_adaptive_v1", "psg_adaptive_v2"),
-            "fb": ("fb_constant", "psg_constant", "psg_adaptive_v2"),
-        }[algorithm]
-        if name not in compatible:
-            fail("schedule", f"schedule {name} is not usable with algorithm {algorithm}")
-
+        # fb's function is its smooth part g, so fb refuses any other oracle;
+        # ppa and psg refuse a function only fb takes
+        given = {k: raw[k] if k == "function" else k for k in ("Q", "function") if k in raw}
+        refused = [k for k, oracle in given.items() if oracle not in method.oracles]
+        if refused and "Q" not in method.oracles:
+            fail(refused[0], f"{algorithm} supports the {method.oracles[0]} function")
+        elif "function" in refused and raw["function"] in _FUNCTIONS:
+            fail("function", f"{raw['function']} is the smooth part of fb, "
+                             f"not an oracle for {algorithm}")
+        if "schedule" in vals and vals["schedule"][0] not in method.schedules:
+            fail("schedule", f"schedule {vals['schedule'][0]} is not usable with "
+                             f"algorithm {algorithm}")
     if errors:
         raise ConfigError(errors)
 
     # every piece parsed, so no constructor below can refuse it
-    fb = algorithm == "fb"
-    if fb:  # f = 0 unless a set constrains the iterates
+    g = hessian_example(vals["epsilon"]) if algorithm == "fb" else None
+    if g is not None:  # f = 0 unless a set constrains the iterates; fb has no psg set
         f = QuadraticForm(np.zeros((2, 2))) if set_c is None else IndicatorSet(set_c)
+        set_c = None
     else:
         f = AbsPlusSquare() if q is None else QuadraticForm(q)
-    name, args = schedule
+    name, args = vals["schedule"]
     return ExperimentConfig(
-        algorithm=algorithm, x0=x0, f=f, schedule=_SCHEDULES[name](gamma0, a0, *args),
-        n_iter=n_iter, g=hessian_example(epsilon) if fb else None,
-        set=None if fb else set_c, a_f=a_f, reference=reference, output=raw.get("output"),
-    )
+        algorithm=algorithm, x0=x0, f=f, n_iter=vals["N"], g=g, set=set_c,
+        schedule=_SCHEDULES[name](vals["gamma0"], vals["a0"], *args),
+        a_f=vals.get("a_f"), reference=vals.get("reference"), output=vals.get("output"))

@@ -158,31 +158,30 @@ class Halfspace:
     def char_size(self) -> float:
         return max(1.0, abs(self.offset) / _norm(self.normal))
 
+    def _excess(self, x: np.ndarray):
+        """(n, e, s) for a point x or per row of a block: the normal n, rescaled
+        with the offset b to max |n_i| = 1 where n . n overflows, and
+        s e = n . x - b.  s is 1 unless the products n_i x_i overflow at a
+        finite point; there s = max |x_i| and e is computed on x / s, so a
+        far point on the boundary reads 0, not inf or NaN."""
+        n, b = self.normal, self.offset
+        if float(n @ n) == math.inf:
+            scale = float(np.abs(n).max())
+            n, b = n / scale, b / scale
+        e = np.vecdot(x, n) - b
+        if np.isfinite(e).all():
+            return n, e, 1.0
+        s = np.where(np.isfinite(e) | ~np.isfinite(x).all(axis=-1), 1.0, np.abs(x).max(axis=-1))
+        return n, np.vecdot(x / s[..., None], n) - b / s, s
+
     def project(self, x) -> np.ndarray:
         x = _vec(x)
-        n, b = self.normal, self.offset
-        excess = float(n @ x) - b
-        if excess <= 0.0:
-            return x
-        nn = float(n @ n)
-        if nn == math.inf:  # n . n overflows; rescale the normal to max |n_i| = 1
-            scale = float(np.abs(n).max())
-            n, b = n / scale, b / scale
-            excess, nn = float(n @ x) - b, float(n @ n)
-        if excess == math.inf:  # n . x overflows; project x scaled to max |x_i| = 1
-            scale = float(np.abs(x).max())
-            x = x / scale
-            return scale * (x - ((float(n @ x) - b / scale) / nn) * n)
-        return x - (excess / nn) * n
+        n, e, s = self._excess(x)
+        return x if e <= 0.0 else s * (x / s - (e / float(n @ n)) * n)
 
     def contains(self, x):
-        n, b = self.normal, self.offset
-        nn = _norm(n)
-        if nn == math.inf:  # ||n|| overflows; rescale the normal to max |n_i| = 1
-            scale = float(np.abs(n).max())
-            n, b = n / scale, b / scale
-            nn = _norm(n)
-        return np.vecdot(_vec(x), n) - b <= _CONTAINS_TOL * self.char_size() * nn
+        n, e, s = self._excess(_vec(x))
+        return e * s <= _CONTAINS_TOL * self.char_size() * _norm(n)
 
 
 SetDescriptor = Ball | Box | Halfspace

@@ -478,6 +478,14 @@ _REFUSED = {
     "adaptive-v2-eps-0": (PSG_PLAIN, {"schedule": "psg_adaptive_v2(0)"},
                           "epsilon must be positive"),
     "empty-output": (PSG_PLAIN, {"output": ""}, "output needs a path"),
+    "x0-unclosed": (PSG_PLAIN, {"x0": "[3,-33"}, "bad x0: vector must look like [...]"),
+    "x0-paren": (PSG_PLAIN, {"x0": "[3,-3)"}, "bad x0: vector must look like [...]"),
+    "reference-unclosed": (PSG_PLAIN, {"reference": "[1,22"},
+                           "bad reference vector: vector must look like [...]"),
+    "set-empty-arg": (PSG_PLAIN, {"set": "ball(0,,1)"}, "empty argument in 'ball(0,,1)'"),
+    "set-empty-first-arg": (PSG_PLAIN, {"set": "ball(,0,1)"}, "empty argument in 'ball(,0,1)'"),
+    "schedule-empty-arg": (PSG_PLAIN, {"schedule": "psg_adaptive_v1(5,,4)"},
+                           "empty argument in 'psg_adaptive_v1(5,,4)'"),
 }
 
 
@@ -515,6 +523,78 @@ def test_each_schedule_name_builds_its_schedule(name):
     extra = f"{name}({args}, 1)" if args else f"{name}(1)"
     assert any(f"schedule {name} takes {k} parameter(s), got {k + 1}" in e
                for e in errors_of(_with(base, "schedule", extra)))
+
+
+# What each algorithm takes, written out here rather than read from the
+# parser's table: (algorithm, key, value) -> None when the config parses,
+# else the key whose line is refused and the one problem reported.  An
+# "oracle" case gives Q or a function, with an x0 of its dimension.
+_COMPATIBILITY = {
+    ("ppa", "schedule", "ppa_additive(0.5)"): None,
+    ("ppa", "schedule", "psg_constant"):
+        ("schedule", "schedule psg_constant is not usable with algorithm ppa"),
+    ("ppa", "schedule", "psg_adaptive_v1(5, 4)"):
+        ("schedule", "schedule psg_adaptive_v1 is not usable with algorithm ppa"),
+    ("ppa", "schedule", "psg_adaptive_v2(0.5)"):
+        ("schedule", "schedule psg_adaptive_v2 is not usable with algorithm ppa"),
+    ("ppa", "schedule", "fb_constant(5)"):
+        ("schedule", "schedule fb_constant is not usable with algorithm ppa"),
+    ("fb", "schedule", "ppa_additive(0.5)"):
+        ("schedule", "schedule ppa_additive is not usable with algorithm fb"),
+    ("fb", "schedule", "psg_constant"): None,
+    ("fb", "schedule", "psg_adaptive_v1(5, 4)"):
+        ("schedule", "schedule psg_adaptive_v1 is not usable with algorithm fb"),
+    ("fb", "schedule", "psg_adaptive_v2(0.5)"): None,
+    ("fb", "schedule", "fb_constant(5)"): None,
+    ("psg", "schedule", "ppa_additive(0.5)"):
+        ("schedule", "schedule ppa_additive is not usable with algorithm psg"),
+    ("psg", "schedule", "psg_constant"): None,
+    ("psg", "schedule", "psg_adaptive_v1(5, 4)"): None,
+    ("psg", "schedule", "psg_adaptive_v2(0.5)"): None,
+    ("psg", "schedule", "fb_constant(5)"):
+        ("schedule", "schedule fb_constant is not usable with algorithm psg"),
+    ("ppa", "oracle", "Q"): None,
+    ("ppa", "oracle", "abs_plus_square"): None,
+    ("ppa", "oracle", "hessian_example"):
+        ("function", "hessian_example is the smooth part of fb, not an oracle for ppa"),
+    ("fb", "oracle", "Q"): ("Q", "fb supports the hessian_example function"),
+    ("fb", "oracle", "abs_plus_square"): ("function", "fb supports the hessian_example function"),
+    ("fb", "oracle", "hessian_example"): None,
+    ("psg", "oracle", "Q"): None,
+    ("psg", "oracle", "abs_plus_square"): None,
+    ("psg", "oracle", "hessian_example"):
+        ("function", "hessian_example is the smooth part of fb, not an oracle for psg"),
+    ("ppa", "set", "ball(0, 10)"): ("set", "set is not used by algorithm ppa"),
+    ("ppa", "a_f", "3"): ("a_f", "a_f is not used by algorithm ppa"),
+    ("ppa", "epsilon", "0.1"): ("epsilon", "epsilon is not used by algorithm ppa"),
+    ("fb", "set", "ball(0, 10)"): None,
+    ("fb", "a_f", "3"): ("a_f", "a_f is not used by algorithm fb"),
+    ("fb", "epsilon", "0.1"): None,
+    ("psg", "set", "ball(0, 10)"): None,
+    ("psg", "a_f", "3"): None,
+    ("psg", "epsilon", "0.1"): ("epsilon", "epsilon is not used by algorithm psg"),
+}
+_ORACLE_EDITS = {
+    "Q": {"function": None, "Q": "[[1,2];[2,1]]", "x0": "[3,-3]"},
+    "abs_plus_square": {"Q": None, "function": "abs_plus_square", "x0": "-10"},
+    "hessian_example": {"Q": None, "function": "hessian_example", "x0": "[-5,-1]"},
+}
+
+
+@pytest.mark.parametrize("algorithm, key, value", list(_COMPATIBILITY),
+                         ids=["-".join(case) for case in _COMPATIBILITY])
+def test_compatibility_matrix(algorithm, key, value):
+    text = {"ppa": PPA_PLAIN, "fb": FB_TEXT, "psg": PSG_PLAIN}[algorithm]
+    for k, v in (_ORACLE_EDITS[value] if key == "oracle" else {key: value}).items():
+        text = _with(text, k, v)
+    want = _COMPATIBILITY[algorithm, key, value]
+    if want is None:
+        assert parse_config(text).algorithm == algorithm
+        return
+    refused_key, problem = want
+    lineno = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                  if ln.split("=")[0].strip() == refused_key)
+    assert errors_of(text) == [f"line {lineno}: {problem}"]
 
 
 def test_set_numbers_broadcast_to_x0(tmp_path):
@@ -579,7 +659,7 @@ def test_adaptive_v1_steps_with_the_configured_a_f():
 _NUMBERS = st.sampled_from(["1", "0.5", "-1", "0", "4", "200", "1e-3", "nan", "inf",
                             "-inf", "x", "", "[1]", "1e400"])
 _VECTORS = st.sampled_from(["[3,-3]", "[-5,5,-5]", "[1]", "-10", "[-5,-1]", "[nan,1]",
-                            "[1,,2]", "[]", "[1e400,0]", "0"])
+                            "[1,,2]", "[]", "[1e400,0]", "0", "[3,-33", "[3,-3)"])
 _VALUES = {
     "algorithm": st.sampled_from(["ppa", "fb", "psg", "newton", ""]),
     "function": st.sampled_from(["abs_plus_square", "hessian_example", "sin"]),
@@ -589,14 +669,15 @@ _VALUES = {
     "set": st.sampled_from(["ball(0,1)", "ball(0,0)", "ball([0,0],2)", "ball(0,[1])",
                             "box(-1,1)", "box(1,-1)", "box([-1,-1],[1,1])", "halfspace(1,0)",
                             "halfspace([0,0],1)", "halfspace([1,0,0],1)", "cone(1,2)",
-                            "ball(1)", "ball(0,nan)"]),
+                            "ball(1)", "ball(0,nan)", "ball(0,,1)", "ball(,0,1)"]),
     "x0": _VECTORS, "reference": _VECTORS | st.just("auto_eigen"),
     "gamma0": _NUMBERS, "a0": _NUMBERS, "a_f": _NUMBERS, "epsilon": _NUMBERS,
     "schedule": st.sampled_from(["psg_constant", "ppa_additive(0.9)", "ppa_additive(-2)",
                                  "psg_adaptive_v1(5,4)", "psg_adaptive_v1(0,4)",
                                  "psg_adaptive_v2(1)", "psg_adaptive_v2(-1)",
                                  "fb_constant(5)", "fb_constant(nan)", "warp(1)",
-                                 "ppa_additive(1,2)", "psg_constant("]),
+                                 "ppa_additive(1,2)", "psg_constant(", "psg_constant()",
+                                 "psg_adaptive_v1(5,,4)"]),
     "N": st.integers(0, 50).map(str) | st.sampled_from(["2.5", "-1", "inf", "nan", "x"]),
     "output": st.sampled_from(["out.csv", "missing-dir/out.csv"]),
     "seed": st.sampled_from(["1"]),

@@ -301,6 +301,12 @@ def test_projections_of_far_points():
                           ([1.0, -1.0], [1.5e308, -1.5e308], 1e308, [5e307, -5e307])):
         got = Halfspace(np.array(n), b).project(x)
         assert np.allclose(got, want, rtol=1e-15, atol=0), (n, x, b)
+    # n_i x_i overflow with opposite signs at a point on the boundary, where
+    # contains, project and the indicator must agree that it is a member
+    h, far = Halfspace(np.array([2.0, -2.0]), 0.0), np.array([1e308, 1e308])
+    assert h.contains(far) and np.array_equal(h.project(far), far)
+    assert eval_oracle(IndicatorSet(h), far) == 0.0
+    assert h.contains(np.array([far, [1.0, 1.0], [1e308, -1e308]])).tolist() == [True, True, False]
 
 
 class _Sub(np.ndarray):
