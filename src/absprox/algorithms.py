@@ -84,17 +84,15 @@ STOP_NONFINITE = "nonfinite-abort"
 class Schedule:
     """Common schedule state: initial stepsize gamma0 > 0 and coefficient a0.
 
-    Each kind supplies ``step(gamma_n, a_n, a_fn)`` -> (gamma_next, a_next).
-    Two class facts steer the methods: ``fb_weight_raises`` (a vanishing
-    forward-backward weight is an error rather than the schedule's stopping
-    rule) and ``a_f_pin`` (an oracle coefficient psg uses instead of the
-    feasible threshold).
+    Each kind supplies ``step(gamma_n, a_n, a_fn)`` -> (gamma_next, a_next)
+    and refuses its own out-of-range values at construction.  The class fact
+    ``fb_weight_raises``: a vanishing forward-backward weight is an error
+    rather than the schedule's stopping rule.
     """
 
     gamma0: float
     a0: float
     fb_weight_raises: ClassVar[bool] = False
-    a_f_pin: ClassVar[float | None] = None
 
     def __post_init__(self):
         if not self.gamma0 > 0:
@@ -124,20 +122,17 @@ class PsgConstantGamma(Schedule):
 class PsgAdaptiveV1(Schedule):
     """a fixed at a_const; gamma_{n+1} = gamma_n (a_n - a_n^f) / a_{n+1}.
 
-    a_n^f is the coefficient the run queried: ``a_f_const`` unless the run
-    pins another one.
+    a_const = 0 is refused: the stepsize would divide by it at every step.
     """
 
     a_const: float = 0.0
-    a_f_const: float = 0.0
 
-    @property
-    def a_f_pin(self) -> float:
-        return self.a_f_const
+    def __post_init__(self):
+        super().__post_init__()
+        if self.a_const == 0.0:
+            raise ValueError("a_const must be nonzero")
 
     def step(self, gamma_n, a_n, a_fn):
-        if self.a_const == 0.0:
-            raise ScheduleDegenerateError("adaptive stepsize divides by a_{n+1} = 0")
         return gamma_n * (a_n - a_fn) / self.a_const, self.a_const
 
 
@@ -352,8 +347,8 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
     """Projected subgradient for min f over a closed set C.
 
     Each step queries (a_n^f, u_n^f) = subgrad_at(f, x_n, a^f) where a^f is
-    either pinned by ``a_f_override``, taken from an adaptive schedule's
-    constant, or the oracle's feasible threshold.  The update is
+    pinned by ``a_f_override``, or else the oracle's feasible threshold at
+    x_n; the schedule steps with the same a_n^f.  The update is
 
         z = ((1 + 2 g a_n) x_n - g u_n^f) / (1 + 2 g (a_n - a_n^f)),
         x_{n+1} = Proj_C(z),
@@ -364,12 +359,7 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
     """
     def step(rec):
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
-        if a_f_override is not None:
-            a_f = float(a_f_override)
-        elif sched.a_f_pin is not None:
-            a_f = sched.a_f_pin
-        else:
-            a_f = feasible_range(f, x)
+        a_f = float(a_f_override) if a_f_override is not None else feasible_range(f, x)
         u = subgrad_at(f, x, a_f).u
         rec.a_fn = a_f
         denom = 1.0 + 2.0 * gamma * (a - a_f)

@@ -11,7 +11,8 @@ Grammar::
     a0 = 200
     a_f = 4                             # optional oracle-coefficient pin
     epsilon = 0.1                       # fb's curvature margin
-    schedule = psg_constant             # or name(args): ppa_additive(0.9), ...
+    schedule = psg_constant             # ppa_additive(d) | psg_adaptive_v1(a)
+                                        # | psg_adaptive_v2(eps) | fb_constant(a)
     N = 101
     reference = auto_eigen              # or a vector; optional
     output = run.csv                    # optional
@@ -23,14 +24,15 @@ What each algorithm takes (one ``_METHODS`` row each)::
     fb         hessian_example     fb_constant, psg_constant, psg_adaptive_v2      epsilon   set
     psg        Q, abs_plus_square  psg_constant, psg_adaptive_v1, psg_adaptive_v2  set       a_f
 
-`#` starts a comment.  Parsing collects every error (with line numbers)
-instead of stopping at the first.  It refuses what a run could not use:
-unknown keys, non-finite numbers, a vector not written ``[...]``, an empty
-call argument, a key, oracle or schedule the table does not give the
-algorithm, ``auto_eigen`` without ``Q``, and sets or schedules their
-constructors would reject.  A number given for a set's center, bounds or
-normal stands for that number in every coordinate.  A parsed
-:class:`ExperimentConfig` holds the objects its run takes.
+`#` starts a comment.  Parsing lists every error with its line number, by
+one rule for every algorithm: a required key is met by being present, a
+value that does not parse gets only its own error, and a parsed key,
+oracle or schedule the algorithm's row does not list is refused.  It
+refuses unknown keys, non-finite numbers, a stray or missing bracket (with
+its column), an empty call argument, ``auto_eigen`` without ``Q``, and
+what the constructors of the oracle, set and schedule reject.  A number
+given for a set's center, bounds or normal stands for that number in every
+coordinate.  A parsed :class:`ExperimentConfig` holds the objects its run takes.
 """
 
 from __future__ import annotations
@@ -145,26 +147,53 @@ def _parse_number(text: str) -> float:
     return value
 
 
+# the tokenizer visits only brackets; a separator splits where no "]"
+# comes before the next "[", that is, outside an item's own [...]
+_BRACKETS = re.compile(r"[][()]")
+_CLOSERS = {"[": "]", "(": ")"}
+_SEPARATORS = {sep: re.compile(sep + r"(?![^\[]*\])") for sep in ",;"}
+
+
+def _split(text: str, opener: str, sep: str, nested: bool = False) -> tuple[str, list]:
+    """``head(a, b)`` (``opener`` "(") or ``head[a, b]``: the head and the
+    stripped ``sep``-separated items, ``[""]`` without brackets; an item may
+    hold one ``[...]`` only when ``nested``.  A stray or missing bracket
+    raises ValueError naming it and its column."""
+    stack, start, end = [], len(text), len(text)  # open brackets; the outer pair
+    for m in _BRACKETS.finditer(text):
+        c, i = m.group(), m.start()
+        if c in _CLOSERS and (c == opener if not stack else nested and len(stack) == 1 and c == "["):
+            stack.append(i)
+        elif stack and c == _CLOSERS[text[stack[-1]]]:
+            start, end = stack.pop(), i
+            if not stack:
+                break
+        else:
+            raise ValueError(f"stray {c!r} at column {i + 1} of {text!r}")
+    if stack:
+        c, i = text[stack[-1]], stack[-1]
+        raise ValueError(f"missing {_CLOSERS[c]!r} for the {c!r} at column {i + 1} of {text!r}")
+    if end < len(text) - 1:
+        raise ValueError(f"stray {text[end + 1]!r} at column {end + 2} of {text!r}")
+    return text[:start].strip(), [t.strip() for t in _SEPARATORS[sep].split(text[start + 1:end])]
+
+
 def _parse_vector(text: str) -> np.ndarray:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"vector must look like [...], got {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
+    items = _split(text, "[", ",")[1]  # the callers pass only text that starts with "["
+    if items == [""]:
         raise ValueError("empty vector")
-    return np.array([_parse_number(t) for t in inner.split(",")], dtype=float)
+    return np.array([_parse_number(t) for t in items], dtype=float)
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    if not (text.startswith("[[") and text.endswith("]]")):
+def _parse_matrix(text: str) -> QuadraticForm:
+    head, rows = _split(text, "[", ";", nested=True)
+    if head or not all(r.startswith("[") for r in rows):
         raise ValueError("matrix must look like [[...];[...]]")
-    parsed = [_parse_vector(r) for r in text[1:-1].split(";")]
+    parsed = [_parse_vector(r) for r in rows]
     if len({len(r) for r in parsed}) != 1:
         raise ValueError("matrix rows have unequal lengths")
-    q = np.array(parsed, dtype=float)
-    if q.shape[0] != q.shape[1]:
-        raise ValueError("Q must be square")
-    if not np.array_equal(q, q.T):
+    q = QuadraticForm(np.array(parsed, dtype=float))  # refuses a Q that is not square
+    if not np.array_equal(q.q, q.q.T):  # the constructor allows a 1e-12 asymmetry
         raise ValueError("Q must be symmetric")
     return q
 
@@ -179,25 +208,18 @@ def _parse_count(text: str) -> int:
     raise ValueError(f"N must be a nonnegative integer, got {text!r}")
 
 
-_CALL_RE = re.compile(r"^([a-z_0-9]+)\s*(?:\((.*)\))?$")
+_NAME_RE = re.compile(r"[a-z_0-9]+")
 
 
 def _parse_call(text: str, what: str) -> tuple[str, list[str]]:
     """``name`` or ``name(args)``: the name and its comma-separated arguments."""
-    m = _CALL_RE.match(text)
-    if not m:
+    name, args = _split(text, "(", ",", nested=True)
+    if not _NAME_RE.fullmatch(name):
         raise ValueError(f"malformed {what} {text!r}")
-    argtext, args, depth = (m.group(2) or "").strip(), [], 0
-    for piece in argtext.split(",") if argtext else ():
-        if depth:  # the comma sits inside a bracket
-            args[-1] += "," + piece
-        else:
-            args.append(piece)
-        depth += piece.count("[") - piece.count("]")
-    args = [a.strip() for a in args]
+    args = args if args != [""] else []
     if "" in args:
         raise ValueError(f"empty argument in {text!r}")
-    return m.group(1), args
+    return name, args
 
 
 def _parse_set(text: str) -> tuple[str, tuple]:
@@ -233,8 +255,7 @@ def _parse_schedule(text: str) -> tuple[str, tuple]:
     want = len(fields(_SCHEDULES[name])) - 2
     if len(args) != want:
         raise ValueError(f"schedule {name} takes {want} parameter(s), got {len(args)}")
-    if name == "psg_adaptive_v2" and args[0] <= 0:
-        raise ValueError("psg_adaptive_v2 epsilon must be positive")
+    _SCHEDULES[name](1.0, 0.0, *args)  # its own checks, with a stand-in gamma0 and a0
     return name, args
 
 
@@ -268,7 +289,10 @@ _PARSERS = {
     "function": partial(_one_of, "function", _FUNCTIONS),
     "Q": _parse_matrix, "set": _parse_set, "schedule": _parse_schedule, "N": _parse_count,
     "x0": lambda t: _parse_vector(t) if t.startswith("[") else np.array([_parse_number(t)]),
-    **dict.fromkeys(("gamma0", "a0", "a_f", "epsilon"), _parse_number),
+    # their constructors check the ranges; epsilon's value is fb's g
+    "gamma0": lambda t: Schedule(_parse_number(t), 0.0).gamma0,
+    "epsilon": lambda t: hessian_example(_parse_number(t)),
+    "a0": _parse_number, "a_f": _parse_number,
     "reference": _parse_reference, "output": _parse_output,
 }
 # reference prefixes its vector problems itself, as its other one has none
@@ -305,24 +329,21 @@ def parse_config(text: str) -> ExperimentConfig:
             vals[key] = _PARSERS[key](value)
         except ValueError as e:
             fail(key, f"{_PREFIXES.get(key, '')}{e}")
-    # checked here, not by the parsers, so that a nonpositive epsilon still
-    # counts as given for fb
-    for key, word in (("gamma0", "gamma"), ("epsilon", "epsilon")):
-        if vals.get(key, 1.0) <= 0:
-            fail(key, f"{word} must be positive")
-    if "Q" in raw and "function" in raw:
-        fail("function", "give either Q or function, not both")
+    # a value that does not parse has only its own error: the checks below
+    # read what parsed, and the required keys are met by being present
     if "Q" not in raw and "function" not in raw:
         errors.append("missing oracle: give Q or function")
+    if "Q" in vals and "function" in vals:
+        fail("function", "give either Q or function, not both")
     if raw.get("reference") == "auto_eigen" and "Q" not in raw:
         fail("reference", "auto_eigen needs a quadratic oracle (Q)")
 
-    # cross-field consistency (only when the pieces parsed)
+    # cross-field consistency
     x0, q, set_c = vals.get("x0"), vals.get("Q"), None
     if x0 is not None:
         dim = x0.size
-        if q is not None and q.shape != (dim, dim):
-            fail("Q", f"Q is {q.shape[0]}x{q.shape[1]} but x0 has dimension {dim}")
+        if q is not None and q.dim != dim:
+            fail("Q", f"Q is {q.dim}x{q.dim} but x0 has dimension {dim}")
         function_dim = _FUNCTIONS.get(vals.get("function"), dim)
         if function_dim != dim:
             fail("x0", f"{vals['function']} is {('one', 'two')[function_dim - 1]}-dimensional")
@@ -338,22 +359,13 @@ def parse_config(text: str) -> ExperimentConfig:
     algorithm = vals.get("algorithm")
     method = _METHODS.get(algorithm)
     if method is not None:
-        for key, what in method.requires.items():
-            # a set that does not parse is named by its own error, while an
-            # epsilon that is not a number counts as missing
-            if key not in (raw if key == "set" else vals):
-                errors.append(f"{algorithm} requires {what}")
-        for key in sorted(_OPTIONAL & raw.keys() - set(method.reads)):
+        errors += [f"{algorithm} requires {what}"
+                   for key, what in method.requires.items() if key not in raw]
+        for key in sorted(_OPTIONAL & vals.keys() - set(method.reads)):
             fail(key, f"{key} is not used by algorithm {algorithm}")
-        # fb's function is its smooth part g, so fb refuses any other oracle;
-        # ppa and psg refuse a function only fb takes
-        given = {k: raw[k] if k == "function" else k for k in ("Q", "function") if k in raw}
-        refused = [k for k, oracle in given.items() if oracle not in method.oracles]
-        if refused and "Q" not in method.oracles:
-            fail(refused[0], f"{algorithm} supports the {method.oracles[0]} function")
-        elif "function" in refused and raw["function"] in _FUNCTIONS:
-            fail("function", f"{raw['function']} is the smooth part of fb, "
-                             f"not an oracle for {algorithm}")
+        for key, oracle in (("Q", "Q"), ("function", vals.get("function"))):
+            if key in vals and oracle not in method.oracles:
+                fail(key, f"oracle {oracle} is not usable with algorithm {algorithm}")
         if "schedule" in vals and vals["schedule"][0] not in method.schedules:
             fail("schedule", f"schedule {vals['schedule'][0]} is not usable with "
                              f"algorithm {algorithm}")
@@ -361,12 +373,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(errors)
 
     # every piece parsed, so no constructor below can refuse it
-    g = hessian_example(vals["epsilon"]) if algorithm == "fb" else None
+    g = vals["epsilon"] if algorithm == "fb" else None
     if g is not None:  # f = 0 unless a set constrains the iterates; fb has no psg set
         f = QuadraticForm(np.zeros((2, 2))) if set_c is None else IndicatorSet(set_c)
         set_c = None
     else:
-        f = AbsPlusSquare() if q is None else QuadraticForm(q)
+        f = AbsPlusSquare() if q is None else q
     name, args = vals["schedule"]
     return ExperimentConfig(
         algorithm=algorithm, x0=x0, f=f, n_iter=vals["N"], g=g, set=set_c,

@@ -80,7 +80,8 @@ set = ball(0,1)
 x0 = [-5,5,-5]
 gamma0 = {gamma}
 a0 = 5
-schedule = psg_adaptive_v1(5,4)
+a_f = 4
+schedule = psg_adaptive_v1(5)
 N = 101
 reference = auto_eigen
 """

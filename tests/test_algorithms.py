@@ -54,13 +54,13 @@ def test_schedule_psg_constant_decrement_and_guard():
 
 
 def test_schedule_adaptive_v1():
-    sched = PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=5.0, a_f_const=4.0)
+    sched = PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=5.0)
     g, a = schedule_step(sched, 1.0, 200.0, a_fn=4.0)
     assert g == pytest.approx((200.0 - 4.0) / 5.0)
     assert a == 5.0
-    with pytest.raises(ScheduleDegenerateError):
-        schedule_step(PsgAdaptiveV1(gamma0=1.0, a0=1.0, a_const=0.0, a_f_const=4.0), 1.0, 1.0,
-                      a_fn=4.0)
+    # a zero constant could never step, so the constructor refuses it
+    with pytest.raises(ValueError, match="a_const must be nonzero"):
+        PsgAdaptiveV1(gamma0=1.0, a0=1.0, a_const=0.0)
 
 
 def test_schedule_adaptive_v2_invariant():
@@ -202,8 +202,8 @@ def test_psg_adaptive_v2_runs_full_horizon_frozen():
 
 
 def test_psg_nonfinite_schedule_aborts():
-    sched = PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=-5.0, a_f_const=4.0)
-    res = run_psg(QuadraticForm(Q3), BALL3, [-5.0, 5.0, -5.0], sched, 20)
+    sched = PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=-5.0)
+    res = run_psg(QuadraticForm(Q3), BALL3, [-5.0, 5.0, -5.0], sched, 20, a_f_override=4.0)
     assert res.terminal == STOP_NONFINITE
     assert res.final.stopped_by == STOP_NONFINITE
 

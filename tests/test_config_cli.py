@@ -144,7 +144,7 @@ N = 10
     errs = errors_of(text)
     assert "line 3: unknown key 'bogus'" in errs
     assert "missing required key 'x0'" in errs
-    assert any("gamma must be positive" in e for e in errs)
+    assert "line 4: gamma0 must be positive" in errs
     assert "missing oracle: give Q or function" in errs
     assert "psg requires a set" in errs
     assert len(errs) >= 5
@@ -220,11 +220,26 @@ def test_oracle_exclusivity_and_fb_requirements():
     errs = errors_of("algorithm = fb\nfunction = abs_plus_square\nx0 = -1\n"
                      "gamma0 = 1\na0 = 1\nepsilon = 0.1\n"
                      "schedule = fb_constant(5)\nN = 1\n")
-    assert any("fb supports the hessian_example function" in e for e in errs)
+    assert "line 2: oracle abs_plus_square is not usable with algorithm fb" in errs
 
     errs = errors_of("algorithm = fb\nfunction = hessian_example\nx0 = [1,1]\n"
                      "gamma0 = 1\na0 = 1\nschedule = fb_constant(5)\nN = 1\n")
     assert "fb requires epsilon (curvature margin)" in errs
+
+
+def test_a_value_that_does_not_parse_gets_only_its_own_error():
+    # a required key is met by being present, and no other check reads a
+    # value that did not parse, whatever its key or the algorithm
+    sin = "function must be one of ('abs_plus_square', 'hessian_example'), got 'sin'"
+    for base, key, value, problem in [
+        (FB_TEXT, "epsilon", "x", "malformed number 'x'"),
+        (PSG_PLAIN, "set", "cone(1,2)", "unknown set kind 'cone'"),
+        (PPA_PLAIN, "function", "sin", sin),
+        (_with(PSG_PLAIN, "Q", None), "function", "sin", sin),
+        (FB_TEXT, "function", "sin", sin),
+    ]:
+        text = _with(base, key, value)  # the edited key is the last line
+        assert errors_of(text) == [f"line {len(text.splitlines())}: {problem}"], (key, value)
 
 
 def test_numeric_field_validation():
@@ -232,8 +247,7 @@ def test_numeric_field_validation():
             "gamma0 = 1\na0 = 1\nschedule = ppa_additive(1)\n")
     assert any("N must be a nonnegative integer" in e
                for e in errors_of(base + "N = 2.5\n"))
-    assert any("epsilon must be positive" in e
-               for e in errors_of(base + "N = 1\nepsilon = 0\n"))
+    assert errors_of(_with(FB_TEXT, "epsilon", "0")) == ["line 9: eps must be positive"]
     assert any("malformed number" in e
                for e in errors_of(base + "N = 1\na_f = three\n"))
     # the run reads no seed, so the key is unknown
@@ -383,7 +397,7 @@ def _edge_runs():
     far.set_fejer(np.zeros(2))
     far.records[2].a_n, far.records[2].gamma_n = -math.inf, math.inf
     aborted = run_psg(QuadraticForm(np.eye(2)), ball, [0.5, 0.25],
-                      PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=-5.0, a_f_const=4.0), 20)
+                      PsgAdaptiveV1(gamma0=1.0, a0=200.0, a_const=-5.0), 20, a_f_override=4.0)
     return {
         "guard stop": (q3_guard.result, q3_guard.x_star, "stepsize-guard"),
         "horizon, NaN a_f": (ppa.result, ppa.x_star, None),
@@ -450,11 +464,11 @@ def _run_cli(tmp_path, text):
 # traceback, and the problem the parser now reports
 _REFUSED = {
     "fb-with-Q": (FB_TEXT, {"function": None, "Q": "[[1,0];[0,1]]"},
-                  "fb supports the hessian_example function"),
+                  "oracle Q is not usable with algorithm fb"),
     "hessian-psg": (PSG_PLAIN, {"Q": None, "function": "hessian_example"},
-                    "hessian_example is the smooth part of fb"),
+                    "oracle hessian_example is not usable with algorithm psg"),
     "hessian-ppa": (PPA_PLAIN, {"function": "hessian_example", "x0": "[1,1]"},
-                    "hessian_example is the smooth part of fb"),
+                    "oracle hessian_example is not usable with algorithm ppa"),
     "auto-eigen-without-Q": (PPA_PLAIN, {"reference": "auto_eigen"},
                              "auto_eigen needs a quadratic oracle"),
     "ppa-set": (PPA_PLAIN, {"set": "ball(0,1)"}, "set is not used by algorithm ppa"),
@@ -478,14 +492,26 @@ _REFUSED = {
     "adaptive-v2-eps-0": (PSG_PLAIN, {"schedule": "psg_adaptive_v2(0)"},
                           "epsilon must be positive"),
     "empty-output": (PSG_PLAIN, {"output": ""}, "output needs a path"),
-    "x0-unclosed": (PSG_PLAIN, {"x0": "[3,-33"}, "bad x0: vector must look like [...]"),
-    "x0-paren": (PSG_PLAIN, {"x0": "[3,-3)"}, "bad x0: vector must look like [...]"),
+    "x0-unclosed": (PSG_PLAIN, {"x0": "[3,-33"},
+                    "bad x0: missing ']' for the '[' at column 1 of '[3,-33'"),
+    "x0-paren": (PSG_PLAIN, {"x0": "[3,-3)"}, "bad x0: stray ')' at column 6 of '[3,-3)'"),
     "reference-unclosed": (PSG_PLAIN, {"reference": "[1,22"},
-                           "bad reference vector: vector must look like [...]"),
+                           "bad reference vector: missing ']' for the '[' at column 1"),
     "set-empty-arg": (PSG_PLAIN, {"set": "ball(0,,1)"}, "empty argument in 'ball(0,,1)'"),
     "set-empty-first-arg": (PSG_PLAIN, {"set": "ball(,0,1)"}, "empty argument in 'ball(,0,1)'"),
-    "schedule-empty-arg": (PSG_PLAIN, {"schedule": "psg_adaptive_v1(5,,4)"},
-                           "empty argument in 'psg_adaptive_v1(5,,4)'"),
+    "schedule-empty-arg": (PSG_PLAIN, {"schedule": "psg_adaptive_v1(5,)"},
+                           "empty argument in 'psg_adaptive_v1(5,)'"),
+    "set-closes-twice": (PSG_PLAIN, {"set": "ball([0,0]],1)"},
+                         "stray ']' at column 11 of 'ball([0,0]],1)'"),
+    "set-stray-close": (PSG_PLAIN, {"set": "ball(0],1)"}, "stray ']' at column 7 of 'ball(0],1)'"),
+    "set-unclosed-vector": (PSG_PLAIN, {"set": "ball([[0,0],1)"},
+                            "stray '[' at column 7 of 'ball([[0,0],1)'"),
+    "x0-nested": (PSG_PLAIN, {"x0": "[[1,2]]"}, "bad x0: stray '[' at column 2 of '[[1,2]]'"),
+    "Q-closes-early": (PSG_PLAIN, {"Q": "[[1,0]];[0,-1]]"},
+                       "bad matrix: stray ';' at column 8 of '[[1,0]];[0,-1]]'"),
+    "adaptive-v1-two-args": (PSG_PLAIN, {"schedule": "psg_adaptive_v1(5,4)"},
+                             "schedule psg_adaptive_v1 takes 1 parameter(s), got 2"),
+    "adaptive-v1-a-0": (PSG_PLAIN, {"schedule": "psg_adaptive_v1(0)"}, "a_const must be nonzero"),
 }
 
 
@@ -507,8 +533,7 @@ def test_cli_refuses_what_a_run_would_ignore_or_crash_on(tmp_path, base, edits, 
 _SCHEDULE_CASES = {
     "ppa_additive": (PPA_PLAIN, "0.5", PpaAdditive(0.5, 1.0, delta=0.5)),
     "psg_constant": (PSG_PLAIN, "", PsgConstantGamma(1.0, 50.0)),
-    "psg_adaptive_v1": (PSG_PLAIN, "0.5, 0.25",
-                        PsgAdaptiveV1(1.0, 50.0, a_const=0.5, a_f_const=0.25)),
+    "psg_adaptive_v1": (PSG_PLAIN, "0.5", PsgAdaptiveV1(1.0, 50.0, a_const=0.5)),
     "psg_adaptive_v2": (PSG_PLAIN, "0.5", PsgAdaptiveV2(1.0, 50.0, epsilon=0.5)),
     "fb_constant": (FB_TEXT, "0.5", FbConstant(0.1, 200.0, a_const=0.5)),
 }
@@ -533,7 +558,7 @@ _COMPATIBILITY = {
     ("ppa", "schedule", "ppa_additive(0.5)"): None,
     ("ppa", "schedule", "psg_constant"):
         ("schedule", "schedule psg_constant is not usable with algorithm ppa"),
-    ("ppa", "schedule", "psg_adaptive_v1(5, 4)"):
+    ("ppa", "schedule", "psg_adaptive_v1(5)"):
         ("schedule", "schedule psg_adaptive_v1 is not usable with algorithm ppa"),
     ("ppa", "schedule", "psg_adaptive_v2(0.5)"):
         ("schedule", "schedule psg_adaptive_v2 is not usable with algorithm ppa"),
@@ -542,28 +567,29 @@ _COMPATIBILITY = {
     ("fb", "schedule", "ppa_additive(0.5)"):
         ("schedule", "schedule ppa_additive is not usable with algorithm fb"),
     ("fb", "schedule", "psg_constant"): None,
-    ("fb", "schedule", "psg_adaptive_v1(5, 4)"):
+    ("fb", "schedule", "psg_adaptive_v1(5)"):
         ("schedule", "schedule psg_adaptive_v1 is not usable with algorithm fb"),
     ("fb", "schedule", "psg_adaptive_v2(0.5)"): None,
     ("fb", "schedule", "fb_constant(5)"): None,
     ("psg", "schedule", "ppa_additive(0.5)"):
         ("schedule", "schedule ppa_additive is not usable with algorithm psg"),
     ("psg", "schedule", "psg_constant"): None,
-    ("psg", "schedule", "psg_adaptive_v1(5, 4)"): None,
+    ("psg", "schedule", "psg_adaptive_v1(5)"): None,
     ("psg", "schedule", "psg_adaptive_v2(0.5)"): None,
     ("psg", "schedule", "fb_constant(5)"):
         ("schedule", "schedule fb_constant is not usable with algorithm psg"),
     ("ppa", "oracle", "Q"): None,
     ("ppa", "oracle", "abs_plus_square"): None,
     ("ppa", "oracle", "hessian_example"):
-        ("function", "hessian_example is the smooth part of fb, not an oracle for ppa"),
-    ("fb", "oracle", "Q"): ("Q", "fb supports the hessian_example function"),
-    ("fb", "oracle", "abs_plus_square"): ("function", "fb supports the hessian_example function"),
+        ("function", "oracle hessian_example is not usable with algorithm ppa"),
+    ("fb", "oracle", "Q"): ("Q", "oracle Q is not usable with algorithm fb"),
+    ("fb", "oracle", "abs_plus_square"):
+        ("function", "oracle abs_plus_square is not usable with algorithm fb"),
     ("fb", "oracle", "hessian_example"): None,
     ("psg", "oracle", "Q"): None,
     ("psg", "oracle", "abs_plus_square"): None,
     ("psg", "oracle", "hessian_example"):
-        ("function", "hessian_example is the smooth part of fb, not an oracle for psg"),
+        ("function", "oracle hessian_example is not usable with algorithm psg"),
     ("ppa", "set", "ball(0, 10)"): ("set", "set is not used by algorithm ppa"),
     ("ppa", "a_f", "3"): ("a_f", "a_f is not used by algorithm ppa"),
     ("ppa", "epsilon", "0.1"): ("epsilon", "epsilon is not used by algorithm ppa"),
@@ -643,41 +669,48 @@ x0 = [-5,5,-5]
 gamma0 = 1
 a0 = 5
 a_f = 4.5
-schedule = psg_adaptive_v1(5,4)
+schedule = psg_adaptive_v1(5)
 N = 3
 """
 
 
 def test_adaptive_v1_steps_with_the_configured_a_f():
     # the config's a_f drives the stepsize as well as the subgradient:
-    # gamma_{n+1} = gamma_n (5 - 4.5) / 5, not gamma_n (5 - 4) / 5
+    # gamma_{n+1} = gamma_n (5 - 4.5) / 5
     records = run_config(parse_config(ADAPTIVE_V1_TEXT)).result.records
     assert [r.a_fn for r in records[:-1]] == [4.5, 4.5, 4.5]
     assert [r.gamma_n for r in records] == pytest.approx([1.0, 0.1, 0.01, 0.001], rel=1e-12)
+    # without the key the run queries Q3's feasible threshold, 4, at every
+    # step, and the schedule steps with it: gamma_{n+1} = gamma_n (5 - 4) / 5
+    records = run_config(parse_config(_with(ADAPTIVE_V1_TEXT, "a_f", None))).result.records
+    assert [r.a_fn for r in records[:-1]] == [4.0, 4.0, 4.0]
+    assert [r.gamma_n for r in records] == pytest.approx([1.0, 0.2, 0.04, 0.008], rel=1e-12)
 
 
 _NUMBERS = st.sampled_from(["1", "0.5", "-1", "0", "4", "200", "1e-3", "nan", "inf",
                             "-inf", "x", "", "[1]", "1e400"])
 _VECTORS = st.sampled_from(["[3,-3]", "[-5,5,-5]", "[1]", "-10", "[-5,-1]", "[nan,1]",
-                            "[1,,2]", "[]", "[1e400,0]", "0", "[3,-33", "[3,-3)"])
+                            "[1,,2]", "[]", "[1e400,0]", "0", "[3,-33", "[3,-3)", "[[1,2]]",
+                            "[1,2]]"])
 _VALUES = {
     "algorithm": st.sampled_from(["ppa", "fb", "psg", "newton", ""]),
     "function": st.sampled_from(["abs_plus_square", "hessian_example", "sin"]),
     "Q": st.sampled_from(["[[1,2];[2,1]]", "[[-2,2,2];[2,2,-2];[2,-2,2]]", "[[1]]",
                           "[[1,2];[3,1]]", "[[1,2]]", "[[nan,0];[0,1]]", "[[1,2];[2]]",
-                          "[1,2]", "[[0,0];[0,0]]"]),
+                          "[1,2]", "[[0,0];[0,0]]", "[[1,0]];[0,-1]]"]),
     "set": st.sampled_from(["ball(0,1)", "ball(0,0)", "ball([0,0],2)", "ball(0,[1])",
                             "box(-1,1)", "box(1,-1)", "box([-1,-1],[1,1])", "halfspace(1,0)",
                             "halfspace([0,0],1)", "halfspace([1,0,0],1)", "cone(1,2)",
-                            "ball(1)", "ball(0,nan)", "ball(0,,1)", "ball(,0,1)"]),
+                            "ball(1)", "ball(0,nan)", "ball(0,,1)", "ball(,0,1)",
+                            "ball([0,0]],1)", "ball(0],1)", "ball([[0,0],1)"]),
     "x0": _VECTORS, "reference": _VECTORS | st.just("auto_eigen"),
     "gamma0": _NUMBERS, "a0": _NUMBERS, "a_f": _NUMBERS, "epsilon": _NUMBERS,
     "schedule": st.sampled_from(["psg_constant", "ppa_additive(0.9)", "ppa_additive(-2)",
-                                 "psg_adaptive_v1(5,4)", "psg_adaptive_v1(0,4)",
+                                 "psg_adaptive_v1(5)", "psg_adaptive_v1(0)",
                                  "psg_adaptive_v2(1)", "psg_adaptive_v2(-1)",
                                  "fb_constant(5)", "fb_constant(nan)", "warp(1)",
                                  "ppa_additive(1,2)", "psg_constant(", "psg_constant()",
-                                 "psg_adaptive_v1(5,,4)"]),
+                                 "psg_adaptive_v1(5,4)", "psg_adaptive_v1(5,)"]),
     "N": st.integers(0, 50).map(str) | st.sampled_from(["2.5", "-1", "inf", "nan", "x"]),
     "output": st.sampled_from(["out.csv", "missing-dir/out.csv"]),
     "seed": st.sampled_from(["1"]),
