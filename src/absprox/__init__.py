@@ -27,14 +27,14 @@ from .oracles import (
     NormSquare,
     QuadraticForm,
     SmoothBlackBox,
+    SolverToleranceError,
+    UnboundedObjectiveError,
     eval_oracle,
     feasible_range,
     subgrad_at,
 )
 from .prox import (
     ProxRequest,
-    SolverToleranceError,
-    UnboundedObjectiveError,
     prox_abs_square_closed_form,
     prox_indicator,
     prox_via_argmin,

@@ -28,9 +28,8 @@ from .algorithms import (
 )
 from .config import ConfigError, parse_config
 from .experiments import EXPERIMENTS, run_config, run_named_experiment, write_csv
-from .oracles import EmptySubdifferentialError
+from .oracles import EmptySubdifferentialError, SolverToleranceError, UnboundedObjectiveError
 from .phi import InfeasibleCoefficientError
-from .prox import SolverToleranceError, UnboundedObjectiveError
 
 _RUNTIME_ERRORS = (
     TheoremViolationWarning,  # raised under ABSPROX_STRICT=1

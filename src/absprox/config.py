@@ -192,10 +192,7 @@ def _parse_matrix(text: str) -> QuadraticForm:
     parsed = [_parse_vector(r) for r in rows]
     if len({len(r) for r in parsed}) != 1:
         raise ValueError("matrix rows have unequal lengths")
-    q = QuadraticForm(np.array(parsed, dtype=float))  # refuses a Q that is not square
-    if not np.array_equal(q.q, q.q.T):  # the constructor allows a 1e-12 asymmetry
-        raise ValueError("Q must be symmetric")
-    return q
+    return QuadraticForm(np.array(parsed, dtype=float))  # refuses a Q not square or symmetric
 
 
 def _parse_count(text: str) -> int:

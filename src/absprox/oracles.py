@@ -15,10 +15,12 @@ with f(y) - f(x) >= phi(y) - phi(x) for all y.  Supported classes:
 
 The feasible coefficients form a half-line a >= a_min whose endpoint depends
 on the class; requesting a below it raises ``InfeasibleCoefficientError``.
-Each class carries its own formulas as methods; ``eval_oracle``,
-``feasible_range`` and ``subgrad_at`` are the entry points, which check the
-point's dimension and the requested coefficient.  ``eval_oracle`` also takes
-a block (m, n) of points and returns their m values.
+Each class carries its own formulas and its own prox as methods, the black
+box included: its ``prox`` is a certified inner solver (see
+``_inner_argmin``).  ``eval_oracle``, ``feasible_range`` and ``subgrad_at``
+are the entry points, which check the point's dimension and the requested
+coefficient.  ``eval_oracle`` also takes a block (m, n) of points and
+returns their m values.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .phi import InfeasibleCoefficientError, PhiElement
+from .phi import InfeasibleCoefficientError, PhiElement, check_coefficient, duality_map_element
 
 __all__ = [
     "Ball",
@@ -41,6 +43,8 @@ __all__ = [
     "IndicatorSet",
     "SmoothBlackBox",
     "EmptySubdifferentialError",
+    "UnboundedObjectiveError",
+    "SolverToleranceError",
     "eval_oracle",
     "feasible_range",
     "subgrad_at",
@@ -193,8 +197,9 @@ SetDescriptor = Ball | Box | Halfspace
 #
 # Each class carries its behaviour: ``value(x)``, ``feasible_range(x)`` (the
 # least admissible coefficient a_min at x), ``element(x, a)`` (the
-# subdifferential element for an admissible a) and, except SmoothBlackBox,
-# ``prox(req)`` (the closed-form proximal point for a ProxRequest).
+# subdifferential element for an admissible a) and ``prox(req)`` (the
+# proximal point for a ProxRequest: a closed form, or for SmoothBlackBox the
+# certified inner solver).
 # ``value`` and the sets' ``contains`` take a point (n,) or a block (m, n)
 # of points, one result per row, each row bit for bit its single-point
 # result.  The methods assume points of the right dimension; callers go
@@ -203,6 +208,14 @@ SetDescriptor = Ball | Box | Halfspace
 
 class UnboundedObjectiveError(ValueError):
     """The regularized objective has no minimizer (unbounded below)."""
+
+
+class SolverToleranceError(RuntimeError):
+    """The inner solver could not certify its answer; carries that point."""
+
+    def __init__(self, message: str, best: np.ndarray):
+        super().__init__(message)
+        self.best = np.asarray(best)
 
 
 @dataclass(frozen=True)
@@ -223,7 +236,7 @@ class NormSquare:
         return -1.0 / (2.0 * self.gamma)
 
     def element(self, x, a: float) -> PhiElement:
-        return PhiElement(a, (1.0 / self.gamma + 2.0 * a) * x)
+        return duality_map_element(x, self.gamma, a)
 
     def prox(self, req) -> np.ndarray:
         # (1/(2 gp) + w) z = w x0
@@ -245,7 +258,7 @@ class QuadraticForm:
             raise ValueError("Q must be square")
         if not np.isfinite(q).all():
             raise ValueError("Q must be finite")
-        if np.abs(q - q.T).max() > 1e-12 * max(1.0, np.abs(q).max()):
+        if not np.array_equal(q, q.T):
             raise ValueError("Q must be symmetric")
         object.__setattr__(self, "q", q)
         w, v = np.linalg.eigh(q)
@@ -306,8 +319,7 @@ def prox_abs_square_closed_form(x0: float, gamma: float, a0: float) -> float:
     s*(z - x0) from the regularizer) and is confirmed against a brute-force
     grid argmin; see the README note on the denominator.
     """
-    if not 2.0 * gamma * a0 >= -1.0:
-        raise InfeasibleCoefficientError("2*gamma*a0 >= -1 is required")
+    check_coefficient(gamma, a0)
     s = 1.0 / gamma + 2.0 * a0
     t = s * x0
     if t < -1.0:
@@ -374,6 +386,65 @@ class IndicatorSet:
         return self.set.project(req.x0)
 
 
+# the inner solver's stop rule: ||h'(z)|| <= _INNER_RTOL * max(1, ||h'(x0)||,
+# ||x0||), within _INNER_MAX_STEPS accepted steps
+_INNER_RTOL = 1e-10
+_INNER_MAX_STEPS = 500
+
+
+def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
+    """Certified minimizer of h(z) = g(z) + w||z - x0||^2 for a black box g.
+
+    Descends from x0 on h'(z) = grad g(z) + 2w(z - x0) with Barzilai-Borwein
+    steps s's/s'y (1.0 when s'y <= 0; the first step is 1/max(1, ||h'(x0)||)).
+    A trial point is accepted when ||h'|| falls by the factor 1 - 1e-4 or h
+    passes Armijo with c = 1e-4, else the step is halved; below 1e-16 the
+    descent gives up.  Once ||h'|| is below about sqrt(eps |h|) a value test
+    cannot see a decrease, so the gradient-norm test carries the last steps.
+
+    The answer z is certified: with g's curvature bound kappa (Hess g >=
+    -2 kappa I) the margin m = 2(w - kappa(z)) bounds Hess h from below, so
+    ||z - z*|| <= ||h'(z)|| / m wherever kappa bounds the curvature, and z is
+    the global minimizer when it does so everywhere.  When the stop rule is
+    not met or m <= 0, raises ``SolverToleranceError`` carrying z.
+    """
+
+    def h(z):
+        d = z - x0
+        return eval_oracle(f, z) + w * float(d @ d)
+
+    def dh(z):
+        return np.asarray(f.gradient(z), dtype=float).reshape(z.shape) + 2.0 * w * (z - x0)
+
+    z = x0.copy()
+    grad = dh(z)
+    r, v = float(np.linalg.norm(grad)), h(z)
+    tol = _INNER_RTOL * max(1.0, r, float(np.linalg.norm(x0)))
+    step = 1.0 / max(1.0, r)
+    steps = 0
+    while not r <= tol and steps < _INNER_MAX_STEPS:
+        while step >= 1e-16:
+            trial = z - step * grad
+            g_t = dh(trial)
+            r_t, v_t = float(np.linalg.norm(g_t)), h(trial)
+            if r_t <= (1.0 - 1e-4) * r or v_t <= v - 1e-4 * step * r * r:
+                break
+            step *= 0.5
+        else:  # no acceptable step above 1e-16
+            break
+        s, y = trial - z, g_t - grad
+        sy = float(s @ y)
+        step = float(s @ s) / sy if sy > 0.0 else 1.0
+        z, grad, r, v = trial, g_t, r_t, v_t
+        steps += 1
+    margin = 2.0 * (w - float(f.kappa(z)))
+    if not (r <= tol and margin > 0.0):
+        raise SolverToleranceError(
+            f"inner prox not certified after {steps} steps: residual {r:.3g} "
+            f"(tolerance {tol:.3g}), margin {margin:.3g}", z)
+    return z
+
+
 @dataclass(frozen=True)
 class SmoothBlackBox:
     """Caller-supplied smooth g with a curvature-bound callback kappa.
@@ -385,8 +456,8 @@ class SmoothBlackBox:
     is only a local bound the produced elements are certified locally, not
     globally.  ``value`` is the callback itself, called on one point at a
     time (``eval_oracle`` loops over the rows of a block).  There is no
-    closed-form prox, so the inner solver descends on ``gradient`` and
-    certifies its answer with kappa.
+    closed-form prox, so ``prox`` descends on ``gradient`` and certifies its
+    answer with kappa.
     """
 
     value: Callable[[np.ndarray], float]
@@ -407,6 +478,10 @@ class SmoothBlackBox:
 
     def element(self, x, a: float) -> PhiElement:
         return PhiElement(a, 2.0 * a * x + _vec(self.gradient(x)))
+
+    def prox(self, req) -> np.ndarray:
+        """Raises ``SolverToleranceError`` when the answer is not certified."""
+        return _inner_argmin(self, req.x0, req.weight)
 
 
 Oracle = NormSquare | QuadraticForm | AbsPlusSquare | IndicatorSet | SmoothBlackBox
@@ -441,22 +516,16 @@ def feasible_range(f: Oracle, x) -> float:
     return f.feasible_range(x)
 
 
-def subgrad_at(f: Oracle, x, a: float | None = None) -> PhiElement:
-    """A certified subdifferential element (a, u) of f at x.
-
-    ``a`` defaults to kappa(x) + eps for SmoothBlackBox; other oracles
-    require it explicitly.  For AbsPlusSquare at 0 the admissible slopes
-    form the interval [-1, 1] and the selector returns the midpoint u = 0.
+def subgrad_at(f: Oracle, x, a: float) -> PhiElement:
+    """A certified subdifferential element (a, u) of f at x, for a coefficient
+    a >= ``feasible_range(f, x)`` (a black box's usual choice is
+    ``f.default_coefficient(x)``).  For AbsPlusSquare at 0 the admissible
+    slopes form the interval [-1, 1] and the selector returns the midpoint
+    u = 0.
     """
     x = _vec(x)
-    _check_dim(f, x)
-    if a is None:
-        if isinstance(f, SmoothBlackBox):
-            a = f.default_coefficient(x)
-        else:
-            raise TypeError("coefficient a is required for this oracle")
     a = float(a)
-    a_min = feasible_range(f, x)
+    a_min = feasible_range(f, x)  # also checks x's dimension
     if not a >= a_min:
         raise InfeasibleCoefficientError(f"a={a} below the feasible threshold a_min={a_min}")
     return f.element(x, a)

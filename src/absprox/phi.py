@@ -10,6 +10,10 @@ subdifferential with respect to this family admits a closed form: the
 "duality map" J_gamma(x) consists of every (a, (1/gamma + 2a) x) with
 2*gamma*a >= -1, and its inverse maps an element back to the point (or to
 the whole space / the empty set in the degenerate cases).
+
+``check_coefficient`` is the one place that decides whether a step size
+gamma and a coefficient a are admissible (gamma > 0 and 2*gamma*a >= -1);
+the norm-square oracle, the prox request and the closed-form prox ask it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "PhiElement",
     "ResultKind",
     "SetValuedResult",
+    "check_coefficient",
     "duality_map_element",
     "duality_map_inverse",
     "InfeasibleCoefficientError",
@@ -96,6 +101,20 @@ class SetValuedResult:
         return SetValuedResult(ResultKind.EMPTY)
 
 
+def check_coefficient(gamma: float, a: float) -> None:
+    """Refuse a step size gamma that is not positive (``ValueError``) and a
+    coefficient a with 2*gamma*a < -1, which no element of J_gamma has
+    (``InfeasibleCoefficientError``).  A NaN fails the test it enters."""
+    if not gamma > 0.0:
+        raise ValueError("gamma must be positive")
+    # 2*gamma*a >= -1 without forming 2*gamma, which overflows for a huge gamma
+    if not gamma * a >= -0.5:
+        raise InfeasibleCoefficientError(
+            f"a={a} violates 2*gamma*a >= -1 at gamma={gamma}: "
+            "no element of the duality map has it"
+        )
+
+
 def duality_map_element(x, gamma: float, a: float) -> PhiElement:
     """One element of J_gamma(x): (a, (1/gamma + 2a) x).
 
@@ -104,13 +123,7 @@ def duality_map_element(x, gamma: float, a: float) -> PhiElement:
     2*gamma*a >= -1.
     """
     x = _vec(x)
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    if not 2.0 * gamma * a >= -1.0:
-        raise InfeasibleCoefficientError(
-            f"no element with a={a} exists in the duality map: 2*gamma*a = "
-            f"{2 * gamma * a}, not >= -1"
-        )
+    check_coefficient(gamma, a)
     return PhiElement(a, (1.0 / gamma + 2.0 * a) * x)
 
 
@@ -119,10 +132,13 @@ def duality_map_inverse(phi: PhiElement, gamma: float) -> SetValuedResult:
 
     Point(gamma*u / (1 + 2*gamma*a)) when 2*gamma*a > -1; the whole space
     when a = -1/(2*gamma) and u = 0 (so phi is -||.||^2/(2 gamma), a
-    global minorant of g everywhere); empty otherwise.
+    global minorant of g everywhere); empty otherwise.  A NaN a raises
+    ``InfeasibleCoefficientError``: it is no coefficient at all.
     """
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
+    if np.isnan(phi.a):
+        raise InfeasibleCoefficientError("a=nan is no coefficient of the quadratic family")
     denom = 1.0 + 2.0 * gamma * phi.a
     boundary = 1.0 / (2.0 * gamma)
     if denom > 0.0 and abs(phi.a + boundary) > 1e-12 * max(1.0, boundary):

@@ -38,11 +38,11 @@ from absprox.experiments import (
     Q3_TEXT,
     named_experiment_configs,
     run_config,
-    run_named_experiment,
     write_csv,
 )
 
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "sweeps_sha256.json"
+REPRODUCE_STDOUT = Path(__file__).resolve().parent / "reproduce_stdout.txt"
 
 PSG_TEXT = """
 # projected subgradient on a small quadratic
@@ -744,10 +744,14 @@ def test_cli_fuzzed_config_text_never_tracebacks(tmp_path_factory, base, edits, 
     assert "Traceback" not in err.getvalue()
 
 
-def test_bundled_csvs_match_frozen_digests(tmp_path):
+def test_bundled_csvs_match_frozen_digests(tmp_path, capsys):
+    # `absprox reproduce` of every bundled sweep writes the frozen CSVs and
+    # prints the frozen summary lines, one per CSV
     want = json.loads(DIGESTS.read_text())
     for name in EXPERIMENTS:
-        run_named_experiment(name, out_dir=str(tmp_path))
+        assert cli.main(["reproduce", name, "--out-dir", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert len(want) == 27
     assert got == want
+    printed = capsys.readouterr().out.replace(f"{tmp_path}{os.sep}", "")
+    assert printed == REPRODUCE_STDOUT.read_text()

@@ -16,12 +16,14 @@ from absprox import (
     InfeasibleCoefficientError,
     NormSquare,
     PhiElement,
+    ProxRequest,
     QuadraticForm,
     SmoothBlackBox,
     eval_oracle,
     feasible_range,
     oracles,
     phi,
+    prox_via_argmin,
     subgrad_at,
 )
 from absprox.checks import Q3, certificates
@@ -120,9 +122,11 @@ def test_feasible_ranges():
 
 
 def test_quadratic_form_rejects_bad_matrices():
-    # LAPACK returns NaN eigenvalues for a NaN entry instead of failing,
-    # so non-finite input must be refused before the eigensolve
+    # symmetry is exact, so a 1e-13 asymmetry is refused; LAPACK returns NaN
+    # eigenvalues for a NaN entry instead of failing, so non-finite input
+    # must be refused before the eigensolve
     for q in (np.ones((2, 3)), np.array([[1.0, 2.0], [0.0, 1.0]]),
+              np.array([[1.0, 2.0], [2.0 + 1e-13, 1.0]]),
               np.array([[np.nan, 0.0], [0.0, 1.0]]),
               np.array([[np.inf, 0.0], [0.0, 1.0]])):
         with pytest.raises(ValueError):
@@ -157,9 +161,24 @@ def test_subgrad_selector_at_kink():
     assert subgrad_at(AbsPlusSquare(), (0.0,), -1.0).u[0] == 0.0
 
 
-def test_subgrad_requires_coefficient():
+@pytest.mark.parametrize("f, x", [
+    (NormSquare(gamma=0.5, dim=2), [1.0, -2.0]),
+    (QuadraticForm(Q3), [0.1, 0.2, -0.3]),
+    (AbsPlusSquare(), [0.5]),
+    (IndicatorSet(Ball(np.zeros(2), 1.0)), [0.3, 0.4]),
+    (SmoothBlackBox(value=lambda p: float(p @ p), gradient=lambda p: 2.0 * p,
+                    kappa=lambda p: 0.0, eps=0.1, dim=2), [1.0, -2.0]),
+], ids=["norm-square", "quadratic", "abs-plus-square", "indicator", "black-box"])
+def test_every_oracle_kind_answers_the_whole_protocol(f, x):
+    x = np.array(x)
+    assert np.isfinite(f.value(x))
+    a = max(f.feasible_range(x), 0.0) + 1.0
+    assert subgrad_at(f, x, a) == f.element(x, a)
+    req = ProxRequest(f, x, 1.0, a)
+    assert np.array_equal(prox_via_argmin(req), f.prox(req))
+    # the coefficient is always the caller's choice, the black box's too
     with pytest.raises(TypeError):
-        subgrad_at(AbsPlusSquare(), (1.0,))
+        subgrad_at(f, x)
 
 
 def test_subgrad_infeasible_coefficient():
@@ -176,7 +195,7 @@ def test_subgrad_blackbox_default_and_identity():
     )
     x = np.array([3.0])
     assert g.default_coefficient(x) == pytest.approx(0.1)
-    phi = subgrad_at(g, x)
+    phi = subgrad_at(g, x, g.default_coefficient(x))
     # u - 2 a x recovers the gradient by construction
     assert np.allclose(phi.u - 2.0 * phi.a * x, [6.0])
 

@@ -145,15 +145,20 @@ NAN = float("nan")
     lambda: duality_map_element([1.0], NAN, 0.0),
     lambda: duality_map_element([1.0], 1.0, NAN),
     lambda: duality_map_inverse(PhiElement(0.0, [1.0]), NAN),
+    lambda: duality_map_inverse(PhiElement(NAN, [1.0]), 1.0),
     lambda: prox_abs_square_closed_form(1.0, NAN, 0.0),
     lambda: prox_abs_square_closed_form(1.0, 1.0, NAN),
+    lambda: prox_abs_square_closed_form(3.0, -1.0, 0.1),
+    lambda: prox_abs_square_closed_form(3.0, 0.0, 0.1),
     lambda: subgrad_at(IndicatorSet(Ball(np.zeros(2), 1.0)), [0.0, 0.0], NAN),
 ], ids=["schedule-gamma0", "adaptive-v2-epsilon", "norm-square-gamma", "ball-radius",
         "box-lo", "box-hi", "halfspace-normal", "blackbox-eps", "prox-request-gamma",
-        "duality-element-gamma", "duality-element-a", "duality-inverse-gamma", "abs-square-gamma",
-        "abs-square-a0", "indicator-subgrad-a"])
+        "duality-element-gamma", "duality-element-a", "duality-inverse-gamma",
+        "duality-inverse-a", "abs-square-gamma", "abs-square-a0", "abs-square-gamma-negative",
+        "abs-square-gamma-zero", "indicator-subgrad-a"])
 def test_nan_fails_each_positivity_check(build):
-    # NaN fails every comparison, so a check written `x <= 0` would accept it
+    # NaN fails every comparison, so a check written `x <= 0` would accept it;
+    # the closed form also once took a negative gamma, and divided by a zero one
     with pytest.raises(ValueError):
         build()
 
