@@ -66,6 +66,7 @@ from .experiments import (
     EXPERIMENTS,
     run_config,
     run_named_experiment,
+    run_sweep,
     write_csv,
 )
 

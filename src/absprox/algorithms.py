@@ -14,6 +14,18 @@ is checked at runtime and reported through
 error where a caller wants one; guard conditions terminate runs with a
 recorded stop tag instead of an exception wherever a stop is an expected
 outcome of the update rule itself.
+
+The loop and each step come in two shapes.  ``run_ppa``, ``run_fb`` and
+``run_psg`` step one point: the run's scalars are floats and its iterate
+an (n,) array.  :func:`run_block` steps the m members of a sweep (one
+method, one problem, their own start points and schedules) as one (m, n)
+block: the vector work of a step is done once for all members, each
+member's scalars stay floats that its own schedule advances, and a member
+leaves the block at its own stop.  Its records, and an error a member
+raises, are bit for bit those of the member's own point run.  A sweep of
+3 or 4 members takes the block; a single run keeps the point step, as a
+block of one is slower than it.  The per-member checks (``_ppa_tag``,
+``_fb_weight``, ``_psg_denominator``) are shared by both shapes.
 """
 
 from __future__ import annotations
@@ -25,8 +37,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .oracles import (Oracle, SetDescriptor, SmoothBlackBox, _norm, eval_oracle, feasible_range,
-                      subgrad_at)
+from .oracles import (Oracle, SetDescriptor, SmoothBlackBox, _inadmissible, _norm, _row_norms,
+                      eval_oracle, feasible_range, subgrad_at)
 from .prox import ProxRequest, prox_via_argmin
 
 __all__ = [
@@ -44,6 +56,7 @@ __all__ = [
     "run_ppa",
     "run_fb",
     "run_psg",
+    "run_block",
     "TheoremViolationWarning",
     "ScheduleInfeasibleError",
     "ScheduleDegenerateError",
@@ -235,7 +248,7 @@ def sq_distances(records: list[IterationRecord], x_star) -> np.ndarray:
 
 def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
              check_descent: bool = False) -> RunResult:
-    """The loop the three methods share.
+    """The point loop the three methods share (one run, one (n,) iterate).
 
     ``step(rec)`` advances from the current record (it may fill
     ``rec.a_fn``).  It returns None when the method's guard stops the run
@@ -274,9 +287,81 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
     return RunResult(records)
 
 
+def _iterate_block(x0s, scheds: list[Schedule], n_iter: int, objective, step,
+                   check_descent: bool = False) -> list[RunResult]:
+    """The loop of :func:`_iterate` for m members stepped as one (m, n) block.
+
+    ``step(recs, x, scheds)`` advances the live members, whose current
+    records are ``recs`` and whose points are the rows of ``x``.  It returns
+    ``(x_next, outs)``: ``outs[j]`` is None when member j's guard stops it
+    at ``recs[j]``, else ``(gamma_next, a_next, tag)``, and ``x_next`` holds
+    the rows of the members that went on, in order.  Each member then meets
+    the checks of a point run and leaves the block at its own stop; its
+    records are bit for bit those of its own point run.
+    """
+    x = np.array([np.array(x0, dtype=float, ndmin=1) for x0 in x0s])
+    recs = [IterationRecord(0, s.gamma0, s.a0, np.nan, row, f, 0.0)
+            for s, row, f in zip(scheds, x, objective(x).tolist())]
+    runs = [[rec] for rec in recs]
+    live, scheds = list(range(len(recs))), list(scheds)  # the members still stepping
+    for n in range(n_iter):
+        x_next, outs = step(recs, x, scheds)
+        finite = np.isfinite(x_next).all(axis=-1).tolist()
+        went, rows = [], []  # the members that went on, and their rows of x_next
+        for j, out in enumerate(outs):
+            if out is None:
+                recs[j].stopped_by = STOP_GUARD
+            elif not (math.isfinite(out[0]) and math.isfinite(out[1])
+                      and finite[len(rows)]) or out[0] <= 0:
+                recs[j].stopped_by = STOP_NONFINITE
+                rows.append(None)
+            else:
+                went.append(j)
+                rows.append(len(rows))
+        if not went:
+            break
+        if len(went) < len(recs):
+            x_next, x = x_next[[k for k in rows if k is not None]], x[went]
+        new = []
+        for j, row, f_next, step_norm in zip(went, x_next, objective(x_next).tolist(),
+                                             _row_norms(x_next - x)):
+            rec, (gamma_next, a_next, tag) = recs[j], outs[j]
+            if check_descent and f_next > rec.f_xn + 1e-10:
+                warnings.warn(f"descent violated at iteration {n}: f went from "
+                              f"{rec.f_xn} to {f_next}", TheoremViolationWarning, stacklevel=3)
+            new.append(IterationRecord(n + 1, gamma_next, a_next, np.nan, row, f_next,
+                                       step_norm, stopped_by=tag))
+            runs[live[j]].append(new[-1])
+        stay = [p for p, rec in enumerate(new) if rec.stopped_by is None]
+        recs, x = new, x_next
+        if len(stay) < len(outs):  # a member left the block
+            if not stay:
+                break
+            live, scheds = [live[went[p]] for p in stay], [scheds[went[p]] for p in stay]
+            recs, x = [new[p] for p in stay], x_next[stay]
+    return [RunResult(records) for records in runs]
+
+
 # ---------------------------------------------------------------------------
 # The three methods
 # ---------------------------------------------------------------------------
+
+
+def _column(values: list[float]) -> np.ndarray:
+    """One scalar per member as a (k, 1) column."""
+    return np.array(values).reshape(-1, 1)
+
+
+def _ppa_tag(rec: IterationRecord, a_next: float, a_min: float) -> str | None:
+    """Proximal point's checks after the step from ``rec``: the consumed
+    subgradient difference has coefficient a_n - a_{n+1}, which must stay
+    feasible for f at the new iterate; and the global-minimizer certificate."""
+    if not rec.a_n - a_next >= a_min:
+        raise ScheduleInfeasibleError(
+            f"schedule decrement a_n - a_(n+1) = {rec.a_n - a_next} is below the "
+            f"oracle's feasible threshold at iterate {rec.n + 1}"
+        )
+    return STOP_GLOBAL_MIN if abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12 else None
 
 
 def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
@@ -288,20 +373,43 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
     a violation warns with :class:`TheoremViolationWarning`.
     """
     def step(rec):
-        gamma, a = rec.gamma_n, rec.a_n
-        x_next = prox_via_argmin(ProxRequest(f, rec.x_n, gamma, a))
-        gamma_next, a_next = schedule_step(sched, gamma, a)
-        # the consumed subgradient difference has coefficient a_n - a_{n+1};
-        # it must stay feasible for f at the new iterate
-        if not a - a_next >= feasible_range(f, x_next):
-            raise ScheduleInfeasibleError(
-                f"schedule decrement a_n - a_(n+1) = {a - a_next} is below the "
-                f"oracle's feasible threshold at iterate {rec.n + 1}"
-            )
-        certificate = abs(0.5 / gamma + a) <= 1e-12
-        return x_next, gamma_next, a_next, STOP_GLOBAL_MIN if certificate else None
+        x_next = prox_via_argmin(ProxRequest(f, rec.x_n, rec.gamma_n, rec.a_n))
+        gamma_next, a_next = schedule_step(sched, rec.gamma_n, rec.a_n)
+        return x_next, gamma_next, a_next, _ppa_tag(rec, a_next, feasible_range(f, x_next))
 
     return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, check_descent=True)
+
+
+def _ppa_block(f: Oracle):
+    def step(recs, x, scheds):
+        gamma, a = _column([r.gamma_n for r in recs]), _column([r.a_n for r in recs])
+        x_next = prox_via_argmin(ProxRequest(f, x, gamma, a))
+        nexts = [schedule_step(s, r.gamma_n, r.a_n) for s, r in zip(scheds, recs)]
+        return x_next, [(gamma_next, a_next, _ppa_tag(r, a_next, a_min))
+                        for r, (gamma_next, a_next), a_min
+                        in zip(recs, nexts, feasible_range(f, x_next).tolist())]
+
+    return step
+
+
+def _fb_weight(rec: IterationRecord, a_g: float, sched: Schedule) -> float | None:
+    """Forward-backward's weight c = 1/(2 gamma_n) + a_n - a_n^g at ``rec``, or
+    None where a vanishing c is the schedule's stop."""
+    rec.a_fn = a_g
+    c = 0.5 / rec.gamma_n + rec.a_n - a_g
+    if c <= 0.0:
+        if sched.fb_weight_raises:
+            raise DegenerateStepError(
+                f"regularizer weight 1/(2 gamma) + a_n - a_n^g = {c} <= 0 "
+                f"at iteration {rec.n}"
+            )
+        return None
+    return c
+
+
+def _require_black_box(g) -> None:
+    if not isinstance(g, SmoothBlackBox):
+        raise TypeError("g must be a SmoothBlackBox oracle")
 
 
 def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> RunResult:
@@ -319,27 +427,51 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> Ru
     condition 1/gamma + a_n + a_{n+1} >= a_n^g + L_g/2 needs a Lipschitz
     constant L_g of grad g, which the black box does not carry.
     """
-    if not isinstance(g, SmoothBlackBox):
-        raise TypeError("g must be a SmoothBlackBox oracle")
+    _require_black_box(g)
 
     def step(rec):
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
         a_g = g.default_coefficient(x)
         grad = np.atleast_1d(np.asarray(g.gradient(x), dtype=float))
-        rec.a_fn = a_g
-        c = 0.5 / gamma + a - a_g
-        if c <= 0.0:
-            if sched.fb_weight_raises:
-                raise DegenerateStepError(
-                    f"regularizer weight 1/(2 gamma) + a_n - a_n^g = {c} <= 0 "
-                    f"at iteration {rec.n}"
-                )
+        c = _fb_weight(rec, a_g, sched)
+        if c is None:
             return None
         x_next = prox_via_argmin(ProxRequest(f, x - grad / (2.0 * c), gamma, a - a_g))
         gamma_next, a_next = schedule_step(sched, gamma, a, a_g)
         return x_next, gamma_next, a_next, None
 
     return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x), step)
+
+
+def _fb_block(f: Oracle, g: SmoothBlackBox):
+    def step(recs, x, scheds):
+        # the callbacks see one row at a time
+        a_g = [g.default_coefficient(row) for row in x]
+        grad = np.array([g.gradient(row) for row in x], dtype=float).reshape(x.shape)
+        c = [_fb_weight(r, a, s) for r, a, s in zip(recs, a_g, scheds)]
+        went = [j for j, cj in enumerate(c) if cj is not None]
+        outs = [None] * len(recs)
+        if not went:
+            return x[:0], outs
+        if len(went) < len(recs):
+            x, grad = x[went], grad[went]
+        gamma = _column([recs[j].gamma_n for j in went])
+        a = _column([recs[j].a_n - a_g[j] for j in went])
+        two_c = _column([2.0 * c[j] for j in went])
+        x_next = prox_via_argmin(ProxRequest(f, x - grad / two_c, gamma, a))
+        for j in went:
+            outs[j] = (*schedule_step(scheds[j], recs[j].gamma_n, recs[j].a_n, a_g[j]), None)
+        return x_next, outs
+
+    return step
+
+
+def _psg_denominator(rec: IterationRecord, a_f: float) -> float | None:
+    """Projected subgradient's 1 + 2 gamma_n (a_n - a_n^f) at ``rec``, or None
+    where the stepsize guard stops the run."""
+    rec.a_fn = a_f
+    denom = 1.0 + 2.0 * rec.gamma_n * (rec.a_n - a_f)
+    return None if denom <= 0.0 else denom
 
 
 def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
@@ -361,12 +493,64 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
         a_f = float(a_f_override) if a_f_override is not None else feasible_range(f, x)
         u = subgrad_at(f, x, a_f).u
-        rec.a_fn = a_f
-        denom = 1.0 + 2.0 * gamma * (a - a_f)
-        if denom <= 0.0:
+        denom = _psg_denominator(rec, a_f)
+        if denom is None:
             return None
         x_next = set_c.project(((1.0 + 2.0 * gamma * a) * x - gamma * u) / denom)
         gamma_next, a_next = schedule_step(sched, gamma, a, a_f)
         return x_next, gamma_next, a_next, None
 
     return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step)
+
+
+def _psg_block(f: Oracle, set_c: SetDescriptor, a_f_override: float | None):
+    def step(recs, x, scheds):
+        a_min = feasible_range(f, x).tolist()
+        a_f = a_min if a_f_override is None else [float(a_f_override)] * len(recs)
+        for af, am in zip(a_f, a_min):
+            if not af >= am:  # subgrad_at's check, per member
+                raise _inadmissible(af, am)
+        # a pinned a^f is one float for every member, as in the point step
+        u = f.slope(x, a_f[0] if a_f_override is not None else _column(a_f))
+        denom = [_psg_denominator(r, af) for r, af in zip(recs, a_f)]
+        went = [j for j, d in enumerate(denom) if d is not None]
+        outs = [None] * len(recs)
+        if not went:
+            return x[:0], outs
+        if len(went) < len(recs):
+            x, u = x[went], u[went]
+        c1 = _column([1.0 + 2.0 * recs[j].gamma_n * recs[j].a_n for j in went])
+        gamma = _column([recs[j].gamma_n for j in went])
+        x_next = set_c.project((c1 * x - gamma * u) / _column([denom[j] for j in went]))
+        for j in went:
+            outs[j] = (*schedule_step(scheds[j], recs[j].gamma_n, recs[j].a_n, a_f[j]), None)
+        return x_next, outs
+
+    return step
+
+
+def run_block(algorithm: str, f: Oracle, x0s, scheds: list[Schedule], n_iter: int, *,
+              g: SmoothBlackBox | None = None, set_c: SetDescriptor | None = None,
+              a_f_override: float | None = None) -> list[RunResult]:
+    """m runs of one method on one problem, stepped as one (m, n) block.
+
+    ``algorithm`` is ``"ppa"``, ``"fb"`` (with ``g``) or ``"psg"`` (with
+    ``set_c`` and ``a_f_override``); the members differ only in their start
+    points ``x0s`` and their schedules.  ``f`` is an oracle a config can
+    name: its closed-form ``prox`` (ppa, fb) and its ``slope`` (psg: Q or
+    ``AbsPlusSquare``) take the block.  Each member's records, and the
+    error a member raises, are bit for bit those of its own ``run_ppa``,
+    ``run_fb`` or ``run_psg``.  A method's block work is done once per step
+    for all members; for a single run the point step is cheaper.
+    """
+    if algorithm == "ppa":
+        return _iterate_block(x0s, scheds, n_iter, lambda x: eval_oracle(f, x), _ppa_block(f),
+                              check_descent=True)
+    if algorithm == "fb":
+        _require_black_box(g)
+        return _iterate_block(x0s, scheds, n_iter,
+                              lambda x: eval_oracle(f, x) + eval_oracle(g, x), _fb_block(f, g))
+    if algorithm == "psg":
+        return _iterate_block(x0s, scheds, n_iter, lambda x: eval_oracle(f, x),
+                              _psg_block(f, set_c, a_f_override))
+    raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -173,23 +173,39 @@ def _split(text: str, opener: str, sep: str, nested: bool = False) -> tuple[str,
     if stack:
         c, i = text[stack[-1]], stack[-1]
         raise ValueError(f"missing {_CLOSERS[c]!r} for the {c!r} at column {i + 1} of {text!r}")
-    if end < len(text) - 1:
-        raise ValueError(f"stray {text[end + 1]!r} at column {end + 2} of {text!r}")
+    _refuse_tail(text, end)
     return text[:start].strip(), [t.strip() for t in _SEPARATORS[sep].split(text[start + 1:end])]
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    items = _split(text, "[", ",")[1]  # the callers pass only text that starts with "["
+def _refuse_tail(text: str, end: int) -> None:
+    """Refuse text after the bracket that closes at ``end``."""
+    if end < len(text) - 1:
+        raise ValueError(f"stray {text[end + 1]!r} at column {end + 2} of {text!r}")
+
+
+def _parse_numbers(items: list[str]) -> np.ndarray:
     if items == [""]:
         raise ValueError("empty vector")
     return np.array([_parse_number(t) for t in items], dtype=float)
+
+
+def _parse_vector(text: str) -> np.ndarray:
+    return _parse_numbers(_split(text, "[", ",")[1])  # the callers pass only text that starts with "["
+
+
+def _parse_row(row: str) -> np.ndarray:
+    """A matrix row that the matrix's tokenizer passed: "[" first, and only
+    one-level bracket pairs, so its first "]" closes the vector."""
+    end = row.index("]")
+    _refuse_tail(row, end)
+    return _parse_numbers([t.strip() for t in row[1:end].split(",")])
 
 
 def _parse_matrix(text: str) -> QuadraticForm:
     head, rows = _split(text, "[", ";", nested=True)
     if head or not all(r.startswith("[") for r in rows):
         raise ValueError("matrix must look like [[...];[...]]")
-    parsed = [_parse_vector(r) for r in rows]
+    parsed = [_parse_row(r) for r in rows]
     if len({len(r) for r in parsed}) != 1:
         raise ValueError("matrix rows have unequal lengths")
     return QuadraticForm(np.array(parsed, dtype=float))  # refuses a Q not square or symmetric

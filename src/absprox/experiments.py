@@ -9,11 +9,11 @@ empty field.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .algorithms import RunResult, run_fb, run_ppa, run_psg, sq_distances
+from .algorithms import RunResult, run_block, run_fb, run_ppa, run_psg, sq_distances
 from .config import ExperimentConfig, parse_config
 from .oracles import eval_oracle
 from .reference import eig_sym
@@ -22,6 +22,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentRun",
     "run_config",
+    "run_sweep",
     "run_named_experiment",
     "write_csv",
     "CSV_HEADER",
@@ -197,46 +198,27 @@ class ExperimentRun:
     f_star: float
 
 
-def _resolve_reference(cfg, result, eigen: dict):
-    """Reference point for diagnostics; eigen-based references pick the unit
-    eigenvector of the smallest eigenvalue, signed toward the final iterate.
+def _auto_eigen(cfg: ExperimentConfig) -> np.ndarray:
+    """The unit eigenvector of the smallest eigenvalue of Q, unsigned.
 
-    The eigenvector comes from the Jacobi arbiter, not from the oracle's
-    LAPACK decomposition: it is a diagnostic target, and the frozen
+    It comes from the Jacobi arbiter, not from the oracle's LAPACK
+    decomposition: it is a diagnostic target, and the frozen
     ``dist_to_ref``/``fejer`` columns of the bundled sweeps carry its bits.
-    ``eigen`` holds the unsigned vector per matrix, so the runs that share
-    it solve once.  The parser admits ``auto_eigen`` only with ``Q``, so
-    ``cfg.f`` is Q's ``QuadraticForm``.
+    The parser admits ``auto_eigen`` only with ``Q``, so ``cfg.f`` is Q's
+    ``QuadraticForm``.
     """
-    if cfg.reference is None:
-        return None
+    v = eig_sym(cfg.f.q)[1][:, 0]
+    return v / np.linalg.norm(v)
+
+
+def _finish(cfg: ExperimentConfig, result: RunResult, eigen: np.ndarray | None) -> ExperimentRun:
+    """The run with its reference resolved after it: ``auto_eigen`` is
+    ``eigen`` signed toward the final iterate."""
+    x_star = None
     if isinstance(cfg.reference, str):  # auto_eigen
-        q = cfg.f.q
-        key = q.tobytes()
-        if key not in eigen:
-            v = eig_sym(q)[1][:, 0]
-            eigen[key] = v / np.linalg.norm(v)
-        v = eigen[key]
-        return -v if float(v @ result.final.x_n) < 0.0 else v.copy()
-    return np.atleast_1d(np.asarray(cfg.reference, dtype=float))
-
-
-def run_config(cfg: ExperimentConfig, *, _eigen: dict | None = None) -> ExperimentRun:
-    """Execute the run of a parsed config on the objects it holds.
-
-    ``_eigen`` lets the members of one sweep share their ``auto_eigen``
-    solve (see ``run_named_experiment``).
-    """
-    if cfg.algorithm == "ppa":
-        result = run_ppa(cfg.f, cfg.x0, cfg.schedule, cfg.n_iter)
-    elif cfg.algorithm == "psg":
-        result = run_psg(cfg.f, cfg.set, cfg.x0, cfg.schedule, cfg.n_iter, a_f_override=cfg.a_f)
-    else:
-        result = run_fb(cfg.f, cfg.g, cfg.x0, cfg.schedule, cfg.n_iter)
-
-    # the reference is resolved after the run: auto_eigen signs it toward
-    # the final iterate
-    x_star = _resolve_reference(cfg, result, {} if _eigen is None else _eigen)
+        x_star = -eigen if float(eigen @ result.final.x_n) < 0.0 else eigen.copy()
+    elif cfg.reference is not None:
+        x_star = np.atleast_1d(np.asarray(cfg.reference, dtype=float))
     f_star = np.nan
     if x_star is not None:
         f_star = eval_oracle(cfg.f, x_star)
@@ -244,17 +226,65 @@ def run_config(cfg: ExperimentConfig, *, _eigen: dict | None = None) -> Experime
     return ExperimentRun(config=cfg, result=result, x_star=x_star, f_star=f_star)
 
 
+def run_config(cfg: ExperimentConfig) -> ExperimentRun:
+    """Execute the run of a parsed config on the objects it holds."""
+    if cfg.algorithm == "ppa":
+        result = run_ppa(cfg.f, cfg.x0, cfg.schedule, cfg.n_iter)
+    elif cfg.algorithm == "psg":
+        result = run_psg(cfg.f, cfg.set, cfg.x0, cfg.schedule, cfg.n_iter, a_f_override=cfg.a_f)
+    else:
+        result = run_fb(cfg.f, cfg.g, cfg.x0, cfg.schedule, cfg.n_iter)
+    return _finish(cfg, result, _auto_eigen(cfg) if isinstance(cfg.reference, str) else None)
+
+
+def _same(x, y) -> bool:
+    """Equal values: arrays by shape and bytes, dataclasses field by field."""
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.shape == y.shape and x.tobytes() == y.tobytes()
+    if is_dataclass(x):
+        return type(x) is type(y) and all(_same(getattr(x, k.name), getattr(y, k.name))
+                                          for k in fields(x) if k.compare)
+    return x == y
+
+
+# what the members of a sweep share; their x0, schedules and references may differ
+_SHARED = ("algorithm", "f", "g", "set", "a_f", "n_iter")
+
+
+def run_sweep(cfgs: list[ExperimentConfig]) -> list[ExperimentRun]:
+    """Run the members of one sweep, each as ``run_config`` would.
+
+    The members share algorithm, oracle, set, a_f pin and horizon, and
+    differ in gamma0, a0 and x0; ValueError otherwise.  Two or more members
+    are stepped as one block (``algorithms.run_block``), whose records are
+    bit for bit the members' own; one member takes the point step.  The
+    members share one ``auto_eigen`` solve.
+    """
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        differ = [k for k in _SHARED if not _same(getattr(cfg, k), getattr(first, k))]
+        if differ:
+            raise ValueError(f"sweep members differ in {', '.join(differ)}")
+    if len(cfgs) == 1:
+        return [run_config(first)]
+    results = run_block(first.algorithm, first.f, [c.x0 for c in cfgs],
+                        [c.schedule for c in cfgs], first.n_iter, g=first.g, set_c=first.set,
+                        a_f_override=first.a_f)
+    eigen = _auto_eigen(first) if any(isinstance(c.reference, str) for c in cfgs) else None
+    return [_finish(cfg, res, eigen) for cfg, res in zip(cfgs, results)]
+
+
 def run_named_experiment(name: str,
                          out_dir: str | None = None) -> list[tuple[str, ExperimentRun]]:
-    """Run every sweep member of a named experiment; optionally write CSVs.
+    """Run every sweep member of a named experiment (one ``run_sweep``);
+    optionally write CSVs.
 
-    Returns (csv_path_or_label, run) pairs in sweep order.  The members
-    share one ``auto_eigen`` solve, held only for this call.
+    Returns (csv_path_or_label, run) pairs in sweep order.
     """
     out = []
-    eigen = {}
-    for gamma, cfg in named_experiment_configs(name):
-        run = run_config(cfg, _eigen=eigen)
+    members = named_experiment_configs(name)
+    runs = run_sweep([cfg for _, cfg in members])
+    for (gamma, _), run in zip(members, runs):
         label = f"{name}-gamma{gamma:g}.csv"
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)

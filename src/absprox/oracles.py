@@ -19,8 +19,8 @@ Each class carries its own formulas and its own prox as methods, the black
 box included: its ``prox`` is a certified inner solver (see
 ``_inner_argmin``).  ``eval_oracle``, ``feasible_range`` and ``subgrad_at``
 are the entry points, which check the point's dimension and the requested
-coefficient.  ``eval_oracle`` also takes a block (m, n) of points and
-returns their m values.
+coefficient.  ``eval_oracle`` and ``feasible_range`` also take a block
+(m, n) of points and return their m values.
 """
 
 from __future__ import annotations
@@ -71,6 +71,14 @@ def _norm(v: np.ndarray) -> float:
     return nd if nd != math.inf else math.hypot(*v)
 
 
+def _row_norms(v: np.ndarray) -> list[float]:
+    """``_norm`` of each row of a block (m, n), bit for bit."""
+    nd = np.sqrt(np.vecdot(v, v)).tolist()
+    if math.inf in nd:  # some v . v overflows
+        return [r if r != math.inf else math.hypot(*row) for r, row in zip(nd, v)]
+    return nd
+
+
 # membership slack of the sets' ``contains``, relative to the set's size
 _CONTAINS_TOL = 1e-9
 
@@ -101,6 +109,8 @@ class Ball:
     def project(self, x) -> np.ndarray:
         x = _vec(x)
         d = x - self.center
+        if x.ndim > 1:
+            return self._project_rows(x, d)
         nd = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic
         if nd <= self.radius:
             return x
@@ -108,6 +118,15 @@ class Ball:
             d = d / np.abs(d).max()
             nd = math.sqrt(d.dot(d))
         return self.center + (self.radius / nd) * d
+
+    def _project_rows(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """``project`` of each row of a block, row by row where a d . d overflows."""
+        nd = np.sqrt(np.vecdot(d, d))
+        if math.inf in nd.tolist():
+            return np.array([self.project(row) for row in x])
+        # a row outside has nd > radius, so its scale is exactly radius / nd
+        scale = self.radius / np.maximum(nd, self.radius)
+        return np.where((nd <= self.radius)[:, None], x, self.center + scale[:, None] * d)
 
     def contains(self, x):
         d = _vec(x) - self.center
@@ -180,6 +199,8 @@ class Halfspace:
 
     def project(self, x) -> np.ndarray:
         x = _vec(x)
+        if x.ndim > 1:
+            return np.array([self.project(row) for row in x])
         n, e, s = self._excess(x)
         return x if e <= 0.0 else s * (x / s - (e / float(n @ n)) * n)
 
@@ -199,11 +220,15 @@ SetDescriptor = Ball | Box | Halfspace
 # least admissible coefficient a_min at x), ``element(x, a)`` (the
 # subdifferential element for an admissible a) and ``prox(req)`` (the
 # proximal point for a ProxRequest: a closed form, or for SmoothBlackBox the
-# certified inner solver).
-# ``value`` and the sets' ``contains`` take a point (n,) or a block (m, n)
-# of points, one result per row, each row bit for bit its single-point
-# result.  The methods assume points of the right dimension; callers go
-# through the module functions below, which check it.
+# certified inner solver).  ``slope(x, a)`` is the u of ``element`` for the
+# oracles that psg steps on.
+# ``value``, ``feasible_range``, ``slope``, the closed-form ``prox`` and the
+# sets' ``contains`` and ``project`` take a point (n,) or a block (m, n) of
+# points, one result per row, each row bit for bit its single-point result;
+# a block's coefficients (``a``, a request's gamma and a0) are (m, 1)
+# columns.  A constant ``feasible_range`` is one float for any block.  The
+# methods assume points of the right dimension; callers go through the
+# module functions below, which check it.
 
 
 class UnboundedObjectiveError(ValueError):
@@ -240,8 +265,8 @@ class NormSquare:
 
     def prox(self, req) -> np.ndarray:
         # (1/(2 gp) + w) z = w x0
-        x0, w = req.x0, req.weight
-        return (w / (0.5 / self.gamma + w)) * x0 if w > 0.0 else np.zeros_like(x0)
+        w = req.weight
+        return np.where(w > 0.0, (w / (0.5 / self.gamma + w)) * req.x0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -280,24 +305,36 @@ class QuadraticForm:
     def feasible_range(self, x) -> float:
         return -self.min_eigenvalue
 
+    def slope(self, x, a):
+        # np.matvec gives each row the bits of its own q @ x; a block x @ q.T does not
+        return 2.0 * (np.matvec(self.q, x) + a * x)
+
     def element(self, x, a: float) -> PhiElement:
+        # slope's formula: q @ x is cheaper than np.matvec on one point (quad-dim)
         return PhiElement(a, 2.0 * (self.q @ x + a * x))
 
     def prox(self, req) -> np.ndarray:
-        """Raises ``UnboundedObjectiveError`` when min eig + weight <= 0."""
-        x0, w = req.x0, req.weight
-        if self.min_eigenvalue + w < 0.0:
-            raise UnboundedObjectiveError(
-                "regularized quadratic is unbounded below: min eig "
-                f"{self.min_eigenvalue} + weight {w} < 0"
-            )
-        if self.min_eigenvalue + w == 0.0:
-            raise UnboundedObjectiveError(
-                "regularized quadratic is singular at the bottom of its spectrum"
-            )
+        """Raises ``UnboundedObjectiveError`` when min eig + weight <= 0.  A
+        block's systems are solved as one stack."""
+        x0, w, lam = req.x0, req.weight, self.min_eigenvalue
+        for wi in np.ravel(w).tolist():
+            if lam + wi < 0.0:
+                raise UnboundedObjectiveError(
+                    f"regularized quadratic is unbounded below: min eig {lam} + weight {wi} < 0"
+                )
+            if lam + wi == 0.0:
+                raise UnboundedObjectiveError(
+                    "regularized quadratic is singular at the bottom of its spectrum"
+                )
+        eye = np.eye(self.dim)
         try:
-            return np.linalg.solve(self.q + w * np.eye(self.dim), w * x0)
+            if x0.ndim == 1:
+                return np.linalg.solve(self.q + w * eye, w * x0)
+            return np.linalg.solve(self.q + w[..., None] * eye, (w * x0)[..., None])[..., 0]
         except np.linalg.LinAlgError as e:
+            if x0.ndim > 1:  # the stack does not say which member is singular; its own solve does
+                return np.array([self.prox(type(req)(self, row, gamma, a0))
+                                 for row, (gamma, a0) in zip(x0, req.pairs())])
             # w within rounding of -min eig: which of the two guards above
             # or LAPACK catches it depends on the last bit of the eigenvalue
             raise UnboundedObjectiveError(
@@ -344,13 +381,17 @@ class AbsPlusSquare:
     def feasible_range(self, x) -> float:
         return -1.0
 
+    def slope(self, x, a):
+        t = x[..., :1]
+        return np.where(t != 0.0, np.sign(t), 0.0) + 2.0 * (a + 1.0) * t
+
     def element(self, x, a: float) -> PhiElement:
-        t = float(x[0])
-        slope = np.sign(t) if t != 0.0 else 0.0
-        return PhiElement(a, np.array([slope + 2.0 * (a + 1.0) * t]))
+        return PhiElement(a, self.slope(x, a))
 
     def prox(self, req) -> np.ndarray:
-        return np.array([prox_abs_square_closed_form(float(req.x0[0]), req.gamma, req.a0)])
+        z = [prox_abs_square_closed_form(t, gamma, a0)
+             for t, (gamma, a0) in zip(req.x0.ravel().tolist(), req.pairs())]
+        return np.reshape(z, req.x0.shape)
 
 
 @dataclass(frozen=True)
@@ -367,7 +408,7 @@ class IndicatorSet:
         return np.where(self.set.contains(x), 0.0, np.inf)
 
     def feasible_range(self, x) -> float:
-        if not self.set.contains(x):
+        if not self.set.contains(x).all():
             raise EmptySubdifferentialError(
                 "point lies outside the indicator's set; subdifferential is empty"
             )
@@ -473,7 +514,9 @@ class SmoothBlackBox:
     def default_coefficient(self, x) -> float:
         return float(self.kappa(_vec(x))) + self.eps
 
-    def feasible_range(self, x) -> float:
+    def feasible_range(self, x):
+        if x.ndim > 1:
+            return np.array([float(self.kappa(row)) for row in x])
         return float(self.kappa(x))
 
     def element(self, x, a: float) -> PhiElement:
@@ -488,8 +531,10 @@ Oracle = NormSquare | QuadraticForm | AbsPlusSquare | IndicatorSet | SmoothBlack
 
 
 def _check_dim(f: Oracle, x: np.ndarray):
-    if x.shape != (f.dim,):
-        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, point of shape {x.shape}")
+    """Refuse anything but a point (n,) or a block (m, n) of f's dimension n
+    (``eval_oracle`` writes the same test inline)."""
+    if x.shape != (f.dim,) and (x.ndim != 2 or x.shape[1] != f.dim):
+        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, points of shape {x.shape}")
 
 
 def eval_oracle(f: Oracle, x) -> float | np.ndarray:
@@ -508,12 +553,15 @@ def eval_oracle(f: Oracle, x) -> float | np.ndarray:
     return f.value(x)
 
 
-def feasible_range(f: Oracle, x) -> float:
+def feasible_range(f: Oracle, x) -> float | np.ndarray:
     """a_min, the least admissible coefficient at x: the admissible ones are
-    a >= a_min, which no NaN satisfies.  Raises if x is outside dom f."""
+    a >= a_min, which no NaN satisfies.  Raises if x is outside dom f.  A
+    block (m, n) gives the m rows' values; a black box's callback sees one
+    row at a time."""
     x = _vec(x)
     _check_dim(f, x)
-    return f.feasible_range(x)
+    a_min = f.feasible_range(x)
+    return a_min if x.ndim == 1 else np.full(len(x), a_min)
 
 
 def subgrad_at(f: Oracle, x, a: float) -> PhiElement:
@@ -525,7 +573,14 @@ def subgrad_at(f: Oracle, x, a: float) -> PhiElement:
     """
     x = _vec(x)
     a = float(a)
+    if x.ndim != 1:
+        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, point of shape {x.shape}")
     a_min = feasible_range(f, x)  # also checks x's dimension
     if not a >= a_min:
-        raise InfeasibleCoefficientError(f"a={a} below the feasible threshold a_min={a_min}")
+        raise _inadmissible(a, a_min)
     return f.element(x, a)
+
+
+def _inadmissible(a: float, a_min: float) -> InfeasibleCoefficientError:
+    """The error for a coefficient a that fails a >= a_min."""
+    return InfeasibleCoefficientError(f"a={a} below the feasible threshold a_min={a_min}")

@@ -31,6 +31,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProxRequest:
+    """The prox of ``f`` at ``x0``: a point (n,), or a block (m, n) whose m
+    members' ``gamma`` and ``a0`` are (m, 1) columns.  Each member's pair
+    is checked as a point's would be."""
+
     f: Oracle
     x0: np.ndarray
     gamma: float
@@ -38,7 +42,16 @@ class ProxRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        check_coefficient(self.gamma, self.a0)
+        for gamma, a0 in self.pairs():
+            check_coefficient(gamma, a0)
+
+    def pairs(self) -> list[tuple[float, float]]:
+        """(gamma, a0) of each member: one pair for a point, m for a block."""
+        if self.x0.ndim == 1:
+            return [(self.gamma, self.a0)]
+        if not np.shape(self.gamma) == np.shape(self.a0) == (len(self.x0), 1):
+            raise ValueError("a block request takes gamma and a0 as (m, 1) columns")
+        return list(zip(self.gamma[:, 0].tolist(), self.a0[:, 0].tolist()))
 
     @property
     def weight(self) -> float:
@@ -52,7 +65,7 @@ def prox_indicator(c: SetDescriptor, x, gamma: float) -> np.ndarray:
     Independent of gamma — included for interface symmetry.  At x = 0 the
     result is Proj_C(0) like everywhere else; no special casing.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     return c.project(x)
 

@@ -27,14 +27,21 @@ from absprox import (
     STOP_GUARD,
     STOP_NONFINITE,
     TheoremViolationWarning,
+    UnboundedObjectiveError,
+    EXPERIMENTS,
     check_fejer,
+    run_config,
     run_fb,
     run_ppa,
     run_psg,
+    run_sweep,
     schedule_step,
     write_csv,
 )
+from absprox.algorithms import run_block
 from absprox.checks import Q3
+from absprox.config import hessian_example
+from absprox.experiments import named_experiment_configs
 BALL3 = Ball(np.zeros(3), 1.0)
 
 
@@ -315,3 +322,59 @@ def test_descent_warning_points_at_the_caller_of_run():
         run_ppa(g, [1.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.0), 1)
     flagged = [w for w in caught if issubclass(w.category, TheoremViolationWarning)]
     assert [w.filename for w in flagged] == [__file__]
+
+
+# --- a sweep stepped as one block ---------------------------------------------
+
+
+def _fields(res):
+    """Every record field: floats by their hex form (so NaN equals NaN), x_n
+    by its shape and bytes."""
+    return [(r.n, *(float(v).hex() for v in (r.gamma_n, r.a_n, r.a_fn, r.f_xn, r.step_norm,
+                                             r.fejer)),
+             r.x_n.shape, r.x_n.tobytes(), r.stopped_by) for r in res.records]
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_a_bundled_sweep_stepped_as_a_block_is_its_members_own_runs(name):
+    cfgs = [cfg for _, cfg in named_experiment_configs(name)]
+    for cfg, run in zip(cfgs, run_sweep(cfgs)):
+        assert _fields(run.result) == _fields(run_config(cfg).result)
+
+
+def test_block_members_leave_at_their_own_stops():
+    f = QuadraticForm(Q3)
+    x0s = [[-5.0, 5.0, -5.0], [0.3, -0.2, 0.1], [0.5, 0.5, 0.0], [1.0, 2.0, 3.0]]
+    scheds = [PsgConstantGamma(1.0, 20.0),  # a falls by a_f = 4 until the guard stops it
+              PsgAdaptiveV1(1.0, 5.0, a_const=-5.0),  # gamma_1 < 0: non-finite abort
+              PsgAdaptiveV1(1.0, 5.0, a_const=1e-320),  # gamma_1 = inf: non-finite abort
+              PsgAdaptiveV2(1.0, 5.0, epsilon=1.0)]  # runs to the horizon
+    block = run_block("psg", f, x0s, scheds, 30, set_c=BALL3, a_f_override=4.0)
+    alone = [run_psg(f, BALL3, x0, s, 30, a_f_override=4.0) for x0, s in zip(x0s, scheds)]
+    assert [res.terminal for res in block] == [STOP_GUARD, STOP_NONFINITE, STOP_NONFINITE, None]
+    assert [len(res.records) for res in block] == [6, 1, 1, 31]
+    assert [_fields(res) for res in block] == [_fields(res) for res in alone]
+
+
+@pytest.mark.parametrize("method, f, g, x0, scheds", [
+    # the second member's weight 1/(2 gamma) + a_n falls below -min eig(Q3) = 4
+    ("ppa", QuadraticForm(Q3), None, [1.0, 0.0, 0.0],
+     [PpaAdditive(1.0, 100.0, delta=-5.0), PpaAdditive(1.0, 12.0, delta=-5.0)]),
+    # the second member's weight is 0, and this Q is singular though its
+    # computed min eig is 1.1e-16 > 0: LAPACK, not a guard, refuses the solve
+    ("ppa", QuadraticForm(np.array([[1.0, 3.0], [3.0, 9.0]])), None, [1.0, 1.0],
+     [PpaAdditive(0.5, 5.0), PpaAdditive(0.5, -1.0)]),
+    # the second member's constant fb weight is negative at once
+    ("fb", QuadraticForm(np.zeros((2, 2))), hessian_example(0.1), [-5.0, -1.0],
+     [FbConstant(1.0, 200.0, a_const=200.0), FbConstant(1.0, 0.0, a_const=0.0)]),
+], ids=["ppa-unbounded-prox", "ppa-singular-prox", "fb-degenerate-weight"])
+def test_a_block_raises_what_the_raising_member_raises_alone(method, f, g, x0, scheds):
+    def alone(sched):
+        return run_ppa(f, x0, sched, 5) if method == "ppa" else run_fb(f, g, x0, sched, 5)
+
+    assert alone(scheds[0]).terminal is None
+    with pytest.raises((UnboundedObjectiveError, DegenerateStepError)) as single:
+        alone(scheds[1])
+    with pytest.raises(Exception) as block:
+        run_block(method, f, [x0, x0], scheds, 5, g=g)
+    assert (type(block.value), str(block.value)) == (type(single.value), str(single.value))

@@ -56,21 +56,75 @@ _BOUNDARY_SETS = [
 ]
 
 
-@pytest.mark.parametrize("f", [
-    NormSquare(gamma=0.7, dim=16),
-    QuadraticForm(Q3),
-    QuadraticForm(_random_symmetric(8)),
-    QuadraticForm(_random_symmetric(64)),
-    AbsPlusSquare(),
-    IndicatorSet(Ball(np.zeros(4), 3.0)),
-    SmoothBlackBox(value=lambda p: float(np.cos(p).sum()), gradient=lambda p: -np.sin(p),
-                   kappa=lambda p: 0.5, eps=1e-6, dim=2),
-], ids=["norm-square", "quadratic-3", "quadratic-8", "quadratic-64", "abs+square",
-        "indicator", "blackbox"])
-def test_block_evaluation_is_each_rows_value_bit_for_bit(f):
-    block = np.random.default_rng(f.dim).uniform(-5.0, 5.0, (500, f.dim))
-    rows = [eval_oracle(f, y) for y in block]
-    assert eval_oracle(f, block).tobytes() == np.array(rows).tobytes()
+def _uniform(dim, lo=-5.0, hi=5.0, m=500):
+    return np.random.default_rng(dim).uniform(lo, hi, (m, dim))
+
+
+def _value(f):
+    return (lambda x: eval_oracle(f, x)), _uniform(f.dim), ()
+
+
+def _coefficients(lo, hi, m=500):
+    return np.random.default_rng(m).uniform(lo, hi, m)
+
+
+def _prox(f, a0_lo):
+    # gamma and a0 per row; a0 >= a0_lo keeps every request admissible
+    return ((lambda x, gamma, a0: f.prox(ProxRequest(f, x, gamma, a0))), _uniform(f.dim),
+            (_coefficients(0.1, 2.0), _coefficients(a0_lo, a0_lo + 3.0)))
+
+
+# far rows whose x . x, ||x|| or n . x overflow (see test_projections_of_far_points)
+_FAR = [[1e200, 1e200], [1.5e308, 1.5e308], [1e200, 0.0], [1e308, -1e308],
+        [1.5e308, -0.5e308], [1e308, 1e308]]
+
+# (method, block, per-row coefficients): a block's coefficients are (m, 1)
+# columns, a row's its own floats
+_BLOCK_CASES = {
+    "norm-square": _value(NormSquare(gamma=0.7, dim=16)),
+    "quadratic-3": _value(QuadraticForm(Q3)),
+    "quadratic-8": _value(QuadraticForm(_random_symmetric(8))),
+    "quadratic-64": _value(QuadraticForm(_random_symmetric(64))),
+    "abs+square": _value(AbsPlusSquare()),
+    "indicator": _value(IndicatorSet(Ball(np.zeros(4), 3.0))),
+    "blackbox": _value(SmoothBlackBox(value=lambda p: float(np.cos(p).sum()),
+                                      gradient=lambda p: -np.sin(p), kappa=lambda p: 0.5,
+                                      eps=1e-6, dim=2)),
+    # the centre's bits make c + (x - c) differ from x in some rows
+    "project-ball": (Ball(np.array([0.3, -0.7]), 2.0).project,
+                     np.vstack([_uniform(2), [[0.3, -0.7], [2.3, -0.7]]]), ()),
+    "project-ball-outside": (Ball(np.array([0.3, -0.7]), 2.0).project, _uniform(2, 3.0, 9.0), ()),
+    "project-ball-far": (Ball(np.array([0.3, -0.7]), 2.0).project,
+                         np.vstack([_uniform(2), _FAR]), ()),
+    "project-box": (Box(np.array([-1.0, -2.0]), np.array([3.0, 2.0])).project,
+                    np.vstack([_uniform(2), _FAR]), ()),
+    "project-halfspace": (Halfspace(np.array([2.0, -2.0]), 0.0).project,
+                          np.vstack([_uniform(2), _FAR]), ()),
+    "project-halfspace-huge-normal": (Halfspace(np.array([1.5e308, 1.5e308]), 0.0).project,
+                                      np.vstack([_uniform(2), _FAR]), ()),
+    "feasible-range-quadratic": (lambda x: feasible_range(QuadraticForm(Q3), x), _uniform(3), ()),
+    "feasible-range-abs+square": (lambda x: feasible_range(AbsPlusSquare(), x), _uniform(1), ()),
+    "feasible-range-indicator": (lambda x: feasible_range(IndicatorSet(Ball(np.zeros(4), 3.0)), x),
+                                 _uniform(4, -1.4, 1.4), ()),
+    "feasible-range-blackbox": (lambda x: feasible_range(SmoothBlackBox(
+        value=lambda p: 0.0, gradient=lambda p: p, kappa=lambda p: float(p @ p), eps=1.0, dim=2),
+        x), _uniform(2), ()),
+    "slope-quadratic-8": (QuadraticForm(_random_symmetric(8)).slope, _uniform(8),
+                          (_coefficients(-1.0, 5.0),)),
+    "slope-abs+square": (AbsPlusSquare().slope, np.vstack([_uniform(1)[:-2], [[0.0], [-0.0]]]),
+                         (_coefficients(-1.0, 5.0),)),
+    "prox-norm-square": _prox(NormSquare(gamma=0.7, dim=16), 0.0),
+    "prox-quadratic-3": _prox(QuadraticForm(Q3), 4.5),
+    "prox-abs+square": _prox(AbsPlusSquare(), 0.0),
+    "prox-indicator": _prox(IndicatorSet(Ball(np.zeros(4), 3.0)), 0.0),
+}
+
+
+@pytest.mark.parametrize("method, block, coefficients", _BLOCK_CASES.values(), ids=_BLOCK_CASES)
+def test_block_evaluation_is_each_rows_value_bit_for_bit(method, block, coefficients):
+    got = method(block, *(c[:, None] for c in coefficients))
+    rows = [method(y, *(float(c[i]) for c in coefficients)) for i, y in enumerate(block)]
+    assert np.asarray(got).tobytes() == np.array(rows).tobytes()
 
 
 @pytest.mark.parametrize("s, points", _BOUNDARY_SETS, ids=["ball", "box", "halfspace"])

@@ -126,6 +126,11 @@ def test_prox_request_validation():
     assert req.weight == pytest.approx(0.75)
     with pytest.raises(ValueError):
         ProxRequest(AbsPlusSquare(), np.array([1.0]), -1.0, 0.0)
+    # a block checks each member's pair, given as (m, 1) columns
+    with pytest.raises(InfeasibleCoefficientError, match="a=-0.6"):
+        ProxRequest(AbsPlusSquare(), np.zeros((2, 1)), np.ones((2, 1)), np.array([[0.0], [-0.6]]))
+    with pytest.raises(ValueError, match="columns"):
+        ProxRequest(AbsPlusSquare(), np.zeros((2, 1)), 1.0, 0.0)
 
 
 NAN = float("nan")
@@ -151,11 +156,12 @@ NAN = float("nan")
     lambda: prox_abs_square_closed_form(3.0, -1.0, 0.1),
     lambda: prox_abs_square_closed_form(3.0, 0.0, 0.1),
     lambda: subgrad_at(IndicatorSet(Ball(np.zeros(2), 1.0)), [0.0, 0.0], NAN),
+    lambda: prox_indicator(Ball(np.zeros(2), 1.0), [3.0, 4.0], NAN),
 ], ids=["schedule-gamma0", "adaptive-v2-epsilon", "norm-square-gamma", "ball-radius",
         "box-lo", "box-hi", "halfspace-normal", "blackbox-eps", "prox-request-gamma",
         "duality-element-gamma", "duality-element-a", "duality-inverse-gamma",
         "duality-inverse-a", "abs-square-gamma", "abs-square-a0", "abs-square-gamma-negative",
-        "abs-square-gamma-zero", "indicator-subgrad-a"])
+        "abs-square-gamma-zero", "indicator-subgrad-a", "indicator-prox-gamma"])
 def test_nan_fails_each_positivity_check(build):
     # NaN fails every comparison, so a check written `x <= 0` would accept it;
     # the closed form also once took a negative gamma, and divided by a zero one

@@ -50,18 +50,25 @@ def test_bundled_sweeps_call_counts(tracing):
         for name in EXPERIMENTS:
             run_named_experiment(name)
     calls = {key: tracer.calls[key] for key in (
-        "algorithms.schedule_step", "oracles.subgrad", "oracles.feasible_range",
-        "oracles.eval", "oracles.project", "prox.closed", "reference.eig_sym")}
+        "algorithms.run", "algorithms.schedule_step", "oracles.subgrad",
+        "oracles.feasible_range", "oracles.eval", "oracles.project", "prox.closed",
+        "reference.eig_sym")}
     assert calls == {
+        # each sweep is stepped as one block, which no run_* call wraps
+        "algorithms.run": 0,
+        # one schedule step per member and step, as in a point run
         "algorithms.schedule_step": 2226,
-        "oracles.subgrad": 1599,
-        "oracles.feasible_range": 2003,
-        "oracles.eval": 2515,
-        "oracles.project": 1587,
-        "prox.closed": 639,
+        # the block asks the oracle's slope, which the tracer does not wrap
+        "oracles.subgrad": 0,
+        # the oracle layer is called once per block step
+        "oracles.feasible_range": 534,
+        "oracles.eval": 743,
+        "oracles.project": 430,
+        "prox.closed": 191,
         # one auto_eigen solve per sweep, not per member
         "reference.eig_sym": 5,
     }
+    assert tracer.extra["algorithms.iters"] == 0
 
 
 def test_run_offers_what_the_bench_reads():
