@@ -136,6 +136,9 @@ class PsgAdaptiveV1(Schedule):
     """a fixed at a_const; gamma_{n+1} = gamma_n (a_n - a_n^f) / a_{n+1}.
 
     a_const = 0 is refused: the stepsize would divide by it at every step.
+    Either sign is accepted.  The next gamma is positive when a_n - a_n^f
+    has the sign of a_const: a_n > a_n^f for a_const > 0, a_n < a_n^f for
+    a_const < 0.  Otherwise it is not, and the run ends on nonfinite-abort.
     """
 
     a_const: float = 0.0

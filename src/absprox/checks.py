@@ -53,18 +53,21 @@ def _prox_objective(z, w, x0):
 
 def closed_form_prox(rng: XorShift64Star, draws: int) -> list[tuple[str, bool, str]]:
     """The closed-form prox of |x| + x^2 against the grid argmin, to 1e-8,
-    on ``draws`` draws of (gamma, a0, x0) from ``rng``.  The closed form
+    on ``draws`` draws of (gamma, a0, x0) from ``rng``, taken as one
+    ``uniform_vector`` block whose rows are the draws.  The closed form
     runs once per draw; the grid argmin solves all the draws' problems
     z -> |z| + z^2 + w (z - x0)^2, w = 1/(2 gamma) + a0, in one block call,
     and a NaN argmin fails the check."""
-    closed, w, centre = np.empty(draws), np.empty(draws), np.empty(draws)
-    for i in range(draws):
-        gamma = rng.uniform(0.01, 10.0)
-        a0 = rng.uniform(-1.0 / (2.0 * gamma), 10.0)
-        x0 = rng.uniform(-20.0, 20.0)
-        # looked up at call time, so a patched closed form is what gets checked
-        closed[i] = prox.prox_abs_square_closed_form(x0, gamma, a0)
-        w[i], centre[i] = 0.5 / gamma + a0, x0
+    # one block of draws, each column mapped as XorShift64Star.uniform maps a draw
+    d = rng.uniform_vector(0.0, 1.0, (draws, 3))
+    gamma = 0.01 + (10.0 - 0.01) * d[:, 0]
+    lo = -1.0 / (2.0 * gamma)
+    a0 = lo + (10.0 - lo) * d[:, 1]
+    centre = -20.0 + 40.0 * d[:, 2]
+    # looked up at call time, so a patched closed form is what gets checked
+    closed = np.array([prox.prox_abs_square_closed_form(*case)
+                       for case in zip(centre.tolist(), gamma.tolist(), a0.tolist())])
+    w = 0.5 / gamma + a0
     brute = grid_argmin_1d(_prox_objective, -25.0, 25.0, w, centre)
     worst = float(np.max(np.abs(closed - brute)))
     return [(f"closed-form prox of |x|+x^2 matches brute-force argmin ({draws} draws)",
@@ -124,9 +127,9 @@ def verify_results() -> list[tuple[str, bool, str]]:
             x = rng.uniform_vector(-5, 5, f.dim)
             cases.append((f, x, feasible_range(f, x) + rng.uniform(0.0, 5.0), k + 1))
     results += certificates(cases, num=200) + below_threshold_control()
-    cases = []
-    for _ in range(1000):
-        gamma = rng.uniform(0.01, 10.0)
-        a = rng.uniform(-1.0 / (2.0 * gamma) + 1e-6, 10.0)
-        cases.append((gamma, a, rng.uniform_vector(-10, 10, 3)))
-    return results + duality_round_trip(cases)
+    d = rng.uniform_vector(0.0, 1.0, (1000, 5))
+    gamma = 0.01 + (10.0 - 0.01) * d[:, 0]
+    lo = -1.0 / (2.0 * gamma) + 1e-6
+    a = lo + (10.0 - lo) * d[:, 1]
+    u = -10.0 + 20.0 * d[:, 2:]
+    return results + duality_round_trip(list(zip(gamma.tolist(), a.tolist(), u)))

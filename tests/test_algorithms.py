@@ -215,6 +215,18 @@ def test_psg_nonfinite_schedule_aborts():
     assert res.final.stopped_by == STOP_NONFINITE
 
 
+def test_psg_adaptive_v1_with_a_negative_a_below_the_threshold_runs_on():
+    # a = -3 < a_f = -2 (Q = diag(2, 3)): gamma_{n+1} = gamma_n (a - a_f)/a = gamma_n/3
+    sched = PsgAdaptiveV1(gamma0=0.4, a0=-3.0, a_const=-3.0)
+    res = run_psg(QuadraticForm(np.diag([2.0, 3.0])), Ball(np.zeros(2), 1.0), [0.8, -0.5],
+                  sched, 30)
+    assert len(res.records) == 31
+    assert res.terminal is None
+    assert [r.a_fn for r in res.records[:-1]] == [-2.0] * 30
+    assert [r.gamma_n for r in res.records[:3]] == pytest.approx([0.4, 0.4 / 3, 0.4 / 9])
+    assert all(r.gamma_n > 0 for r in res.records)
+
+
 # --- forward-backward --------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import absprox.checks
 import absprox.oracles
 import absprox.prox
 import absprox.reference
@@ -149,6 +150,59 @@ def test_closed_form_prox_scans_in_cache_sized_chunks():
         tracemalloc.stop()
     assert ok
     assert peak <= 2 * 2**20
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_verify_draws_the_cases_of_scalar_draws(monkeypatch):
+    # verify's stdout prints only labels, so the cases and the details are
+    # compared here: each block of draws must give the cases that scalar
+    # uniform calls and 3-vector draws give, in verify's order
+    seen = {}
+    grid_argmin, round_trip = absprox.checks.grid_argmin_1d, absprox.checks.duality_round_trip
+
+    def capture_argmin(h, lo, hi, w, centre):
+        seen["argmin"] = (w, centre)
+        return grid_argmin(h, lo, hi, w, centre)
+
+    def capture_round_trip(cases):
+        seen["round_trip"] = cases
+        return round_trip(cases)
+
+    monkeypatch.setattr(absprox.checks, "grid_argmin_1d", capture_argmin)
+    monkeypatch.setattr(absprox.checks, "duality_round_trip", capture_round_trip)
+    details = [detail for _, _, detail in absprox.checks.verify_results()]
+    assert details == [
+        "Jacobi [-4.  2.  4.], LAPACK [-4.  2.  4.]",
+        "Jacobi [-3. -1.  1.  2.  2.], LAPACK [-3. -1.  1.  2.  2.]",
+        "residual 1.11e-15",
+        "worst |diff| = 2.28e-10",
+        "worst margin 5.1e-08",
+        "worst margin -0.00557",
+        "worst relative |du| = 1.06e-15",
+    ]
+
+    rng = XorShift64Star(2024)
+    w, centre = [], []
+    for _ in range(1000):
+        gamma = rng.uniform(0.01, 10.0)
+        a0 = rng.uniform(-1.0 / (2.0 * gamma), 10.0)
+        centre.append(rng.uniform(-20.0, 20.0))
+        w.append(0.5 / gamma + a0)
+    for dim in (1, 2, 3):  # the certificate cases' points and coefficients
+        for _ in range(25):
+            rng.uniform_vector(-5, 5, dim)
+            rng.uniform(0.0, 5.0)
+    cases = []
+    for _ in range(1000):
+        gamma = rng.uniform(0.01, 10.0)
+        a = rng.uniform(-1.0 / (2.0 * gamma) + 1e-6, 10.0)
+        cases.append((gamma, a, rng.uniform_vector(-10, 10, 3)))
+    assert [_hexes(v) for v in seen["argmin"]] == [_hexes(w), _hexes(centre)]
+    assert [[gamma.hex(), a.hex(), *_hexes(u)] for gamma, a, u in seen["round_trip"]] == [
+        [gamma.hex(), a.hex(), *_hexes(u)] for gamma, a, u in cases]
 
 
 # --- eigensolver -----------------------------------------------------------
@@ -374,3 +428,31 @@ def test_rng_uniform_spans_interval():
     # a (num, n) block is num sequential n-draws, bit for bit
     block = XorShift64Star(7).uniform_vector(lo, hi, (2, 3))
     assert [[v.hex() for v in row] for row in block] == [[v.hex() for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_rng_block_draws_are_the_sequential_stream(seed):
+    # a block jumps ahead past its first 64 states; every draw, and the
+    # state it leaves, must be those of one next_double per draw
+    for count in (0, 1, 63, 64, 65, 127, 128, 129, 4097, 100_001):
+        block, stream = XorShift64Star(seed), XorShift64Star(seed)
+        got = block.uniform_vector(0.0, 1.0, count)
+        assert got.shape == (count,)
+        assert _hexes(got) == [stream.next_double().hex() for _ in range(count)]
+        assert block.next_u64() == stream.next_u64()
+
+    lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 2.5])
+    block, stream = XorShift64Star(seed), XorShift64Star(seed)
+    got = block.uniform_vector(lo, hi, (100, 3))
+    assert [_hexes(row) for row in got] == [
+        [(lo[i] + (hi[i] - lo[i]) * stream.next_double()).hex() for i in range(3)]
+        for _ in range(100)]
+    assert block.next_u64() == stream.next_u64()
+
+    with pytest.raises(ValueError):  # (2,) bounds do not broadcast with 100 draws
+        block.uniform_vector(np.zeros(2), np.ones(2), 100)
+    with pytest.raises(ValueError, match=r"do not give draws of shape \(100,\)"):
+        block.uniform_vector(np.zeros((2, 1)), np.ones((2, 1)), 100)
+    for n in (-1, (2, -3)):
+        with pytest.raises(ValueError):
+            block.uniform_vector(0.0, 1.0, n)

@@ -22,7 +22,7 @@ from absprox import (
     run_named_experiment,
     run_psg,
 )
-from absprox.checks import Q3
+from absprox.checks import Q3, verify_results
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -69,6 +69,27 @@ def test_bundled_sweeps_call_counts(tracing):
         "reference.eig_sym": 5,
     }
     assert tracer.extra["algorithms.iters"] == 0
+
+
+def test_verify_call_counts(tracing):
+    with tracing.Tracer() as tracer:
+        verify_results()
+    calls = {key: tracer.calls[key] for key in (
+        "rng.uniform_vector", "reference.sampler", "reference.grid_argmin",
+        "reference.eig_sym", "prox.closed", "phi.duality")}
+    assert calls == {
+        # one block each for the closed-form prox and the duality cases,
+        # 75 certificate points and 76 sampler calls
+        "rng.uniform_vector": 153,
+        "reference.sampler": 76,
+        # the 1000 brute-force argmins are one block call
+        "reference.grid_argmin": 1,
+        "reference.eig_sym": 2,
+        "prox.closed": 1000,
+        # one inverse and one forward map per duality case, 25 in the certificates
+        "phi.duality": 2025,
+    }
+    assert tracer.extra["reference.sampler_points"] == 25306
 
 
 def test_run_offers_what_the_bench_reads():
