@@ -66,7 +66,6 @@ from .experiments import (
     EXPERIMENTS,
     run_config,
     run_named_experiment,
-    run_sweep,
     write_csv,
 )
 

@@ -1,15 +1,15 @@
 """Named experiments, config execution, and CSV emission.
 
-Each named experiment is stored as config text (one per stepsize in its
-sweep) and goes through the same parser as user-supplied files.  CSV output
-is deterministic: fixed header, 17-significant-digit floats, NaN as an
-empty field.
+Each named experiment is stored as config text and goes through the same
+parser as user-supplied files; the members of its stepsize sweep differ
+only in ``gamma0``.  CSV output is deterministic: fixed header,
+17-significant-digit floats, NaN as an empty field.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentRun",
     "run_config",
-    "run_sweep",
     "run_named_experiment",
     "write_csv",
     "CSV_HEADER",
@@ -43,7 +42,7 @@ Q5_TEXT = ("[[1,0,-1,1,0];[0,1,1,-1,0];[-1,1,-1,1,1];"
 
 
 # ---------------------------------------------------------------------------
-# Named experiments (config text per stepsize)
+# Named experiments (config text with the sweep's stepsize as {gamma})
 # ---------------------------------------------------------------------------
 
 _PPA_ABSQ = """
@@ -170,19 +169,18 @@ EXPERIMENTS: dict[str, dict] = {
 }
 
 
-def named_experiment_configs(name: str) -> list[tuple[float, ExperimentConfig]]:
-    """The parsed per-stepsize configs of a named experiment."""
+def named_experiment_configs(name: str) -> list[ExperimentConfig]:
+    """The per-stepsize configs of a named experiment: its template parsed
+    once, at the first stepsize, and one member per stepsize with that
+    ``gamma0``."""
     if name not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {name!r}; known names: {known}")
     entry = EXPERIMENTS[name]
-    out = []
-    for gamma in entry["gammas"]:
-        text = entry["template"].format(
-            gamma=gamma, q3=Q3_TEXT, q5=Q5_TEXT, x0=entry.get("x0", ""),
-        )
-        out.append((gamma, parse_config(text)))
-    return out
+    gammas = entry["gammas"]
+    cfg = parse_config(entry["template"].format(
+        gamma=gammas[0], q3=Q3_TEXT, q5=Q5_TEXT, x0=entry.get("x0", "")))
+    return [replace(cfg, schedule=replace(cfg.schedule, gamma0=g)) for g in gammas]
 
 
 # ---------------------------------------------------------------------------
@@ -237,55 +235,23 @@ def run_config(cfg: ExperimentConfig) -> ExperimentRun:
     return _finish(cfg, result, _auto_eigen(cfg) if isinstance(cfg.reference, str) else None)
 
 
-def _same(x, y) -> bool:
-    """Equal values: arrays by shape and bytes, dataclasses field by field."""
-    if isinstance(x, np.ndarray):
-        return isinstance(y, np.ndarray) and x.shape == y.shape and x.tobytes() == y.tobytes()
-    if is_dataclass(x):
-        return type(x) is type(y) and all(_same(getattr(x, k.name), getattr(y, k.name))
-                                          for k in fields(x) if k.compare)
-    return x == y
-
-
-# what the members of a sweep share; their x0, schedules and references may differ
-_SHARED = ("algorithm", "f", "g", "set", "a_f", "n_iter")
-
-
-def run_sweep(cfgs: list[ExperimentConfig]) -> list[ExperimentRun]:
-    """Run the members of one sweep, each as ``run_config`` would.
-
-    The members share algorithm, oracle, set, a_f pin and horizon, and
-    differ in gamma0, a0 and x0; ValueError otherwise.  Two or more members
-    are stepped as one block (``algorithms.run_block``), whose records are
-    bit for bit the members' own; one member takes the point step.  The
-    members share one ``auto_eigen`` solve.
-    """
-    first = cfgs[0]
-    for cfg in cfgs[1:]:
-        differ = [k for k in _SHARED if not _same(getattr(cfg, k), getattr(first, k))]
-        if differ:
-            raise ValueError(f"sweep members differ in {', '.join(differ)}")
-    if len(cfgs) == 1:
-        return [run_config(first)]
-    results = run_block(first.algorithm, first.f, [c.x0 for c in cfgs],
-                        [c.schedule for c in cfgs], first.n_iter, g=first.g, set_c=first.set,
-                        a_f_override=first.a_f)
-    eigen = _auto_eigen(first) if any(isinstance(c.reference, str) for c in cfgs) else None
-    return [_finish(cfg, res, eigen) for cfg, res in zip(cfgs, results)]
-
-
 def run_named_experiment(name: str,
                          out_dir: str | None = None) -> list[tuple[str, ExperimentRun]]:
-    """Run every sweep member of a named experiment (one ``run_sweep``);
-    optionally write CSVs.
+    """Run every sweep member of a named experiment, stepped as one block
+    (``algorithms.run_block``); optionally write CSVs.
 
     Returns (csv_path_or_label, run) pairs in sweep order.
     """
+    cfgs = named_experiment_configs(name)
+    first = cfgs[0]
+    results = run_block(first.algorithm, first.f, [c.x0 for c in cfgs],
+                        [c.schedule for c in cfgs], first.n_iter, g=first.g, set_c=first.set,
+                        a_f_override=first.a_f)
+    eigen = _auto_eigen(first) if isinstance(first.reference, str) else None
     out = []
-    members = named_experiment_configs(name)
-    runs = run_sweep([cfg for _, cfg in members])
-    for (gamma, _), run in zip(members, runs):
-        label = f"{name}-gamma{gamma:g}.csv"
+    for cfg, result in zip(cfgs, results):
+        run = _finish(cfg, result, eigen)
+        label = f"{name}-gamma{cfg.schedule.gamma0:g}.csv"
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, label)

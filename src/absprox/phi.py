@@ -130,22 +130,21 @@ def duality_map_element(x, gamma: float, a: float) -> PhiElement:
 def duality_map_inverse(phi: PhiElement, gamma: float) -> SetValuedResult:
     """Preimage of phi under the duality map.
 
-    Point(gamma*u / (1 + 2*gamma*a)) when 2*gamma*a > -1; the whole space
-    when a = -1/(2*gamma) and u = 0 (so phi is -||.||^2/(2 gamma), a
-    global minorant of g everywhere); empty otherwise.  A NaN a raises
-    ``InfeasibleCoefficientError``: it is no coefficient at all.
+    On the threshold a = -1/(2*gamma), exactly the float callers compute:
+    the whole space when u = 0 (so phi is -||.||^2/(2 gamma), a global
+    minorant of g everywhere), empty otherwise.  Off it: Point(gamma*u /
+    (1 + 2*gamma*a)) when 1 + 2*gamma*a > 0, empty otherwise.  A NaN a
+    raises ``InfeasibleCoefficientError``: it is no coefficient at all.
     """
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     if np.isnan(phi.a):
         raise InfeasibleCoefficientError("a=nan is no coefficient of the quadratic family")
-    denom = 1.0 + 2.0 * gamma * phi.a
-    boundary = 1.0 / (2.0 * gamma)
-    if denom > 0.0 and abs(phi.a + boundary) > 1e-12 * max(1.0, boundary):
+    # -0.5/gamma is -1/(2*gamma) bit for bit, and gamma*a is 2*gamma*a halved,
+    # without forming 2*gamma, which overflows for a huge gamma
+    if phi.a == -0.5 / gamma:
+        return SetValuedResult.empty() if np.any(phi.u) else SetValuedResult.whole_space()
+    denom = 1.0 + 2.0 * (gamma * phi.a)
+    if denom > 0.0:
         return SetValuedResult.of_point(gamma * phi.u / denom)
-    if abs(phi.a + boundary) <= 1e-12 * max(1.0, boundary):
-        if float(np.linalg.norm(phi.u)) <= 1e-12:
-            return SetValuedResult.whole_space()
-        return SetValuedResult.empty()
     return SetValuedResult.empty()
-

@@ -34,14 +34,13 @@ from absprox import (
     run_fb,
     run_ppa,
     run_psg,
-    run_sweep,
     schedule_step,
     write_csv,
 )
 from absprox.algorithms import run_block
 from absprox.checks import Q3
 from absprox.config import hessian_example
-from absprox.experiments import named_experiment_configs
+from absprox.experiments import named_experiment_configs, run_named_experiment
 BALL3 = Ball(np.zeros(3), 1.0)
 
 
@@ -349,8 +348,8 @@ def _fields(res):
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_a_bundled_sweep_stepped_as_a_block_is_its_members_own_runs(name):
-    cfgs = [cfg for _, cfg in named_experiment_configs(name)]
-    for cfg, run in zip(cfgs, run_sweep(cfgs)):
+    runs = [run for _, run in run_named_experiment(name)]
+    for cfg, run in zip(named_experiment_configs(name), runs, strict=True):
         assert _fields(run.result) == _fields(run_config(cfg).result)
 
 
@@ -366,6 +365,29 @@ def test_block_members_leave_at_their_own_stops():
     assert [res.terminal for res in block] == [STOP_GUARD, STOP_NONFINITE, STOP_NONFINITE, None]
     assert [len(res.records) for res in block] == [6, 1, 1, 31]
     assert [_fields(res) for res in block] == [_fields(res) for res in alone]
+
+
+def test_a_far_block_member_runs_as_it_runs_alone():
+    # the far member's v . v overflows in the block's step norms and projection
+    f = QuadraticForm(Q3)
+    x0s = [[1e200] * 3, [-5.0, 5.0, -5.0]]
+    scheds = [PsgConstantGamma(1.0, 20.0), PsgConstantGamma(1.0, 24.0)]
+    block = run_block("psg", f, x0s, scheds, 30, set_c=BALL3, a_f_override=4.0)
+    alone = [run_psg(f, BALL3, x0, s, 30, a_f_override=4.0) for x0, s in zip(x0s, scheds)]
+    assert block[0].records[1].step_norm == 3**0.5 * 1e200
+    assert [len(res.records) for res in block] == [6, 7]
+    assert [_fields(res) for res in block] == [_fields(res) for res in alone]
+
+
+def test_a_block_below_the_pinned_threshold_raises_what_run_psg_raises():
+    f, x0 = QuadraticForm(Q3), [-5.0, 5.0, -5.0]
+    with pytest.raises(InfeasibleCoefficientError) as single:
+        run_psg(f, BALL3, x0, PsgConstantGamma(1.0, 200.0), 5, a_f_override=3.0)
+    with pytest.raises(Exception) as block:
+        run_block("psg", f, [x0, x0], [PsgConstantGamma(1.0, 200.0), PsgConstantGamma(0.1, 200.0)],
+                  5, set_c=BALL3, a_f_override=3.0)
+    assert str(single.value) == "a=3.0 below the feasible threshold a_min=4.0"
+    assert (type(block.value), str(block.value)) == (type(single.value), str(single.value))
 
 
 @pytest.mark.parametrize("method, f, g, x0, scheds", [

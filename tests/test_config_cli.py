@@ -257,10 +257,8 @@ def test_numeric_field_validation():
 def test_bundled_experiments_all_parse():
     assert len(EXPERIMENTS) == 7
     for name in EXPERIMENTS:
-        pairs = named_experiment_configs(name)
-        assert [g for g, _ in pairs] == list(EXPERIMENTS[name]["gammas"])
-        for gamma, cfg in pairs:
-            assert cfg.schedule.gamma0 == gamma
+        cfgs = named_experiment_configs(name)
+        assert [c.schedule.gamma0 for c in cfgs] == list(EXPERIMENTS[name]["gammas"])
     with pytest.raises(KeyError, match="unknown experiment"):
         named_experiment_configs("nope")
 
@@ -507,6 +505,9 @@ _REFUSED = {
     "set-unclosed-vector": (PSG_PLAIN, {"set": "ball([[0,0],1)"},
                             "stray '[' at column 7 of 'ball([[0,0],1)'"),
     "x0-nested": (PSG_PLAIN, {"x0": "[[1,2]]"}, "bad x0: stray '[' at column 2 of '[[1,2]]'"),
+    "x0-empty": (PSG_PLAIN, {"x0": "[]"}, "bad x0: empty vector"),
+    "ball-vector-radius": (PSG_PLAIN, {"set": "ball(0,[1,1])"},
+                           "ball takes a number as its second argument"),
     "Q-closes-early": (PSG_PLAIN, {"Q": "[[1,0]];[0,-1]]"},
                        "bad matrix: stray ';' at column 8 of '[[1,0]];[0,-1]]'"),
     "adaptive-v1-two-args": (PSG_PLAIN, {"schedule": "psg_adaptive_v1(5,4)"},
@@ -637,6 +638,15 @@ def test_cli_unwritable_output_is_a_run_failure(tmp_path, capsys):
     cfg.write_text(PSG_TEXT)
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "no" / "x.csv")]) == 3
     assert "cannot write CSV" in capsys.readouterr().err
+
+
+def test_cli_reproduce_into_a_file_is_a_run_failure(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["reproduce", "ppa-absq", "--out-dir", str(taken)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("run failed: ")
 
 
 def test_cli_descent_violation_warns_or_fails_under_strict(tmp_path, monkeypatch):

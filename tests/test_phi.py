@@ -70,6 +70,17 @@ def test_duality_inverse_below_threshold_is_empty():
     assert res.kind is ResultKind.EMPTY
 
 
+def test_duality_inverse_decides_the_threshold_exactly():
+    # just above the threshold J_gamma's element still has a preimage
+    res = duality_map_inverse(duality_map_element([5e12], 1.0, -0.5 + 1e-13), 1.0)
+    assert res.kind is ResultKind.POINT and res.point.tolist() == [5e12]
+    # just below it nothing maps to phi, whatever u is
+    assert duality_map_inverse(PhiElement(-0.5 - 1e-13, [0.0]), 1.0).kind is ResultKind.EMPTY
+    # a huge gamma puts the threshold at a subnormal, not at a = 0
+    res = duality_map_inverse(PhiElement(0.0, [0.0]), 1e308)
+    assert res.kind is ResultKind.POINT and res.point.tolist() == [0.0]
+
+
 @given(
     gamma=st.floats(0.01, 10.0),
     a=st.floats(-5.0, 10.0),
