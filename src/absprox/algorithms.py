@@ -37,8 +37,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .oracles import (Oracle, SetDescriptor, SmoothBlackBox, _inadmissible, _norm, _row_norms,
-                      eval_oracle, feasible_range, subgrad_at)
+from .oracles import (Oracle, SetDescriptor, SmoothBlackBox, _admit, _norm, _row_norms,
+                      eval_oracle, feasible_range)
 from .prox import ProxRequest, prox_via_argmin
 
 __all__ = [
@@ -249,10 +249,13 @@ def sq_distances(records: list[IterationRecord], x_star) -> np.ndarray:
     return np.vecdot(d, d)
 
 
-def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
+def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
              check_descent: bool = False) -> RunResult:
     """The point loop the three methods share (one run, one (n,) iterate).
 
+    Record 0 takes ``objective``, which checks the start through
+    ``eval_oracle``; later ones take ``value``, the oracles' own, unless a
+    step changed the iterate's shape, which ``objective`` refuses.
     ``step(rec)`` advances from the current record (it may fill
     ``rec.a_fn``).  It returns None when the method's guard stops the run
     at ``rec``, else ``(x_next, gamma_next, a_next, tag)``: a tag stops the
@@ -274,7 +277,8 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, step,
                 and np.isfinite(x_next).all()) or gamma_next <= 0:
             stop = STOP_NONFINITE
             break
-        f_next = float(objective(x_next))
+        # a set or a gradient of another dimension broadcasts the iterate
+        f_next = float((value if x_next.shape == rec.x_n.shape else objective)(x_next))
         if check_descent and f_next > rec.f_xn + 1e-10:
             # 3: _iterate, run_ppa, then the caller of run_ppa
             warnings.warn(f"descent violated at iteration {n}: f went from "
@@ -378,9 +382,10 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
     def step(rec):
         x_next = prox_via_argmin(ProxRequest(f, rec.x_n, rec.gamma_n, rec.a_n))
         gamma_next, a_next = schedule_step(sched, rec.gamma_n, rec.a_n)
-        return x_next, gamma_next, a_next, _ppa_tag(rec, a_next, feasible_range(f, x_next))
+        return x_next, gamma_next, a_next, _ppa_tag(rec, a_next, f.feasible_range(x_next))
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step, check_descent=True)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), f.value, step,
+                    check_descent=True)
 
 
 def _ppa_block(f: Oracle):
@@ -443,7 +448,8 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> Ru
         gamma_next, a_next = schedule_step(sched, gamma, a, a_g)
         return x_next, gamma_next, a_next, None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x), step)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x),
+                    lambda x: float(f.value(x)) + float(g.value(x)), step)
 
 
 def _fb_block(f: Oracle, g: SmoothBlackBox):
@@ -481,9 +487,9 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
             a_f_override: float | None = None) -> RunResult:
     """Projected subgradient for min f over a closed set C.
 
-    Each step queries (a_n^f, u_n^f) = subgrad_at(f, x_n, a^f) where a^f is
-    pinned by ``a_f_override``, or else the oracle's feasible threshold at
-    x_n; the schedule steps with the same a_n^f.  The update is
+    Each step queries (a_n^f, u_n^f = ``f.slope(x_n, a_n^f)``), a_n^f pinned by
+    ``a_f_override`` (refused below the oracle's feasible threshold at x_n)
+    or else that threshold; the schedule steps with the same a_n^f.  The update is
 
         z = ((1 + 2 g a_n) x_n - g u_n^f) / (1 + 2 g (a_n - a_n^f)),
         x_{n+1} = Proj_C(z),
@@ -494,8 +500,8 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
     """
     def step(rec):
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
-        a_f = float(a_f_override) if a_f_override is not None else feasible_range(f, x)
-        u = subgrad_at(f, x, a_f).u
+        a_f = _admit(a_f_override, f.feasible_range(x))
+        u = f.slope(x, a_f)
         denom = _psg_denominator(rec, a_f)
         if denom is None:
             return None
@@ -503,16 +509,12 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
         gamma_next, a_next = schedule_step(sched, gamma, a, a_f)
         return x_next, gamma_next, a_next, None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), step)
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), f.value, step)
 
 
 def _psg_block(f: Oracle, set_c: SetDescriptor, a_f_override: float | None):
     def step(recs, x, scheds):
-        a_min = feasible_range(f, x).tolist()
-        a_f = a_min if a_f_override is None else [float(a_f_override)] * len(recs)
-        for af, am in zip(a_f, a_min):
-            if not af >= am:  # subgrad_at's check, per member
-                raise _inadmissible(af, am)
+        a_f = [_admit(a_f_override, a_min) for a_min in feasible_range(f, x).tolist()]
         # a pinned a^f is one float for every member, as in the point step
         u = f.slope(x, a_f[0] if a_f_override is not None else _column(a_f))
         denom = [_psg_denominator(r, af) for r, af in zip(recs, a_f)]

@@ -87,14 +87,14 @@ def certificates(cases, num: int) -> list[tuple[str, bool, str]]:
 
 
 def below_threshold_control() -> list[tuple[str, bool, str]]:
-    """The sampler must flag an element of <x, Q3 x> at (1, 1, 1) with a
-    coefficient 1e-3 below the threshold 4.  The inequality then fails only
+    """The sampler must flag Q's slope formula at (1, 1, 1) with a coefficient
+    1e-3 below the threshold 4, which subgrad_at refuses.  It then fails only
     in a thin cone around the bottom eigenvector (solid-angle fraction
     ~4e-5), so the control draws enough points to land in it."""
     f3, x = QuadraticForm(Q3), np.array([1.0, 1, 1])
     a = 4.0 - 1e-3
-    rep = subgrad_inequality_sampler(lambda y: eval_oracle(f3, y), x, a,
-                                     2.0 * (Q3 + a * np.eye(3)) @ x, num=10_000, seed=6)
+    rep = subgrad_inequality_sampler(lambda y: eval_oracle(f3, y), x, a, f3.slope(x, a),
+                                     num=10_000, seed=6)
     return [("sampler flags a coefficient below the feasible threshold",
              not rep["passed"], f"worst margin {rep['worst_margin']:.3g}")]
 

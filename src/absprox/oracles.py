@@ -17,10 +17,11 @@ The feasible coefficients form a half-line a >= a_min whose endpoint depends
 on the class; requesting a below it raises ``InfeasibleCoefficientError``.
 Each class carries its own formulas and its own prox as methods, the black
 box included: its ``prox`` is a certified inner solver (see
-``_inner_argmin``).  ``eval_oracle``, ``feasible_range`` and ``subgrad_at``
-are the entry points, which check the point's dimension and the requested
-coefficient.  ``eval_oracle`` and ``feasible_range`` also take a block
-(m, n) of points and return their m values.
+``_inner_argmin``), and ``slope(x, a)``, its one formula for the u of an
+element (a, u).  ``eval_oracle``, ``feasible_range`` and ``subgrad_at`` are
+the entry points: they check the point's dimension and the coefficient,
+which the methods assume.  ``eval_oracle`` and ``feasible_range`` also take
+a block (m, n) of points and return their m values.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .phi import InfeasibleCoefficientError, PhiElement, check_coefficient, duality_map_element
+from .phi import _vec as _vector
 
 __all__ = [
     "Ball",
@@ -217,18 +219,18 @@ SetDescriptor = Ball | Box | Halfspace
 # ---------------------------------------------------------------------------
 #
 # Each class carries its behaviour: ``value(x)``, ``feasible_range(x)`` (the
-# least admissible coefficient a_min at x), ``element(x, a)`` (the
-# subdifferential element for an admissible a) and ``prox(req)`` (the
+# least admissible coefficient a_min at x), ``slope(x, a)`` (the u of the
+# subdifferential element (a, u) for an admissible a) and ``prox(req)`` (the
 # proximal point for a ProxRequest: a closed form, or for SmoothBlackBox the
-# certified inner solver).  ``slope(x, a)`` is the u of ``element`` for the
-# oracles that psg steps on.
-# ``value``, ``feasible_range``, ``slope``, the closed-form ``prox`` and the
-# sets' ``contains`` and ``project`` take a point (n,) or a block (m, n) of
+# certified inner solver).
+# ``value``, ``feasible_range``, the closed-form ``prox`` and the sets'
+# ``contains`` and ``project`` take a point (n,) or a block (m, n) of
 # points, one result per row, each row bit for bit its single-point result;
-# a block's coefficients (``a``, a request's gamma and a0) are (m, 1)
+# so do the ``slope`` of Q and of AbsPlusSquare, which psg blocks step on.
+# A block's coefficients (``a``, a request's gamma and a0) are (m, 1)
 # columns.  A constant ``feasible_range`` is one float for any block.  The
-# methods assume points of the right dimension; callers go through the
-# module functions below, which check it.
+# methods assume points of the right dimension and, in ``slope``, an
+# admissible a; the module functions below check both.
 
 
 class UnboundedObjectiveError(ValueError):
@@ -260,8 +262,8 @@ class NormSquare:
     def feasible_range(self, x) -> float:
         return -1.0 / (2.0 * self.gamma)
 
-    def element(self, x, a: float) -> PhiElement:
-        return duality_map_element(x, self.gamma, a)
+    def slope(self, x, a):
+        return duality_map_element(x, self.gamma, a).u
 
     def prox(self, req) -> np.ndarray:
         # (1/(2 gp) + w) z = w x0
@@ -306,12 +308,10 @@ class QuadraticForm:
         return -self.min_eigenvalue
 
     def slope(self, x, a):
-        # np.matvec gives each row the bits of its own q @ x; a block x @ q.T does not
-        return 2.0 * (np.matvec(self.q, x) + a * x)
-
-    def element(self, x, a: float) -> PhiElement:
-        # slope's formula: q @ x is cheaper than np.matvec on one point (quad-dim)
-        return PhiElement(a, 2.0 * (self.q @ x + a * x))
+        # q @ x is the cheaper form on one point (quad-dim); np.matvec gives
+        # each row of a block those bits, which a block x @ q.T does not
+        qx = self.q @ x if x.ndim == 1 else np.matvec(self.q, x)
+        return 2.0 * (qx + a * x)
 
     def prox(self, req) -> np.ndarray:
         """Raises ``UnboundedObjectiveError`` when min eig + weight <= 0.  A
@@ -382,11 +382,10 @@ class AbsPlusSquare:
         return -1.0
 
     def slope(self, x, a):
+        # at 0 the admissible slopes form the interval [-1, 1]; the selector
+        # returns its midpoint u = 0
         t = x[..., :1]
         return np.where(t != 0.0, np.sign(t), 0.0) + 2.0 * (a + 1.0) * t
-
-    def element(self, x, a: float) -> PhiElement:
-        return PhiElement(a, self.slope(x, a))
 
     def prox(self, req) -> np.ndarray:
         z = [prox_abs_square_closed_form(t, gamma, a0)
@@ -414,12 +413,12 @@ class IndicatorSet:
             )
         return -math.inf
 
-    def element(self, x, a: float) -> PhiElement:
+    def slope(self, x, a):
         # x = Proj_C(u/(2a)) holds with u = 2a*x whenever a >= 0; there is no
         # canonical selection on the a < 0 branch.
         if a < 0.0:
             raise InfeasibleCoefficientError("no canonical indicator subgradient for a < 0")
-        return PhiElement(a, 2.0 * a * x)
+        return 2.0 * a * x
 
     def prox(self, req) -> np.ndarray:
         # w = 0 makes every point of C a minimizer; the projection is the
@@ -519,8 +518,10 @@ class SmoothBlackBox:
             return np.array([float(self.kappa(row)) for row in x])
         return float(self.kappa(x))
 
-    def element(self, x, a: float) -> PhiElement:
-        return PhiElement(a, 2.0 * a * x + _vec(self.gradient(x)))
+    def slope(self, x, a):
+        # one point, as the callback takes; a gradient that is not 1-D is
+        # refused as an element's u is
+        return 2.0 * a * x + _vector(self.gradient(x))
 
     def prox(self, req) -> np.ndarray:
         """Raises ``SolverToleranceError`` when the answer is not certified."""
@@ -531,8 +532,7 @@ Oracle = NormSquare | QuadraticForm | AbsPlusSquare | IndicatorSet | SmoothBlack
 
 
 def _check_dim(f: Oracle, x: np.ndarray):
-    """Refuse anything but a point (n,) or a block (m, n) of f's dimension n
-    (``eval_oracle`` writes the same test inline)."""
+    """Refuse anything but a point (n,) or a block (m, n) of f's dimension n."""
     if x.shape != (f.dim,) and (x.ndim != 2 or x.shape[1] != f.dim):
         raise ValueError(f"dimension mismatch: oracle dim {f.dim}, points of shape {x.shape}")
 
@@ -544,8 +544,7 @@ def eval_oracle(f: Oracle, x) -> float | np.ndarray:
     A black box's callback sees one row at a time.
     """
     x = _vec(x)
-    if x.ndim > 2 or x.shape[-1] != f.dim:
-        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, points of shape {x.shape}")
+    _check_dim(f, x)
     if x.ndim == 1:
         return float(f.value(x))
     if isinstance(f, SmoothBlackBox):
@@ -565,22 +564,20 @@ def feasible_range(f: Oracle, x) -> float | np.ndarray:
 
 
 def subgrad_at(f: Oracle, x, a: float) -> PhiElement:
-    """A certified subdifferential element (a, u) of f at x, for a coefficient
-    a >= ``feasible_range(f, x)`` (a black box's usual choice is
-    ``f.default_coefficient(x)``).  For AbsPlusSquare at 0 the admissible
-    slopes form the interval [-1, 1] and the selector returns the midpoint
-    u = 0.
-    """
+    """A certified subdifferential element (a, ``f.slope(x, a)``) of f at x, for
+    a coefficient a >= ``feasible_range(f, x)`` (a black box's usual choice
+    is ``f.default_coefficient(x)``)."""
     x = _vec(x)
     a = float(a)
     if x.ndim != 1:
         raise ValueError(f"dimension mismatch: oracle dim {f.dim}, point of shape {x.shape}")
-    a_min = feasible_range(f, x)  # also checks x's dimension
+    _check_dim(f, x)
+    return PhiElement(_admit(a, f.feasible_range(x)), f.slope(x, a))
+
+
+def _admit(a: float | None, a_min: float) -> float:
+    """The coefficient a, or a_min where a is None; refused unless a >= a_min."""
+    a = a_min if a is None else float(a)
     if not a >= a_min:
-        raise _inadmissible(a, a_min)
-    return f.element(x, a)
-
-
-def _inadmissible(a: float, a_min: float) -> InfeasibleCoefficientError:
-    """The error for a coefficient a that fails a >= a_min."""
-    return InfeasibleCoefficientError(f"a={a} below the feasible threshold a_min={a_min}")
+        raise InfeasibleCoefficientError(f"a={a} below the feasible threshold a_min={a_min}")
+    return a

@@ -11,8 +11,8 @@ subdifferential with respect to this family admits a closed form: the
 2*gamma*a >= -1, and its inverse maps an element back to the point (or to
 the whole space / the empty set in the degenerate cases).
 
-``check_coefficient`` is the one place that decides whether a step size
-gamma and a coefficient a are admissible (gamma > 0 and 2*gamma*a >= -1);
+``check_coefficient`` decides whether a step size gamma and a coefficient a
+are admissible (gamma > 0 and 2*gamma*a >= -1, the inverse map's rule too);
 the norm-square oracle, the prox request and the closed-form prox ask it.
 """
 
@@ -101,14 +101,20 @@ class SetValuedResult:
         return SetValuedResult(ResultKind.EMPTY)
 
 
+def _admissible(gamma: float, a: float) -> bool:
+    """2*gamma*a >= -1, without forming 2*gamma, which overflows for a huge gamma."""
+    # a is the threshold -0.5/gamma, bit for bit the -1/(2*gamma) callers
+    # compute, or above it
+    return a == -0.5 / gamma or 1.0 + 2.0 * (gamma * a) > 0.0
+
+
 def check_coefficient(gamma: float, a: float) -> None:
     """Refuse a step size gamma that is not positive (``ValueError``) and a
     coefficient a with 2*gamma*a < -1, which no element of J_gamma has
     (``InfeasibleCoefficientError``).  A NaN fails the test it enters."""
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    # 2*gamma*a >= -1 without forming 2*gamma, which overflows for a huge gamma
-    if not gamma * a >= -0.5:
+    if not _admissible(gamma, a):
         raise InfeasibleCoefficientError(
             f"a={a} violates 2*gamma*a >= -1 at gamma={gamma}: "
             "no element of the duality map has it"
@@ -130,21 +136,18 @@ def duality_map_element(x, gamma: float, a: float) -> PhiElement:
 def duality_map_inverse(phi: PhiElement, gamma: float) -> SetValuedResult:
     """Preimage of phi under the duality map.
 
-    On the threshold a = -1/(2*gamma), exactly the float callers compute:
-    the whole space when u = 0 (so phi is -||.||^2/(2 gamma), a global
-    minorant of g everywhere), empty otherwise.  Off it: Point(gamma*u /
-    (1 + 2*gamma*a)) when 1 + 2*gamma*a > 0, empty otherwise.  A NaN a
-    raises ``InfeasibleCoefficientError``: it is no coefficient at all.
+    Empty for a coefficient ``check_coefficient`` refuses.  On the threshold
+    a = -1/(2*gamma): the whole space when u = 0 (so phi is -||.||^2/(2
+    gamma), a global minorant of g everywhere), empty otherwise.  Above it:
+    Point(gamma*u / (1 + 2*gamma*a)).  A NaN a raises
+    ``InfeasibleCoefficientError``: it is no coefficient at all.
     """
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     if np.isnan(phi.a):
         raise InfeasibleCoefficientError("a=nan is no coefficient of the quadratic family")
-    # -0.5/gamma is -1/(2*gamma) bit for bit, and gamma*a is 2*gamma*a halved,
-    # without forming 2*gamma, which overflows for a huge gamma
+    if not _admissible(gamma, phi.a):
+        return SetValuedResult.empty()
     if phi.a == -0.5 / gamma:
         return SetValuedResult.empty() if np.any(phi.u) else SetValuedResult.whole_space()
-    denom = 1.0 + 2.0 * (gamma * phi.a)
-    if denom > 0.0:
-        return SetValuedResult.of_point(gamma * phi.u / denom)
-    return SetValuedResult.empty()
+    return SetValuedResult.of_point(gamma * phi.u / (1.0 + 2.0 * (gamma * phi.a)))

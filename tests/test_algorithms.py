@@ -10,6 +10,7 @@ import pytest
 from absprox import (
     AbsPlusSquare,
     Ball,
+    Box,
     DegenerateStepError,
     FbConstant,
     IndicatorSet,
@@ -148,6 +149,41 @@ def test_reference_of_the_wrong_dimension_raises(entry, anchor, tmp_path):
             "write_csv": lambda: write_csv(res, str(tmp_path / "run.csv"), x_star=anchor)}
     with pytest.raises(ValueError, match="dimension mismatch"):
         call[entry]()
+
+
+# --- a run's input checks ----------------------------------------------------
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: run_ppa(QuadraticForm(Q3), [1.0, 0.0], PpaAdditive(1.0, 5.0), 5),
+     "dimension mismatch: oracle dim 3, points of shape (2,)"),
+    (lambda: run_fb(QuadraticForm(np.zeros((2, 2))), hessian_example(0.1), [1.0, 0.0, 0.0],
+                    FbConstant(1.0, 5.0, a_const=5.0), 5),
+     "dimension mismatch: oracle dim 2, points of shape (3,)"),
+    (lambda: run_psg(QuadraticForm(Q3), BALL3, [0.5, 0.5, 0.5, 0.5],
+                     PsgConstantGamma(1.0, 200.0), 5),
+     "dimension mismatch: oracle dim 3, points of shape (4,)"),
+], ids=["ppa", "fb", "psg"])
+def test_a_start_of_the_wrong_dimension_is_refused(run, message):
+    with pytest.raises(ValueError) as err:
+        run()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("run", [
+    # the 3-D ball's projection broadcasts the 1-D iterate to 3 coordinates
+    lambda: run_psg(AbsPlusSquare(), Ball(np.zeros(3), 0.1), [0.5],
+                    PsgConstantGamma(1.0, 5.0), 5),
+    # so does a gradient callback that answers 3 coordinates for one
+    lambda: run_fb(NormSquare(1.0), SmoothBlackBox(value=lambda p: 0.0,
+                                                   gradient=lambda p: np.ones(3),
+                                                   kappa=lambda p: 0.0, eps=0.1),
+                   [0.5], FbConstant(1.0, 5.0, a_const=5.0), 5),
+], ids=["psg-set", "fb-gradient"])
+def test_an_iterate_a_step_reshapes_is_refused(run):
+    with pytest.raises(ValueError) as err:
+        run()
+    assert str(err.value) == "dimension mismatch: oracle dim 1, points of shape (3,)"
 
 
 # --- projected subgradient ---------------------------------------------------
@@ -376,6 +412,32 @@ def test_a_far_block_member_runs_as_it_runs_alone():
     alone = [run_psg(f, BALL3, x0, s, 30, a_f_override=4.0) for x0, s in zip(x0s, scheds)]
     assert block[0].records[1].step_norm == 3**0.5 * 1e200
     assert [len(res.records) for res in block] == [6, 7]
+    assert [_fields(res) for res in block] == [_fields(res) for res in alone]
+
+
+def _indefinite_q(n, seed):
+    """A seeded symmetric Q with one eigenvalue in [-1.5, -1] and the rest in
+    [-0.5, 1], as the bench's quad-dim problems are built."""
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([[-1.0 - 0.5 * rng.random()], rng.uniform(-0.5, 1.0, n - 1)])
+    q = (v * lam) @ v.T
+    return QuadraticForm(0.5 * (q + q.T))
+
+
+@pytest.mark.parametrize("set_c", [Ball(np.zeros(8), 1.0), Box(-0.5 * np.ones(8), 0.5 * np.ones(8))],
+                         ids=["ball", "box"])
+def test_an_unpinned_block_runs_as_its_members_run_alone(set_c):
+    # a^f is each member's own threshold -min eig(Q) at its iterate
+    f = _indefinite_q(8, 3)
+    rng = np.random.default_rng(4)
+    x0s = [rng.uniform(-2.0, 2.0, 8) for _ in range(3)]
+    a0 = -f.min_eigenvalue + 1.0
+    scheds = [PsgAdaptiveV2(1.0, a0, epsilon=1.0), PsgConstantGamma(0.5, 10.0 * a0),
+              PsgAdaptiveV1(0.2, a0, a_const=a0)]
+    block = run_block("psg", f, x0s, scheds, 30, set_c=set_c)
+    alone = [run_psg(f, set_c, x0, s, 30) for x0, s in zip(x0s, scheds)]
+    assert block[0].records[0].a_fn == -f.min_eigenvalue
     assert [_fields(res) for res in block] == [_fields(res) for res in alone]
 
 

@@ -227,7 +227,7 @@ def test_every_oracle_kind_answers_the_whole_protocol(f, x):
     x = np.array(x)
     assert np.isfinite(f.value(x))
     a = max(f.feasible_range(x), 0.0) + 1.0
-    assert subgrad_at(f, x, a) == f.element(x, a)
+    assert subgrad_at(f, x, a) == PhiElement(a, f.slope(x, a))
     req = ProxRequest(f, x, 1.0, a)
     assert np.array_equal(prox_via_argmin(req), f.prox(req))
     # the coefficient is always the caller's choice, the black box's too

@@ -13,6 +13,7 @@ from absprox import (
     duality_map_element,
     duality_map_inverse,
 )
+from absprox.phi import check_coefficient
 
 
 def test_phi_element_coerces_u_to_vector():
@@ -79,6 +80,36 @@ def test_duality_inverse_decides_the_threshold_exactly():
     # a huge gamma puts the threshold at a subnormal, not at a = 0
     res = duality_map_inverse(PhiElement(0.0, [0.0]), 1e308)
     assert res.kind is ResultKind.POINT and res.point.tolist() == [0.0]
+
+
+def test_the_float_just_below_the_threshold_is_refused():
+    # gamma*a rounds to -0.5, but 2*gamma*a < -1: no element of J_3 has this a
+    a = -0.16666666666666669
+    assert a == np.nextafter(-0.5 / 3.0, -np.inf)
+    with pytest.raises(InfeasibleCoefficientError):
+        check_coefficient(3.0, a)
+    with pytest.raises(InfeasibleCoefficientError):
+        duality_map_element([1.0], 3.0, a)
+    assert duality_map_inverse(PhiElement(a, [-5.551115123125783e-17]), 3.0).kind is ResultKind.EMPTY
+
+
+@pytest.mark.parametrize("gamma", [3.0, 7.0, 10.0, 1e-300, 1e308] + [k / 7.0 for k in range(1, 50)])
+def test_an_admitted_coefficient_has_an_element_that_maps_back(gamma):
+    # the coefficients within 3 ulps of the threshold: each one that
+    # check_coefficient admits builds an element with a preimage, and each
+    # one it refuses has none
+    near = [-0.5 / gamma]
+    for _ in range(3):
+        near = [np.nextafter(near[0], -np.inf), *near, np.nextafter(near[-1], np.inf)]
+    for a in map(float, near):
+        try:
+            check_coefficient(gamma, a)
+        except InfeasibleCoefficientError:
+            kind = duality_map_inverse(PhiElement(a, [(1.0 / gamma + 2.0 * a) * 2.0]), gamma).kind
+            assert kind is ResultKind.EMPTY
+        else:
+            assert duality_map_inverse(duality_map_element([2.0], gamma, a), gamma).kind in (
+                ResultKind.POINT, ResultKind.WHOLE_SPACE)
 
 
 @given(
