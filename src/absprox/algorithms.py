@@ -254,8 +254,9 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
     """The point loop the three methods share (one run, one (n,) iterate).
 
     Record 0 takes ``objective``, which checks the start through
-    ``eval_oracle``; later ones take ``value``, the oracles' own, unless a
-    step changed the iterate's shape, which ``objective`` refuses.
+    ``eval_oracle``; later ones take ``value``, the oracles' own (no step
+    changes the iterate's shape: the set's dimension and a black box's
+    gradient are checked).
     ``step(rec)`` advances from the current record (it may fill
     ``rec.a_fn``).  It returns None when the method's guard stops the run
     at ``rec``, else ``(x_next, gamma_next, a_next, tag)``: a tag stops the
@@ -277,8 +278,7 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
                 and np.isfinite(x_next).all()) or gamma_next <= 0:
             stop = STOP_NONFINITE
             break
-        # a set or a gradient of another dimension broadcasts the iterate
-        f_next = float((value if x_next.shape == rec.x_n.shape else objective)(x_next))
+        f_next = float(value(x_next))
         if check_descent and f_next > rec.f_xn + 1e-10:
             # 3: _iterate, run_ppa, then the caller of run_ppa
             warnings.warn(f"descent violated at iteration {n}: f went from "
@@ -431,16 +431,18 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> Ru
     c = 1/(2 gamma) + a_n - a_n^g.  A vanishing c raises
     ``DegenerateStepError`` under a constant schedule and is a recorded stop
     under decrement/adaptive schedules (where it is the schedule's own
-    stopping rule).  Objective descent is not asserted: its sufficient
-    condition 1/gamma + a_n + a_{n+1} >= a_n^g + L_g/2 needs a Lipschitz
-    constant L_g of grad g, which the black box does not carry.
+    stopping rule).  A gradient whose shape is not the point's raises
+    ``ValueError`` ("dimension mismatch").  Objective descent is not
+    asserted: its sufficient condition 1/gamma + a_n + a_{n+1} >= a_n^g +
+    L_g/2 needs a Lipschitz constant L_g of grad g, which the black box does
+    not carry.
     """
     _require_black_box(g)
 
     def step(rec):
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
         a_g = g.default_coefficient(x)
-        grad = np.atleast_1d(np.asarray(g.gradient(x), dtype=float))
+        grad = g.gradient_at(x)
         c = _fb_weight(rec, a_g, sched)
         if c is None:
             return None
@@ -456,7 +458,7 @@ def _fb_block(f: Oracle, g: SmoothBlackBox):
     def step(recs, x, scheds):
         # the callbacks see one row at a time
         a_g = [g.default_coefficient(row) for row in x]
-        grad = np.array([g.gradient(row) for row in x], dtype=float).reshape(x.shape)
+        grad = g.gradient_at(x)
         c = [_fb_weight(r, a, s) for r, a, s in zip(recs, a_g, scheds)]
         went = [j for j, cj in enumerate(c) if cj is not None]
         outs = [None] * len(recs)
@@ -483,6 +485,11 @@ def _psg_denominator(rec: IterationRecord, a_f: float) -> float | None:
     return None if denom <= 0.0 else denom
 
 
+def _require_set_dim(f: Oracle, set_c: SetDescriptor) -> None:
+    if set_c.dim != f.dim:
+        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, set dim {set_c.dim}")
+
+
 def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
             a_f_override: float | None = None) -> RunResult:
     """Projected subgradient for min f over a closed set C.
@@ -496,8 +503,11 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
 
     stopping with a recorded guard tag when the denominator is no longer
     positive.  The initial point may lie outside C; the first update
-    projects onto it.
+    projects onto it.  A set whose dimension is not f's is refused with
+    ``ValueError`` before the first record.
     """
+    _require_set_dim(f, set_c)
+
     def step(rec):
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
         a_f = _admit(a_f_override, f.feasible_range(x))
@@ -542,11 +552,11 @@ def run_block(algorithm: str, f: Oracle, x0s, scheds: list[Schedule], n_iter: in
     ``algorithm`` is ``"ppa"``, ``"fb"`` (with ``g``) or ``"psg"`` (with
     ``set_c`` and ``a_f_override``); the members differ only in their start
     points ``x0s`` and their schedules.  ``f`` is an oracle a config can
-    name: its closed-form ``prox`` (ppa, fb) and its ``slope`` (psg: Q or
-    ``AbsPlusSquare``) take the block.  Each member's records, and the
-    error a member raises, are bit for bit those of its own ``run_ppa``,
-    ``run_fb`` or ``run_psg``.  A method's block work is done once per step
-    for all members; for a single run the point step is cheaper.
+    name: its closed-form ``prox`` (ppa, fb) and its ``slope`` (psg) take
+    the block.  Each member's records, and the error a member raises, are
+    bit for bit those of its own ``run_ppa``, ``run_fb`` or ``run_psg``.  A
+    method's block work is done once per step for all members; for a single
+    run the point step is cheaper.
     """
     if algorithm == "ppa":
         return _iterate_block(x0s, scheds, n_iter, lambda x: eval_oracle(f, x), _ppa_block(f),
@@ -556,6 +566,7 @@ def run_block(algorithm: str, f: Oracle, x0s, scheds: list[Schedule], n_iter: in
         return _iterate_block(x0s, scheds, n_iter,
                               lambda x: eval_oracle(f, x) + eval_oracle(g, x), _fb_block(f, g))
     if algorithm == "psg":
+        _require_set_dim(f, set_c)
         return _iterate_block(x0s, scheds, n_iter, lambda x: eval_oracle(f, x),
                               _psg_block(f, set_c, a_f_override))
     raise ValueError(f"unknown algorithm {algorithm!r}")

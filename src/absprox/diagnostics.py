@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import IterationRecord, column, sq_distances
-from .oracles import Oracle, subgrad_at
+from .oracles import Oracle, feasible_range, subgrad_at
 
 __all__ = [
     "DiagnosticsReport",
@@ -33,11 +33,26 @@ class DiagnosticsReport:
     quasi_fejer_slack: list[float] = field(default_factory=list)
 
 
+def _slopes(f: Oracle, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``f.slope`` of the rows of x at their coefficients a: one block call
+    after one check of the block (dimension, domain, a >= a_min).  Where a
+    row is refused, the rows are queried one by one through ``subgrad_at``,
+    which raises the first refused row's own error."""
+    try:
+        if (a >= feasible_range(f, x)).all():
+            return f.slope(x, a[:, None])
+    except Exception:  # the row queries below raise the error of the row refused first
+        pass
+    return np.array([subgrad_at(f, row, a_row).u for row, a_row in zip(x, a)])
+
+
 def _psg_slack(records: list[IterationRecord], f: Oracle | None) -> np.ndarray:
     """Per-step allowance eps_n = gamma_n^2 U^2 / (1 + 2 gamma_n (a_n - a_n^f)).
 
     U bounds ||2 a_n^f x_n - u_n^f|| along the run; the subgradients are
-    re-queried from the oracle at the recorded coefficients.
+    re-queried from the oracle at the recorded coefficients, the queried
+    records' x_n rows as one checked block (see ``_slopes``), each row bit
+    for bit its own ``subgrad_at``.
     """
     steps = records[:-1]
     if f is None or not steps:
@@ -45,8 +60,9 @@ def _psg_slack(records: list[IterationRecord], f: Oracle | None) -> np.ndarray:
     gamma, a, a_f, x = (column(steps, name) for name in ("gamma_n", "a_n", "a_fn", "x_n"))
     queried = ~np.isnan(a_f)
     v = np.zeros_like(x)
-    for i in np.flatnonzero(queried):
-        v[i] = 2.0 * a_f[i] * x[i] - subgrad_at(f, x[i], a_f[i]).u
+    if queried.any():
+        x_q, a_q = x[queried], a_f[queried]
+        v[queried] = 2.0 * a_q[:, None] * x_q - _slopes(f, x_q, a_q)
     big_u = float(np.sqrt(np.vecdot(v, v)).max())
     denom = np.where(queried, 1.0 + 2.0 * gamma * (a - a_f), 1.0)
     return np.divide(gamma * gamma * big_u * big_u, denom,

@@ -33,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from .phi import InfeasibleCoefficientError, PhiElement, check_coefficient, duality_map_element
-from .phi import _vec as _vector
 
 __all__ = [
     "Ball",
@@ -223,14 +222,15 @@ SetDescriptor = Ball | Box | Halfspace
 # subdifferential element (a, u) for an admissible a) and ``prox(req)`` (the
 # proximal point for a ProxRequest: a closed form, or for SmoothBlackBox the
 # certified inner solver).
-# ``value``, ``feasible_range``, the closed-form ``prox`` and the sets'
-# ``contains`` and ``project`` take a point (n,) or a block (m, n) of
-# points, one result per row, each row bit for bit its single-point result;
-# so do the ``slope`` of Q and of AbsPlusSquare, which psg blocks step on.
-# A block's coefficients (``a``, a request's gamma and a0) are (m, 1)
-# columns.  A constant ``feasible_range`` is one float for any block.  The
-# methods assume points of the right dimension and, in ``slope``, an
-# admissible a; the module functions below check both.
+# ``value``, ``feasible_range``, ``slope``, the closed-form ``prox`` and the
+# sets' ``contains`` and ``project`` take a point (n,) or a block (m, n) of
+# points, one result per row, each row bit for bit its single-point result
+# (a refused row raises its own error); psg blocks and the Fejér check's
+# allowance call ``slope`` on a block.  The black box's callbacks see one
+# row at a time.  A block's coefficients (``a``, a request's gamma and a0)
+# are (m, 1) columns.  A constant ``feasible_range`` is one float for any
+# block.  The methods assume points of the right dimension and, in
+# ``slope``, an admissible a; the module functions below check both.
 
 
 class UnboundedObjectiveError(ValueError):
@@ -263,6 +263,10 @@ class NormSquare:
         return -1.0 / (2.0 * self.gamma)
 
     def slope(self, x, a):
+        if x.ndim > 1:  # one element per row, so the first refused row raises
+            a = np.broadcast_to(a, (len(x), 1)).ravel().tolist()
+            return np.array([duality_map_element(row, self.gamma, a_row).u
+                             for row, a_row in zip(x, a)])
         return duality_map_element(x, self.gamma, a).u
 
     def prox(self, req) -> np.ndarray:
@@ -416,7 +420,7 @@ class IndicatorSet:
     def slope(self, x, a):
         # x = Proj_C(u/(2a)) holds with u = 2a*x whenever a >= 0; there is no
         # canonical selection on the a < 0 branch.
-        if a < 0.0:
+        if np.any(a < 0.0):
             raise InfeasibleCoefficientError("no canonical indicator subgradient for a < 0")
         return 2.0 * a * x
 
@@ -454,7 +458,7 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
         return eval_oracle(f, z) + w * float(d @ d)
 
     def dh(z):
-        return np.asarray(f.gradient(z), dtype=float).reshape(z.shape) + 2.0 * w * (z - x0)
+        return f.gradient_at(z) + 2.0 * w * (z - x0)
 
     z = x0.copy()
     grad = dh(z)
@@ -518,10 +522,19 @@ class SmoothBlackBox:
             return np.array([float(self.kappa(row)) for row in x])
         return float(self.kappa(x))
 
+    def gradient_at(self, x) -> np.ndarray:
+        """grad g at a point, or at each row of a block (the callback sees one
+        row at a time); ``ValueError`` unless it has the point's shape."""
+        if x.ndim > 1:
+            return np.array([self.gradient_at(row) for row in x])
+        grad = np.atleast_1d(np.asarray(self.gradient(x), dtype=float))
+        if grad.shape != x.shape:
+            raise ValueError(f"dimension mismatch: gradient of shape {grad.shape} "
+                             f"at a point of shape {x.shape}")
+        return grad
+
     def slope(self, x, a):
-        # one point, as the callback takes; a gradient that is not 1-D is
-        # refused as an element's u is
-        return 2.0 * a * x + _vector(self.gradient(x))
+        return 2.0 * a * x + self.gradient_at(x)
 
     def prox(self, req) -> np.ndarray:
         """Raises ``SolverToleranceError`` when the answer is not certified."""

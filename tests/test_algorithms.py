@@ -13,6 +13,7 @@ from absprox import (
     Box,
     DegenerateStepError,
     FbConstant,
+    Halfspace,
     IndicatorSet,
     InfeasibleCoefficientError,
     NormSquare,
@@ -170,20 +171,69 @@ def test_a_start_of_the_wrong_dimension_is_refused(run, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("run", [
-    # the 3-D ball's projection broadcasts the 1-D iterate to 3 coordinates
-    lambda: run_psg(AbsPlusSquare(), Ball(np.zeros(3), 0.1), [0.5],
-                    PsgConstantGamma(1.0, 5.0), 5),
-    # so does a gradient callback that answers 3 coordinates for one
-    lambda: run_fb(NormSquare(1.0), SmoothBlackBox(value=lambda p: 0.0,
-                                                   gradient=lambda p: np.ones(3),
-                                                   kappa=lambda p: 0.0, eps=0.1),
-                   [0.5], FbConstant(1.0, 5.0, a_const=5.0), 5),
-], ids=["psg-set", "fb-gradient"])
-def test_an_iterate_a_step_reshapes_is_refused(run):
+@pytest.mark.parametrize("run, message", [
+    # a 3-D ball would broadcast the 1-D iterate to 3 coordinates through its
+    # projection; it is refused before the first step
+    (lambda: run_psg(AbsPlusSquare(), Ball(np.zeros(3), 0.1), [0.5],
+                     PsgConstantGamma(1.0, 5.0), 5),
+     "dimension mismatch: oracle dim 1, set dim 3"),
+    # so would a gradient callback that answers 3 coordinates for one
+    (lambda: run_fb(NormSquare(1.0), SmoothBlackBox(value=lambda p: 0.0,
+                                                    gradient=lambda p: np.ones(3),
+                                                    kappa=lambda p: 0.0, eps=0.1),
+                    [0.5], FbConstant(1.0, 5.0, a_const=5.0), 5),
+     "dimension mismatch: gradient of shape (3,) at a point of shape (1,)"),
+    # and so would a black box's slope built on that gradient in psg
+    (lambda: run_psg(SmoothBlackBox(value=lambda p: 0.0, gradient=lambda p: np.ones(3),
+                                    kappa=lambda p: 0.0, eps=0.1),
+                     Ball(np.zeros(1), 0.1), [0.5], PsgConstantGamma(1.0, 5.0), 5),
+     "dimension mismatch: gradient of shape (3,) at a point of shape (1,)"),
+], ids=["psg-set", "fb-gradient", "psg-slope"])
+def test_an_iterate_a_step_reshapes_is_refused(run, message):
     with pytest.raises(ValueError) as err:
         run()
-    assert str(err.value) == "dimension mismatch: oracle dim 1, points of shape (3,)"
+    assert str(err.value) == message
+
+
+_PSG_SHAPES = {
+    "point": lambda f, set_c, x0, sched: run_psg(f, set_c, x0, sched, 5),
+    "block": lambda f, set_c, x0, sched: run_block("psg", f, [x0] * 3, [sched] * 3, 5,
+                                                  set_c=set_c),
+}
+
+
+@pytest.mark.parametrize("shape", _PSG_SHAPES)
+@pytest.mark.parametrize("f, set_c, x0, message", [
+    # a 1-D ball broadcast against a 3-D iterate would run all the records
+    (QuadraticForm(Q3), Ball(np.zeros(1), 1.0), [0.5, 0.1, 0.2],
+     "dimension mismatch: oracle dim 3, set dim 1"),
+    (AbsPlusSquare(), Halfspace(np.ones(3), -1.0), [0.5],
+     "dimension mismatch: oracle dim 1, set dim 3"),
+], ids=["ball-1-around-3", "halfspace-3-around-1"])
+def test_a_set_of_the_wrong_dimension_is_refused(f, set_c, x0, message, shape):
+    with pytest.raises(ValueError) as err:
+        _PSG_SHAPES[shape](f, set_c, x0, PsgConstantGamma(1.0, 20.0))
+    assert str(err.value) == message
+
+
+_FB_SHAPES = {
+    "point": lambda f, g, sched: run_fb(f, g, [0.5], sched, 5),
+    "block": lambda f, g, sched: run_block("fb", f, [[0.5], [-0.5], [0.25]], [sched] * 3, 5,
+                                           g=g),
+}
+
+
+@pytest.mark.parametrize("shape", _FB_SHAPES)
+@pytest.mark.parametrize("f", [AbsPlusSquare(), QuadraticForm(np.array([[1.0]])),
+                               NormSquare(1.0)], ids=["abs+square", "quadratic", "norm-square"])
+def test_a_gradient_of_the_wrong_shape_is_refused(f, shape):
+    # f's prox would fail in its own words (a reshape, a LAPACK core
+    # dimension) or the block would reshape the gradients to the rows
+    g = SmoothBlackBox(value=lambda p: 0.0, gradient=lambda p: np.ones(3),
+                       kappa=lambda p: 0.0, eps=0.1)
+    with pytest.raises(ValueError) as err:
+        _FB_SHAPES[shape](f, g, FbConstant(1.0, 5.0, a_const=5.0))
+    assert str(err.value) == "dimension mismatch: gradient of shape (3,) at a point of shape (1,)"
 
 
 # --- projected subgradient ---------------------------------------------------

@@ -1,19 +1,32 @@
 """Convergence diagnostics: anchored monotonicity checks over recorded runs."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from absprox import (
     AbsPlusSquare,
     Ball,
+    Box,
+    EmptySubdifferentialError,
+    IndicatorSet,
+    InfeasibleCoefficientError,
+    NormSquare,
     PpaAdditive,
+    PsgAdaptiveV2,
     PsgConstantGamma,
     QuadraticForm,
+    SmoothBlackBox,
     check_fejer,
+    diagnostics,
     run_ppa,
     run_psg,
+    subgrad_at,
 )
 from absprox.checks import Q3
+from absprox.diagnostics import _psg_slack
 
 
 def _v_min():
@@ -60,3 +73,145 @@ def test_check_fejer_detects_violation():
     rep = check_fejer(res.records, np.array([4.0]), "ppa")
     assert not rep.fejer_monotone
     assert rep.fejer_first_violation is not None
+
+
+# --- the psg allowance ----------------------------------------------------------
+
+
+def _slack_per_record(records, f):
+    """The psg allowance with one ``subgrad_at`` per queried record."""
+    steps = records[:-1]
+    gamma, a, a_f = (np.array([getattr(r, name) for r in steps])
+                     for name in ("gamma_n", "a_n", "a_fn"))
+    v = np.zeros((len(steps), steps[0].x_n.size))
+    for i, r in enumerate(steps):
+        if not np.isnan(r.a_fn):
+            v[i] = 2.0 * r.a_fn * r.x_n - subgrad_at(f, r.x_n, r.a_fn).u
+    big_u = float(np.sqrt(np.vecdot(v, v)).max())
+    denom = np.where(np.isnan(a_f), 1.0, 1.0 + 2.0 * gamma * (a - a_f))
+    return np.divide(gamma * gamma * big_u * big_u, denom,
+                     out=np.full_like(denom, np.inf), where=denom > 0)
+
+
+def _q8():
+    m = np.random.default_rng(8).uniform(-1.0, 1.0, (8, 8))
+    return QuadraticForm(m + m.T)
+
+
+def _black_box():
+    return SmoothBlackBox(value=lambda p: float(np.cos(p).sum()), gradient=lambda p: -np.sin(p),
+                          kappa=lambda p: 0.5, eps=1e-6, dim=2)
+
+
+def _abs_square_run():
+    records = run_psg(AbsPlusSquare(), Ball(np.zeros(1), 2.0), [1.5],
+                      PsgConstantGamma(1.0, 5.0), 12).records
+    # iterates at 0 and -0, where the slope selects u = 0
+    zeros = {2: [0.0], 5: [-0.0]}
+    return [replace(r, x_n=np.array(zeros[k])) if k in zeros else r
+            for k, r in enumerate(records)]
+
+
+_PSG_RUNS = {
+    "quadratic-8": lambda: (run_psg(_q8(), Ball(np.zeros(8), 1.0), np.linspace(-0.4, 0.3, 8),
+                                    PsgAdaptiveV2(1.0, 4.0, 1.0), 30).records, _q8()),
+    "abs+square": lambda: (_abs_square_run(), AbsPlusSquare()),
+    "norm-square": lambda: (run_psg(NormSquare(0.7, dim=3), Box(-np.ones(3), np.ones(3)),
+                                    [2.0, -1.0, 0.5], PsgConstantGamma(1.0, 5.0), 12).records,
+                            NormSquare(0.7, dim=3)),
+    "indicator": lambda: (run_psg(IndicatorSet(Ball(np.zeros(2), 1.0)), Ball(np.zeros(2), 1.0),
+                                  [0.3, -0.2], PsgConstantGamma(1.0, 5.0), 12,
+                                  a_f_override=0.5).records,
+                          IndicatorSet(Ball(np.zeros(2), 1.0))),
+    "blackbox": lambda: (run_psg(_black_box(), Ball(np.zeros(2), 2.0), [1.0, -0.5],
+                                 PsgAdaptiveV2(1.0, 2.0, 1.0), 12).records, _black_box()),
+}
+
+
+@pytest.mark.parametrize("run", _PSG_RUNS.values(), ids=_PSG_RUNS)
+def test_psg_slack_is_the_per_record_queries_bit_for_bit(run):
+    records, f = run()
+    assert len(records) > 5 and not np.isnan(records[0].a_fn)
+    slack = _psg_slack(records, f)
+    assert slack.tobytes() == _slack_per_record(records, f).tobytes()
+    # an indicator's u = 2 a x leaves no allowance
+    assert slack.any() != isinstance(f, IndicatorSet)
+
+
+def test_psg_slack_without_queries_is_zero():
+    records, f = _PSG_RUNS["quadratic-8"]()
+    unqueried = [replace(r, a_fn=np.nan) for r in records]
+    assert _psg_slack(unqueried, f).tolist() == [0.0] * (len(records) - 1)
+    # nothing is queried, so nothing is checked either
+    assert _psg_slack(unqueried, QuadraticForm(Q3)).tolist() == [0.0] * (len(records) - 1)
+
+
+def _with(records, k, **fields):
+    return records[:k] + [replace(records[k], **fields)] + records[k + 1:]
+
+
+def _refusals():
+    q_records, q = _PSG_RUNS["quadratic-8"]()
+    ind_records, ind = _PSG_RUNS["indicator"]()
+    outside = dict(x_n=np.array([3.0, 0.0]))
+    # at a 1-D point, 3 coordinates would broadcast rather than fail
+    three = SmoothBlackBox(value=lambda p: 0.0, gradient=lambda p: np.ones(3),
+                           kappa=lambda p: -np.inf, eps=1e-6)
+    return {
+        "below-a-min": (_with(q_records, 3, a_fn=-q.min_eigenvalue - 1.0), q,
+                        InfeasibleCoefficientError),
+        "outside-the-set": (_with(ind_records, 2, **outside), ind, EmptySubdifferentialError),
+        "wrong-dimension": (q_records, QuadraticForm(Q3), ValueError),
+        # the block's gradients are refused as each record's are
+        "wrong-gradient": (_abs_square_run(), three, ValueError),
+        # two refused records: the earlier one's error, though its refusal
+        # comes later in a record's checks
+        "first-refusal-wins": (_with(_with(ind_records, 4, **outside), 2, a_fn=-1.0), ind,
+                               InfeasibleCoefficientError),
+    }
+
+
+@pytest.mark.parametrize("case", _refusals())
+def test_a_refused_record_raises_its_per_record_error(case):
+    records, f, cls = _refusals()[case]
+    with pytest.raises(cls) as per_record:
+        _slack_per_record(records, f)
+    with pytest.raises(cls) as err:
+        check_fejer(records, np.zeros(records[0].x_n.size), "psg", f)
+    assert type(err.value) is type(per_record.value)
+    assert str(err.value) == str(per_record.value)
+
+
+class _Counting:
+    """An oracle that forwards to ``f`` and counts its method calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.f, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+
+        return counted
+
+
+def test_the_psg_allowance_is_one_slope_call(monkeypatch):
+    f = _Counting(_q8())
+    res = run_psg(f, Ball(np.zeros(8), 1.0), np.linspace(-0.4, 0.3, 8),
+                  PsgAdaptiveV2(1.0, 4.0, 1.0), 30)
+    subgrad_calls = []
+
+    def counted_subgrad_at(*args):
+        subgrad_calls.append(args)
+        return subgrad_at(*args)
+
+    monkeypatch.setattr(diagnostics, "subgrad_at", counted_subgrad_at, raising=False)
+    f.calls.clear()
+    check_fejer(res.records, np.zeros(8), "psg", f)
+    assert f.calls["slope"] == 1
+    assert subgrad_calls == []

@@ -113,6 +113,15 @@ _BLOCK_CASES = {
                           (_coefficients(-1.0, 5.0),)),
     "slope-abs+square": (AbsPlusSquare().slope, np.vstack([_uniform(1)[:-2], [[0.0], [-0.0]]]),
                          (_coefficients(-1.0, 5.0),)),
+    # a >= -1/(2 gamma) = -0.714...
+    "slope-norm-square": (NormSquare(gamma=0.7, dim=16).slope, _uniform(16),
+                          (_coefficients(-0.7, 5.0),)),
+    "slope-indicator": (IndicatorSet(Ball(np.zeros(4), 3.0)).slope, _uniform(4),
+                        (_coefficients(0.0, 5.0),)),
+    "slope-blackbox": (SmoothBlackBox(value=lambda p: float(np.cos(p).sum()),
+                                      gradient=lambda p: -np.sin(p), kappa=lambda p: 0.5,
+                                      eps=1e-6, dim=2).slope, _uniform(2),
+                       (_coefficients(-1.0, 5.0),)),
     "prox-norm-square": _prox(NormSquare(gamma=0.7, dim=16), 0.0),
     "prox-quadratic-3": _prox(QuadraticForm(Q3), 4.5),
     "prox-abs+square": _prox(AbsPlusSquare(), 0.0),
@@ -125,6 +134,20 @@ def test_block_evaluation_is_each_rows_value_bit_for_bit(method, block, coeffici
     got = method(block, *(c[:, None] for c in coefficients))
     rows = [method(y, *(float(c[i]) for c in coefficients)) for i, y in enumerate(block)]
     assert np.asarray(got).tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("f, a", [
+    (NormSquare(gamma=0.5, dim=2), [0.5, -1.0, -1.5, -2.0]),
+    (IndicatorSet(Ball(np.zeros(2), 1.0)), [0.5, 0.0, -1.0, -2.0]),
+], ids=["norm-square", "indicator"])
+def test_a_block_slope_refuses_as_its_first_refused_row(f, a):
+    block = _uniform(2, m=len(a))
+    with pytest.raises(InfeasibleCoefficientError) as row_err:
+        for y, a_row in zip(block, a):
+            f.slope(y, a_row)
+    with pytest.raises(InfeasibleCoefficientError) as block_err:
+        f.slope(block, np.array(a)[:, None])
+    assert str(block_err.value) == str(row_err.value)
 
 
 @pytest.mark.parametrize("s, points", _BOUNDARY_SETS, ids=["ball", "box", "halfspace"])
