@@ -15,17 +15,19 @@ error where a caller wants one; guard conditions terminate runs with a
 recorded stop tag instead of an exception wherever a stop is an expected
 outcome of the update rule itself.
 
-The loop and each step come in two shapes.  ``run_ppa``, ``run_fb`` and
-``run_psg`` step one point: the run's scalars are floats and its iterate
-an (n,) array.  :func:`run_block` steps the m members of a sweep (one
-method, one problem, their own start points and schedules) as one (m, n)
-block: the vector work of a step is done once for all members, each
-member's scalars stay floats that its own schedule advances, and a member
-leaves the block at its own stop.  Its records, and an error a member
-raises, are bit for bit those of the member's own point run.  A sweep of
-3 or 4 members takes the block; a single run keeps the point step, as a
+The loop comes in two shapes.  ``run_ppa``, ``run_fb`` and ``run_psg``
+step one point: the run's scalars are floats and its iterate an (n,)
+array.  :func:`run_block` runs the m members of a sweep (one method, one
+problem, their own start points and schedules).  For proximal point and
+projected subgradient it steps them as one (m, n) block: the vector work
+of a step is done once for all members, each member's scalars stay floats
+that its own schedule advances, and a member leaves the block at its own
+stop.  Its records, and an error a member raises, are bit for bit those of
+the member's own point run.  Forward-backward members run alone, one
+``run_fb`` each: the black box's callbacks see one row at a time, so a
+block step saved nothing there.  A single run keeps the point step, as a
 block of one is slower than it.  The per-member checks (``_ppa_tag``,
-``_fb_weight``, ``_psg_denominator``) are shared by both shapes.
+``_psg_denominator``) are shared by both shapes.
 """
 
 from __future__ import annotations
@@ -400,26 +402,6 @@ def _ppa_block(f: Oracle):
     return step
 
 
-def _fb_weight(rec: IterationRecord, a_g: float, sched: Schedule) -> float | None:
-    """Forward-backward's weight c = 1/(2 gamma_n) + a_n - a_n^g at ``rec``, or
-    None where a vanishing c is the schedule's stop."""
-    rec.a_fn = a_g
-    c = 0.5 / rec.gamma_n + rec.a_n - a_g
-    if c <= 0.0:
-        if sched.fb_weight_raises:
-            raise DegenerateStepError(
-                f"regularizer weight 1/(2 gamma) + a_n - a_n^g = {c} <= 0 "
-                f"at iteration {rec.n}"
-            )
-        return None
-    return c
-
-
-def _require_black_box(g) -> None:
-    if not isinstance(g, SmoothBlackBox):
-        raise TypeError("g must be a SmoothBlackBox oracle")
-
-
 def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> RunResult:
     """Forward-backward splitting for f + g with smooth black-box g.
 
@@ -437,14 +419,21 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> Ru
     L_g/2 needs a Lipschitz constant L_g of grad g, which the black box does
     not carry.
     """
-    _require_black_box(g)
+    if not isinstance(g, SmoothBlackBox):
+        raise TypeError("g must be a SmoothBlackBox oracle")
 
     def step(rec):
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
         a_g = g.default_coefficient(x)
         grad = g.gradient_at(x)
-        c = _fb_weight(rec, a_g, sched)
-        if c is None:
+        rec.a_fn = a_g
+        c = 0.5 / gamma + a - a_g
+        if c <= 0.0:
+            if sched.fb_weight_raises:
+                raise DegenerateStepError(
+                    f"regularizer weight 1/(2 gamma) + a_n - a_n^g = {c} <= 0 "
+                    f"at iteration {rec.n}"
+                )
             return None
         x_next = prox_via_argmin(ProxRequest(f, x - grad / (2.0 * c), gamma, a - a_g))
         gamma_next, a_next = schedule_step(sched, gamma, a, a_g)
@@ -452,29 +441,6 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> Ru
 
     return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x),
                     lambda x: float(f.value(x)) + float(g.value(x)), step)
-
-
-def _fb_block(f: Oracle, g: SmoothBlackBox):
-    def step(recs, x, scheds):
-        # the callbacks see one row at a time
-        a_g = [g.default_coefficient(row) for row in x]
-        grad = g.gradient_at(x)
-        c = [_fb_weight(r, a, s) for r, a, s in zip(recs, a_g, scheds)]
-        went = [j for j, cj in enumerate(c) if cj is not None]
-        outs = [None] * len(recs)
-        if not went:
-            return x[:0], outs
-        if len(went) < len(recs):
-            x, grad = x[went], grad[went]
-        gamma = _column([recs[j].gamma_n for j in went])
-        a = _column([recs[j].a_n - a_g[j] for j in went])
-        two_c = _column([2.0 * c[j] for j in went])
-        x_next = prox_via_argmin(ProxRequest(f, x - grad / two_c, gamma, a))
-        for j in went:
-            outs[j] = (*schedule_step(scheds[j], recs[j].gamma_n, recs[j].a_n, a_g[j]), None)
-        return x_next, outs
-
-    return step
 
 
 def _psg_denominator(rec: IterationRecord, a_f: float) -> float | None:
@@ -525,8 +491,7 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
 def _psg_block(f: Oracle, set_c: SetDescriptor, a_f_override: float | None):
     def step(recs, x, scheds):
         a_f = [_admit(a_f_override, a_min) for a_min in feasible_range(f, x).tolist()]
-        # a pinned a^f is one float for every member, as in the point step
-        u = f.slope(x, a_f[0] if a_f_override is not None else _column(a_f))
+        u = f.slope(x, _column(a_f))
         denom = [_psg_denominator(r, af) for r, af in zip(recs, a_f)]
         went = [j for j, d in enumerate(denom) if d is not None]
         outs = [None] * len(recs)
@@ -547,24 +512,23 @@ def _psg_block(f: Oracle, set_c: SetDescriptor, a_f_override: float | None):
 def run_block(algorithm: str, f: Oracle, x0s, scheds: list[Schedule], n_iter: int, *,
               g: SmoothBlackBox | None = None, set_c: SetDescriptor | None = None,
               a_f_override: float | None = None) -> list[RunResult]:
-    """m runs of one method on one problem, stepped as one (m, n) block.
+    """m runs of one method on one problem, in member order.
 
     ``algorithm`` is ``"ppa"``, ``"fb"`` (with ``g``) or ``"psg"`` (with
     ``set_c`` and ``a_f_override``); the members differ only in their start
-    points ``x0s`` and their schedules.  ``f`` is an oracle a config can
-    name: its closed-form ``prox`` (ppa, fb) and its ``slope`` (psg) take
-    the block.  Each member's records, and the error a member raises, are
-    bit for bit those of its own ``run_ppa``, ``run_fb`` or ``run_psg``.  A
-    method's block work is done once per step for all members; for a single
-    run the point step is cheaper.
+    points ``x0s`` and their schedules.  Each member's records, and the
+    error a member raises, are bit for bit those of its own ``run_ppa``,
+    ``run_fb`` or ``run_psg``.  ppa and psg members are stepped as one
+    (m, n) block, whose work is done once per step for all of them, through
+    ``f``'s ``prox`` (ppa) or ``slope`` (psg); the first member to raise at
+    the earliest step raises.  fb members run alone, one ``run_fb`` each,
+    so the first member in order that raises raises.
     """
     if algorithm == "ppa":
         return _iterate_block(x0s, scheds, n_iter, lambda x: eval_oracle(f, x), _ppa_block(f),
                               check_descent=True)
     if algorithm == "fb":
-        _require_black_box(g)
-        return _iterate_block(x0s, scheds, n_iter,
-                              lambda x: eval_oracle(f, x) + eval_oracle(g, x), _fb_block(f, g))
+        return [run_fb(f, g, x0, s, n_iter) for x0, s in zip(x0s, scheds)]
     if algorithm == "psg":
         _require_set_dim(f, set_c)
         return _iterate_block(x0s, scheds, n_iter, lambda x: eval_oracle(f, x),

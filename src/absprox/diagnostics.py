@@ -69,10 +69,11 @@ def _psg_slack(records: list[IterationRecord], f: Oracle | None) -> np.ndarray:
                      out=np.full_like(denom, np.inf), where=denom > 0)
 
 
-def _first_rise(new: np.ndarray, old: np.ndarray) -> int | None:
+def _first_rise(new: np.ndarray, old: np.ndarray,
+                unknown: np.ndarray | bool = False) -> int | None:
     """The first step n with new[n] > old[n] beyond the relative tolerance,
-    or None."""
-    bad = new > old + _RTOL * np.maximum(1.0, np.maximum(np.abs(new), np.abs(old)))
+    or where ``unknown[n]`` holds, or None."""
+    bad = (new > old + _RTOL * np.maximum(1.0, np.maximum(np.abs(new), np.abs(old)))) | unknown
     return int(np.argmax(bad)) if bad.any() else None
 
 
@@ -83,9 +84,10 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
     ``alpha_rule`` selects the weights: "ppa" uses alpha_n = b_n =
     1/(2 gamma_n) + a_n with no allowance; "psg" uses alpha_n =
     1 + 2 gamma_n a_n, b_n = 0, and the subgradient-magnitude allowance
-    (pass the oracle ``f`` to enable its computation, else it is zero).
-    Also reports objective monotonicity over the same records.  Raises
-    ValueError unless ``x_star`` has the iterates' dimension.
+    (pass the oracle ``f`` to enable its computation, else it is zero); a
+    NaN allowance counts as a violation at its step.  Also reports objective
+    monotonicity over the same records.  Raises ValueError unless ``x_star``
+    has the iterates' dimension.
     """
     if not records:
         raise ValueError("records must be nonempty")
@@ -102,11 +104,14 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
     else:
         raise ValueError("alpha_rule must be 'ppa' or 'psg'")
 
-    step = column(records, "step_norm")[1:]
+    # a b_n s_n^2 term is 0 where b_n = 0, also where s_n^2 overflows (0 * inf is NaN)
+    step = np.where(beta != 0.0, column(records, "step_norm")[1:], 0.0)
     # the check squares the reported distances through C pow, as Python's
     # float ** does: ** on an array multiplies, which can differ in the last bit
     weighted = alpha * np.float_power(dist, 2)
-    fejer_bad = _first_rise(weighted[1:], weighted[:-1] - beta * step * step + eps)
+    # a NaN allowance bounds nothing, so its step counts as a violation
+    fejer_bad = _first_rise(weighted[1:], weighted[:-1] - beta * step * step + eps,
+                            np.isnan(eps))
     f_xn = column(records, "f_xn")
     obj_bad = _first_rise(f_xn[1:], f_xn[:-1])
     return DiagnosticsReport(

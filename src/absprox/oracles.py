@@ -222,8 +222,8 @@ SetDescriptor = Ball | Box | Halfspace
 # subdifferential element (a, u) for an admissible a) and ``prox(req)`` (the
 # proximal point for a ProxRequest: a closed form, or for SmoothBlackBox the
 # certified inner solver).
-# ``value``, ``feasible_range``, ``slope``, the closed-form ``prox`` and the
-# sets' ``contains`` and ``project`` take a point (n,) or a block (m, n) of
+# ``value``, ``feasible_range``, ``slope``, ``prox`` and the sets'
+# ``contains`` and ``project`` take a point (n,) or a block (m, n) of
 # points, one result per row, each row bit for bit its single-point result
 # (a refused row raises its own error); psg blocks and the Fejér check's
 # allowance call ``slope`` on a block.  The black box's callbacks see one
@@ -319,7 +319,8 @@ class QuadraticForm:
 
     def prox(self, req) -> np.ndarray:
         """Raises ``UnboundedObjectiveError`` when min eig + weight <= 0.  A
-        block's systems are solved as one stack."""
+        block's weights are all checked first; then each member is solved as
+        its own point request."""
         x0, w, lam = req.x0, req.weight, self.min_eigenvalue
         for wi in np.ravel(w).tolist():
             if lam + wi < 0.0:
@@ -330,15 +331,11 @@ class QuadraticForm:
                 raise UnboundedObjectiveError(
                     "regularized quadratic is singular at the bottom of its spectrum"
                 )
-        eye = np.eye(self.dim)
+        if x0.ndim > 1:
+            return np.array([self.prox(member) for member in req.members()])
         try:
-            if x0.ndim == 1:
-                return np.linalg.solve(self.q + w * eye, w * x0)
-            return np.linalg.solve(self.q + w[..., None] * eye, (w * x0)[..., None])[..., 0]
+            return np.linalg.solve(self.q + w * np.eye(self.dim), w * x0)
         except np.linalg.LinAlgError as e:
-            if x0.ndim > 1:  # the stack does not say which member is singular; its own solve does
-                return np.array([self.prox(type(req)(self, row, gamma, a0))
-                                 for row, (gamma, a0) in zip(x0, req.pairs())])
             # w within rounding of -min eig: which of the two guards above
             # or LAPACK catches it depends on the last bit of the eigenvalue
             raise UnboundedObjectiveError(
@@ -537,7 +534,10 @@ class SmoothBlackBox:
         return 2.0 * a * x + self.gradient_at(x)
 
     def prox(self, req) -> np.ndarray:
-        """Raises ``SolverToleranceError`` when the answer is not certified."""
+        """Raises ``SolverToleranceError`` when the answer is not certified.  A
+        block's members are solved one by one, each as its own point request."""
+        if req.x0.ndim > 1:
+            return np.array([self.prox(member) for member in req.members()])
         return _inner_argmin(self, req.x0, req.weight)
 
 

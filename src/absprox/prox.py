@@ -53,6 +53,11 @@ class ProxRequest:
             raise ValueError("a block request takes gamma and a0 as (m, 1) columns")
         return list(zip(self.gamma[:, 0].tolist(), self.a0[:, 0].tolist()))
 
+    def members(self) -> list[ProxRequest]:
+        """Each member of a block as its own point request."""
+        return [ProxRequest(self.f, row, gamma, a0)
+                for row, (gamma, a0) in zip(self.x0, self.pairs())]
+
     @property
     def weight(self) -> float:
         """The regularization coefficient 1/(2 gamma) + a0 (>= 0)."""

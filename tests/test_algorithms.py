@@ -524,3 +524,29 @@ def test_a_block_raises_what_the_raising_member_raises_alone(method, f, g, x0, s
     with pytest.raises(Exception) as block:
         run_block(method, f, [x0, x0], scheds, 5, g=g)
     assert (type(block.value), str(block.value)) == (type(single.value), str(single.value))
+
+
+def test_fb_block_members_that_both_raise_raise_the_first_members_error():
+    f, g, x0 = QuadraticForm(np.zeros((2, 2))), hessian_example(0.1), [-5.0, -1.0]
+    # the first member's weight vanishes at its second step, the second's at once:
+    # fb members run alone, in order, so the first member's error is raised
+    scheds = [FbConstant(1.0, 200.0, a_const=0.0), FbConstant(1.0, 0.0, a_const=0.0)]
+    with pytest.raises(DegenerateStepError) as first:
+        run_fb(f, g, x0, scheds[0], 5)
+    with pytest.raises(DegenerateStepError) as block:
+        run_block("fb", f, [x0, x0], scheds, 5, g=g)
+    assert str(first.value).endswith("at iteration 1")
+    assert str(block.value) == str(first.value)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_black_box_ppa_block_is_its_members_own_runs(m):
+    # Hess g = I - diag(sin p) >= 0, so kappa = 0 bounds its curvature everywhere
+    g = SmoothBlackBox(value=lambda p: float(0.5 * p @ p + np.sin(p).sum()),
+                       gradient=lambda p: p + np.cos(p), kappa=lambda p: 0.0, eps=0.1, dim=2)
+    x0s = [[1.0, 2.0], [-3.0, 0.5], [0.2, -1.5]][:m]
+    scheds = [PpaAdditive(0.1, 1.0), PpaAdditive(1.0, 0.5), PpaAdditive(10.0, 0.0)][:m]
+    block = run_block("ppa", g, x0s, scheds, 10)
+    alone = [run_ppa(g, x0, s, 10) for x0, s in zip(x0s, scheds)]
+    assert [len(res.records) for res in block] == [11] * m
+    assert [_fields(res) for res in block] == [_fields(res) for res in alone]

@@ -75,6 +75,28 @@ def test_check_fejer_detects_violation():
     assert rep.fejer_first_violation is not None
 
 
+def test_a_nan_allowance_is_a_violation_at_its_step():
+    f = QuadraticForm(Q3)
+    records = run_psg(f, Ball(np.zeros(3), 1.0), [-5.0, 5.0, -5.0],
+                      PsgConstantGamma(gamma0=1.0, a0=200.0), 30, a_f_override=4.0).records
+    # an infinite a^f at record 2 makes U NaN, and with it every other allowance
+    with np.errstate(invalid="ignore"):
+        rep = check_fejer(_with(records, 2, a_fn=np.inf), _v_min(), "psg", f=f)
+    assert np.isnan(rep.quasi_fejer_slack[0]) and rep.quasi_fejer_slack[2] == np.inf
+    assert (rep.fejer_monotone, rep.fejer_first_violation) == (False, 0)
+
+
+def test_a_far_psg_run_sums_no_step_terms():
+    # psg's b_n is 0, so its b_n s_n^2 terms are 0, also where s_n^2 overflows
+    f = QuadraticForm(Q3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_psg(f, Ball(np.zeros(3), 1.0), [1e200] * 3,
+                      PsgConstantGamma(gamma0=1.0, a0=20.0), 30, a_f_override=4.0)
+        rep = check_fejer(res.records, _v_min(), "psg", f=f)
+    assert res.records[1].step_norm == 3**0.5 * 1e200  # its square overflows
+    assert rep.step_sq_sum == 0.0
+
+
 # --- the psg allowance ----------------------------------------------------------
 
 

@@ -54,21 +54,26 @@ def test_bundled_sweeps_call_counts(tracing):
         "oracles.feasible_range", "oracles.eval", "oracles.project", "prox.closed",
         "reference.eig_sym")}
     assert calls == {
-        # each sweep is stepped as one block, which no run_* call wraps
-        "algorithms.run": 0,
+        # the ppa and psg sweeps are stepped as blocks, which no run_* call
+        # wraps; the 3 fb-hessian members run alone, one run_fb each
+        "algorithms.run": 3,
         # one schedule step per member and step, as in a point run
         "algorithms.schedule_step": 2226,
         # the block asks the oracle's slope, which the tracer does not wrap
         "oracles.subgrad": 0,
         # the oracle layer is called once per block step
         "oracles.feasible_range": 534,
-        "oracles.eval": 743,
+        # a point fb run checks f and g once, at its start, and then calls
+        # their value methods, which the tracer does not wrap
+        "oracles.eval": 567,
         "oracles.project": 430,
-        "prox.closed": 191,
+        # one prox per fb member and step, where a block step made one for all
+        "prox.closed": 336,
         # one auto_eigen solve per sweep, not per member
         "reference.eig_sym": 5,
     }
-    assert tracer.extra["algorithms.iters"] == 0
+    # the fb members' records after their start: 3 runs of 235 steps in all
+    assert tracer.extra["algorithms.iters"] == 235
 
 
 def test_verify_call_counts(tracing):
