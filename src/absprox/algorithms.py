@@ -264,7 +264,8 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
     at ``rec``, else ``(x_next, gamma_next, a_next, tag)``: a tag stops the
     run at the new record.  Non-finite or nonpositive-stepsize updates
     abort.  Under ``check_descent`` each step checks objective descent and
-    warns with :class:`TheoremViolationWarning` on a violation.
+    warns with :class:`TheoremViolationWarning` on a violation; a NaN
+    objective on either side of the step is one.
     """
     x = np.array(x0, dtype=float, ndmin=1)
     rec = IterationRecord(0, sched.gamma0, sched.a0, np.nan, x, float(objective(x)), 0.0)
@@ -281,7 +282,7 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
             stop = STOP_NONFINITE
             break
         f_next = float(value(x_next))
-        if check_descent and f_next > rec.f_xn + 1e-10:
+        if check_descent and not f_next <= rec.f_xn + 1e-10:
             # 3: _iterate, run_ppa, then the caller of run_ppa
             warnings.warn(f"descent violated at iteration {n}: f went from "
                           f"{rec.f_xn} to {f_next}", TheoremViolationWarning, stacklevel=3)
@@ -335,7 +336,7 @@ def _iterate_block(x0s, scheds: list[Schedule], n_iter: int, objective, step,
         for j, row, f_next, step_norm in zip(went, x_next, objective(x_next).tolist(),
                                              _row_norms(x_next - x)):
             rec, (gamma_next, a_next, tag) = recs[j], outs[j]
-            if check_descent and f_next > rec.f_xn + 1e-10:
+            if check_descent and not f_next <= rec.f_xn + 1e-10:
                 warnings.warn(f"descent violated at iteration {n}: f went from "
                               f"{rec.f_xn} to {f_next}", TheoremViolationWarning, stacklevel=3)
             new.append(IterationRecord(n + 1, gamma_next, a_next, np.nan, row, f_next,

@@ -48,7 +48,12 @@ def spectra() -> list[tuple[str, bool, str]]:
 
 
 def _prox_objective(z, w, x0):
-    return np.abs(z) + z * z + w * (z - x0) ** 2
+    # |z| + z^2 + w (z - x0)^2 with its operations in that order, so every
+    # value keeps its bits, and the weighted term written into one buffer
+    out = np.subtract(z, x0)
+    np.square(out, out=out)
+    np.multiply(w, out, out=out)
+    return np.add(np.abs(z) + z * z, out, out=out)
 
 
 def closed_form_prox(rng: XorShift64Star, draws: int) -> list[tuple[str, bool, str]]:
@@ -57,7 +62,9 @@ def closed_form_prox(rng: XorShift64Star, draws: int) -> list[tuple[str, bool, s
     ``uniform_vector`` block whose rows are the draws.  The closed form
     runs once per draw; the grid argmin solves all the draws' problems
     z -> |z| + z^2 + w (z - x0)^2, w = 1/(2 gamma) + a0, in one block call,
-    and a NaN argmin fails the check."""
+    and a NaN argmin fails the check.  That objective writes its terms into
+    one buffer: with fresh temporaries, each of the scan's chunks faulted
+    their pages in again, and that was most of the check's time."""
     # one block of draws, each column mapped as XorShift64Star.uniform maps a draw
     d = rng.uniform_vector(0.0, 1.0, (draws, 3))
     gamma = 0.01 + (10.0 - 0.01) * d[:, 0]

@@ -86,7 +86,8 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
     1 + 2 gamma_n a_n, b_n = 0, and the subgradient-magnitude allowance
     (pass the oracle ``f`` to enable its computation, else it is zero); a
     NaN allowance counts as a violation at its step.  Also reports objective
-    monotonicity over the same records.  Raises ValueError unless ``x_star``
+    monotonicity over the same records, where a NaN objective on either side
+    of a step counts as a rise.  Raises ValueError unless ``x_star``
     has the iterates' dimension.
     """
     if not records:
@@ -113,7 +114,8 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
     fejer_bad = _first_rise(weighted[1:], weighted[:-1] - beta * step * step + eps,
                             np.isnan(eps))
     f_xn = column(records, "f_xn")
-    obj_bad = _first_rise(f_xn[1:], f_xn[:-1])
+    # a NaN objective on either side of a step shows no descent
+    obj_bad = _first_rise(f_xn[1:], f_xn[:-1], np.isnan(f_xn[1:]) | np.isnan(f_xn[:-1]))
     return DiagnosticsReport(
         fejer_monotone=fejer_bad is None,
         fejer_first_violation=fejer_bad,

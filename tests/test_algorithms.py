@@ -421,6 +421,24 @@ def test_descent_warning_points_at_the_caller_of_run():
     assert [w.filename for w in flagged] == [__file__]
 
 
+@pytest.mark.parametrize("block", [False, True], ids=["point", "block"])
+def test_a_nan_objective_fails_both_descent_checks(block):
+    # f is NaN for |x| <= 0.9, so the first prox step from 1.0 lands on a NaN
+    g = SmoothBlackBox(value=lambda p: np.nan if abs(p[0]) <= 0.9 else float(p @ p),
+                       gradient=lambda p: 2.0 * p, kappa=lambda p: 0.0, eps=0.1, dim=1)
+    s = PpaAdditive(0.5, 6.0, delta=-1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs = run_block("ppa", g, [[1.0]] * 2, [s, s], 5) if block else [run_ppa(g, [1.0], s, 5)]
+    flagged = [str(w.message) for w in caught if issubclass(w.category, TheoremViolationWarning)]
+    first = "descent violated at iteration 0: f went from 1.0 to nan"
+    assert flagged[:len(runs)] == [first] * len(runs)
+    for res in runs:
+        assert np.isnan([r.f_xn for r in res.records[1:]]).all()
+        rep = check_fejer(res.records, [0.0], "ppa")
+        assert (rep.objective_monotone, rep.objective_first_violation) == (False, 0)
+
+
 # --- a sweep stepped as one block ---------------------------------------------
 
 

@@ -86,6 +86,14 @@ def test_a_nan_allowance_is_a_violation_at_its_step():
     assert (rep.fejer_monotone, rep.fejer_first_violation) == (False, 0)
 
 
+def test_a_nan_objective_is_a_rise_at_the_first_step_it_touches():
+    records = run_ppa(AbsPlusSquare(), [-10.0],
+                      PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9), 6).records
+    rep = check_fejer(_with(records, 3, f_xn=np.nan), np.zeros(1), "ppa")
+    assert (rep.objective_monotone, rep.objective_first_violation) == (False, 2)
+    assert rep.fejer_monotone
+
+
 def test_a_far_psg_run_sums_no_step_terms():
     # psg's b_n is 0, so its b_n s_n^2 terms are 0, also where s_n^2 overflows
     f = QuadraticForm(Q3)

@@ -156,6 +156,51 @@ def _hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
+def test_verify_brute_force_argmins_are_pinned(monkeypatch):
+    # SHA-256 of the float.hex of the 1,000 argmins verify's closed-form
+    # check gets from one block call, recorded before its objective wrote
+    # into one buffer
+    seen = {}
+    grid_argmin = absprox.checks.grid_argmin_1d
+
+    def capture_argmin(h, lo, hi, w, centre):
+        seen["argmin"] = grid_argmin(h, lo, hi, w, centre)
+        return seen["argmin"]
+
+    monkeypatch.setattr(absprox.checks, "grid_argmin_1d", capture_argmin)
+    closed_form_prox(XorShift64Star(2024), 1000)
+    digest = hashlib.sha256("\n".join(_hexes(seen["argmin"])).encode()).hexdigest()
+    assert digest == "187bbf42a9c7279ada795cf1ade30bb6da70c083091c627c34c6e1d23f6a9067"
+
+
+def _objective_args():
+    """The arguments of two calls of closed_form_prox's objective: a
+    (4, 10,000) scan chunk, the grid against the (w, x0) columns of four
+    draws, and (1000,) golden-section lanes, one point per draw."""
+    w, x0 = _prox_draws(2024, 1000)
+    grid = np.linspace(-25.0, 25.0, 10_000)
+    return (grid, w[:4, None], x0[:4, None]), (x0 + 0.25, w, x0)
+
+
+def test_verify_objective_matches_the_written_out_expression():
+    for args in _objective_args():
+        got = absprox.checks._prox_objective(*args)
+        assert got.tobytes() == _prox_objective(*args).tobytes()
+
+
+def test_verify_objective_allocates_one_chunk_block():
+    # a (4, 10,000) chunk block is 312.5 KiB; fresh temporaries for each
+    # term hold more than two of them at once
+    chunk, _ = _objective_args()
+    tracemalloc.start()
+    try:
+        absprox.checks._prox_objective(*chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 4 * 10_000 * 8
+
+
 def test_verify_draws_the_cases_of_scalar_draws(monkeypatch):
     # verify's stdout prints only labels, so the cases and the details are
     # compared here: each block of draws must give the cases that scalar
