@@ -18,16 +18,16 @@ outcome of the update rule itself.
 The loop comes in two shapes.  ``run_ppa``, ``run_fb`` and ``run_psg``
 step one point: the run's scalars are floats and its iterate an (n,)
 array.  :func:`run_block` runs the m members of a sweep (one method, one
-problem, their own start points and schedules).  For proximal point and
-projected subgradient it steps them as one (m, n) block: the vector work
-of a step is done once for all members, each member's scalars stay floats
-that its own schedule advances, and a member leaves the block at its own
-stop.  Its records, and an error a member raises, are bit for bit those of
-the member's own point run.  Forward-backward members run alone, one
-``run_fb`` each: the black box's callbacks see one row at a time, so a
-block step saved nothing there.  A single run keeps the point step, as a
-block of one is slower than it.  The per-member checks (``_ppa_tag``,
-``_psg_denominator``) are shared by both shapes.
+problem, their own start points and schedules).  For projected
+subgradient it steps them as one (m, n) block: the vector work of a step
+is done once for all members, each member's scalars stay floats that its
+own schedule advances, and a member leaves the block at its own stop.  Its
+records, and an error a member raises, are bit for bit those of the
+member's own point run.  Proximal-point and forward-backward members run
+alone, one point run each: each of their steps solves one prox per member,
+so a block step saved nothing there.  A single run keeps the point step,
+as a block of one is slower than it.  psg's per-member check ``_psg_denominator`` is shared
+by both shapes.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
             break
         f_next = float(value(x_next))
         if check_descent and not f_next <= rec.f_xn + 1e-10:
-            # 3: _iterate, run_ppa, then the caller of run_ppa
+            # 3: _iterate, run_ppa or run_block, then their caller
             warnings.warn(f"descent violated at iteration {n}: f went from "
                           f"{rec.f_xn} to {f_next}", TheoremViolationWarning, stacklevel=3)
         step_norm = _norm(x_next - rec.x_n)
@@ -297,8 +297,7 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
     return RunResult(records)
 
 
-def _iterate_block(x0s, scheds: list[Schedule], n_iter: int, objective, step,
-                   check_descent: bool = False) -> list[RunResult]:
+def _iterate_block(x0s, scheds: list[Schedule], n_iter: int, objective, step) -> list[RunResult]:
     """The loop of :func:`_iterate` for m members stepped as one (m, n) block.
 
     ``step(recs, x, scheds)`` advances the live members, whose current
@@ -307,7 +306,9 @@ def _iterate_block(x0s, scheds: list[Schedule], n_iter: int, objective, step,
     at ``recs[j]``, else ``(gamma_next, a_next, tag)``, and ``x_next`` holds
     the rows of the members that went on, in order.  Each member then meets
     the checks of a point run and leaves the block at its own stop; its
-    records are bit for bit those of its own point run.
+    records are bit for bit those of its own point run.  Where the block
+    step raises, each live member steps alone, as a block of one, in
+    order, so the first member whose own step raises raises its error.
     """
     x = np.array([np.array(x0, dtype=float, ndmin=1) for x0 in x0s])
     recs = [IterationRecord(0, s.gamma0, s.a0, np.nan, row, f, 0.0)
@@ -315,7 +316,12 @@ def _iterate_block(x0s, scheds: list[Schedule], n_iter: int, objective, step,
     runs = [[rec] for rec in recs]
     live, scheds = list(range(len(recs))), list(scheds)  # the members still stepping
     for n in range(n_iter):
-        x_next, outs = step(recs, x, scheds)
+        try:
+            x_next, outs = step(recs, x, scheds)
+        except Exception:  # raised again below, or by a member's own step
+            for j in range(len(recs)):
+                step(recs[j:j + 1], x[j:j + 1], scheds[j:j + 1])
+            raise
         finite = np.isfinite(x_next).all(axis=-1).tolist()
         went, rows = [], []  # the members that went on, and their rows of x_next
         for j, out in enumerate(outs):
@@ -335,10 +341,7 @@ def _iterate_block(x0s, scheds: list[Schedule], n_iter: int, objective, step,
         new = []
         for j, row, f_next, step_norm in zip(went, x_next, objective(x_next).tolist(),
                                              _row_norms(x_next - x)):
-            rec, (gamma_next, a_next, tag) = recs[j], outs[j]
-            if check_descent and not f_next <= rec.f_xn + 1e-10:
-                warnings.warn(f"descent violated at iteration {n}: f went from "
-                              f"{rec.f_xn} to {f_next}", TheoremViolationWarning, stacklevel=3)
+            gamma_next, a_next, tag = outs[j]
             new.append(IterationRecord(n + 1, gamma_next, a_next, np.nan, row, f_next,
                                        step_norm, stopped_by=tag))
             runs[live[j]].append(new[-1])
@@ -362,18 +365,6 @@ def _column(values: list[float]) -> np.ndarray:
     return np.array(values).reshape(-1, 1)
 
 
-def _ppa_tag(rec: IterationRecord, a_next: float, a_min: float) -> str | None:
-    """Proximal point's checks after the step from ``rec``: the consumed
-    subgradient difference has coefficient a_n - a_{n+1}, which must stay
-    feasible for f at the new iterate; and the global-minimizer certificate."""
-    if not rec.a_n - a_next >= a_min:
-        raise ScheduleInfeasibleError(
-            f"schedule decrement a_n - a_(n+1) = {rec.a_n - a_next} is below the "
-            f"oracle's feasible threshold at iterate {rec.n + 1}"
-        )
-    return STOP_GLOBAL_MIN if abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12 else None
-
-
 def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
     """Proximal-point iteration x_{n+1} in argmin f(z) + (1/2g + a_n)||z-x_n||^2.
 
@@ -382,23 +373,24 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
     itself).  Objective descent f(x_{n+1}) <= f(x_n) is checked each step;
     a violation warns with :class:`TheoremViolationWarning`.
     """
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), f.value,
+                    _ppa_step(f, sched), check_descent=True)
+
+
+def _ppa_step(f: Oracle, sched: Schedule):
+    """Proximal point's step.  The consumed subgradient difference has
+    coefficient a_n - a_{n+1}, which must stay feasible for f at the new
+    iterate; a vanishing weight tags the global-minimizer certificate."""
     def step(rec):
         x_next = prox_via_argmin(ProxRequest(f, rec.x_n, rec.gamma_n, rec.a_n))
         gamma_next, a_next = schedule_step(sched, rec.gamma_n, rec.a_n)
-        return x_next, gamma_next, a_next, _ppa_tag(rec, a_next, f.feasible_range(x_next))
-
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), f.value, step,
-                    check_descent=True)
-
-
-def _ppa_block(f: Oracle):
-    def step(recs, x, scheds):
-        gamma, a = _column([r.gamma_n for r in recs]), _column([r.a_n for r in recs])
-        x_next = prox_via_argmin(ProxRequest(f, x, gamma, a))
-        nexts = [schedule_step(s, r.gamma_n, r.a_n) for s, r in zip(scheds, recs)]
-        return x_next, [(gamma_next, a_next, _ppa_tag(r, a_next, a_min))
-                        for r, (gamma_next, a_next), a_min
-                        in zip(recs, nexts, feasible_range(f, x_next).tolist())]
+        if not rec.a_n - a_next >= f.feasible_range(x_next):
+            raise ScheduleInfeasibleError(
+                f"schedule decrement a_n - a_(n+1) = {rec.a_n - a_next} is below the "
+                f"oracle's feasible threshold at iterate {rec.n + 1}"
+            )
+        tag = STOP_GLOBAL_MIN if abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12 else None
+        return x_next, gamma_next, a_next, tag
 
     return step
 
@@ -517,17 +509,24 @@ def run_block(algorithm: str, f: Oracle, x0s, scheds: list[Schedule], n_iter: in
 
     ``algorithm`` is ``"ppa"``, ``"fb"`` (with ``g``) or ``"psg"`` (with
     ``set_c`` and ``a_f_override``); the members differ only in their start
-    points ``x0s`` and their schedules.  Each member's records, and the
-    error a member raises, are bit for bit those of its own ``run_ppa``,
-    ``run_fb`` or ``run_psg``.  ppa and psg members are stepped as one
+    points ``x0s`` and their schedules, one of each per member (``ValueError``
+    unless there are as many of one as of the other).  Each member's records,
+    and the error a member raises, are bit for bit those of its own
+    ``run_ppa``, ``run_fb`` or ``run_psg``.  psg members are stepped as one
     (m, n) block, whose work is done once per step for all of them, through
-    ``f``'s ``prox`` (ppa) or ``slope`` (psg); the first member to raise at
-    the earliest step raises.  fb members run alone, one ``run_fb`` each,
-    so the first member in order that raises raises.
+    ``f``'s ``slope``; the first member in order to raise at the earliest
+    step raises.  ppa and fb members run alone, one point run each, so the
+    first member in order that raises raises, and a ppa member's descent
+    warnings come before the next member's.
     """
+    if len(x0s) != len(scheds):
+        raise ValueError(f"{len(x0s)} start points for {len(scheds)} schedules")
     if algorithm == "ppa":
-        return _iterate_block(x0s, scheds, n_iter, lambda x: eval_oracle(f, x), _ppa_block(f),
-                              check_descent=True)
+        runs = []
+        for x0, s in zip(x0s, scheds):  # a comprehension's frame would shift the warning
+            runs.append(_iterate(x0, s, n_iter, lambda x: eval_oracle(f, x), f.value,
+                                 _ppa_step(f, s), check_descent=True))
+        return runs
     if algorithm == "fb":
         return [run_fb(f, g, x0, s, n_iter) for x0, s in zip(x0s, scheds)]
     if algorithm == "psg":

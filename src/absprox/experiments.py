@@ -237,8 +237,8 @@ def run_config(cfg: ExperimentConfig) -> ExperimentRun:
 
 def run_named_experiment(name: str,
                          out_dir: str | None = None) -> list[tuple[str, ExperimentRun]]:
-    """Run every sweep member of a named experiment, stepped as one block
-    (``algorithms.run_block``); optionally write CSVs.
+    """Run every sweep member of a named experiment through one
+    ``algorithms.run_block`` call; optionally write CSVs.
 
     Returns (csv_path_or_label, run) pairs in sweep order.
     """

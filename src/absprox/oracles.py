@@ -220,17 +220,17 @@ SetDescriptor = Ball | Box | Halfspace
 # Each class carries its behaviour: ``value(x)``, ``feasible_range(x)`` (the
 # least admissible coefficient a_min at x), ``slope(x, a)`` (the u of the
 # subdifferential element (a, u) for an admissible a) and ``prox(req)`` (the
-# proximal point for a ProxRequest: a closed form, or for SmoothBlackBox the
-# certified inner solver).
-# ``value``, ``feasible_range``, ``slope``, ``prox`` and the sets'
-# ``contains`` and ``project`` take a point (n,) or a block (m, n) of
-# points, one result per row, each row bit for bit its single-point result
-# (a refused row raises its own error); psg blocks and the Fejér check's
-# allowance call ``slope`` on a block.  The black box's callbacks see one
-# row at a time.  A block's coefficients (``a``, a request's gamma and a0)
-# are (m, 1) columns.  A constant ``feasible_range`` is one float for any
-# block.  The methods assume points of the right dimension and, in
-# ``slope``, an admissible a; the module functions below check both.
+# proximal point for a ProxRequest, which holds one point: a closed form, or
+# for SmoothBlackBox the certified inner solver).
+# ``value``, ``feasible_range``, ``slope`` and the sets' ``contains`` and
+# ``project`` take a point (n,) or a block (m, n) of points, one result per
+# row, each row bit for bit its single-point result (a refused row raises
+# its own error); psg blocks and the Fejér check's allowance call ``slope``
+# on a block.  The black box's callbacks see one row at a time.  A block's
+# coefficients ``a`` are an (m, 1) column.  A constant ``feasible_range`` is
+# one float for any block.  The methods assume points of the right
+# dimension and, in ``slope``, an admissible a; the module functions below
+# check both.
 
 
 class UnboundedObjectiveError(ValueError):
@@ -318,23 +318,18 @@ class QuadraticForm:
         return 2.0 * (qx + a * x)
 
     def prox(self, req) -> np.ndarray:
-        """Raises ``UnboundedObjectiveError`` when min eig + weight <= 0.  A
-        block's weights are all checked first; then each member is solved as
-        its own point request."""
-        x0, w, lam = req.x0, req.weight, self.min_eigenvalue
-        for wi in np.ravel(w).tolist():
-            if lam + wi < 0.0:
-                raise UnboundedObjectiveError(
-                    f"regularized quadratic is unbounded below: min eig {lam} + weight {wi} < 0"
-                )
-            if lam + wi == 0.0:
-                raise UnboundedObjectiveError(
-                    "regularized quadratic is singular at the bottom of its spectrum"
-                )
-        if x0.ndim > 1:
-            return np.array([self.prox(member) for member in req.members()])
+        """Raises ``UnboundedObjectiveError`` when min eig + weight <= 0."""
+        w, lam = req.weight, self.min_eigenvalue
+        if lam + w < 0.0:
+            raise UnboundedObjectiveError(
+                f"regularized quadratic is unbounded below: min eig {lam} + weight {w} < 0"
+            )
+        if lam + w == 0.0:
+            raise UnboundedObjectiveError(
+                "regularized quadratic is singular at the bottom of its spectrum"
+            )
         try:
-            return np.linalg.solve(self.q + w * np.eye(self.dim), w * x0)
+            return np.linalg.solve(self.q + w * np.eye(self.dim), w * req.x0)
         except np.linalg.LinAlgError as e:
             # w within rounding of -min eig: which of the two guards above
             # or LAPACK catches it depends on the last bit of the eigenvalue
@@ -389,9 +384,7 @@ class AbsPlusSquare:
         return np.where(t != 0.0, np.sign(t), 0.0) + 2.0 * (a + 1.0) * t
 
     def prox(self, req) -> np.ndarray:
-        z = [prox_abs_square_closed_form(t, gamma, a0)
-             for t, (gamma, a0) in zip(req.x0.ravel().tolist(), req.pairs())]
-        return np.reshape(z, req.x0.shape)
+        return np.array([prox_abs_square_closed_form(float(req.x0[0]), req.gamma, req.a0)])
 
 
 @dataclass(frozen=True)
@@ -534,10 +527,7 @@ class SmoothBlackBox:
         return 2.0 * a * x + self.gradient_at(x)
 
     def prox(self, req) -> np.ndarray:
-        """Raises ``SolverToleranceError`` when the answer is not certified.  A
-        block's members are solved one by one, each as its own point request."""
-        if req.x0.ndim > 1:
-            return np.array([self.prox(member) for member in req.members()])
+        """Raises ``SolverToleranceError`` when the answer is not certified."""
         return _inner_argmin(self, req.x0, req.weight)
 
 

@@ -1,15 +1,16 @@
 """The quadratically regularized proximal operator.
 
 For a step size gamma and coefficient a0 >= -1/(2 gamma), the proximal
-output at x0 is any
+output at a point x0 is any
 
     x  in  argmin_z  f(z) + (1/(2 gamma) + a0) ||z - x0||^2.
 
-Every oracle class carries its own prox as ``f.prox(req)``: a closed form,
-or for the smooth black box an inner solver that descends on the box's own
-gradient and certifies its answer by the stationarity residual and the
-strong-convexity margin that the box's curvature bound gives (an answer it
-cannot certify raises ``oracles.SolverToleranceError``).
+A :class:`ProxRequest` holds one such (x0, gamma, a0).  Every oracle class
+carries its own prox as ``f.prox(req)``: a closed form, or for the smooth
+black box an inner solver that descends on the box's own gradient and
+certifies its answer by the stationarity residual and the strong-convexity
+margin that the box's curvature bound gives (an answer it cannot certify
+raises ``oracles.SolverToleranceError``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import Oracle, SetDescriptor, prox_abs_square_closed_form
+from .oracles import Oracle, SetDescriptor, _vec, prox_abs_square_closed_form
 from .phi import check_coefficient
 
 __all__ = [
@@ -31,9 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProxRequest:
-    """The prox of ``f`` at ``x0``: a point (n,), or a block (m, n) whose m
-    members' ``gamma`` and ``a0`` are (m, 1) columns.  Each member's pair
-    is checked as a point's would be."""
+    """The prox of ``f`` at one point ``x0`` of f's dimension n (anything
+    else, a 2-D ``x0`` included, raises ``ValueError``); ``gamma`` and
+    ``a0`` are checked by ``check_coefficient``."""
 
     f: Oracle
     x0: np.ndarray
@@ -41,22 +42,12 @@ class ProxRequest:
     a0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        for gamma, a0 in self.pairs():
-            check_coefficient(gamma, a0)
-
-    def pairs(self) -> list[tuple[float, float]]:
-        """(gamma, a0) of each member: one pair for a point, m for a block."""
-        if self.x0.ndim == 1:
-            return [(self.gamma, self.a0)]
-        if not np.shape(self.gamma) == np.shape(self.a0) == (len(self.x0), 1):
-            raise ValueError("a block request takes gamma and a0 as (m, 1) columns")
-        return list(zip(self.gamma[:, 0].tolist(), self.a0[:, 0].tolist()))
-
-    def members(self) -> list[ProxRequest]:
-        """Each member of a block as its own point request."""
-        return [ProxRequest(self.f, row, gamma, a0)
-                for row, (gamma, a0) in zip(self.x0, self.pairs())]
+        x0 = _vec(self.x0)
+        if x0.shape != (self.f.dim,):
+            raise ValueError(f"dimension mismatch: oracle dim {self.f.dim}, "
+                             f"point of shape {x0.shape}")
+        object.__setattr__(self, "x0", x0)
+        check_coefficient(self.gamma, self.a0)
 
     @property
     def weight(self) -> float:

@@ -227,8 +227,8 @@ _FB_SHAPES = {
 @pytest.mark.parametrize("f", [AbsPlusSquare(), QuadraticForm(np.array([[1.0]])),
                                NormSquare(1.0)], ids=["abs+square", "quadratic", "norm-square"])
 def test_a_gradient_of_the_wrong_shape_is_refused(f, shape):
-    # f's prox would fail in its own words (a reshape, a LAPACK core
-    # dimension) or the block would reshape the gradients to the rows
+    # f's prox would fail in its own words (a LAPACK core dimension), read
+    # only the first coordinate (|x| + x^2), or broadcast
     g = SmoothBlackBox(value=lambda p: 0.0, gradient=lambda p: np.ones(3),
                        kappa=lambda p: 0.0, eps=0.1)
     with pytest.raises(ValueError) as err:
@@ -413,12 +413,14 @@ def test_descent_violation_raises_under_the_error_filter():
 
 
 def test_descent_warning_points_at_the_caller_of_run():
-    g = _ascending_blackbox()
+    # the caller of run_ppa, and of run_block("ppa", ...) for each member
+    g, s = _ascending_blackbox(), PpaAdditive(gamma0=1.0, a0=1.0, delta=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run_ppa(g, [1.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.0), 1)
+        run_ppa(g, [1.0], s, 1)
+        run_block("ppa", g, [[1.0], [2.0]], [s, s], 1)
     flagged = [w for w in caught if issubclass(w.category, TheoremViolationWarning)]
-    assert [w.filename for w in flagged] == [__file__]
+    assert [w.filename for w in flagged] == [__file__] * 3
 
 
 @pytest.mark.parametrize("block", [False, True], ids=["point", "block"])
@@ -431,8 +433,10 @@ def test_a_nan_objective_fails_both_descent_checks(block):
         warnings.simplefilter("always")
         runs = run_block("ppa", g, [[1.0]] * 2, [s, s], 5) if block else [run_ppa(g, [1.0], s, 5)]
     flagged = [str(w.message) for w in caught if issubclass(w.category, TheoremViolationWarning)]
-    first = "descent violated at iteration 0: f went from 1.0 to nan"
-    assert flagged[:len(runs)] == [first] * len(runs)
+    # each step from a NaN is a violation too; a block's members warn in turn
+    own = ["descent violated at iteration 0: f went from 1.0 to nan"] + [
+        f"descent violated at iteration {n}: f went from nan to nan" for n in range(1, 5)]
+    assert flagged == own * len(runs)
     for res in runs:
         assert np.isnan([r.f_xn for r in res.records[1:]]).all()
         rep = check_fejer(res.records, [0.0], "ppa")
@@ -542,6 +546,59 @@ def test_a_block_raises_what_the_raising_member_raises_alone(method, f, g, x0, s
     with pytest.raises(Exception) as block:
         run_block(method, f, [x0, x0], scheds, 5, g=g)
     assert (type(block.value), str(block.value)) == (type(single.value), str(single.value))
+
+
+@pytest.mark.parametrize("f, scheds, first_error, second_error", [
+    # the first member's weight 1/2 + 1/2 meets min eig -1 at once, the
+    # second's coefficient is refused by its request
+    (QuadraticForm(np.diag([-1.0, 1.0])), [PpaAdditive(1.0, 0.5), PpaAdditive(1.0, -0.6)],
+     UnboundedObjectiveError, InfeasibleCoefficientError),
+    # the first member's decrement 1 falls below a_min = 4 after its prox,
+    # the second's weight 1/2 is below it in the prox
+    (QuadraticForm(Q3), [PpaAdditive(1.0, 10.0, delta=-1.0), PpaAdditive(1.0, 0.0)],
+     ScheduleInfeasibleError, UnboundedObjectiveError),
+], ids=["unbounded-before-infeasible", "decrement-before-unbounded"])
+def test_ppa_block_members_that_both_raise_raise_the_first_members_error(f, scheds, first_error,
+                                                                         second_error):
+    x0 = [1.0] * f.dim
+    with pytest.raises(first_error) as first:
+        run_ppa(f, x0, scheds[0], 5)
+    with pytest.raises(second_error):
+        run_ppa(f, x0, scheds[1], 5)
+    with pytest.raises(Exception) as block:
+        run_block("ppa", f, [x0, x0], scheds, 5)
+    assert (type(block.value), str(block.value)) == (first_error, str(first.value))
+
+
+def test_a_psg_block_raises_the_first_members_error_before_a_later_members_refusal():
+    # member 0's gradient has 3 coordinates, member 1's kappa = 5 refuses the pin 1.0
+    g = SmoothBlackBox(value=lambda p: 0.0,
+                       gradient=lambda p: np.ones(3) if p[0] < 0.0 else np.ones(2),
+                       kappa=lambda p: float(p[0]), eps=0.1, dim=2)
+    x0s, scheds = [[-1.0, 0.0], [5.0, 0.0]], [PsgConstantGamma(0.1, 10.0)] * 2
+    ball = Ball(np.zeros(2), 10.0)
+    with pytest.raises(ValueError) as first:
+        run_psg(g, ball, x0s[0], scheds[0], 5, a_f_override=1.0)
+    with pytest.raises(InfeasibleCoefficientError):
+        run_psg(g, ball, x0s[1], scheds[1], 5, a_f_override=1.0)
+    with pytest.raises(Exception) as block:
+        run_block("psg", g, x0s, scheds, 5, set_c=ball, a_f_override=1.0)
+    assert str(first.value).startswith("dimension mismatch: gradient of shape (3,)")
+    assert (type(block.value), str(block.value)) == (ValueError, str(first.value))
+
+
+@pytest.mark.parametrize("method, sched, kwargs", [
+    ("ppa", PpaAdditive(1.0, 1.0), {}),
+    ("fb", FbConstant(1.0, 5.0, a_const=5.0), {"g": SmoothBlackBox(
+        value=lambda p: 0.0, gradient=lambda p: p, kappa=lambda p: 0.0, eps=0.1)}),
+    ("psg", PsgConstantGamma(1.0, 5.0), {"set_c": Ball(np.zeros(1), 1.0)}),
+], ids=["ppa", "fb", "psg"])
+@pytest.mark.parametrize("starts, schedules", [(2, 1), (1, 2)],
+                         ids=["more-starts", "more-schedules"])
+def test_a_block_refuses_unequal_starts_and_schedules(method, sched, kwargs, starts, schedules):
+    with pytest.raises(ValueError) as err:
+        run_block(method, AbsPlusSquare(), [[0.5]] * starts, [sched] * schedules, 5, **kwargs)
+    assert str(err.value) == f"{starts} start points for {schedules} schedules"
 
 
 def test_fb_block_members_that_both_raise_raise_the_first_members_error():

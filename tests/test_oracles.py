@@ -68,12 +68,6 @@ def _coefficients(lo, hi, m=500):
     return np.random.default_rng(m).uniform(lo, hi, m)
 
 
-def _prox(f, a0_lo):
-    # gamma and a0 per row; a0 >= a0_lo keeps every request admissible
-    return ((lambda x, gamma, a0: f.prox(ProxRequest(f, x, gamma, a0))), _uniform(f.dim),
-            (_coefficients(0.1, 2.0), _coefficients(a0_lo, a0_lo + 3.0)))
-
-
 # far rows whose x . x, ||x|| or n . x overflow (see test_projections_of_far_points)
 _FAR = [[1e200, 1e200], [1.5e308, 1.5e308], [1e200, 0.0], [1e308, -1e308],
         [1.5e308, -0.5e308], [1e308, 1e308]]
@@ -122,10 +116,6 @@ _BLOCK_CASES = {
                                       gradient=lambda p: -np.sin(p), kappa=lambda p: 0.5,
                                       eps=1e-6, dim=2).slope, _uniform(2),
                        (_coefficients(-1.0, 5.0),)),
-    "prox-norm-square": _prox(NormSquare(gamma=0.7, dim=16), 0.0),
-    "prox-quadratic-3": _prox(QuadraticForm(Q3), 4.5),
-    "prox-abs+square": _prox(AbsPlusSquare(), 0.0),
-    "prox-indicator": _prox(IndicatorSet(Ball(np.zeros(4), 3.0)), 0.0),
 }
 
 

@@ -126,11 +126,12 @@ def test_prox_request_validation():
     assert req.weight == pytest.approx(0.75)
     with pytest.raises(ValueError):
         ProxRequest(AbsPlusSquare(), np.array([1.0]), -1.0, 0.0)
-    # a block checks each member's pair, given as (m, 1) columns
-    with pytest.raises(InfeasibleCoefficientError, match="a=-0.6"):
-        ProxRequest(AbsPlusSquare(), np.zeros((2, 1)), np.ones((2, 1)), np.array([[0.0], [-0.6]]))
-    with pytest.raises(ValueError, match="columns"):
+    # a request is one point of f's dimension
+    with pytest.raises(ValueError, match="dimension mismatch"):
         ProxRequest(AbsPlusSquare(), np.zeros((2, 1)), 1.0, 0.0)
+    for f, x0 in [(AbsPlusSquare(), [1.0, 2.0]), (NormSquare(gamma=1.0), [1.0, 2.0, 3.0])]:
+        with pytest.raises(ValueError, match=r"oracle dim 1, point of shape \(\d,\)"):
+            ProxRequest(f, x0, 1.0, 0.0)
 
 
 NAN = float("nan")

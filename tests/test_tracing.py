@@ -54,21 +54,24 @@ def test_bundled_sweeps_call_counts(tracing):
         "oracles.feasible_range", "oracles.eval", "oracles.project", "prox.closed",
         "reference.eig_sym")}
     assert calls == {
-        # the ppa and psg sweeps are stepped as blocks, which no run_* call
-        # wraps; the 3 fb-hessian members run alone, one run_fb each
+        # the psg sweeps are stepped as blocks, and run_block hands each ppa
+        # member to the loop itself, so no run_* call wraps them; the 3
+        # fb-hessian members run alone, one run_fb each
         "algorithms.run": 3,
         # one schedule step per member and step, as in a point run
         "algorithms.schedule_step": 2226,
         # the block asks the oracle's slope, which the tracer does not wrap
         "oracles.subgrad": 0,
-        # the oracle layer is called once per block step
-        "oracles.feasible_range": 534,
-        # a point fb run checks f and g once, at its start, and then calls
-        # their value methods, which the tracer does not wrap
-        "oracles.eval": 567,
+        # one call per psg block step; a ppa member's step asks the oracle's
+        # own feasible_range, which the tracer does not wrap
+        "oracles.feasible_range": 433,
+        # a point ppa or fb run checks its start once and then calls the
+        # value methods, which the tracer does not wrap
+        "oracles.eval": 469,
         "oracles.project": 430,
-        # one prox per fb member and step, where a block step made one for all
-        "prox.closed": 336,
+        # one prox per ppa or fb member and step: the 404 ppa-absq and 235
+        # fb-hessian steps
+        "prox.closed": 639,
         # one auto_eigen solve per sweep, not per member
         "reference.eig_sym": 5,
     }
