@@ -39,8 +39,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .oracles import (Oracle, SetDescriptor, SmoothBlackBox, _admit, _norm, _row_norms,
-                      eval_oracle, feasible_range)
+from .oracles import (Oracle, SetDescriptor, SmoothBlackBox, _admit, _check_dim, _norm,
+                      _row_norms, eval_oracle, feasible_range)
 from .prox import ProxRequest, prox_via_argmin
 
 __all__ = [
@@ -515,9 +515,11 @@ def run_block(algorithm: str, f: Oracle, x0s, scheds: list[Schedule], n_iter: in
     ``run_ppa``, ``run_fb`` or ``run_psg``.  psg members are stepped as one
     (m, n) block, whose work is done once per step for all of them, through
     ``f``'s ``slope``; the first member in order to raise at the earliest
-    step raises.  ppa and fb members run alone, one point run each, so the
-    first member in order that raises raises, and a ppa member's descent
-    warnings come before the next member's.
+    step raises, and each start is checked against f's dimension, in
+    member order, before the starts are stacked.  ppa and fb members run
+    alone, one point run each, so the first member in order that raises
+    raises, and a ppa member's descent warnings come before the next
+    member's.  An empty sweep has no runs, whatever the method.
     """
     if len(x0s) != len(scheds):
         raise ValueError(f"{len(x0s)} start points for {len(scheds)} schedules")
@@ -531,6 +533,10 @@ def run_block(algorithm: str, f: Oracle, x0s, scheds: list[Schedule], n_iter: in
         return [run_fb(f, g, x0, s, n_iter) for x0, s in zip(x0s, scheds)]
     if algorithm == "psg":
         _require_set_dim(f, set_c)
+        for x0 in x0s:  # each start as its own run checks it, before they are stacked
+            _check_dim(f, np.array(x0, dtype=float, ndmin=1))
+        if len(x0s) == 0:
+            return []
         return _iterate_block(x0s, scheds, n_iter, lambda x: eval_oracle(f, x),
                               _psg_block(f, set_c, a_f_override))
     raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -32,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .phi import InfeasibleCoefficientError, PhiElement, check_coefficient, duality_map_element
+from .phi import (InfeasibleCoefficientError, PhiElement, check_coefficient, duality_map_element,
+                  duality_slopes)
 
 __all__ = [
     "Ball",
@@ -263,10 +264,12 @@ class NormSquare:
         return -1.0 / (2.0 * self.gamma)
 
     def slope(self, x, a):
-        if x.ndim > 1:  # one element per row, so the first refused row raises
-            a = np.broadcast_to(a, (len(x), 1)).ravel().tolist()
-            return np.array([duality_map_element(row, self.gamma, a_row).u
-                             for row, a_row in zip(x, a)])
+        """(1/gamma + 2a) x: J_gamma's slope at a point, or at each row of a
+        block, in one ``duality_slopes`` call that raises as its first
+        refused row's point call does."""
+        if x.ndim > 1:
+            return duality_slopes(x, np.full(len(x), self.gamma),
+                                  np.broadcast_to(a, (len(x), 1)).ravel())
         return duality_map_element(x, self.gamma, a).u
 
     def prox(self, req) -> np.ndarray:

@@ -14,6 +14,9 @@ the whole space / the empty set in the degenerate cases).
 ``check_coefficient`` decides whether a step size gamma and a coefficient a
 are admissible (gamma > 0 and 2*gamma*a >= -1, the inverse map's rule too);
 the norm-square oracle, the prox request and the closed-form prox ask it.
+The map's formulas are written once, for rows (``duality_slopes`` and
+``duality_preimages``, one gamma and one a per row); the point maps are
+one-row calls of them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "check_coefficient",
     "duality_map_element",
     "duality_map_inverse",
+    "duality_preimages",
+    "duality_slopes",
     "InfeasibleCoefficientError",
 ]
 
@@ -101,11 +106,12 @@ class SetValuedResult:
         return SetValuedResult(ResultKind.EMPTY)
 
 
-def _admissible(gamma: float, a: float) -> bool:
-    """2*gamma*a >= -1, without forming 2*gamma, which overflows for a huge gamma."""
+def _admissible(gamma, a):
+    """2*gamma*a >= -1, without forming 2*gamma, which overflows for a huge
+    gamma; elementwise for arrays of gamma and a."""
     # a is the threshold -0.5/gamma, bit for bit the -1/(2*gamma) callers
     # compute, or above it
-    return a == -0.5 / gamma or 1.0 + 2.0 * (gamma * a) > 0.0
+    return (a == -0.5 / gamma) | (1.0 + 2.0 * (gamma * a) > 0.0)
 
 
 def check_coefficient(gamma: float, a: float) -> None:
@@ -121,6 +127,51 @@ def check_coefficient(gamma: float, a: float) -> None:
         )
 
 
+def duality_slopes(x, gamma, a) -> np.ndarray:
+    """The slopes (1/gamma_i + 2 a_i) x_i of J_gamma_i(x_i)'s elements, one
+    per row of the (m, n) block ``x``, with ``gamma`` and ``a`` of shape (m,).
+
+    The first row that ``check_coefficient`` refuses raises its error, with
+    the message of that row's own call.
+    """
+    gamma, a = np.asarray(gamma, dtype=float), np.asarray(a, dtype=float)
+    # a refused row may divide by zero (it raises below), and a factor may
+    # overflow to inf, as it does in float arithmetic
+    with np.errstate(all="ignore"):
+        refused = ~((gamma > 0.0) & _admissible(gamma, a))
+        factor = 1.0 / gamma + 2.0 * a
+    if refused.any():
+        i = int(refused.argmax())
+        check_coefficient(gamma[i].item(), a[i].item())
+    return factor[:, None] * x
+
+
+def duality_preimages(u, gamma, a) -> tuple[np.ndarray, np.ndarray]:
+    """The preimages of the elements (a_i, u_i), one per row of the (m, n)
+    block ``u``, under J_gamma_i: ``(points, is_point)``.
+
+    ``is_point[i]`` is true exactly when ``duality_map_inverse`` of row i is
+    a point, and then ``points[i]`` is that point, gamma u / (1 + 2 gamma a),
+    computed for those rows only; the other rows are NaN.  The first row
+    whose gamma is not positive (``ValueError``) or whose a is NaN
+    (``InfeasibleCoefficientError``) raises.
+    """
+    u = np.asarray(u, dtype=float)
+    gamma, a = np.asarray(gamma, dtype=float), np.asarray(a, dtype=float)
+    refused = ~(gamma > 0.0) | np.isnan(a)
+    if refused.any():
+        if not gamma[int(refused.argmax())] > 0.0:
+            raise ValueError("gamma must be positive")
+        raise InfeasibleCoefficientError("a=nan is no coefficient of the quadratic family")
+    with np.errstate(over="ignore"):  # 2*gamma*a or 0.5/gamma may overflow to inf, as in floats
+        is_point = _admissible(gamma, a) & (a != -0.5 / gamma)
+        g = gamma[is_point]
+        denom = 1.0 + 2.0 * (g * a[is_point])
+    points = np.full(u.shape, np.nan)
+    points[is_point] = g[:, None] * u[is_point] / denom[:, None]
+    return points, is_point
+
+
 def duality_map_element(x, gamma: float, a: float) -> PhiElement:
     """One element of J_gamma(x): (a, (1/gamma + 2a) x).
 
@@ -128,9 +179,7 @@ def duality_map_element(x, gamma: float, a: float) -> PhiElement:
     quadratic family; its members are exactly the coefficients with
     2*gamma*a >= -1.
     """
-    x = _vec(x)
-    check_coefficient(gamma, a)
-    return PhiElement(a, (1.0 / gamma + 2.0 * a) * x)
+    return PhiElement(a, duality_slopes(_vec(x)[None], [gamma], [a])[0])
 
 
 def duality_map_inverse(phi: PhiElement, gamma: float) -> SetValuedResult:
@@ -142,12 +191,9 @@ def duality_map_inverse(phi: PhiElement, gamma: float) -> SetValuedResult:
     Point(gamma*u / (1 + 2*gamma*a)).  A NaN a raises
     ``InfeasibleCoefficientError``: it is no coefficient at all.
     """
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    if np.isnan(phi.a):
-        raise InfeasibleCoefficientError("a=nan is no coefficient of the quadratic family")
-    if not _admissible(gamma, phi.a):
-        return SetValuedResult.empty()
-    if phi.a == -0.5 / gamma:
-        return SetValuedResult.empty() if np.any(phi.u) else SetValuedResult.whole_space()
-    return SetValuedResult.of_point(gamma * phi.u / (1.0 + 2.0 * (gamma * phi.a)))
+    points, is_point = duality_preimages(phi.u[None], [gamma], [phi.a])
+    if is_point[0]:
+        return SetValuedResult.of_point(points[0])
+    if phi.a == -0.5 / gamma and not np.any(phi.u):
+        return SetValuedResult.whole_space()
+    return SetValuedResult.empty()

@@ -625,3 +625,38 @@ def test_a_black_box_ppa_block_is_its_members_own_runs(m):
     alone = [run_ppa(g, x0, s, 10) for x0, s in zip(x0s, scheds)]
     assert [len(res.records) for res in block] == [11] * m
     assert [_fields(res) for res in block] == [_fields(res) for res in alone]
+
+
+def test_psg_stops_on_its_guard_where_the_denominator_is_exactly_zero():
+    # NormSquare(0.5)'s threshold is a_f = -1, so 1 + 2 gamma (a - a_f) =
+    # 1 + 2 (-1.5 + 1) = 0 at the start: the guard stops there, before any step
+    f = NormSquare(gamma=0.5, dim=2)
+    res = run_psg(f, Ball(np.zeros(2), 1.0), [0.5, 0.5], PsgConstantGamma(1.0, -1.5), 5)
+    assert [r.stopped_by for r in res.records] == [STOP_GUARD]
+    assert res.records[0].a_fn == -1.0
+
+
+_PSG_STARTS = {"3-then-2": [[0.5, 0.0, 0.0], [0.5, 0.0]],
+               "2-then-3": [[0.5, 0.0], [0.5, 0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("x0s", _PSG_STARTS.values(), ids=_PSG_STARTS)
+def test_a_psg_block_refuses_a_start_as_its_members_own_run(x0s):
+    sched = PsgConstantGamma(0.1, 5.0)
+    bad = next(x0 for x0 in x0s if len(x0) != 3)
+    with pytest.raises(ValueError) as alone:
+        run_psg(QuadraticForm(Q3), BALL3, bad, sched, 5)
+    with pytest.raises(ValueError) as block:
+        run_block("psg", QuadraticForm(Q3), x0s, [sched, sched], 5, set_c=BALL3)
+    assert str(alone.value) == "dimension mismatch: oracle dim 3, points of shape (2,)"
+    assert str(block.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("method, kwargs", [
+    ("ppa", {}),
+    ("fb", {"g": SmoothBlackBox(value=lambda p: 0.0, gradient=lambda p: p,
+                                kappa=lambda p: 0.0, eps=0.1, dim=3)}),
+    ("psg", {"set_c": BALL3}),
+], ids=["ppa", "fb", "psg"])
+def test_an_empty_block_has_no_runs(method, kwargs):
+    assert run_block(method, QuadraticForm(Q3), [], [], 5, **kwargs) == []

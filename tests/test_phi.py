@@ -1,6 +1,8 @@
 """Quadratic elementary functions phi(x) = -a||x||^2 + <u,x> and the
 duality map between points and elements."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from absprox import (
     duality_map_element,
     duality_map_inverse,
 )
-from absprox.phi import check_coefficient
+from absprox.phi import check_coefficient, duality_preimages, duality_slopes
 
 
 def test_phi_element_coerces_u_to_vector():
@@ -129,3 +131,86 @@ def test_duality_round_trip(gamma, a, x):
     assert res.kind is ResultKind.POINT
     assert np.allclose(res.point, x, rtol=0, atol=1e-9 * max(1.0, float(np.abs(x).max())))
 
+
+# --- the duality map on rows ------------------------------------------------
+
+# (gamma, a, u) rows: feasible ones of mixed scale, a threshold row with u = 0
+# (the whole space) and one with u != 0 (empty), a row below the threshold
+# (empty), J_1's element of [5e12] just above the threshold, and gamma = 1e308
+_ROWS = [
+    (0.5, 1.0, [8.0, 0.0]),
+    (3.0, 0.25, [-1.5, 2.0]),
+    (0.5, -1.0, [0.0, 0.0]),
+    (0.5, -1.0, [1.0, 0.0]),
+    (0.5, -2.0, [0.0, 3.0]),
+    (1.0, -0.5 + 1e-13, [(1.0 + 2.0 * (-0.5 + 1e-13)) * 5e12, 0.0]),
+    (1e308, 0.0, [0.0, 0.0]),
+    (1e-3, 10.0, [2.0, -1.0]),
+    (7.0, 3.0, [1e-300, -4.0]),
+]
+
+
+def _columns(rows):
+    gamma, a, u = zip(*rows)
+    return np.array(u), np.array(gamma), np.array(a)
+
+
+def test_row_preimages_are_each_rows_inverse_bit_for_bit():
+    u, gamma, a = _columns(_ROWS)
+    points, is_point = duality_preimages(u, gamma, a)
+    for i, (g, a_i, u_i) in enumerate(_ROWS):
+        res = duality_map_inverse(PhiElement(a_i, u_i), g)
+        assert bool(is_point[i]) is (res.kind is ResultKind.POINT)
+        if is_point[i]:
+            assert points[i].tobytes() == res.point.tobytes()
+    assert is_point.tolist() == [True, True, False, False, False, True, True, True, True]
+    assert points[5].tolist() == [5e12, 0.0]
+
+
+def test_row_slopes_are_each_rows_element_bit_for_bit():
+    # the slopes of the admitted rows, threshold rows included, each at x = u
+    rows = [row for row in _ROWS if row[0] * row[1] * 2.0 >= -1.0]
+    x, gamma, a = _columns(rows)
+    slopes = duality_slopes(x, gamma, a)
+    expect = np.array([duality_map_element(x_i, g, a_i).u for g, a_i, x_i in rows])
+    assert slopes.tobytes() == expect.tobytes()
+
+
+def test_row_preimages_divide_only_the_point_rows():
+    # a threshold row's denominator is 0: dividing every row would warn
+    u, gamma, a = _columns(_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        duality_preimages(u, gamma, a)
+
+
+def _refusal(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+# a later row refuses too, with another error or message than the first one's
+_REFUSED_BLOCKS = {
+    "gamma-zero": (1, (0.0, 1.0, [1.0])),
+    "a-nan": (2, (2.0, np.nan, [1.0])),
+}
+
+
+@pytest.mark.parametrize("bad_row, bad", _REFUSED_BLOCKS.values(), ids=_REFUSED_BLOCKS)
+def test_a_row_block_refuses_as_its_first_refused_rows_point_call(bad_row, bad):
+    rows = [(0.5, 1.0, [2.0]), (1.0, 0.0, [3.0]), (2.0, 1.0, [-1.0]), (4.0, np.nan, [1.0])]
+    rows[bad_row] = bad
+    u, gamma, a = _columns(rows)
+    g, a_bad, u_bad = bad
+    assert _refusal(lambda: duality_slopes(u, gamma, a)) == _refusal(
+        lambda: duality_map_element(u_bad, g, a_bad))
+    assert _refusal(lambda: duality_preimages(u, gamma, a)) == _refusal(
+        lambda: duality_map_inverse(PhiElement(a_bad, u_bad), g))
+
+
+def test_row_slopes_refuse_a_row_below_the_threshold_in_python_floats():
+    u, gamma, a = _columns([(0.5, 1.0, [2.0]), (0.5, -1.5, [1.0]), (0.5, np.nan, [1.0])])
+    assert _refusal(lambda: duality_slopes(u, gamma, a)) == (
+        InfeasibleCoefficientError,
+        "a=-1.5 violates 2*gamma*a >= -1 at gamma=0.5: no element of the duality map has it")

@@ -7,6 +7,7 @@ import ast
 import hashlib
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import absprox.oracles
 import absprox.prox
 import absprox.reference
 from absprox.checks import Q3, Q5, closed_form_prox
+from absprox.phi import PhiElement, ResultKind, duality_map_element, duality_map_inverse
 from absprox.oracles import (AbsPlusSquare, Ball, Box, Halfspace, IndicatorSet, NormSquare,
                              QuadraticForm, SmoothBlackBox, eval_oracle, subgrad_at)
 from absprox.reference import (
@@ -250,6 +252,59 @@ def test_verify_draws_the_cases_of_scalar_draws(monkeypatch):
         [gamma.hex(), a.hex(), *_hexes(u)] for gamma, a, u in cases]
 
 
+def _round_trip_case_by_case(cases):
+    # the duality round trip written out one case at a time, with the point maps
+    ok, errs = True, [0.0]
+    for gamma, a, u in cases:
+        inv = duality_map_inverse(PhiElement(a, u), gamma)
+        if inv.kind is not ResultKind.POINT:
+            ok = False
+            continue
+        back = duality_map_element(inv.point, gamma, a)
+        ok = ok and back.a == a
+        errs.append(float(np.linalg.norm(back.u - u)) / max(1.0, float(np.linalg.norm(u))))
+    worst = float(np.max(errs))
+    return [(f"duality map round trip ({len(cases)} draws)", ok and worst <= 1e-12,
+             f"worst relative |du| = {worst:.3g}")]
+
+
+def _criterion_7_cases():
+    # the feasible draws of test_criterion_7_duality_map_identities, n = 1..5 mixed
+    rng, cases = np.random.default_rng(77), []
+    for i in range(1000):
+        gamma = float(10.0 ** rng.uniform(-2, 1))
+        u = rng.uniform(-10, 10, 1 + i % 5)
+        cases.append((gamma, float(rng.uniform(-0.99, 20.0)) / (2.0 * gamma), u))
+        rng.uniform(-20.0, -1.001)  # the criterion's draw below the threshold
+    return cases
+
+
+def test_the_round_trip_is_its_case_by_case_loop(monkeypatch):
+    seen = {}
+    round_trip = absprox.checks.duality_round_trip
+
+    def capture(cases):
+        seen["cases"] = cases
+        return round_trip(cases)
+
+    monkeypatch.setattr(absprox.checks, "duality_round_trip", capture)
+    absprox.checks.verify_results()
+    for cases in (seen["cases"], _criterion_7_cases()):
+        assert round_trip(cases) == _round_trip_case_by_case(cases)
+    assert round_trip(_criterion_7_cases())[0][2] == "worst relative |du| = 2.68e-15"
+
+
+def test_a_round_trip_with_a_threshold_row_fails_without_a_warning():
+    # the threshold row (2 gamma a = -1, u != 0) has no preimage point
+    cases = [(0.5, 1.0, np.array([8.0, 0.0])), (0.5, -1.0, np.array([1.0, 0.0])),
+             (2.0, 0.0, np.array([-3.0, 4.0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = absprox.checks.duality_round_trip(cases)
+    assert result == _round_trip_case_by_case(cases)
+    assert result[0][1] is False
+
+
 # --- eigensolver -----------------------------------------------------------
 
 
@@ -350,6 +405,17 @@ def test_sampler_accepts_valid_element():
     rep = subgrad_inequality_sampler(_abs_sq, np.array([2.0]), 0.0, np.array([5.0]))
     assert rep["passed"]
     assert rep["worst_margin"] >= -1e-9
+
+
+@pytest.mark.parametrize("margin, passed", [(-1e-6, False), (-1e-10, True)])
+def test_sampler_passes_only_margins_above_minus_1e_9(margin, passed):
+    # phi = 0 (a = 0, u = 0), and f is 0 at x and `margin` at every drawn
+    # point, so every margin is exactly `margin`
+    x = np.array([0.5, -0.5])
+    rep = subgrad_inequality_sampler(lambda y: np.where((y == x).all(axis=1), 0.0, margin),
+                                     x, 0.0, np.zeros(2))
+    assert rep["worst_margin"] == margin
+    assert rep["passed"] is passed
 
 
 def test_sampler_rejects_steep_slope_with_local_witness():
