@@ -15,19 +15,9 @@ error where a caller wants one; guard conditions terminate runs with a
 recorded stop tag instead of an exception wherever a stop is an expected
 outcome of the update rule itself.
 
-The loop comes in two shapes.  ``run_ppa``, ``run_fb`` and ``run_psg``
-step one point: the run's scalars are floats and its iterate an (n,)
-array.  :func:`run_block` runs the m members of a sweep (one method, one
-problem, their own start points and schedules).  For projected
-subgradient it steps them as one (m, n) block: the vector work of a step
-is done once for all members, each member's scalars stay floats that its
-own schedule advances, and a member leaves the block at its own stop.  Its
-records, and an error a member raises, are bit for bit those of the
-member's own point run.  Proximal-point and forward-backward members run
-alone, one point run each: each of their steps solves one prox per member,
-so a block step saved nothing there.  A single run keeps the point step,
-as a block of one is slower than it.  psg's per-member check ``_psg_denominator`` is shared
-by both shapes.
+The loop steps one point: a run's scalars are floats and its iterate an
+(n,) array.  ``run_ppa``, ``run_fb`` and ``run_psg`` each hand it their
+step, and a bundled sweep runs its members alone, one point run each.
 """
 
 from __future__ import annotations
@@ -39,8 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .oracles import (Oracle, SetDescriptor, SmoothBlackBox, _admit, _check_dim, _norm,
-                      _row_norms, eval_oracle, feasible_range)
+from .oracles import Oracle, SetDescriptor, SmoothBlackBox, _admit, _norm, eval_oracle
 from .prox import ProxRequest, prox_via_argmin
 
 __all__ = [
@@ -58,7 +47,6 @@ __all__ = [
     "run_ppa",
     "run_fb",
     "run_psg",
-    "run_block",
     "TheoremViolationWarning",
     "ScheduleInfeasibleError",
     "ScheduleDegenerateError",
@@ -253,7 +241,7 @@ def sq_distances(records: list[IterationRecord], x_star) -> np.ndarray:
 
 def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
              check_descent: bool = False) -> RunResult:
-    """The point loop the three methods share (one run, one (n,) iterate).
+    """The loop the three methods share (one run, one (n,) iterate).
 
     Record 0 takes ``objective``, which checks the start through
     ``eval_oracle``; later ones take ``value``, the oracles' own (no step
@@ -277,13 +265,15 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
             stop = STOP_GUARD
             break
         x_next, gamma_next, a_next, tag = out
-        if not (math.isfinite(gamma_next) and math.isfinite(a_next)
-                and np.isfinite(x_next).all()) or gamma_next <= 0:
+        # a finite sum has finite entries; where the sum overflows, the exact test decides
+        finite = (math.isfinite(gamma_next) and math.isfinite(a_next)
+                  and (math.isfinite(sum(x_next.tolist())) or np.isfinite(x_next).all()))
+        if not finite or gamma_next <= 0:
             stop = STOP_NONFINITE
             break
         f_next = float(value(x_next))
         if check_descent and not f_next <= rec.f_xn + 1e-10:
-            # 3: _iterate, run_ppa or run_block, then their caller
+            # 3: _iterate, run_ppa, then its caller
             warnings.warn(f"descent violated at iteration {n}: f went from "
                           f"{rec.f_xn} to {f_next}", TheoremViolationWarning, stacklevel=3)
         step_norm = _norm(x_next - rec.x_n)
@@ -297,72 +287,9 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
     return RunResult(records)
 
 
-def _iterate_block(x0s, scheds: list[Schedule], n_iter: int, objective, step) -> list[RunResult]:
-    """The loop of :func:`_iterate` for m members stepped as one (m, n) block.
-
-    ``step(recs, x, scheds)`` advances the live members, whose current
-    records are ``recs`` and whose points are the rows of ``x``.  It returns
-    ``(x_next, outs)``: ``outs[j]`` is None when member j's guard stops it
-    at ``recs[j]``, else ``(gamma_next, a_next, tag)``, and ``x_next`` holds
-    the rows of the members that went on, in order.  Each member then meets
-    the checks of a point run and leaves the block at its own stop; its
-    records are bit for bit those of its own point run.  Where the block
-    step raises, each live member steps alone, as a block of one, in
-    order, so the first member whose own step raises raises its error.
-    """
-    x = np.array([np.array(x0, dtype=float, ndmin=1) for x0 in x0s])
-    recs = [IterationRecord(0, s.gamma0, s.a0, np.nan, row, f, 0.0)
-            for s, row, f in zip(scheds, x, objective(x).tolist())]
-    runs = [[rec] for rec in recs]
-    live, scheds = list(range(len(recs))), list(scheds)  # the members still stepping
-    for n in range(n_iter):
-        try:
-            x_next, outs = step(recs, x, scheds)
-        except Exception:  # raised again below, or by a member's own step
-            for j in range(len(recs)):
-                step(recs[j:j + 1], x[j:j + 1], scheds[j:j + 1])
-            raise
-        finite = np.isfinite(x_next).all(axis=-1).tolist()
-        went, rows = [], []  # the members that went on, and their rows of x_next
-        for j, out in enumerate(outs):
-            if out is None:
-                recs[j].stopped_by = STOP_GUARD
-            elif not (math.isfinite(out[0]) and math.isfinite(out[1])
-                      and finite[len(rows)]) or out[0] <= 0:
-                recs[j].stopped_by = STOP_NONFINITE
-                rows.append(None)
-            else:
-                went.append(j)
-                rows.append(len(rows))
-        if not went:
-            break
-        if len(went) < len(recs):
-            x_next, x = x_next[[k for k in rows if k is not None]], x[went]
-        new = []
-        for j, row, f_next, step_norm in zip(went, x_next, objective(x_next).tolist(),
-                                             _row_norms(x_next - x)):
-            gamma_next, a_next, tag = outs[j]
-            new.append(IterationRecord(n + 1, gamma_next, a_next, np.nan, row, f_next,
-                                       step_norm, stopped_by=tag))
-            runs[live[j]].append(new[-1])
-        stay = [p for p, rec in enumerate(new) if rec.stopped_by is None]
-        recs, x = new, x_next
-        if len(stay) < len(outs):  # a member left the block
-            if not stay:
-                break
-            live, scheds = [live[went[p]] for p in stay], [scheds[went[p]] for p in stay]
-            recs, x = [new[p] for p in stay], x_next[stay]
-    return [RunResult(records) for records in runs]
-
-
 # ---------------------------------------------------------------------------
 # The three methods
 # ---------------------------------------------------------------------------
-
-
-def _column(values: list[float]) -> np.ndarray:
-    """One scalar per member as a (k, 1) column."""
-    return np.array(values).reshape(-1, 1)
 
 
 def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
@@ -371,16 +298,10 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
     Stops at the horizon ``n_iter``, or with a global-minimizer certificate
     when 1/(2 gamma) + a_n hits zero (the next prox output then minimizes f
     itself).  Objective descent f(x_{n+1}) <= f(x_n) is checked each step;
-    a violation warns with :class:`TheoremViolationWarning`.
+    a violation warns with :class:`TheoremViolationWarning`.  The consumed
+    subgradient difference has coefficient a_n - a_{n+1}, which must stay
+    feasible for f at the new iterate (``ScheduleInfeasibleError``).
     """
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), f.value,
-                    _ppa_step(f, sched), check_descent=True)
-
-
-def _ppa_step(f: Oracle, sched: Schedule):
-    """Proximal point's step.  The consumed subgradient difference has
-    coefficient a_n - a_{n+1}, which must stay feasible for f at the new
-    iterate; a vanishing weight tags the global-minimizer certificate."""
     def step(rec):
         x_next = prox_via_argmin(ProxRequest(f, rec.x_n, rec.gamma_n, rec.a_n))
         gamma_next, a_next = schedule_step(sched, rec.gamma_n, rec.a_n)
@@ -392,7 +313,8 @@ def _ppa_step(f: Oracle, sched: Schedule):
         tag = STOP_GLOBAL_MIN if abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12 else None
         return x_next, gamma_next, a_next, tag
 
-    return step
+    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), f.value, step,
+                    check_descent=True)
 
 
 def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> RunResult:
@@ -436,19 +358,6 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> Ru
                     lambda x: float(f.value(x)) + float(g.value(x)), step)
 
 
-def _psg_denominator(rec: IterationRecord, a_f: float) -> float | None:
-    """Projected subgradient's 1 + 2 gamma_n (a_n - a_n^f) at ``rec``, or None
-    where the stepsize guard stops the run."""
-    rec.a_fn = a_f
-    denom = 1.0 + 2.0 * rec.gamma_n * (rec.a_n - a_f)
-    return None if denom <= 0.0 else denom
-
-
-def _require_set_dim(f: Oracle, set_c: SetDescriptor) -> None:
-    if set_c.dim != f.dim:
-        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, set dim {set_c.dim}")
-
-
 def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
             a_f_override: float | None = None) -> RunResult:
     """Projected subgradient for min f over a closed set C.
@@ -465,78 +374,22 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
     projects onto it.  A set whose dimension is not f's is refused with
     ``ValueError`` before the first record.
     """
-    _require_set_dim(f, set_c)
+    if set_c.dim != f.dim:
+        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, set dim {set_c.dim}")
 
     def step(rec):
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
         a_f = _admit(a_f_override, f.feasible_range(x))
         u = f.slope(x, a_f)
-        denom = _psg_denominator(rec, a_f)
-        if denom is None:
+        rec.a_fn = a_f
+        denom = 1.0 + 2.0 * gamma * (a - a_f)
+        if denom <= 0.0:
             return None
-        x_next = set_c.project(((1.0 + 2.0 * gamma * a) * x - gamma * u) / denom)
+        z = (1.0 + 2.0 * gamma * a) * x  # the update's operations, in place, in order
+        z -= gamma * u
+        z /= denom
+        x_next = set_c.project(z)
         gamma_next, a_next = schedule_step(sched, gamma, a, a_f)
         return x_next, gamma_next, a_next, None
 
     return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), f.value, step)
-
-
-def _psg_block(f: Oracle, set_c: SetDescriptor, a_f_override: float | None):
-    def step(recs, x, scheds):
-        a_f = [_admit(a_f_override, a_min) for a_min in feasible_range(f, x).tolist()]
-        u = f.slope(x, _column(a_f))
-        denom = [_psg_denominator(r, af) for r, af in zip(recs, a_f)]
-        went = [j for j, d in enumerate(denom) if d is not None]
-        outs = [None] * len(recs)
-        if not went:
-            return x[:0], outs
-        if len(went) < len(recs):
-            x, u = x[went], u[went]
-        c1 = _column([1.0 + 2.0 * recs[j].gamma_n * recs[j].a_n for j in went])
-        gamma = _column([recs[j].gamma_n for j in went])
-        x_next = set_c.project((c1 * x - gamma * u) / _column([denom[j] for j in went]))
-        for j in went:
-            outs[j] = (*schedule_step(scheds[j], recs[j].gamma_n, recs[j].a_n, a_f[j]), None)
-        return x_next, outs
-
-    return step
-
-
-def run_block(algorithm: str, f: Oracle, x0s, scheds: list[Schedule], n_iter: int, *,
-              g: SmoothBlackBox | None = None, set_c: SetDescriptor | None = None,
-              a_f_override: float | None = None) -> list[RunResult]:
-    """m runs of one method on one problem, in member order.
-
-    ``algorithm`` is ``"ppa"``, ``"fb"`` (with ``g``) or ``"psg"`` (with
-    ``set_c`` and ``a_f_override``); the members differ only in their start
-    points ``x0s`` and their schedules, one of each per member (``ValueError``
-    unless there are as many of one as of the other).  Each member's records,
-    and the error a member raises, are bit for bit those of its own
-    ``run_ppa``, ``run_fb`` or ``run_psg``.  psg members are stepped as one
-    (m, n) block, whose work is done once per step for all of them, through
-    ``f``'s ``slope``; the first member in order to raise at the earliest
-    step raises, and each start is checked against f's dimension, in
-    member order, before the starts are stacked.  ppa and fb members run
-    alone, one point run each, so the first member in order that raises
-    raises, and a ppa member's descent warnings come before the next
-    member's.  An empty sweep has no runs, whatever the method.
-    """
-    if len(x0s) != len(scheds):
-        raise ValueError(f"{len(x0s)} start points for {len(scheds)} schedules")
-    if algorithm == "ppa":
-        runs = []
-        for x0, s in zip(x0s, scheds):  # a comprehension's frame would shift the warning
-            runs.append(_iterate(x0, s, n_iter, lambda x: eval_oracle(f, x), f.value,
-                                 _ppa_step(f, s), check_descent=True))
-        return runs
-    if algorithm == "fb":
-        return [run_fb(f, g, x0, s, n_iter) for x0, s in zip(x0s, scheds)]
-    if algorithm == "psg":
-        _require_set_dim(f, set_c)
-        for x0 in x0s:  # each start as its own run checks it, before they are stacked
-            _check_dim(f, np.array(x0, dtype=float, ndmin=1))
-        if len(x0s) == 0:
-            return []
-        return _iterate_block(x0s, scheds, n_iter, lambda x: eval_oracle(f, x),
-                              _psg_block(f, set_c, a_f_override))
-    raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import RunResult, run_block, run_fb, run_ppa, run_psg, sq_distances
+from .algorithms import RunResult, run_fb, run_ppa, run_psg, sq_distances
 from .config import ExperimentConfig, parse_config
 from .oracles import eval_oracle
 from .reference import eig_sym
@@ -224,29 +224,34 @@ def _finish(cfg: ExperimentConfig, result: RunResult, eigen: np.ndarray | None) 
     return ExperimentRun(config=cfg, result=result, x_star=x_star, f_star=f_star)
 
 
+def _run(cfg: ExperimentConfig) -> RunResult:
+    """The run of a parsed config, by its method's entry point."""
+    if cfg.algorithm == "ppa":
+        return run_ppa(cfg.f, cfg.x0, cfg.schedule, cfg.n_iter)
+    if cfg.algorithm == "psg":
+        return run_psg(cfg.f, cfg.set, cfg.x0, cfg.schedule, cfg.n_iter, a_f_override=cfg.a_f)
+    return run_fb(cfg.f, cfg.g, cfg.x0, cfg.schedule, cfg.n_iter)
+
+
 def run_config(cfg: ExperimentConfig) -> ExperimentRun:
     """Execute the run of a parsed config on the objects it holds."""
-    if cfg.algorithm == "ppa":
-        result = run_ppa(cfg.f, cfg.x0, cfg.schedule, cfg.n_iter)
-    elif cfg.algorithm == "psg":
-        result = run_psg(cfg.f, cfg.set, cfg.x0, cfg.schedule, cfg.n_iter, a_f_override=cfg.a_f)
-    else:
-        result = run_fb(cfg.f, cfg.g, cfg.x0, cfg.schedule, cfg.n_iter)
+    result = _run(cfg)
     return _finish(cfg, result, _auto_eigen(cfg) if isinstance(cfg.reference, str) else None)
 
 
 def run_named_experiment(name: str,
                          out_dir: str | None = None) -> list[tuple[str, ExperimentRun]]:
-    """Run every sweep member of a named experiment through one
-    ``algorithms.run_block`` call; optionally write CSVs.
+    """Run every sweep member of a named experiment, one point run each, in
+    sweep order; optionally write CSVs.
 
-    Returns (csv_path_or_label, run) pairs in sweep order.
+    Every member runs before any CSV is written, so a sweep whose member
+    raises (the first such member in order) writes none.  ``auto_eigen`` is
+    solved once per sweep.  Returns (csv_path_or_label, run) pairs in sweep
+    order.
     """
     cfgs = named_experiment_configs(name)
+    results = [_run(cfg) for cfg in cfgs]
     first = cfgs[0]
-    results = run_block(first.algorithm, first.f, [c.x0 for c in cfgs],
-                        [c.schedule for c in cfgs], first.n_iter, g=first.g, set_c=first.set,
-                        a_f_override=first.a_f)
     eigen = _auto_eigen(first) if isinstance(first.reference, str) else None
     out = []
     for cfg, result in zip(cfgs, results):

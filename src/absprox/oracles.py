@@ -73,14 +73,6 @@ def _norm(v: np.ndarray) -> float:
     return nd if nd != math.inf else math.hypot(*v)
 
 
-def _row_norms(v: np.ndarray) -> list[float]:
-    """``_norm`` of each row of a block (m, n), bit for bit."""
-    nd = np.sqrt(np.vecdot(v, v)).tolist()
-    if math.inf in nd:  # some v . v overflows
-        return [r if r != math.inf else math.hypot(*row) for r, row in zip(nd, v)]
-    return nd
-
-
 # membership slack of the sets' ``contains``, relative to the set's size
 _CONTAINS_TOL = 1e-9
 
@@ -111,8 +103,6 @@ class Ball:
     def project(self, x) -> np.ndarray:
         x = _vec(x)
         d = x - self.center
-        if x.ndim > 1:
-            return self._project_rows(x, d)
         nd = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic
         if nd <= self.radius:
             return x
@@ -120,15 +110,6 @@ class Ball:
             d = d / np.abs(d).max()
             nd = math.sqrt(d.dot(d))
         return self.center + (self.radius / nd) * d
-
-    def _project_rows(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """``project`` of each row of a block, row by row where a d . d overflows."""
-        nd = np.sqrt(np.vecdot(d, d))
-        if math.inf in nd.tolist():
-            return np.array([self.project(row) for row in x])
-        # a row outside has nd > radius, so its scale is exactly radius / nd
-        scale = self.radius / np.maximum(nd, self.radius)
-        return np.where((nd <= self.radius)[:, None], x, self.center + scale[:, None] * d)
 
     def contains(self, x):
         d = _vec(x) - self.center
@@ -201,8 +182,6 @@ class Halfspace:
 
     def project(self, x) -> np.ndarray:
         x = _vec(x)
-        if x.ndim > 1:
-            return np.array([self.project(row) for row in x])
         n, e, s = self._excess(x)
         return x if e <= 0.0 else s * (x / s - (e / float(n @ n)) * n)
 
@@ -223,15 +202,15 @@ SetDescriptor = Ball | Box | Halfspace
 # subdifferential element (a, u) for an admissible a) and ``prox(req)`` (the
 # proximal point for a ProxRequest, which holds one point: a closed form, or
 # for SmoothBlackBox the certified inner solver).
-# ``value``, ``feasible_range``, ``slope`` and the sets' ``contains`` and
-# ``project`` take a point (n,) or a block (m, n) of points, one result per
-# row, each row bit for bit its single-point result (a refused row raises
-# its own error); psg blocks and the Fejér check's allowance call ``slope``
-# on a block.  The black box's callbacks see one row at a time.  A block's
-# coefficients ``a`` are an (m, 1) column.  A constant ``feasible_range`` is
-# one float for any block.  The methods assume points of the right
-# dimension and, in ``slope``, an admissible a; the module functions below
-# check both.
+# ``value``, ``feasible_range``, ``slope`` and the sets' ``contains`` take a
+# point (n,) or a block (m, n) of points, one result per row, each row bit
+# for bit its single-point result (a refused row raises its own error); the
+# certificate sampler and the Fejér check's allowance call them on a block.
+# A set's ``project`` takes one point: a run steps one point at a time.
+# The black box's callbacks see one row at a time.  A block's coefficients
+# ``a`` are an (m, 1) column.  A constant ``feasible_range`` is one float
+# for any block.  The methods assume points of the right dimension and, in
+# ``slope``, an admissible a; the module functions below check both.
 
 
 class UnboundedObjectiveError(ValueError):
@@ -258,7 +237,8 @@ class NormSquare:
             raise ValueError("gamma must be positive")
 
     def value(self, x):
-        return np.vecdot(x, x) / (2.0 * self.gamma)
+        # a point's x . x has the bits of each block row's vecdot
+        return (x.dot(x) if x.ndim == 1 else np.vecdot(x, x)) / (2.0 * self.gamma)
 
     def feasible_range(self, x) -> float:
         return -1.0 / (2.0 * self.gamma)
@@ -308,7 +288,10 @@ class QuadraticForm:
         return float(self.eigenvalues[0])
 
     def value(self, x):
-        # the rows' x @ q @ x bit for bit; a block x @ q is not
+        # a point's (q.T @ x) . x has the bits of each block row's
+        # matvec/vecdot form, and costs less; a block x @ q does not
+        if x.ndim == 1:
+            return (self.q.T @ x).dot(x)
         return np.vecdot(np.matvec(self.q.T, x), x)
 
     def feasible_range(self, x) -> float:
@@ -318,7 +301,9 @@ class QuadraticForm:
         # q @ x is the cheaper form on one point (quad-dim); np.matvec gives
         # each row of a block those bits, which a block x @ q.T does not
         qx = self.q @ x if x.ndim == 1 else np.matvec(self.q, x)
-        return 2.0 * (qx + a * x)
+        qx += a * x  # 2 (qx + a x), in place
+        qx *= 2.0
+        return qx
 
     def prox(self, req) -> np.ndarray:
         """Raises ``UnboundedObjectiveError`` when min eig + weight <= 0."""

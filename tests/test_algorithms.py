@@ -29,7 +29,6 @@ from absprox import (
     STOP_GUARD,
     STOP_NONFINITE,
     TheoremViolationWarning,
-    UnboundedObjectiveError,
     EXPERIMENTS,
     check_fejer,
     run_config,
@@ -39,7 +38,6 @@ from absprox import (
     schedule_step,
     write_csv,
 )
-from absprox.algorithms import run_block
 from absprox.checks import Q3
 from absprox.config import hessian_example
 from absprox.experiments import named_experiment_configs, run_named_experiment
@@ -122,6 +120,27 @@ def test_ppa_global_min_certificate():
     assert res.final.x_n[0] == 0.0
 
 
+def test_a_weight_of_1e_9_is_no_global_min_certificate():
+    # 1/(2 gamma) + a_0 = 1 + (-1 + 1e-9) is about 1e-9, above the 1e-12
+    # within which the weight counts as vanished
+    res = run_ppa(AbsPlusSquare(), [5.0], PpaAdditive(gamma0=0.5, a0=-1.0 + 1e-9, delta=0.5), 3)
+    assert [r.stopped_by for r in res.records] == [None] * 4
+
+
+@pytest.mark.parametrize("rise, warns", [(1e-6, True), (1e-11, False)], ids=["1e-6", "1e-11"])
+def test_an_objective_rise_above_1e_10_warns(rise, warns):
+    # with gradient -1 and weight 1/2 the prox moves from 0 to 1, where the
+    # value rise * z rises by exactly rise
+    g = SmoothBlackBox(value=lambda p: rise * float(p[0]), gradient=lambda p: np.array([-1.0]),
+                       kappa=lambda p: 0.0, eps=0.1, dim=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_ppa(g, [0.0], PpaAdditive(gamma0=1.0, a0=0.0), 1)
+    assert res.records[1].x_n.tolist() == [1.0]
+    flagged = [str(w.message) for w in caught if issubclass(w.category, TheoremViolationWarning)]
+    assert flagged == [f"descent violated at iteration 0: f went from 0.0 to {rise}"] * warns
+
+
 def test_ppa_schedule_infeasible():
     # decrement a_n - a_{n+1} = -2 lies below the oracle threshold -1
     with pytest.raises(ScheduleInfeasibleError):
@@ -195,44 +214,29 @@ def test_an_iterate_a_step_reshapes_is_refused(run, message):
     assert str(err.value) == message
 
 
-_PSG_SHAPES = {
-    "point": lambda f, set_c, x0, sched: run_psg(f, set_c, x0, sched, 5),
-    "block": lambda f, set_c, x0, sched: run_block("psg", f, [x0] * 3, [sched] * 3, 5,
-                                                  set_c=set_c),
-}
-
-
-@pytest.mark.parametrize("shape", _PSG_SHAPES)
 @pytest.mark.parametrize("f, set_c, x0, message", [
     # a 1-D ball broadcast against a 3-D iterate would run all the records
     (QuadraticForm(Q3), Ball(np.zeros(1), 1.0), [0.5, 0.1, 0.2],
      "dimension mismatch: oracle dim 3, set dim 1"),
     (AbsPlusSquare(), Halfspace(np.ones(3), -1.0), [0.5],
      "dimension mismatch: oracle dim 1, set dim 3"),
-], ids=["ball-1-around-3", "halfspace-3-around-1"])
-def test_a_set_of_the_wrong_dimension_is_refused(f, set_c, x0, message, shape):
+], ids=["ball-1-around-3-point", "halfspace-3-around-1-point"])
+def test_a_set_of_the_wrong_dimension_is_refused(f, set_c, x0, message):
     with pytest.raises(ValueError) as err:
-        _PSG_SHAPES[shape](f, set_c, x0, PsgConstantGamma(1.0, 20.0))
+        run_psg(f, set_c, x0, PsgConstantGamma(1.0, 20.0), 5)
     assert str(err.value) == message
 
 
-_FB_SHAPES = {
-    "point": lambda f, g, sched: run_fb(f, g, [0.5], sched, 5),
-    "block": lambda f, g, sched: run_block("fb", f, [[0.5], [-0.5], [0.25]], [sched] * 3, 5,
-                                           g=g),
-}
-
-
-@pytest.mark.parametrize("shape", _FB_SHAPES)
 @pytest.mark.parametrize("f", [AbsPlusSquare(), QuadraticForm(np.array([[1.0]])),
-                               NormSquare(1.0)], ids=["abs+square", "quadratic", "norm-square"])
-def test_a_gradient_of_the_wrong_shape_is_refused(f, shape):
+                               NormSquare(1.0)],
+                         ids=["abs+square-point", "quadratic-point", "norm-square-point"])
+def test_a_gradient_of_the_wrong_shape_is_refused(f):
     # f's prox would fail in its own words (a LAPACK core dimension), read
     # only the first coordinate (|x| + x^2), or broadcast
     g = SmoothBlackBox(value=lambda p: 0.0, gradient=lambda p: np.ones(3),
                        kappa=lambda p: 0.0, eps=0.1)
     with pytest.raises(ValueError) as err:
-        _FB_SHAPES[shape](f, g, FbConstant(1.0, 5.0, a_const=5.0))
+        run_fb(f, g, [0.5], FbConstant(1.0, 5.0, a_const=5.0), 5)
     assert str(err.value) == "dimension mismatch: gradient of shape (3,) at a point of shape (1,)"
 
 
@@ -262,6 +266,13 @@ def test_psg_defaults_to_feasible_threshold():
     sched = PsgConstantGamma(gamma0=1.0, a0=200.0)
     res = run_psg(QuadraticForm(Q3), BALL3, [-5.0, 5.0, -5.0], sched, 10)
     assert res.records[0].a_fn == pytest.approx(4.0, abs=1e-9)
+
+
+def test_psg_refuses_a_pin_below_the_oracles_threshold():
+    with pytest.raises(InfeasibleCoefficientError) as err:
+        run_psg(QuadraticForm(Q3), BALL3, [-5.0, 5.0, -5.0], PsgConstantGamma(1.0, 200.0), 5,
+                a_f_override=3.0)
+    assert str(err.value) == "a=3.0 below the feasible threshold a_min=4.0"
 
 
 def test_psg_iterates_feasible_after_first_step():
@@ -310,6 +321,40 @@ def test_psg_adaptive_v1_with_a_negative_a_below_the_threshold_runs_on():
     assert [r.a_fn for r in res.records[:-1]] == [-2.0] * 30
     assert [r.gamma_n for r in res.records[:3]] == pytest.approx([0.4, 0.4 / 3, 0.4 / 9])
     assert all(r.gamma_n > 0 for r in res.records)
+
+
+# --- the loop's non-finite test ----------------------------------------------
+
+
+_PLANE = Box(np.full(2, -np.inf), np.full(2, np.inf))
+
+
+def _psg_on_the_plane(gradient, x0):
+    """psg on a black box with a^f = kappa = 0, so each step is x - gradient(x)."""
+    g = SmoothBlackBox(value=lambda p: 0.0, gradient=gradient, kappa=lambda p: 0.0, eps=0.1,
+                       dim=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run_psg(g, _PLANE, x0, PsgConstantGamma(1.0, 0.0), 5)
+    return res, [f"{w.filename}: {w.message}" for w in caught]
+
+
+def test_a_finite_iterate_whose_entries_sum_past_the_float_range_runs_on():
+    # 1e308 + 1e308 overflows, but both entries are finite
+    res, warned = _psg_on_the_plane(lambda p: np.zeros(2), [1e308, 1e308])
+    assert res.terminal is None
+    assert [r.x_n.tolist() for r in res.records] == [[1e308, 1e308]] * 6
+    assert warned == []
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_an_iterate_with_a_non_finite_entry_stops_at_its_record(bad):
+    # the first step goes from (0.5, 0.5) to (1.5, 0.5), the second to (1.5, 0.5 - bad)
+    res, warned = _psg_on_the_plane(
+        lambda p: np.array([-1.0, 0.0]) if p[0] < 1.0 else np.array([0.0, bad]), [0.5, 0.5])
+    assert [r.stopped_by for r in res.records] == [None, STOP_NONFINITE]
+    assert res.final.x_n.tolist() == [1.5, 0.5]
+    assert warned == []
 
 
 # --- forward-backward --------------------------------------------------------
@@ -413,37 +458,32 @@ def test_descent_violation_raises_under_the_error_filter():
 
 
 def test_descent_warning_points_at_the_caller_of_run():
-    # the caller of run_ppa, and of run_block("ppa", ...) for each member
     g, s = _ascending_blackbox(), PpaAdditive(gamma0=1.0, a0=1.0, delta=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_ppa(g, [1.0], s, 1)
-        run_block("ppa", g, [[1.0], [2.0]], [s, s], 1)
     flagged = [w for w in caught if issubclass(w.category, TheoremViolationWarning)]
-    assert [w.filename for w in flagged] == [__file__] * 3
+    assert [w.filename for w in flagged] == [__file__]
 
 
-@pytest.mark.parametrize("block", [False, True], ids=["point", "block"])
-def test_a_nan_objective_fails_both_descent_checks(block):
+def test_a_nan_objective_fails_both_descent_checks():
     # f is NaN for |x| <= 0.9, so the first prox step from 1.0 lands on a NaN
     g = SmoothBlackBox(value=lambda p: np.nan if abs(p[0]) <= 0.9 else float(p @ p),
                        gradient=lambda p: 2.0 * p, kappa=lambda p: 0.0, eps=0.1, dim=1)
     s = PpaAdditive(0.5, 6.0, delta=-1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        runs = run_block("ppa", g, [[1.0]] * 2, [s, s], 5) if block else [run_ppa(g, [1.0], s, 5)]
+        res = run_ppa(g, [1.0], s, 5)
     flagged = [str(w.message) for w in caught if issubclass(w.category, TheoremViolationWarning)]
-    # each step from a NaN is a violation too; a block's members warn in turn
-    own = ["descent violated at iteration 0: f went from 1.0 to nan"] + [
+    # each step from a NaN is a violation too
+    assert flagged == ["descent violated at iteration 0: f went from 1.0 to nan"] + [
         f"descent violated at iteration {n}: f went from nan to nan" for n in range(1, 5)]
-    assert flagged == own * len(runs)
-    for res in runs:
-        assert np.isnan([r.f_xn for r in res.records[1:]]).all()
-        rep = check_fejer(res.records, [0.0], "ppa")
-        assert (rep.objective_monotone, rep.objective_first_violation) == (False, 0)
+    assert np.isnan([r.f_xn for r in res.records[1:]]).all()
+    rep = check_fejer(res.records, [0.0], "ppa")
+    assert (rep.objective_monotone, rep.objective_first_violation) == (False, 0)
 
 
-# --- a sweep stepped as one block ---------------------------------------------
+# --- a sweep's members run alone ---------------------------------------------
 
 
 def _fields(res):
@@ -468,163 +508,19 @@ def test_block_members_leave_at_their_own_stops():
               PsgAdaptiveV1(1.0, 5.0, a_const=-5.0),  # gamma_1 < 0: non-finite abort
               PsgAdaptiveV1(1.0, 5.0, a_const=1e-320),  # gamma_1 = inf: non-finite abort
               PsgAdaptiveV2(1.0, 5.0, epsilon=1.0)]  # runs to the horizon
-    block = run_block("psg", f, x0s, scheds, 30, set_c=BALL3, a_f_override=4.0)
-    alone = [run_psg(f, BALL3, x0, s, 30, a_f_override=4.0) for x0, s in zip(x0s, scheds)]
-    assert [res.terminal for res in block] == [STOP_GUARD, STOP_NONFINITE, STOP_NONFINITE, None]
-    assert [len(res.records) for res in block] == [6, 1, 1, 31]
-    assert [_fields(res) for res in block] == [_fields(res) for res in alone]
+    runs = [run_psg(f, BALL3, x0, s, 30, a_f_override=4.0) for x0, s in zip(x0s, scheds)]
+    assert [res.terminal for res in runs] == [STOP_GUARD, STOP_NONFINITE, STOP_NONFINITE, None]
+    assert [len(res.records) for res in runs] == [6, 1, 1, 31]
 
 
 def test_a_far_block_member_runs_as_it_runs_alone():
-    # the far member's v . v overflows in the block's step norms and projection
+    # the far member's v . v overflows in its step norm and projection
     f = QuadraticForm(Q3)
     x0s = [[1e200] * 3, [-5.0, 5.0, -5.0]]
     scheds = [PsgConstantGamma(1.0, 20.0), PsgConstantGamma(1.0, 24.0)]
-    block = run_block("psg", f, x0s, scheds, 30, set_c=BALL3, a_f_override=4.0)
-    alone = [run_psg(f, BALL3, x0, s, 30, a_f_override=4.0) for x0, s in zip(x0s, scheds)]
-    assert block[0].records[1].step_norm == 3**0.5 * 1e200
-    assert [len(res.records) for res in block] == [6, 7]
-    assert [_fields(res) for res in block] == [_fields(res) for res in alone]
-
-
-def _indefinite_q(n, seed):
-    """A seeded symmetric Q with one eigenvalue in [-1.5, -1] and the rest in
-    [-0.5, 1], as the bench's quad-dim problems are built."""
-    rng = np.random.default_rng(seed)
-    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = np.concatenate([[-1.0 - 0.5 * rng.random()], rng.uniform(-0.5, 1.0, n - 1)])
-    q = (v * lam) @ v.T
-    return QuadraticForm(0.5 * (q + q.T))
-
-
-@pytest.mark.parametrize("set_c", [Ball(np.zeros(8), 1.0), Box(-0.5 * np.ones(8), 0.5 * np.ones(8))],
-                         ids=["ball", "box"])
-def test_an_unpinned_block_runs_as_its_members_run_alone(set_c):
-    # a^f is each member's own threshold -min eig(Q) at its iterate
-    f = _indefinite_q(8, 3)
-    rng = np.random.default_rng(4)
-    x0s = [rng.uniform(-2.0, 2.0, 8) for _ in range(3)]
-    a0 = -f.min_eigenvalue + 1.0
-    scheds = [PsgAdaptiveV2(1.0, a0, epsilon=1.0), PsgConstantGamma(0.5, 10.0 * a0),
-              PsgAdaptiveV1(0.2, a0, a_const=a0)]
-    block = run_block("psg", f, x0s, scheds, 30, set_c=set_c)
-    alone = [run_psg(f, set_c, x0, s, 30) for x0, s in zip(x0s, scheds)]
-    assert block[0].records[0].a_fn == -f.min_eigenvalue
-    assert [_fields(res) for res in block] == [_fields(res) for res in alone]
-
-
-def test_a_block_below_the_pinned_threshold_raises_what_run_psg_raises():
-    f, x0 = QuadraticForm(Q3), [-5.0, 5.0, -5.0]
-    with pytest.raises(InfeasibleCoefficientError) as single:
-        run_psg(f, BALL3, x0, PsgConstantGamma(1.0, 200.0), 5, a_f_override=3.0)
-    with pytest.raises(Exception) as block:
-        run_block("psg", f, [x0, x0], [PsgConstantGamma(1.0, 200.0), PsgConstantGamma(0.1, 200.0)],
-                  5, set_c=BALL3, a_f_override=3.0)
-    assert str(single.value) == "a=3.0 below the feasible threshold a_min=4.0"
-    assert (type(block.value), str(block.value)) == (type(single.value), str(single.value))
-
-
-@pytest.mark.parametrize("method, f, g, x0, scheds", [
-    # the second member's weight 1/(2 gamma) + a_n falls below -min eig(Q3) = 4
-    ("ppa", QuadraticForm(Q3), None, [1.0, 0.0, 0.0],
-     [PpaAdditive(1.0, 100.0, delta=-5.0), PpaAdditive(1.0, 12.0, delta=-5.0)]),
-    # the second member's weight is 0, and this Q is singular though its
-    # computed min eig is 1.1e-16 > 0: LAPACK, not a guard, refuses the solve
-    ("ppa", QuadraticForm(np.array([[1.0, 3.0], [3.0, 9.0]])), None, [1.0, 1.0],
-     [PpaAdditive(0.5, 5.0), PpaAdditive(0.5, -1.0)]),
-    # the second member's constant fb weight is negative at once
-    ("fb", QuadraticForm(np.zeros((2, 2))), hessian_example(0.1), [-5.0, -1.0],
-     [FbConstant(1.0, 200.0, a_const=200.0), FbConstant(1.0, 0.0, a_const=0.0)]),
-], ids=["ppa-unbounded-prox", "ppa-singular-prox", "fb-degenerate-weight"])
-def test_a_block_raises_what_the_raising_member_raises_alone(method, f, g, x0, scheds):
-    def alone(sched):
-        return run_ppa(f, x0, sched, 5) if method == "ppa" else run_fb(f, g, x0, sched, 5)
-
-    assert alone(scheds[0]).terminal is None
-    with pytest.raises((UnboundedObjectiveError, DegenerateStepError)) as single:
-        alone(scheds[1])
-    with pytest.raises(Exception) as block:
-        run_block(method, f, [x0, x0], scheds, 5, g=g)
-    assert (type(block.value), str(block.value)) == (type(single.value), str(single.value))
-
-
-@pytest.mark.parametrize("f, scheds, first_error, second_error", [
-    # the first member's weight 1/2 + 1/2 meets min eig -1 at once, the
-    # second's coefficient is refused by its request
-    (QuadraticForm(np.diag([-1.0, 1.0])), [PpaAdditive(1.0, 0.5), PpaAdditive(1.0, -0.6)],
-     UnboundedObjectiveError, InfeasibleCoefficientError),
-    # the first member's decrement 1 falls below a_min = 4 after its prox,
-    # the second's weight 1/2 is below it in the prox
-    (QuadraticForm(Q3), [PpaAdditive(1.0, 10.0, delta=-1.0), PpaAdditive(1.0, 0.0)],
-     ScheduleInfeasibleError, UnboundedObjectiveError),
-], ids=["unbounded-before-infeasible", "decrement-before-unbounded"])
-def test_ppa_block_members_that_both_raise_raise_the_first_members_error(f, scheds, first_error,
-                                                                         second_error):
-    x0 = [1.0] * f.dim
-    with pytest.raises(first_error) as first:
-        run_ppa(f, x0, scheds[0], 5)
-    with pytest.raises(second_error):
-        run_ppa(f, x0, scheds[1], 5)
-    with pytest.raises(Exception) as block:
-        run_block("ppa", f, [x0, x0], scheds, 5)
-    assert (type(block.value), str(block.value)) == (first_error, str(first.value))
-
-
-def test_a_psg_block_raises_the_first_members_error_before_a_later_members_refusal():
-    # member 0's gradient has 3 coordinates, member 1's kappa = 5 refuses the pin 1.0
-    g = SmoothBlackBox(value=lambda p: 0.0,
-                       gradient=lambda p: np.ones(3) if p[0] < 0.0 else np.ones(2),
-                       kappa=lambda p: float(p[0]), eps=0.1, dim=2)
-    x0s, scheds = [[-1.0, 0.0], [5.0, 0.0]], [PsgConstantGamma(0.1, 10.0)] * 2
-    ball = Ball(np.zeros(2), 10.0)
-    with pytest.raises(ValueError) as first:
-        run_psg(g, ball, x0s[0], scheds[0], 5, a_f_override=1.0)
-    with pytest.raises(InfeasibleCoefficientError):
-        run_psg(g, ball, x0s[1], scheds[1], 5, a_f_override=1.0)
-    with pytest.raises(Exception) as block:
-        run_block("psg", g, x0s, scheds, 5, set_c=ball, a_f_override=1.0)
-    assert str(first.value).startswith("dimension mismatch: gradient of shape (3,)")
-    assert (type(block.value), str(block.value)) == (ValueError, str(first.value))
-
-
-@pytest.mark.parametrize("method, sched, kwargs", [
-    ("ppa", PpaAdditive(1.0, 1.0), {}),
-    ("fb", FbConstant(1.0, 5.0, a_const=5.0), {"g": SmoothBlackBox(
-        value=lambda p: 0.0, gradient=lambda p: p, kappa=lambda p: 0.0, eps=0.1)}),
-    ("psg", PsgConstantGamma(1.0, 5.0), {"set_c": Ball(np.zeros(1), 1.0)}),
-], ids=["ppa", "fb", "psg"])
-@pytest.mark.parametrize("starts, schedules", [(2, 1), (1, 2)],
-                         ids=["more-starts", "more-schedules"])
-def test_a_block_refuses_unequal_starts_and_schedules(method, sched, kwargs, starts, schedules):
-    with pytest.raises(ValueError) as err:
-        run_block(method, AbsPlusSquare(), [[0.5]] * starts, [sched] * schedules, 5, **kwargs)
-    assert str(err.value) == f"{starts} start points for {schedules} schedules"
-
-
-def test_fb_block_members_that_both_raise_raise_the_first_members_error():
-    f, g, x0 = QuadraticForm(np.zeros((2, 2))), hessian_example(0.1), [-5.0, -1.0]
-    # the first member's weight vanishes at its second step, the second's at once:
-    # fb members run alone, in order, so the first member's error is raised
-    scheds = [FbConstant(1.0, 200.0, a_const=0.0), FbConstant(1.0, 0.0, a_const=0.0)]
-    with pytest.raises(DegenerateStepError) as first:
-        run_fb(f, g, x0, scheds[0], 5)
-    with pytest.raises(DegenerateStepError) as block:
-        run_block("fb", f, [x0, x0], scheds, 5, g=g)
-    assert str(first.value).endswith("at iteration 1")
-    assert str(block.value) == str(first.value)
-
-
-@pytest.mark.parametrize("m", [2, 3])
-def test_a_black_box_ppa_block_is_its_members_own_runs(m):
-    # Hess g = I - diag(sin p) >= 0, so kappa = 0 bounds its curvature everywhere
-    g = SmoothBlackBox(value=lambda p: float(0.5 * p @ p + np.sin(p).sum()),
-                       gradient=lambda p: p + np.cos(p), kappa=lambda p: 0.0, eps=0.1, dim=2)
-    x0s = [[1.0, 2.0], [-3.0, 0.5], [0.2, -1.5]][:m]
-    scheds = [PpaAdditive(0.1, 1.0), PpaAdditive(1.0, 0.5), PpaAdditive(10.0, 0.0)][:m]
-    block = run_block("ppa", g, x0s, scheds, 10)
-    alone = [run_ppa(g, x0, s, 10) for x0, s in zip(x0s, scheds)]
-    assert [len(res.records) for res in block] == [11] * m
-    assert [_fields(res) for res in block] == [_fields(res) for res in alone]
+    runs = [run_psg(f, BALL3, x0, s, 30, a_f_override=4.0) for x0, s in zip(x0s, scheds)]
+    assert runs[0].records[1].step_norm == 3**0.5 * 1e200
+    assert [len(res.records) for res in runs] == [6, 7]
 
 
 def test_psg_stops_on_its_guard_where_the_denominator_is_exactly_zero():
@@ -634,29 +530,3 @@ def test_psg_stops_on_its_guard_where_the_denominator_is_exactly_zero():
     res = run_psg(f, Ball(np.zeros(2), 1.0), [0.5, 0.5], PsgConstantGamma(1.0, -1.5), 5)
     assert [r.stopped_by for r in res.records] == [STOP_GUARD]
     assert res.records[0].a_fn == -1.0
-
-
-_PSG_STARTS = {"3-then-2": [[0.5, 0.0, 0.0], [0.5, 0.0]],
-               "2-then-3": [[0.5, 0.0], [0.5, 0.0, 0.0]]}
-
-
-@pytest.mark.parametrize("x0s", _PSG_STARTS.values(), ids=_PSG_STARTS)
-def test_a_psg_block_refuses_a_start_as_its_members_own_run(x0s):
-    sched = PsgConstantGamma(0.1, 5.0)
-    bad = next(x0 for x0 in x0s if len(x0) != 3)
-    with pytest.raises(ValueError) as alone:
-        run_psg(QuadraticForm(Q3), BALL3, bad, sched, 5)
-    with pytest.raises(ValueError) as block:
-        run_block("psg", QuadraticForm(Q3), x0s, [sched, sched], 5, set_c=BALL3)
-    assert str(alone.value) == "dimension mismatch: oracle dim 3, points of shape (2,)"
-    assert str(block.value) == str(alone.value)
-
-
-@pytest.mark.parametrize("method, kwargs", [
-    ("ppa", {}),
-    ("fb", {"g": SmoothBlackBox(value=lambda p: 0.0, gradient=lambda p: p,
-                                kappa=lambda p: 0.0, eps=0.1, dim=3)}),
-    ("psg", {"set_c": BALL3}),
-], ids=["ppa", "fb", "psg"])
-def test_an_empty_block_has_no_runs(method, kwargs):
-    assert run_block(method, QuadraticForm(Q3), [], [], 5, **kwargs) == []

@@ -94,6 +94,17 @@ def test_a_nan_objective_is_a_rise_at_the_first_step_it_touches():
     assert rep.fejer_monotone
 
 
+@pytest.mark.parametrize("rise, flagged", [(1e-6, True), (1e-10, False)],
+                         ids=["1e-6", "1e-10"])
+def test_a_relative_objective_rise_is_flagged_above_1e_9(rise, flagged):
+    # the records' f is about 11 here, so the tolerance scales with |f|
+    records = run_ppa(AbsPlusSquare(), [-10.0],
+                      PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9), 6).records
+    rep = check_fejer(_with(records, 3, f_xn=records[2].f_xn * (1.0 + rise)), np.zeros(1), "ppa")
+    assert (rep.objective_monotone, rep.objective_first_violation) == (
+        (False, 2) if flagged else (True, None))
+
+
 def test_a_far_psg_run_sums_no_step_terms():
     # psg's b_n is 0, so its b_n s_n^2 terms are 0, also where s_n^2 overflows
     f = QuadraticForm(Q3)

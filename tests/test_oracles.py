@@ -68,10 +68,6 @@ def _coefficients(lo, hi, m=500):
     return np.random.default_rng(m).uniform(lo, hi, m)
 
 
-# far rows whose x . x, ||x|| or n . x overflow (see test_projections_of_far_points)
-_FAR = [[1e200, 1e200], [1.5e308, 1.5e308], [1e200, 0.0], [1e308, -1e308],
-        [1.5e308, -0.5e308], [1e308, 1e308]]
-
 # (method, block, per-row coefficients): a block's coefficients are (m, 1)
 # columns, a row's its own floats
 _BLOCK_CASES = {
@@ -84,18 +80,6 @@ _BLOCK_CASES = {
     "blackbox": _value(SmoothBlackBox(value=lambda p: float(np.cos(p).sum()),
                                       gradient=lambda p: -np.sin(p), kappa=lambda p: 0.5,
                                       eps=1e-6, dim=2)),
-    # the centre's bits make c + (x - c) differ from x in some rows
-    "project-ball": (Ball(np.array([0.3, -0.7]), 2.0).project,
-                     np.vstack([_uniform(2), [[0.3, -0.7], [2.3, -0.7]]]), ()),
-    "project-ball-outside": (Ball(np.array([0.3, -0.7]), 2.0).project, _uniform(2, 3.0, 9.0), ()),
-    "project-ball-far": (Ball(np.array([0.3, -0.7]), 2.0).project,
-                         np.vstack([_uniform(2), _FAR]), ()),
-    "project-box": (Box(np.array([-1.0, -2.0]), np.array([3.0, 2.0])).project,
-                    np.vstack([_uniform(2), _FAR]), ()),
-    "project-halfspace": (Halfspace(np.array([2.0, -2.0]), 0.0).project,
-                          np.vstack([_uniform(2), _FAR]), ()),
-    "project-halfspace-huge-normal": (Halfspace(np.array([1.5e308, 1.5e308]), 0.0).project,
-                                      np.vstack([_uniform(2), _FAR]), ()),
     "feasible-range-quadratic": (lambda x: feasible_range(QuadraticForm(Q3), x), _uniform(3), ()),
     "feasible-range-abs+square": (lambda x: feasible_range(AbsPlusSquare(), x), _uniform(1), ()),
     "feasible-range-indicator": (lambda x: feasible_range(IndicatorSet(Ball(np.zeros(4), 3.0)), x),
@@ -253,6 +237,13 @@ def test_subgrad_infeasible_coefficient():
         subgrad_at(QuadraticForm(Q3), np.ones(3), 3.9)
 
 
+def test_a_coefficient_1e_9_below_the_threshold_is_refused():
+    # AbsPlusSquare's threshold is exactly -1
+    assert subgrad_at(AbsPlusSquare(), [0.5], -1.0).a == -1.0
+    with pytest.raises(InfeasibleCoefficientError):
+        subgrad_at(AbsPlusSquare(), [0.5], -1.0 - 1e-9)
+
+
 def test_subgrad_blackbox_default_and_identity():
     g = SmoothBlackBox(
         value=lambda p: float(p[0] ** 2),
@@ -362,6 +353,14 @@ def test_contains():
     assert not BALL.contains((4.0, 0.0))
     assert HALF.contains((0.0, 0.0))
     assert not HALF.contains((2.0, 1.0))
+
+
+def test_a_point_1e_6_outside_a_unit_ball_is_not_contained():
+    # the slack is 1e-9 of the set's size, here 1
+    ball = Ball(np.zeros(2), 1.0)
+    assert ball.contains([1.0 + 1e-10, 0.0])
+    assert not ball.contains([1.0 + 1e-6, 0.0])
+    assert IndicatorSet(ball).value(np.array([1.0 + 1e-6, 0.0])) == np.inf
 
 
 def test_projections_of_far_points():

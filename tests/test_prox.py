@@ -95,6 +95,9 @@ def test_prox_quadratic_unbounded():
         # weight 1/(2*0.5) + 2 = 3 is exactly -min eig of Q5: singular, and
         # the error type must not depend on the last bit of the eigenvalue
         (Q5, 0.5, 2.0),
+        # weight 0 on a singular Q whose computed min eig is 1.1e-16 > 0:
+        # LAPACK, not a guard, refuses the solve
+        (np.array([[1.0, 3.0], [3.0, 9.0]]), 0.5, -1.0),
     ]
     for q, gamma, a0 in cases:
         with pytest.raises(UnboundedObjectiveError):

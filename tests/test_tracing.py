@@ -54,29 +54,29 @@ def test_bundled_sweeps_call_counts(tracing):
         "oracles.feasible_range", "oracles.eval", "oracles.project", "prox.closed",
         "reference.eig_sym")}
     assert calls == {
-        # the psg sweeps are stepped as blocks, and run_block hands each ppa
-        # member to the loop itself, so no run_* call wraps them; the 3
-        # fb-hessian members run alone, one run_fb each
-        "algorithms.run": 3,
-        # one schedule step per member and step, as in a point run
+        # every member runs alone, one run_ppa, run_psg or run_fb each
+        "algorithms.run": 27,
+        # one schedule step per member and step
         "algorithms.schedule_step": 2226,
-        # the block asks the oracle's slope, which the tracer does not wrap
+        # a step asks the oracle's slope, which the tracer does not wrap
         "oracles.subgrad": 0,
-        # one call per psg block step; a ppa member's step asks the oracle's
-        # own feasible_range, which the tracer does not wrap
-        "oracles.feasible_range": 433,
-        # a point ppa or fb run checks its start once and then calls the
-        # value methods, which the tracer does not wrap
-        "oracles.eval": 469,
-        "oracles.project": 430,
+        # a step asks the oracle's own feasible_range, which the tracer does
+        # not wrap
+        "oracles.feasible_range": 0,
+        # a run checks its start once and then calls the value methods,
+        # which the tracer does not wrap: 30 start checks (an fb member
+        # checks f and g) and 24 f_star, one per ppa-absq and psg member
+        "oracles.eval": 54,
+        # one projection per psg member and step
+        "oracles.project": 1587,
         # one prox per ppa or fb member and step: the 404 ppa-absq and 235
         # fb-hessian steps
         "prox.closed": 639,
         # one auto_eigen solve per sweep, not per member
         "reference.eig_sym": 5,
     }
-    # the fb members' records after their start: 3 runs of 235 steps in all
-    assert tracer.extra["algorithms.iters"] == 235
+    # every member's records after its start
+    assert tracer.extra["algorithms.iters"] == 2226
 
 
 def test_verify_call_counts(tracing):
