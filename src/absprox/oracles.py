@@ -8,7 +8,7 @@ with f(y) - f(x) >= phi(y) - phi(x) for all y.  Supported classes:
 * ``QuadraticForm(Q)``      -- f(x) = <x, Qx>, Q symmetric (possibly indefinite);
   its spectrum comes from LAPACK (``numpy.linalg.eigh``), never from the
   Jacobi solver in :mod:`absprox.reference`, which stays independent so it
-  can cross-check it
+  can cross-check it; its prox solves through that spectrum
 * ``AbsPlusSquare()``       -- f(x) = |x| + x^2 on the line
 * ``IndicatorSet(C)``       -- f = 0 on C, +inf outside, C a ball/box/halfspace
 * ``SmoothBlackBox(...)``   -- caller-supplied smooth g with a curvature bound
@@ -306,25 +306,22 @@ class QuadraticForm:
         return qx
 
     def prox(self, req) -> np.ndarray:
-        """Raises ``UnboundedObjectiveError`` when min eig + weight <= 0."""
+        """argmin <z, Qz> + w||z - x0||^2 = V ((V^T (w x0)) / (lam + w)),
+        through the spectrum (lam, V) that construction computed.
+
+        Raises ``UnboundedObjectiveError`` unless min eig + weight > 0, the
+        one condition under which the minimizer exists.
+        """
         w, lam = req.weight, self.min_eigenvalue
-        if lam + w < 0.0:
+        if not lam + w > 0.0:
             raise UnboundedObjectiveError(
-                f"regularized quadratic is unbounded below: min eig {lam} + weight {w} < 0"
+                f"regularized quadratic has no minimizer: min eig {lam} + weight {w} <= 0"
             )
-        if lam + w == 0.0:
-            raise UnboundedObjectiveError(
-                "regularized quadratic is singular at the bottom of its spectrum"
-            )
-        try:
-            return np.linalg.solve(self.q + w * np.eye(self.dim), w * req.x0)
-        except np.linalg.LinAlgError as e:
-            # w within rounding of -min eig: which of the two guards above
-            # or LAPACK catches it depends on the last bit of the eigenvalue
-            raise UnboundedObjectiveError(
-                f"regularized quadratic is singular: min eig {self.min_eigenvalue} "
-                f"+ weight {w}"
-            ) from e
+        v = self.eigenvectors
+        # w x0 first, then a division by lam + w: on Q = 0 (V = I) this is
+        # (w x0) / w bit for bit, which the fb-hessian digests pin; a product
+        # with 1 / (lam + w) differs in the last bit on many points
+        return v @ ((v.T @ (w * req.x0)) / (self.eigenvalues + w))
 
 
 def prox_abs_square_closed_form(x0: float, gamma: float, a0: float) -> float:

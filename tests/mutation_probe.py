@@ -7,7 +7,7 @@ occur exactly once) in that copy, and runs tier-1 under ``-x`` against it.
 A mutant whose run passes is missed: no test pins the code it changed.  The
 unmutated copy runs first and must pass.
 
-Run it by hand from anywhere; the whole list takes about 80 s on a
+Run it by hand from anywhere; the whole list takes about 100 s on a
 shared 2-CPU host:
 
     python tests/mutation_probe.py            # every mutant
@@ -34,7 +34,10 @@ MUTANTS = [
     ("ppa-global-min-tol", "algorithms.py",
      "abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12", "abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-6"),
     ("ppa-descent-tol", "algorithms.py", "rec.f_xn + 1e-10", "rec.f_xn + 1e-2"),
-    ("quadratic-prox-singular-guard", "oracles.py", "if lam + w == 0.0:", "if False:"),
+    # the quadratic prox exists exactly where min eig + weight > 0, and is
+    # V ((V^T (w x0)) / (lam + w))
+    ("quadratic-prox-rule", "oracles.py", "if not lam + w > 0.0:", "if not lam + w >= 0.0:"),
+    ("quadratic-prox-formula", "oracles.py", "(v.T @ (w * req.x0))", "(v.T @ req.x0)"),
     ("contains-tol", "oracles.py", "_CONTAINS_TOL = 1e-9", "_CONTAINS_TOL = 1e-3"),
     ("admit", "oracles.py", "if not a >= a_min:", "if not a >= a_min - 1e-6:"),
     ("fejer-rtol", "diagnostics.py", "_RTOL = 1e-9", "_RTOL = 1e-3"),

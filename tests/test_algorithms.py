@@ -495,13 +495,13 @@ def _fields(res):
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
-def test_a_bundled_sweep_stepped_as_a_block_is_its_members_own_runs(name):
+def test_a_bundled_sweeps_members_are_their_own_runs(name):
     runs = [run for _, run in run_named_experiment(name)]
     for cfg, run in zip(named_experiment_configs(name), runs, strict=True):
         assert _fields(run.result) == _fields(run_config(cfg).result)
 
 
-def test_block_members_leave_at_their_own_stops():
+def test_psg_runs_leave_at_their_own_stops():
     f = QuadraticForm(Q3)
     x0s = [[-5.0, 5.0, -5.0], [0.3, -0.2, 0.1], [0.5, 0.5, 0.0], [1.0, 2.0, 3.0]]
     scheds = [PsgConstantGamma(1.0, 20.0),  # a falls by a_f = 4 until the guard stops it
@@ -513,7 +513,7 @@ def test_block_members_leave_at_their_own_stops():
     assert [len(res.records) for res in runs] == [6, 1, 1, 31]
 
 
-def test_a_far_block_member_runs_as_it_runs_alone():
+def test_a_far_psg_start_runs_past_its_overflowing_norms():
     # the far member's v . v overflows in its step norm and projection
     f = QuadraticForm(Q3)
     x0s = [[1e200] * 3, [-5.0, 5.0, -5.0]]
