@@ -12,8 +12,6 @@ and a small experiment CLI.
 from .phi import (
     InfeasibleCoefficientError,
     PhiElement,
-    ResultKind,
-    SetValuedResult,
     duality_map_element,
     duality_map_inverse,
 )

@@ -46,7 +46,7 @@ def _slopes(f: Oracle, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.array([subgrad_at(f, row, a_row).u for row, a_row in zip(x, a)])
 
 
-def _psg_slack(records: list[IterationRecord], f: Oracle | None) -> np.ndarray:
+def _psg_slack(records: list[IterationRecord], f: Oracle) -> np.ndarray:
     """Per-step allowance eps_n = gamma_n^2 U^2 / (1 + 2 gamma_n (a_n - a_n^f)).
 
     U bounds ||2 a_n^f x_n - u_n^f|| along the run; the subgradients are
@@ -55,8 +55,8 @@ def _psg_slack(records: list[IterationRecord], f: Oracle | None) -> np.ndarray:
     for bit its own ``subgrad_at``.
     """
     steps = records[:-1]
-    if f is None or not steps:
-        return np.zeros(len(steps))
+    if not steps:
+        return np.zeros(0)
     gamma, a, a_f, x = (column(steps, name) for name in ("gamma_n", "a_n", "a_fn", "x_n"))
     queried = ~np.isnan(a_f)
     v = np.zeros_like(x)
@@ -84,7 +84,7 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
     ``alpha_rule`` selects the weights: "ppa" uses alpha_n = b_n =
     1/(2 gamma_n) + a_n with no allowance; "psg" uses alpha_n =
     1 + 2 gamma_n a_n, b_n = 0, and the subgradient-magnitude allowance
-    (pass the oracle ``f`` to enable its computation, else it is zero); a
+    from the oracle ``f`` ("psg" without ``f`` raises ValueError); a
     NaN allowance counts as a violation at its step.  Also reports objective
     monotonicity over the same records, where a NaN objective on either side
     of a step counts as a rise.  Raises ValueError unless ``x_star``
@@ -99,6 +99,8 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
         beta = alpha[:-1]
         eps = np.zeros(len(records) - 1)
     elif alpha_rule == "psg":
+        if f is None:
+            raise ValueError("the psg allowance needs the oracle f")
         alpha = 1.0 + 2.0 * gamma * a
         beta = np.zeros(len(records) - 1)
         eps = _psg_slack(records, f)

@@ -425,7 +425,8 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
     -2 kappa I) the margin m = 2(w - kappa(z)) bounds Hess h from below, so
     ||z - z*|| <= ||h'(z)|| / m wherever kappa bounds the curvature, and z is
     the global minimizer when it does so everywhere.  When the stop rule is
-    not met or m <= 0, raises ``SolverToleranceError`` carrying z.
+    not met, m <= 0, or the tolerance is inf (an inf h'(x0)), raises
+    ``SolverToleranceError`` carrying z.
     """
 
     def h(z):
@@ -437,15 +438,15 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
 
     z = x0.copy()
     grad = dh(z)
-    r, v = float(np.linalg.norm(grad)), h(z)
-    tol = _INNER_RTOL * max(1.0, r, float(np.linalg.norm(x0)))
+    r, v = _norm(grad), h(z)
+    tol = _INNER_RTOL * max(1.0, r, _norm(x0))
     step = 1.0 / max(1.0, r)
     steps = 0
     while not r <= tol and steps < _INNER_MAX_STEPS:
         while step >= 1e-16:
             trial = z - step * grad
             g_t = dh(trial)
-            r_t, v_t = float(np.linalg.norm(g_t)), h(trial)
+            r_t, v_t = _norm(g_t), h(trial)
             if r_t <= (1.0 - 1e-4) * r or v_t <= v - 1e-4 * step * r * r:
                 break
             step *= 0.5
@@ -457,7 +458,7 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
         z, grad, r, v = trial, g_t, r_t, v_t
         steps += 1
     margin = 2.0 * (w - float(f.kappa(z)))
-    if not (r <= tol and margin > 0.0):
+    if not (r <= tol < math.inf and margin > 0.0):
         raise SolverToleranceError(
             f"inner prox not certified after {steps} steps: residual {r:.3g} "
             f"(tolerance {tol:.3g}), margin {margin:.3g}", z)

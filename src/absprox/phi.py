@@ -8,8 +8,8 @@ represented by :class:`PhiElement` through (a, u): the constant c cancels
 from every subgradient identity.  For g(x) = ||x||^2 / (2*gamma) the
 subdifferential with respect to this family admits a closed form: the
 "duality map" J_gamma(x) consists of every (a, (1/gamma + 2a) x) with
-2*gamma*a >= -1, and its inverse maps an element back to the point (or to
-the whole space / the empty set in the degenerate cases).
+2*gamma*a >= -1, and its inverse maps an element back to the point (None
+where the preimage is empty or, on the threshold, the whole space).
 
 ``check_coefficient`` decides whether a step size gamma and a coefficient a
 are admissible (gamma > 0 and 2*gamma*a >= -1, the inverse map's rule too);
@@ -21,15 +21,12 @@ one-row calls of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PhiElement",
-    "ResultKind",
-    "SetValuedResult",
     "check_coefficient",
     "duality_map_element",
     "duality_map_inverse",
@@ -80,32 +77,6 @@ class PhiElement:
         return hash((self.a, self.u.tobytes()))
 
 
-class ResultKind(Enum):
-    POINT = "point"
-    WHOLE_SPACE = "whole_space"
-    EMPTY = "empty"
-
-
-@dataclass(frozen=True)
-class SetValuedResult:
-    """Inverse-duality-map result: a point, all of R^n, or nothing."""
-
-    kind: ResultKind
-    point: np.ndarray | None = field(default=None)
-
-    @staticmethod
-    def of_point(x) -> "SetValuedResult":
-        return SetValuedResult(ResultKind.POINT, _vec(x))
-
-    @staticmethod
-    def whole_space() -> "SetValuedResult":
-        return SetValuedResult(ResultKind.WHOLE_SPACE)
-
-    @staticmethod
-    def empty() -> "SetValuedResult":
-        return SetValuedResult(ResultKind.EMPTY)
-
-
 def _admissible(gamma, a):
     """2*gamma*a >= -1, without forming 2*gamma, which overflows for a huge
     gamma; elementwise for arrays of gamma and a."""
@@ -150,8 +121,8 @@ def duality_preimages(u, gamma, a) -> tuple[np.ndarray, np.ndarray]:
     """The preimages of the elements (a_i, u_i), one per row of the (m, n)
     block ``u``, under J_gamma_i: ``(points, is_point)``.
 
-    ``is_point[i]`` is true exactly when ``duality_map_inverse`` of row i is
-    a point, and then ``points[i]`` is that point, gamma u / (1 + 2 gamma a),
+    ``is_point[i]`` is true exactly when row i's preimage is one point, and
+    then ``points[i]`` is that point, gamma u / (1 + 2 gamma a),
     computed for those rows only; the other rows are NaN.  The first row
     whose gamma is not positive (``ValueError``) or whose a is NaN
     (``InfeasibleCoefficientError``) raises.
@@ -182,18 +153,13 @@ def duality_map_element(x, gamma: float, a: float) -> PhiElement:
     return PhiElement(a, duality_slopes(_vec(x)[None], [gamma], [a])[0])
 
 
-def duality_map_inverse(phi: PhiElement, gamma: float) -> SetValuedResult:
-    """Preimage of phi under the duality map.
+def duality_map_inverse(phi: PhiElement, gamma: float) -> np.ndarray | None:
+    """The one preimage point of phi under the duality map, or None.
 
-    Empty for a coefficient ``check_coefficient`` refuses.  On the threshold
-    a = -1/(2*gamma): the whole space when u = 0 (so phi is -||.||^2/(2
-    gamma), a global minorant of g everywhere), empty otherwise.  Above it:
-    Point(gamma*u / (1 + 2*gamma*a)).  A NaN a raises
-    ``InfeasibleCoefficientError``: it is no coefficient at all.
+    None where the preimage is not one point: below the threshold a =
+    -1/(2*gamma) it is empty, and on it, where every x maps to (a, 0), it is
+    the whole space when u = 0 and empty otherwise.  Above it the point is
+    gamma*u / (1 + 2*gamma*a).  A NaN a raises ``InfeasibleCoefficientError``.
     """
     points, is_point = duality_preimages(phi.u[None], [gamma], [phi.a])
-    if is_point[0]:
-        return SetValuedResult.of_point(points[0])
-    if phi.a == -0.5 / gamma and not np.any(phi.u):
-        return SetValuedResult.whole_space()
-    return SetValuedResult.empty()
+    return points[0] if is_point[0] else None

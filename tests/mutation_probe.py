@@ -7,7 +7,7 @@ occur exactly once) in that copy, and runs tier-1 under ``-x`` against it.
 A mutant whose run passes is missed: no test pins the code it changed.  The
 unmutated copy runs first and must pass.
 
-Run it by hand from anywhere; the whole list takes about 100 s on a
+Run it by hand from anywhere; the whole list takes about 120 s on a
 shared 2-CPU host:
 
     python tests/mutation_probe.py            # every mutant
@@ -64,6 +64,15 @@ MUTANTS = [
     ("nonfinite-exact-test", "algorithms.py",
      "(math.isfinite(sum(x_next.tolist())) or np.isfinite(x_next).all())",
      "math.isfinite(sum(x_next.tolist()))"),
+    # the inverse duality map answers None where the preimage is not one
+    # point, not the NaN row of duality_preimages
+    ("inverse-none", "phi.py",
+     "return points[0] if is_point[0] else None", "return points[0]"),
+    # an inf tolerance (an inf gradient at a far x0) certifies nothing
+    ("inner-inf-tolerance", "oracles.py",
+     "r <= tol < math.inf and margin > 0.0", "r <= tol and margin > 0.0"),
+    # psg's allowance needs the oracle; without it the check would be stronger
+    ("psg-needs-oracle", "diagnostics.py", "if f is None:", "if False:"),
 ]
 
 

@@ -22,13 +22,14 @@ from absprox import (
     Box,
     Halfspace,
     IndicatorSet,
+    InfeasibleCoefficientError,
     NormSquare,
     PhiElement,
     ProxRequest,
     PsgConstantGamma,
     QuadraticForm,
-    ResultKind,
     SmoothBlackBox,
+    duality_map_element,
     duality_map_inverse,
     prox_via_argmin,
     run_fb,
@@ -174,6 +175,9 @@ def test_criterion_6_subgradient_certificates():
 
 def test_criterion_7_duality_map_identities():
     rng = np.random.default_rng(77)
+    # the points sent through the forward map, from a stream of their own so
+    # that the feasible draws stay those of test_reference's copy
+    points = np.random.default_rng(7)
     feasible, empty_ok = [], True
     for i in range(1000):
         dim = 1 + i % 5
@@ -181,18 +185,28 @@ def test_criterion_7_duality_map_identities():
         u = rng.uniform(-10, 10, dim)
         a = float(rng.uniform(-0.99, 20.0)) / (2.0 * gamma)  # 2*gamma*a > -1
         feasible.append((gamma, a, u))
+        y = points.uniform(-10, 10, (2, dim))
 
-        # strictly below the threshold the preimage is empty, u irrelevant
+        # strictly below the threshold the preimage is empty, u irrelevant:
+        # no point has an element with this coefficient
         a_low = float(rng.uniform(-20.0, -1.001)) / (2.0 * gamma)
         v = u if i % 3 else np.zeros(dim)
-        if duality_map_inverse(PhiElement(a_low, v), gamma).kind is not ResultKind.EMPTY:
+        if duality_map_inverse(PhiElement(a_low, v), gamma) is not None:
             empty_ok = False
-        # on the threshold: whole space iff the linear part vanishes
+        try:
+            duality_map_element(y[0], gamma, a_low)
+            empty_ok = False
+        except InfeasibleCoefficientError:
+            pass
+        # on the threshold every point maps to (a_edge, 0): the preimage of
+        # (a_edge, u) is empty, and that of (a_edge, 0) is the whole space
         a_edge = -1.0 / (2.0 * gamma)
-        if duality_map_inverse(PhiElement(a_edge, u), gamma).kind is not ResultKind.EMPTY:
+        if (duality_map_inverse(PhiElement(a_edge, u), gamma) is not None
+                or np.any(duality_map_element(y[0], gamma, a_edge).u)):
             empty_ok = False
-        if (duality_map_inverse(PhiElement(a_edge, np.zeros(dim)), gamma).kind
-                is not ResultKind.WHOLE_SPACE):
+        zero = PhiElement(a_edge, np.zeros(dim))
+        if (duality_map_inverse(zero, gamma) is not None
+                or any(duality_map_element(y_k, gamma, a_edge) != zero for y_k in y)):
             empty_ok = False
     [(_, round_trip_ok, detail)] = checks.duality_round_trip(feasible)
     report(7, "inverse duality map round-trips on 1000 feasible draws and is "

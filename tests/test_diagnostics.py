@@ -67,6 +67,15 @@ def test_check_fejer_validates_inputs():
         check_fejer(res.records, np.zeros(1), "newton")
 
 
+def test_check_fejer_refuses_psg_without_its_oracle():
+    # without f the allowance would be zero: a stronger inequality than the theorem's
+    f = QuadraticForm(Q3)
+    res = run_psg(f, Ball(np.zeros(3), 1.0), [-5.0, 5.0, -5.0],
+                  PsgConstantGamma(gamma0=1.0, a0=200.0), 5, a_f_override=4.0)
+    with pytest.raises(ValueError, match="needs the oracle f"):
+        check_fejer(res.records, _v_min(), "psg")
+
+
 def test_check_fejer_detects_violation():
     # a deliberately wrong anchor: distances to it are not monotone
     res = run_ppa(AbsPlusSquare(), [-10.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9), 60)

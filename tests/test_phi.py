@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 from absprox import (
     InfeasibleCoefficientError,
     PhiElement,
-    ResultKind,
     duality_map_element,
     duality_map_inverse,
 )
@@ -53,35 +52,48 @@ def test_duality_map_infeasible_raises():
 
 def test_duality_inverse_point():
     res = duality_map_inverse(PhiElement(1.0, (8.0, 0.0)), 0.5)
-    assert res.kind is ResultKind.POINT
-    assert np.allclose(res.point, [2.0, 0.0])
+    assert res is not None
+    assert np.allclose(res, [2.0, 0.0])
+
+
+# points to send through the forward map at gamma = 0.5, where the threshold is a = -1
+_ANY_POINTS = ([0.0, 0.0], [3.0, -2.0], [-1e300, 1e-300])
 
 
 def test_duality_inverse_whole_space():
-    res = duality_map_inverse(PhiElement(-1.0, (0.0, 0.0)), 0.5)
-    assert res.kind is ResultKind.WHOLE_SPACE
+    # on the threshold every point maps to (a, 0): the preimage of (a, 0) is
+    # the whole space, which is no one point
+    assert duality_map_inverse(PhiElement(-1.0, (0.0, 0.0)), 0.5) is None
+    for y in _ANY_POINTS:
+        assert duality_map_element(y, 0.5, -1.0) == PhiElement(-1.0, (0.0, 0.0))
 
 
 def test_duality_inverse_empty():
-    res = duality_map_inverse(PhiElement(-1.0, (1.0, 0.0)), 0.5)
-    assert res.kind is ResultKind.EMPTY
+    # on the threshold every slope is 0, so no point maps to (a, (1, 0))
+    assert duality_map_inverse(PhiElement(-1.0, (1.0, 0.0)), 0.5) is None
+    for y in _ANY_POINTS:
+        assert not np.any(duality_map_element(y, 0.5, -1.0).u)
 
 
 def test_duality_inverse_below_threshold_is_empty():
-    # 2*gamma*a < -1 with any slope: no preimage
-    res = duality_map_inverse(PhiElement(-2.0, (0.0,)), 0.5)
-    assert res.kind is ResultKind.EMPTY
+    # 2*gamma*a < -1 with any slope: no element of J_gamma has this a
+    assert duality_map_inverse(PhiElement(-2.0, (0.0,)), 0.5) is None
+    for y in _ANY_POINTS:
+        with pytest.raises(InfeasibleCoefficientError):
+            duality_map_element(y[:1], 0.5, -2.0)
 
 
 def test_duality_inverse_decides_the_threshold_exactly():
     # just above the threshold J_gamma's element still has a preimage
     res = duality_map_inverse(duality_map_element([5e12], 1.0, -0.5 + 1e-13), 1.0)
-    assert res.kind is ResultKind.POINT and res.point.tolist() == [5e12]
+    assert res is not None and res.tolist() == [5e12]
     # just below it nothing maps to phi, whatever u is
-    assert duality_map_inverse(PhiElement(-0.5 - 1e-13, [0.0]), 1.0).kind is ResultKind.EMPTY
+    assert duality_map_inverse(PhiElement(-0.5 - 1e-13, [0.0]), 1.0) is None
+    with pytest.raises(InfeasibleCoefficientError):
+        duality_map_element([5e12], 1.0, -0.5 - 1e-13)
     # a huge gamma puts the threshold at a subnormal, not at a = 0
     res = duality_map_inverse(PhiElement(0.0, [0.0]), 1e308)
-    assert res.kind is ResultKind.POINT and res.point.tolist() == [0.0]
+    assert res is not None and res.tolist() == [0.0]
 
 
 def test_the_float_just_below_the_threshold_is_refused():
@@ -92,7 +104,7 @@ def test_the_float_just_below_the_threshold_is_refused():
         check_coefficient(3.0, a)
     with pytest.raises(InfeasibleCoefficientError):
         duality_map_element([1.0], 3.0, a)
-    assert duality_map_inverse(PhiElement(a, [-5.551115123125783e-17]), 3.0).kind is ResultKind.EMPTY
+    assert duality_map_inverse(PhiElement(a, [-5.551115123125783e-17]), 3.0) is None
 
 
 @pytest.mark.parametrize("gamma", [3.0, 7.0, 10.0, 1e-300, 1e308] + [k / 7.0 for k in range(1, 50)])
@@ -107,11 +119,13 @@ def test_an_admitted_coefficient_has_an_element_that_maps_back(gamma):
         try:
             check_coefficient(gamma, a)
         except InfeasibleCoefficientError:
-            kind = duality_map_inverse(PhiElement(a, [(1.0 / gamma + 2.0 * a) * 2.0]), gamma).kind
-            assert kind is ResultKind.EMPTY
+            assert duality_map_inverse(
+                PhiElement(a, [(1.0 / gamma + 2.0 * a) * 2.0]), gamma) is None
         else:
-            assert duality_map_inverse(duality_map_element([2.0], gamma, a), gamma).kind in (
-                ResultKind.POINT, ResultKind.WHOLE_SPACE)
+            phi = duality_map_element([2.0], gamma, a)
+            # a point, or on the threshold (a, 0), whose preimage is the whole space
+            assert duality_map_inverse(phi, gamma) is not None or (
+                a == -0.5 / gamma and not np.any(phi.u))
 
 
 @given(
@@ -128,8 +142,8 @@ def test_duality_round_trip(gamma, a, x):
     x = np.asarray(x)
     phi = duality_map_element(x, gamma, a)
     res = duality_map_inverse(phi, gamma)
-    assert res.kind is ResultKind.POINT
-    assert np.allclose(res.point, x, rtol=0, atol=1e-9 * max(1.0, float(np.abs(x).max())))
+    assert res is not None
+    assert np.allclose(res, x, rtol=0, atol=1e-9 * max(1.0, float(np.abs(x).max())))
 
 
 # --- the duality map on rows ------------------------------------------------
@@ -160,9 +174,9 @@ def test_row_preimages_are_each_rows_inverse_bit_for_bit():
     points, is_point = duality_preimages(u, gamma, a)
     for i, (g, a_i, u_i) in enumerate(_ROWS):
         res = duality_map_inverse(PhiElement(a_i, u_i), g)
-        assert bool(is_point[i]) is (res.kind is ResultKind.POINT)
+        assert bool(is_point[i]) is (res is not None)
         if is_point[i]:
-            assert points[i].tobytes() == res.point.tobytes()
+            assert points[i].tobytes() == res.tobytes()
     assert is_point.tolist() == [True, True, False, False, False, True, True, True, True]
     assert points[5].tolist() == [5e12, 0.0]
 

@@ -315,6 +315,15 @@ def test_inner_solver_certifies_or_raises_on_a_double_well():
         prox_via_argmin(ProxRequest(broken, np.array([0.9]), 1.0, 2.0))
 
 
+@pytest.mark.parametrize("x0", [1e100, 1e103])
+def test_inner_solver_refuses_a_far_start_it_cannot_measure(x0):
+    # ||h'(x0)||^2 overflows at 1e100 (h' = 4e300), and h'(x0) is inf at
+    # 1e103; the minimizer is near 1.7e33, so x0 is no certified answer
+    g = _blackbox(lambda p: float(p[0] ** 4), lambda p: np.array([4.0 * p[0] ** 3]), 0.0)
+    with np.errstate(over="ignore"), pytest.raises(SolverToleranceError):
+        prox_via_argmin(ProxRequest(g, [x0], 0.5, 0.0))
+
+
 def test_inner_solver_converges_at_a_resonant_weight():
     # weight 4: 2w + g'' is 8 near the argmin, where halving from step 1
     # once stalled the finite-difference multistart at residual 7e-5

@@ -17,7 +17,7 @@ import absprox.oracles
 import absprox.prox
 import absprox.reference
 from absprox.checks import Q3, Q5, closed_form_prox
-from absprox.phi import PhiElement, ResultKind, duality_map_element, duality_map_inverse
+from absprox.phi import PhiElement, duality_map_element, duality_map_inverse
 from absprox.oracles import (AbsPlusSquare, Ball, Box, Halfspace, IndicatorSet, NormSquare,
                              QuadraticForm, SmoothBlackBox, eval_oracle, subgrad_at)
 from absprox.reference import (
@@ -257,10 +257,10 @@ def _round_trip_case_by_case(cases):
     ok, errs = True, [0.0]
     for gamma, a, u in cases:
         inv = duality_map_inverse(PhiElement(a, u), gamma)
-        if inv.kind is not ResultKind.POINT:
+        if inv is None:
             ok = False
             continue
-        back = duality_map_element(inv.point, gamma, a)
+        back = duality_map_element(inv, gamma, a)
         ok = ok and back.a == a
         errs.append(float(np.linalg.norm(back.u - u)) / max(1.0, float(np.linalg.norm(u))))
     worst = float(np.max(errs))
