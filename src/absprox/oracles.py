@@ -420,6 +420,9 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
     passes Armijo with c = 1e-4, else the step is halved; below 1e-16 the
     descent gives up.  Once ||h'|| is below about sqrt(eps |h|) a value test
     cannot see a decrease, so the gradient-norm test carries the last steps.
+    The gradient test runs first, and h (so g's ``value``) is evaluated only
+    where it fails: at that trial, and at the current iterate z at most once,
+    on its first such trial; that h(z) is dropped when z moves.
 
     The answer z is certified: with g's curvature bound kappa (Hess g >=
     -2 kappa I) the margin m = 2(w - kappa(z)) bounds Hess h from below, so
@@ -438,7 +441,7 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
 
     z = x0.copy()
     grad = dh(z)
-    r, v = _norm(grad), h(z)
+    r, v = _norm(grad), None  # v: h(z) once a trial from z fails the gradient test
     tol = _INNER_RTOL * max(1.0, r, _norm(x0))
     step = 1.0 / max(1.0, r)
     steps = 0
@@ -446,8 +449,12 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
         while step >= 1e-16:
             trial = z - step * grad
             g_t = dh(trial)
-            r_t, v_t = _norm(g_t), h(trial)
-            if r_t <= (1.0 - 1e-4) * r or v_t <= v - 1e-4 * step * r * r:
+            r_t = _norm(g_t)
+            if r_t <= (1.0 - 1e-4) * r:
+                break
+            if v is None:
+                v = h(z)
+            if h(trial) <= v - 1e-4 * step * r * r:
                 break
             step *= 0.5
         else:  # no acceptable step above 1e-16
@@ -455,7 +462,7 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
         s, y = trial - z, g_t - grad
         sy = float(s @ y)
         step = float(s @ s) / sy if sy > 0.0 else 1.0
-        z, grad, r, v = trial, g_t, r_t, v_t
+        z, grad, r, v = trial, g_t, r_t, None
         steps += 1
     margin = 2.0 * (w - float(f.kappa(z)))
     if not (r <= tol < math.inf and margin > 0.0):
@@ -477,7 +484,11 @@ class SmoothBlackBox:
     globally.  ``value`` is the callback itself, called on one point at a
     time (``eval_oracle`` loops over the rows of a block).  There is no
     closed-form prox, so ``prox`` descends on ``gradient`` and certifies its
-    answer with kappa.
+    answer with kappa.  The prox calls ``value`` only where its Armijo test
+    is consulted, which may be nowhere; since the callbacks are pure, a
+    skipped call cannot be observed.  ``run_ppa`` and ``run_fb`` still
+    evaluate ``value`` at every record, so a broken ``value`` still fails a
+    run.
     """
 
     value: Callable[[np.ndarray], float]

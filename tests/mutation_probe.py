@@ -73,6 +73,12 @@ MUTANTS = [
      "r <= tol < math.inf and margin > 0.0", "r <= tol and margin > 0.0"),
     # psg's allowance needs the oracle; without it the check would be stronger
     ("psg-needs-oracle", "diagnostics.py", "if f is None:", "if False:"),
+    # the inner solver's h(z) belongs to one iterate; kept past a move, the
+    # Armijo test compares against a stale value
+    ("inner-stale-value", "oracles.py",
+     "z, grad, r, v = trial, g_t, r_t, None", "z, grad, r = trial, g_t, r_t"),
+    ("inner-armijo-constant", "oracles.py",
+     "h(trial) <= v - 1e-4 * step * r * r", "h(trial) <= v - 0.5 * step * r * r"),
 ]
 
 
