@@ -5,8 +5,9 @@ Subcommands: ``run <config>`` executes one config file and writes its CSV;
 the independent-oracle cross-check suites; ``list`` shows the bundled
 experiment names.  Exit codes: 0 success, 1 a ``verify`` check failed,
 2 config error (or an unreadable config), 3 runtime failure, unwritable
-CSV, or guarantee violation under ``ABSPROX_STRICT=1``.  A failed descent
-check of ``ppa`` (the only method that asserts descent) is a
+CSV, or guarantee violation under ``ABSPROX_STRICT=1``; ``main`` maps
+those library errors to 3 in one place.  A failed descent check of
+``ppa`` (the only method that asserts descent) is a
 ``TheoremViolationWarning``; ``ABSPROX_STRICT=1`` makes the warnings filter
 raise it for the duration of the command.  A run's ``terminal`` is
 ``max-iter`` at the horizon, else ``stop-rule/<tag>``.
@@ -65,12 +66,8 @@ def _cmd_run(args) -> int:
     if out is None:
         base = os.path.splitext(os.path.basename(args.config))[0]
         out = base + ".csv"
-    try:
-        run = run_config(cfg)
-        write_csv(run.result, out, x_star=run.x_star)
-    except _RUNTIME_ERRORS as e:
-        print(f"run failed: {e}", file=sys.stderr)
-        return 3
+    run = run_config(cfg)
+    write_csv(run.result, out, x_star=run.x_star)
     print(f"{args.config}: {len(run.result.records)} records, "
           f"terminal={_terminal(run.result)}, final f={run.result.final.f_xn:.12g} -> {out}")
     return 0
@@ -82,12 +79,7 @@ def _cmd_reproduce(args) -> int:
         for name in sorted(EXPERIMENTS):
             print(f"  {name}", file=sys.stderr)
         return 2
-    try:
-        runs = run_named_experiment(args.name, out_dir=args.out_dir)
-    except _RUNTIME_ERRORS as e:
-        print(f"run failed: {e}", file=sys.stderr)
-        return 3
-    for path, run in runs:
+    for path, run in run_named_experiment(args.name, out_dir=args.out_dir):
         print(f"{path}: gamma0={run.config.schedule.gamma0:g} records={len(run.result.records)} "
               f"terminal={_terminal(run.result)} final_f={run.result.final.f_xn:.12g}")
     return 0
@@ -137,7 +129,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         if os.environ.get("ABSPROX_STRICT", "") == "1":
             warnings.simplefilter("error", TheoremViolationWarning)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except _RUNTIME_ERRORS as e:
+            print(f"run failed: {e}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

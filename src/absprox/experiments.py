@@ -15,7 +15,6 @@ import numpy as np
 
 from .algorithms import RunResult, run_fb, run_ppa, run_psg, sq_distances
 from .config import ExperimentConfig, parse_config
-from .oracles import eval_oracle
 from .reference import eig_sym
 
 __all__ = [
@@ -193,35 +192,6 @@ class ExperimentRun:
     config: ExperimentConfig
     result: RunResult
     x_star: np.ndarray | None
-    f_star: float
-
-
-def _auto_eigen(cfg: ExperimentConfig) -> np.ndarray:
-    """The unit eigenvector of the smallest eigenvalue of Q, unsigned.
-
-    It comes from the Jacobi arbiter, not from the oracle's LAPACK
-    decomposition: it is a diagnostic target, and the frozen
-    ``dist_to_ref``/``fejer`` columns of the bundled sweeps carry its bits.
-    The parser admits ``auto_eigen`` only with ``Q``, so ``cfg.f`` is Q's
-    ``QuadraticForm``.
-    """
-    v = eig_sym(cfg.f.q)[1][:, 0]
-    return v / np.linalg.norm(v)
-
-
-def _finish(cfg: ExperimentConfig, result: RunResult, eigen: np.ndarray | None) -> ExperimentRun:
-    """The run with its reference resolved after it: ``auto_eigen`` is
-    ``eigen`` signed toward the final iterate."""
-    x_star = None
-    if isinstance(cfg.reference, str):  # auto_eigen
-        x_star = -eigen if float(eigen @ result.final.x_n) < 0.0 else eigen.copy()
-    elif cfg.reference is not None:
-        x_star = np.atleast_1d(np.asarray(cfg.reference, dtype=float))
-    f_star = np.nan
-    if x_star is not None:
-        f_star = eval_oracle(cfg.f, x_star)
-        result.set_fejer(x_star)
-    return ExperimentRun(config=cfg, result=result, x_star=x_star, f_star=f_star)
 
 
 def _run(cfg: ExperimentConfig) -> RunResult:
@@ -233,10 +203,36 @@ def _run(cfg: ExperimentConfig) -> RunResult:
     return run_fb(cfg.f, cfg.g, cfg.x0, cfg.schedule, cfg.n_iter)
 
 
+def _runs(cfgs: list[ExperimentConfig]) -> list[ExperimentRun]:
+    """Run configs that share a reference, in order; then resolve it once
+    and fill each run's Fejér column against it.
+
+    A vector reference is used as it is.  ``auto_eigen`` (the parser admits
+    it only with ``Q``) is the Jacobi arbiter's unit eigenvector of Q's
+    smallest eigenvalue, whose bits the frozen ``dist_to_ref``/``fejer``
+    columns carry, signed toward each run's final iterate.
+    """
+    results = [_run(cfg) for cfg in cfgs]
+    ref = cfgs[0].reference
+    eigen = None
+    if isinstance(ref, str):  # auto_eigen
+        eigen = eig_sym(cfgs[0].f.q)[1][:, 0]
+        eigen = eigen / np.linalg.norm(eigen)
+    runs = []
+    for cfg, result in zip(cfgs, results):
+        x_star = ref
+        if eigen is not None:
+            x_star = -eigen if float(eigen @ result.final.x_n) < 0.0 else eigen.copy()
+        if x_star is not None:
+            result.set_fejer(x_star)
+        runs.append(ExperimentRun(config=cfg, result=result, x_star=x_star))
+    return runs
+
+
 def run_config(cfg: ExperimentConfig) -> ExperimentRun:
-    """Execute the run of a parsed config on the objects it holds."""
-    result = _run(cfg)
-    return _finish(cfg, result, _auto_eigen(cfg) if isinstance(cfg.reference, str) else None)
+    """Execute the run of a parsed config on the objects it holds: a sweep
+    of one member."""
+    return _runs([cfg])[0]
 
 
 def run_named_experiment(name: str,
@@ -249,14 +245,9 @@ def run_named_experiment(name: str,
     solved once per sweep.  Returns (csv_path_or_label, run) pairs in sweep
     order.
     """
-    cfgs = named_experiment_configs(name)
-    results = [_run(cfg) for cfg in cfgs]
-    first = cfgs[0]
-    eigen = _auto_eigen(first) if isinstance(first.reference, str) else None
     out = []
-    for cfg, result in zip(cfgs, results):
-        run = _finish(cfg, result, eigen)
-        label = f"{name}-gamma{cfg.schedule.gamma0:g}.csv"
+    for run in _runs(named_experiment_configs(name)):
+        label = f"{name}-gamma{run.config.schedule.gamma0:g}.csv"
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, label)

@@ -7,7 +7,7 @@ occur exactly once) in that copy, and runs tier-1 under ``-x`` against it.
 A mutant whose run passes is missed: no test pins the code it changed.  The
 unmutated copy runs first and must pass.
 
-Run it by hand from anywhere; the whole list takes about 120 s on a
+Run it by hand from anywhere; the whole list takes about 3 minutes on a
 shared 2-CPU host:
 
     python tests/mutation_probe.py            # every mutant
@@ -79,6 +79,17 @@ MUTANTS = [
      "z, grad, r, v = trial, g_t, r_t, None", "z, grad, r = trial, g_t, r_t"),
     ("inner-armijo-constant", "oracles.py",
      "h(trial) <= v - 1e-4 * step * r * r", "h(trial) <= v - 0.5 * step * r * r"),
+    # the boundaries themselves: each guard's value at exactly its threshold
+    ("fb-guard", "algorithms.py", "if c <= 0.0:", "if c < 0.0:"),
+    ("loop-gamma", "algorithms.py", "gamma_next <= 0:", "gamma_next < 0:"),
+    ("inner-margin", "oracles.py", "and margin > 0.0)", "and margin >= 0.0)"),
+    ("inner-gradient-factor", "oracles.py",
+     "if r_t <= (1.0 - 1e-4) * r:", "if r_t <= r:"),
+    ("inner-gradient-strict", "oracles.py",
+     "if r_t <= (1.0 - 1e-4) * r:", "if r_t < (1.0 - 1e-4) * r:"),
+    ("schedule-gamma0", "algorithms.py", "if not self.gamma0 > 0:", "if not self.gamma0 >= 0:"),
+    ("norm-square-gamma", "oracles.py", "if not self.gamma > 0:", "if not self.gamma >= 0:"),
+    ("box-order", "oracles.py", "np.all(self.lo <= self.hi)", "np.all(self.lo < self.hi)"),
 ]
 
 

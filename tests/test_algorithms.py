@@ -383,6 +383,22 @@ def test_fb_degenerate_weight_raises_under_constant_schedule():
                FbConstant(gamma0=1.0, a0=0.0, a_const=0.0), 3)
 
 
+def test_fb_weight_of_exactly_zero_is_degenerate():
+    # at [0, 0] a_g = kappa + eps = 1.5, so c = 1/(2 * 0.5) + 0.5 - 1.5 = 0.0
+    f, g = QuadraticForm(np.zeros((2, 2))), hessian_example(0.5)
+    with pytest.raises(DegenerateStepError, match=r"= 0\.0 <= 0 at iteration 0"):
+        run_fb(f, g, [0.0, 0.0], FbConstant(gamma0=0.5, a0=0.5, a_const=0.5), 3)
+    res = run_fb(f, g, [0.0, 0.0], PsgConstantGamma(gamma0=0.5, a0=0.5), 3)
+    assert len(res.records) == 1 and res.terminal == STOP_GUARD
+
+
+def test_a_next_stepsize_of_exactly_zero_aborts():
+    # gamma_1 = gamma_0 (a_0 - a_f) / a_const = 1 * (4 - 4) / 4 = 0
+    res = run_psg(QuadraticForm(Q3), BALL3, [0.5, 0.0, 0.0],
+                  PsgAdaptiveV1(1.0, 4.0, a_const=4.0), 5, a_f_override=4.0)
+    assert len(res.records) == 1 and res.terminal == STOP_NONFINITE
+
+
 @pytest.mark.parametrize("sched", [FbConstant(1.0, 1.0, a_const=1.0), PsgConstantGamma(1.0, 1.0)],
                          ids=["fb-constant", "psg-constant"])
 @pytest.mark.parametrize("f", [NormSquare(1.0), AbsPlusSquare(), QuadraticForm(np.array([[2.0]])),

@@ -309,6 +309,15 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert "unknown key 'bogus'" in err
 
 
+def test_cli_run_refuses_a_zero_gamma0(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(PPA_TEXT.replace("gamma0 = 0.5", "gamma0 = 0"))
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "zero.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: line 5: gamma0 must be positive\n"
+    assert not (tmp_path / "zero.csv").exists()
+
+
 def test_cli_reproduce(tmp_path, capsys):
     assert cli.main(["reproduce", "ppa-absq", "--out-dir", str(tmp_path)]) == 0
     files = sorted(p.name for p in tmp_path.iterdir())
@@ -359,7 +368,7 @@ def test_cli_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
 def test_run_config_reference_distance_column(tmp_path):
     # dist_to_ref is populated when a reference is given and empty when not
     run = run_config(parse_config(PPA_TEXT))
-    assert run.x_star is not None and run.f_star == 0.0
+    assert run.x_star.tolist() == [0.0]  # the config's reference, used as it is
 
     path = tmp_path / "with_ref.csv"
     write_csv(run.result, str(path), x_star=run.x_star)

@@ -184,6 +184,18 @@ def test_quadratic_form_rejects_bad_matrices():
             QuadraticForm(q)
 
 
+def test_norm_square_refuses_a_zero_gamma():
+    # f = ||x||^2 / (2 gamma) would divide by zero
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        NormSquare(gamma=0.0)
+
+
+def test_a_box_with_lo_equal_to_hi_is_one_point():
+    point = Box([1.0, -2.0], [1.0, -2.0])
+    for x in ([0.0, 0.0], [5.0, -7.0], [1.0, -2.0]):
+        assert point.project(x).tolist() == [1.0, -2.0]
+
+
 def test_feasible_range_outside_indicator_domain():
     with pytest.raises(EmptySubdifferentialError):
         feasible_range(IndicatorSet(Ball(np.zeros(2), 1.0)), (3.0, 0.0))

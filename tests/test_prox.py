@@ -347,6 +347,41 @@ def test_inner_solver_is_stationary_on_random_prox_requests():
     assert worst <= 1e-8
 
 
+def test_inner_solver_certifies_only_a_positive_margin():
+    # g = z.z with kappa = 2: at gamma = 1/2 the weight is 1 + a0, and the
+    # margin 2(w - kappa) is 0 at a0 = 1
+    g = _blackbox(lambda p: float(p @ p), lambda p: 2.0 * p, 2.0, dim=2)
+    x0 = np.array([1.0, -2.0])
+    with pytest.raises(SolverToleranceError, match="margin 0$"):
+        prox_via_argmin(ProxRequest(g, x0, 0.5, 1.0))
+    # weight 2.5: the minimizer w x0 / (1 + w)
+    got = prox_via_argmin(ProxRequest(g, x0, 0.5, 1.5))
+    assert np.allclose(got, x0 * 2.5 / 3.5, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("x0, a0, value_calls", [
+    # the first trial lands at ||h'|| = 0.99995 r, short of the 1 - 1e-4
+    # factor, so Armijo is consulted: h at x0 and at the trial
+    (2.0 / (2.0 - 5e-5), 0.0, 2),
+    # the first trial lands at ||h'|| equal to (1 - 1e-4) r in floating
+    # point, which the gradient test accepts
+    (1.2500625031251562, 0.5, 0),
+], ids=["short-of-the-factor", "at-the-factor"])
+def test_inner_solver_gradient_test_boundary(x0, a0, value_calls):
+    # g = z^2 and weight w = 1 + a0: h'(x0) = 2 x0 = r, so the first step
+    # 1/r moves to x0 - 1, where ||h'|| = 2 (1 + w) - 2 x0 = ((1 + w)/x0 - 1) r
+    calls = []
+
+    def value(p):
+        calls.append(p)
+        return float(p @ p)
+
+    g = _blackbox(value, lambda p: 2.0 * p, 0.0)
+    got = prox_via_argmin(ProxRequest(g, np.array([x0]), 0.5, a0))
+    assert len(calls) == value_calls
+    assert got[0] == pytest.approx(x0 * (1.0 + a0) / (2.0 + a0), rel=1e-12)
+
+
 # sha256 of the answers' bytes, frozen before the inner solver stopped
 # evaluating h where its gradient test decides: the residual checks above
 # pass for any step sequence that converges, these pin the sequence

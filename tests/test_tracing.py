@@ -65,8 +65,8 @@ def test_bundled_sweeps_call_counts(tracing):
         "oracles.feasible_range": 0,
         # a run checks its start once and then calls the value methods,
         # which the tracer does not wrap: 30 start checks (an fb member
-        # checks f and g) and 24 f_star, one per ppa-absq and psg member
-        "oracles.eval": 54,
+        # checks f and g)
+        "oracles.eval": 30,
         # one projection per psg member and step
         "oracles.project": 1587,
         # one prox per ppa or fb member and step: the 404 ppa-absq and 235
