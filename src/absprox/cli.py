@@ -4,10 +4,10 @@ Subcommands: ``run <config>`` executes one config file and writes its CSV;
 ``reproduce <name>`` runs a bundled experiment sweep; ``verify`` runs
 the independent-oracle cross-check suites; ``list`` shows the bundled
 experiment names.  Exit codes: 0 success, 1 a ``verify`` check failed,
-2 config error (or an unreadable config), 3 runtime failure, unwritable
-CSV, or guarantee violation under ``ABSPROX_STRICT=1``; ``main`` maps
-those library errors to 3 in one place.  A failed descent check of
-``ppa`` (the only method that asserts descent) is a
+2 config error (or an unreadable config), 3 any other failure of the command
+(a library error, an unwritable CSV, an overflow, a guarantee violation under
+``ABSPROX_STRICT=1``), which ``main`` alone maps to one ``run failed:`` line.
+A failed descent check of ``ppa`` (the only method that asserts descent) is a
 ``TheoremViolationWarning``; ``ABSPROX_STRICT=1`` makes the warnings filter
 raise it for the duration of the command.  A run's ``terminal`` is
 ``max-iter`` at the horizon, else ``stop-rule/<tag>``.
@@ -21,28 +21,9 @@ import sys
 import warnings
 
 from . import checks
-from .algorithms import (
-    DegenerateStepError,
-    ScheduleDegenerateError,
-    ScheduleInfeasibleError,
-    TheoremViolationWarning,
-)
+from .algorithms import TheoremViolationWarning
 from .config import ConfigError, parse_config
 from .experiments import EXPERIMENTS, run_config, run_named_experiment, write_csv
-from .oracles import EmptySubdifferentialError, SolverToleranceError, UnboundedObjectiveError
-from .phi import InfeasibleCoefficientError
-
-_RUNTIME_ERRORS = (
-    TheoremViolationWarning,  # raised under ABSPROX_STRICT=1
-    DegenerateStepError,
-    ScheduleDegenerateError,
-    ScheduleInfeasibleError,
-    UnboundedObjectiveError,
-    SolverToleranceError,
-    EmptySubdifferentialError,
-    InfeasibleCoefficientError,
-    OSError,  # the CSV cannot be written
-)
 
 
 def _terminal(result) -> str:
@@ -131,7 +112,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("error", TheoremViolationWarning)
         try:
             return args.func(args)
-        except _RUNTIME_ERRORS as e:
+        except Exception as e:  # any failure of the command, a strict warning included
             print(f"run failed: {e}", file=sys.stderr)
             return 3
 

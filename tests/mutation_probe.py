@@ -7,7 +7,14 @@ occur exactly once) in that copy, and runs tier-1 under ``-x`` against it.
 A mutant whose run passes is missed: no test pins the code it changed.  The
 unmutated copy runs first and must pass.
 
-Run it by hand from anywhere; the whole list takes about 3 minutes on a
+Most mutants are listed by hand.  The boundary mutants of the modules in
+``GENERATED`` are made from their source: at each one-line, one-operator
+order comparison the boundary flips (``<`` and ``<=``, ``>`` and ``>=``),
+and the mutant's old text is the whole source line.  Such a mutant is named
+``<module>:<line>:<column>``, the column (in bytes) where the comparison's
+left operand ends.
+
+Run it by hand from anywhere; the whole list takes about 4 minutes on a
 shared 2-CPU host:
 
     python tests/mutation_probe.py            # every mutant
@@ -19,6 +26,7 @@ not collect this file: its name does not start with ``test_``.
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -28,9 +36,35 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MUTANTS = [
-    # psg stops where its denominator 1 + 2 gamma (a_n - a_n^f) is <= 0
-    ("psg-guard", "algorithms.py", "if denom <= 0.0:", "if denom < 0.0:"),
+# the modules whose order comparisons are flipped at the boundary; the
+# arbiter ``reference`` and the suites of ``checks`` stay out
+GENERATED = ["algorithms.py"]
+
+_OPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
+
+
+def boundary_mutants(file: str) -> list[tuple[str, str, str, str]]:
+    """One mutant per one-line, one-operator order comparison in ``file``."""
+    text = (ROOT / "src" / "absprox" / file).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    nodes = sorted((node for node in ast.walk(ast.parse(text))
+                    if isinstance(node, ast.Compare) and len(node.ops) == 1
+                    and type(node.ops[0]) in _OPS and node.lineno == node.end_lineno),
+                   key=lambda node: (node.lineno, node.col_offset))
+    out = []
+    for node in nodes:
+        old, new = _OPS[type(node.ops[0])]
+        line = lines[node.lineno - 1].encode("utf-8")  # ast columns count bytes
+        # the operator lies between the two operands
+        start, end = node.left.end_col_offset, node.comparators[0].col_offset
+        gap = line[start:end].decode("utf-8").replace(old, new, 1)
+        mutated = (line[:start] + gap.encode("utf-8") + line[end:]).decode("utf-8")
+        out.append((f"{Path(file).stem}:{node.lineno}:{start}", file,
+                    line.decode("utf-8"), mutated))
+    return out
+
+
+HAND_LISTED = [
     ("ppa-global-min-tol", "algorithms.py",
      "abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12", "abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-6"),
     ("ppa-descent-tol", "algorithms.py", "rec.f_xn + 1e-10", "rec.f_xn + 1e-2"),
@@ -80,17 +114,18 @@ MUTANTS = [
     ("inner-armijo-constant", "oracles.py",
      "h(trial) <= v - 1e-4 * step * r * r", "h(trial) <= v - 0.5 * step * r * r"),
     # the boundaries themselves: each guard's value at exactly its threshold
-    ("fb-guard", "algorithms.py", "if c <= 0.0:", "if c < 0.0:"),
-    ("loop-gamma", "algorithms.py", "gamma_next <= 0:", "gamma_next < 0:"),
     ("inner-margin", "oracles.py", "and margin > 0.0)", "and margin >= 0.0)"),
     ("inner-gradient-factor", "oracles.py",
      "if r_t <= (1.0 - 1e-4) * r:", "if r_t <= r:"),
     ("inner-gradient-strict", "oracles.py",
      "if r_t <= (1.0 - 1e-4) * r:", "if r_t < (1.0 - 1e-4) * r:"),
-    ("schedule-gamma0", "algorithms.py", "if not self.gamma0 > 0:", "if not self.gamma0 >= 0:"),
     ("norm-square-gamma", "oracles.py", "if not self.gamma > 0:", "if not self.gamma >= 0:"),
     ("box-order", "oracles.py", "np.all(self.lo <= self.hi)", "np.all(self.lo < self.hi)"),
+    # main maps any exception of a command to exit 3, not a fixed list
+    ("cli-catch-all", "cli.py", "except Exception as e:", "except ValueError as e:"),
 ]
+
+MUTANTS = HAND_LISTED + [m for file in GENERATED for m in boundary_mutants(file)]
 
 
 def _tier1(src: Path) -> bool:

@@ -2,6 +2,7 @@
 globally convergent methods on the bundled problem instances."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -84,6 +85,13 @@ def test_schedule_adaptive_v2_degenerate():
         schedule_step(PsgAdaptiveV2(gamma0=1.0, a0=4.0, epsilon=1.0), 1.0, 4.0, -1.0)
 
 
+def test_schedule_adaptive_v2_at_a_next_stepsize_of_exactly_zero():
+    # gamma_1 = (1 * (3 - 4) + 1) / (4 + 1) = 0: no a_1 = -1/(2 gamma_1) + ...
+    # is formed, the step answers NaN and the loop aborts on the stepsize
+    gamma, a = schedule_step(PsgAdaptiveV2(1.0, 3.0, 1.0), 1.0, 3.0, 4.0)
+    assert gamma == 0.0 and math.isnan(a)
+
+
 def test_schedule_fb_constant():
     assert schedule_step(FbConstant(gamma0=0.1, a0=5.0, a_const=5.0), 0.1, 5.0, 2.0) == (0.1, 5.0)
 
@@ -127,7 +135,17 @@ def test_a_weight_of_1e_9_is_no_global_min_certificate():
     assert [r.stopped_by for r in res.records] == [None] * 4
 
 
-@pytest.mark.parametrize("rise, warns", [(1e-6, True), (1e-11, False)], ids=["1e-6", "1e-11"])
+def test_a_weight_of_exactly_1e_12_is_a_global_min_certificate():
+    # 1/(2 gamma) + a_0 = 2**-41 + (1e-12 - 2**-41) is exactly 1e-12 in floats
+    a0 = 1e-12 - 2.0**-41
+    assert 0.5 / 2.0**40 + a0 == 1e-12
+    res = run_ppa(AbsPlusSquare(), [3.0], PpaAdditive(2.0**40, a0, delta=0.0), 5)
+    assert len(res.records) == 2 and res.terminal == STOP_GLOBAL_MIN
+
+
+@pytest.mark.parametrize("rise, warns", [(1e-6, True), (1e-11, False), (1e-10, False),
+                                         (math.nextafter(1e-10, math.inf), True)],
+                         ids=["1e-6", "1e-11", "1e-10", "1e-10-plus-one-ulp"])
 def test_an_objective_rise_above_1e_10_warns(rise, warns):
     # with gradient -1 and weight 1/2 the prox moves from 0 to 1, where the
     # value rise * z rises by exactly rise

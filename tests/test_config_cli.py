@@ -27,6 +27,7 @@ from absprox import (
     PsgConstantGamma,
     QuadraticForm,
     TheoremViolationWarning,
+    checks,
     cli,
     oracles,
     run_psg,
@@ -656,6 +657,33 @@ def test_cli_reproduce_into_a_file_is_a_run_failure(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("run failed: ")
+
+
+@pytest.mark.parametrize("edits", [{}, {"set": "ball(0,1)", "schedule": "fb_constant(200)"}],
+                         ids=["psg-constant", "ball-fb-constant"])
+@pytest.mark.parametrize("x0", ["[1e300,1e300]", "[-1e308,-1e308]"], ids=["1e300", "-1e308"])
+def test_cli_a_far_fb_start_is_a_run_failure(tmp_path, x0, edits):
+    # hessian_example's Python ** raises OverflowError at the start's value,
+    # which no library error class names; the ball's membership test of the
+    # start overflows in numpy before that, which is not what is tested here
+    text = _with(FB_TEXT, "x0", x0)
+    for key, value in edits.items():
+        text = _with(text, key, value)
+    with np.errstate(over="ignore"):
+        code, err = _run_cli(tmp_path, text)
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("run failed: ")
+    assert "Traceback" not in err
+
+
+def test_cli_any_failure_of_a_subcommand_exits_3(monkeypatch, capsys):
+    def boom():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(checks, "verify_results", boom)
+    assert cli.main(["verify"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "run failed: boom\n"
 
 
 def test_cli_descent_violation_warns_or_fails_under_strict(tmp_path, monkeypatch):
