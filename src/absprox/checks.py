@@ -15,7 +15,8 @@ from . import prox
 from .oracles import (AbsPlusSquare, NormSquare, QuadraticForm, eval_oracle, feasible_range,
                       subgrad_at)
 from .phi import duality_preimages, duality_slopes
-from .reference import eig_sym, grid_argmin_1d, subgrad_inequality_sampler
+from .reference import (eig_sym, grid_argmin_1d, subgrad_inequality_rows,
+                        subgrad_inequality_sampler)
 from .rng import XorShift64Star
 
 __all__ = ["Q3", "Q5", "spectra", "closed_form_prox", "certificates",
@@ -84,13 +85,23 @@ def closed_form_prox(rng: XorShift64Star, draws: int) -> list[tuple[str, bool, s
 def certificates(cases, num: int) -> list[tuple[str, bool, str]]:
     """The sampled global inequality for each case ``(f, x, a, seed)``: the
     element (a, u) = ``subgrad_at(f, x, a)`` against ``num`` points drawn
-    with ``seed``."""
-    reps = [subgrad_inequality_sampler(lambda y, f=f: eval_oracle(f, y), x, a,
-                                       subgrad_at(f, x, a).u, num=num, seed=seed)
-            for f, x, a, seed in cases]
-    worst = float(np.min([rep["worst_margin"] for rep in reps], initial=np.inf))
+    with ``seed``.  Every case's u is computed first, in case order, so a
+    refused case raises before any sampling, and the error is the first
+    refused case's.  The cases of one oracle (by identity), in the order
+    each oracle first appears, are then checked in one
+    ``subgrad_inequality_rows`` call, which evaluates f once on all their
+    points."""
+    groups: dict[int, list] = {}
+    for f, x, a, seed in cases:
+        groups.setdefault(id(f), []).append((f, x, a, subgrad_at(f, x, a).u, seed))
+    reps = []
+    for rows in groups.values():
+        f, x, a, u, seeds = zip(*rows)
+        reps.append(subgrad_inequality_rows(lambda y, f=f[0]: eval_oracle(f, y), x, a, u, seeds,
+                                            num=num))
+    worst = float(np.min([w for rep in reps for w in rep["worst_margin"]], initial=np.inf))
     return [("sampled global inequality for analytic subgradients",
-             all(rep["passed"] for rep in reps), f"worst margin {worst:.3g}")]
+             all(rep["passed"].all() for rep in reps), f"worst margin {worst:.3g}")]
 
 
 def below_threshold_control() -> list[tuple[str, bool, str]]:
@@ -136,9 +147,13 @@ def verify_results() -> list[tuple[str, bool, str]]:
     results = spectra() + closed_form_prox(rng, 1000)
     cases = []
     for f in (AbsPlusSquare(), NormSquare(gamma=0.5, dim=2), QuadraticForm(Q3)):
-        for k in range(25):
-            x = rng.uniform_vector(-5, 5, f.dim)
-            cases.append((f, x, feasible_range(f, x) + rng.uniform(0.0, 5.0), k + 1))
+        # one block per oracle, row k the point draws and then the offset
+        # draw of case k, so each row's stream is that of uniform_vector(-5,
+        # 5, f.dim) and then uniform(0.0, 5.0)
+        d = rng.uniform_vector([-5.0] * f.dim + [0.0], 5.0, (25, f.dim + 1))
+        for k, row in enumerate(d):
+            x = row[:-1]
+            cases.append((f, x, feasible_range(f, x) + row[-1], k + 1))
     results += certificates(cases, num=200) + below_threshold_control()
     d = rng.uniform_vector(0.0, 1.0, (1000, 5))
     gamma = 0.01 + (10.0 - 0.01) * d[:, 0]

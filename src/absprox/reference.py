@@ -5,7 +5,8 @@ eigensolver, numpy.linalg) so they can arbitrate disagreements: a
 brute-force grid-plus-golden-section argmin that solves a block of 1-D
 problems in one call, a cyclic Jacobi eigensolver, central finite
 differences, and a sampled global-inequality checker built on the
-deterministic RNG in :mod:`absprox.rng`.
+deterministic RNG in :mod:`absprox.rng`, which checks a block of rows, each
+with its own seed's stream, in one call.
 
 ``QuadraticForm`` takes its spectrum from LAPACK (``numpy.linalg.eigh``).
 The Jacobi solver is far slower, so it serves only as the cross-check of
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import XorShift64Star
+from .rng import uniform_streams
 
 # inverse golden ratio, 2/(1+sqrt(5))
 _INVPHI = 2.0 / (1.0 + np.sqrt(5.0))
@@ -194,6 +195,50 @@ def fd_gradient(g: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     return out
 
 
+def subgrad_inequality_rows(
+    f: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    a: np.ndarray,
+    u: np.ndarray,
+    seeds,
+    num: int = 1000,
+) -> dict:
+    """The sampled check of :func:`subgrad_inequality_sampler` for each row
+    i of ``x`` (k, n), ``a`` (k,) and ``u`` (k, n), with ``seeds[i]``.
+
+    Every row's m = 1 + num + 2n points go to ``f`` in one (k·m, n) block.
+    Returns arrays over the rows: ``passed`` (k,), ``worst_margin`` (k,)
+    and ``worst_point`` (k, n), and the int ``num_points``, m - 1.  Row i
+    is bit for bit the one-row call ``subgrad_inequality_sampler(f, x[i],
+    a[i], u[i], num, seeds[i])``.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)[:, None]
+    u = np.asarray(u, dtype=float)[:, None]
+    k, n = x.shape
+    extremes = np.repeat(x[:, None], 2 * n, axis=1)
+    axes = np.arange(n)
+    r = _SAMPLER_RADIUS
+    extremes[:, 2 * axes, axes] -= r
+    extremes[:, 2 * axes + 1, axes] += r
+    pts = np.concatenate([x[:, None], uniform_streams(seeds, x - r, x + r, (num, n)), extremes],
+                         axis=1)
+
+    vals = np.asarray(f(pts.reshape(-1, n)), dtype=float).reshape(k, -1)
+    phi = -a * np.vecdot(pts, pts) + np.vecdot(pts, u)
+    margins = (vals[:, 1:] - vals[:, :1]) - (phi[:, 1:] - phi[:, :1])
+    # argmin returns each row's first NaN if it has one, else its first minimum
+    rows = np.arange(k)
+    j = np.argmin(margins, axis=1)
+    worst = margins[rows, j]
+    return {
+        "passed": worst >= -1e-9,
+        "worst_margin": worst,
+        "worst_point": np.where((worst == np.inf)[:, None], x, pts[rows, j + 1]),
+        "num_points": margins.shape[1],
+    }
+
+
 def subgrad_inequality_sampler(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -206,33 +251,18 @@ def subgrad_inequality_sampler(
 
     phi(y) = -a||y||^2 + <u, y>.  ``f`` maps a block (m, n) of points to
     their m values, and is called once, on x, then ``num`` uniform draws
-    from the box x +/- 10, then the 2n axis-aligned extreme points of that
-    box.  Reports the worst margin over the draws and extreme points.
-    Passes when the margin stays above -1e-9.  A NaN margin fails the check
-    and the first one is reported as the worst; a point outside an
-    indicator's domain has f(y) = +inf, a margin of +inf, and passes.  When
-    no margin is below +inf the reported point is x.
+    from the box x +/- 10 (``XorShift64Star(seed)``'s stream), then the 2n
+    axis-aligned extreme points of that box.  Reports the worst margin
+    over the draws and extreme points.  Passes when the margin stays above
+    -1e-9.  A NaN margin fails the check and the first one is reported as
+    the worst; a point outside an indicator's domain has f(y) = +inf, a
+    margin of +inf, and passes.  When no margin is below +inf the reported
+    point is x.  The one-row call of :func:`subgrad_inequality_rows`.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = x.size
-    rng = XorShift64Star(seed)
-    extremes = np.tile(x, (2 * n, 1))
-    axes = np.arange(n)
-    r = _SAMPLER_RADIUS
-    extremes[2 * axes, axes] -= r
-    extremes[2 * axes + 1, axes] += r
-    pts = np.vstack([x, rng.uniform_vector(x - r, x + r, (num, n)), extremes])
-
-    vals = np.asarray(f(pts), dtype=float)
-    phi = -a * np.vecdot(pts, pts) + np.vecdot(pts, u)
-    margins = (vals[1:] - vals[0]) - (phi[1:] - phi[0])
-    # argmin returns the first NaN if there is one, else the first minimum
-    k = int(np.argmin(margins))
-    worst = float(margins[k])
+    rep = subgrad_inequality_rows(f, [x], [a], [u], [seed], num)
     return {
-        "passed": bool(worst >= -1e-9),
-        "worst_margin": worst,
-        "worst_point": x if worst == np.inf else pts[k + 1],
-        "num_points": len(margins),
+        "passed": bool(rep["passed"][0]),
+        "worst_margin": float(rep["worst_margin"][0]),
+        "worst_point": rep["worst_point"][0],
+        "num_points": rep["num_points"],
     }

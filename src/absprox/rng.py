@@ -13,13 +13,17 @@ Doubles in [0, 1) take the top 53 bits of the output: (output >> 11) * 2^-53.
 
 The state update is a linear map M over GF(2)^64, so a block of draws
 jumps ahead instead of stepping (Haramoto et al., INFORMS J. Computing
-2008).  ``uniform_vector`` steps only the first 64 states of a call in
-Python; given the states s_1..s_L it gets s_{L+1}..s_{2L} as M^L applied
-to the whole array, L = 64, 128, ...  M^(2^j) is applied as 8 tables of
-256 images, one per byte of the state, XORed together.  The tables are
-built lazily, once per process, from M's 64 basis images by repeated
-squaring.  All of this is exact integer arithmetic, so every draw, and the
-state a call leaves behind, is bit for bit that of sequential draws.
+2008).  One core, ``_states``, draws the states of several streams, the
+lanes, at once.  It steps only each lane's first 64 states in Python;
+given the states s_1..s_L of every lane it gets s_{L+1}..s_{2L} as M^L
+applied to all the lanes' states in one call, L = 64, 128, ...  M^(2^j)
+is applied as 8 tables of 256 images, one per byte of the state, XORed
+together.  The tables are built lazily, once per process, from M's 64
+basis images by repeated squaring.  All of this is exact integer
+arithmetic, so every draw, and the state a call leaves behind, is bit for
+bit that of sequential draws.  ``XorShift64Star.uniform_vector`` is the
+one-lane call of that core, and ``uniform_streams`` draws a block from
+each of several seeds' streams in one call.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ _MASK = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
 # splitmix64's golden-ratio increment; used when seed 0 would freeze the state
 _SEED0_FALLBACK = 0x9E3779B97F4A7C15
-_HEAD = 64  # states a uniform_vector call steps in Python
+_HEAD = 64  # states of each lane that _states steps in Python
 
 
 def _step(s: int) -> int:
@@ -43,13 +47,14 @@ def _step(s: int) -> int:
 
 
 def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The linear map whose byte tables are ``tables``, on uint64 ``states``."""
+    """The linear map whose byte tables are ``tables``, on uint64 ``states``
+    of any shape."""
     # the states' bytes, least significant first on any host
-    octets = states.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).reshape(-1, 8)
     out = tables[0][octets[:, 0]]
     for b in range(1, 8):
         out ^= tables[b][octets[:, b]]
-    return out
+    return out.reshape(states.shape)
 
 
 @functools.cache
@@ -69,14 +74,56 @@ def _jump_tables(j: int) -> np.ndarray:
     return tables
 
 
+def _seed_state(seed: int) -> int:
+    """A stream's initial state: the seed mod 2^64, 0 remapped to a fixed
+    nonzero state."""
+    return (seed & _MASK) or _SEED0_FALLBACK
+
+
+def _states(lanes, count: int) -> np.ndarray:
+    """The ``count`` states that follow each of the states ``lanes``, as a
+    (len(lanes), count) uint64 array: row i is s_1..s_count of the stream at
+    ``lanes[i]``."""
+    states = np.empty((len(lanes), count), dtype=np.uint64)
+    for row, s in zip(states, lanes):
+        for i in range(min(count, _HEAD)):
+            row[i] = s = _step(s)
+    done = _HEAD
+    while done < count:  # M^done carries s_1..s_k to s_{done+1}..s_{done+k}
+        k = min(done, count - done)
+        states[:, done:done + k] = _apply(_jump_tables(done.bit_length() - 1), states[:, :k])
+        done *= 2
+    return states
+
+
+def _uniform(states: np.ndarray, lo: np.ndarray, hi: np.ndarray, shape: tuple) -> np.ndarray:
+    """The draws of ``states`` mapped to [lo, hi), in an array of ``shape``."""
+    draws = ((states * np.uint64(_MULT)) >> np.uint64(11)) * 2.0**-53
+    out = lo + (hi - lo) * draws.reshape(shape)
+    if out.shape != shape:
+        raise ValueError(f"bounds of shape {lo.shape} and {hi.shape} "
+                         f"do not give draws of shape {shape}")
+    return out
+
+
+def uniform_streams(seeds, lo, hi, n) -> np.ndarray:
+    """A block of draws from each seed's stream, in one call: lane i of the
+    result is bit for bit ``XorShift64Star(seeds[i]).uniform_vector(lo[i],
+    hi[i], n)``.  The bounds' first axis runs over the lanes, and each
+    lane's bounds broadcast over the last axes of its draws."""
+    shape = tuple(map(int, np.atleast_1d(n)))
+    # each lane's bounds, with axes inserted between the lane axis and theirs
+    lo, hi = (b.reshape(b.shape[:1] + (1,) * (len(shape) + 1 - b.ndim) + b.shape[1:])
+              for b in (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
+    states = _states([_seed_state(seed) for seed in seeds], math.prod(shape))
+    return _uniform(states, lo, hi, (len(seeds), *shape))
+
+
 class XorShift64Star:
     """xorshift64* stream.  seed=0 is remapped to a fixed nonzero state."""
 
     def __init__(self, seed: int = 1):
-        state = seed & _MASK
-        if state == 0:
-            state = _SEED0_FALLBACK
-        self._state = state
+        self._state = _seed_state(seed)
 
     def next_u64(self) -> int:
         self._state = s = _step(self._state)
@@ -92,24 +139,11 @@ class XorShift64Star:
     def uniform_vector(self, lo, hi, n) -> np.ndarray:
         """Draws uniform on [lo_i, hi_i) componentwise, the bounds broadcast
         over the last axis.  ``n`` is a count, or a shape ``(num, n)`` whose
-        rows are bit for bit num sequential calls with count n."""
+        rows are bit for bit num sequential calls with count n.  The one-lane
+        call of ``_states``, from this stream's state."""
         shape = tuple(map(int, np.atleast_1d(n)))
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        count = math.prod(shape)
-        states = np.empty(count, dtype=np.uint64)
-        s = self._state
-        for i in range(min(count, _HEAD)):
-            states[i] = s = _step(s)
-        done = _HEAD
-        while done < count:  # M^done carries s_1..s_k to s_{done+1}..s_{done+k}
-            k = min(done, count - done)
-            states[done:done + k] = _apply(_jump_tables(done.bit_length() - 1), states[:k])
-            done *= 2
-        if count:
+        [states] = _states([self._state], math.prod(shape))
+        if len(states):
             self._state = int(states[-1])
-        draws = ((states * np.uint64(_MULT)) >> np.uint64(11)) * 2.0**-53
-        out = lo + (hi - lo) * draws.reshape(shape)
-        if out.shape != shape:
-            raise ValueError(f"bounds of shape {lo.shape} and {hi.shape} "
-                             f"do not give draws of shape {shape}")
-        return out
+        return _uniform(states, lo, hi, shape)

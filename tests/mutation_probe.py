@@ -12,7 +12,10 @@ Most mutants are listed by hand.  The boundary mutants of the modules in
 order comparison the boundary flips (``<`` and ``<=``, ``>`` and ``>=``),
 and the mutant's old text is the whole source line.  Such a mutant is named
 ``<module>:<line>:<column>``, the column (in bytes) where the comparison's
-left operand ends.
+left operand ends.  A generated mutant that no test can catch, because it
+changes no result, is listed in ``EQUIVALENT`` with the reason; the probe
+reports it as ``equiv`` when it survives, and a listed mutant that tier-1
+catches counts as missed, since its listing is then wrong.
 
 Run it by hand from anywhere; the whole list takes about 4 minutes on a
 shared 2-CPU host:
@@ -20,7 +23,8 @@ shared 2-CPU host:
     python tests/mutation_probe.py            # every mutant
     python tests/mutation_probe.py admit ...  # the named ones
 
-It prints one line per mutant and exits 1 if any was missed.  pytest does
+It prints one line per mutant and exits 1 if any was missed, or if a
+mutant listed as equivalent was caught (``CAUGHT``).  pytest does
 not collect this file: its name does not start with ``test_``.
 """
 
@@ -38,7 +42,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the modules whose order comparisons are flipped at the boundary; the
 # arbiter ``reference`` and the suites of ``checks`` stay out
-GENERATED = ["algorithms.py"]
+GENERATED = ["algorithms.py", "rng.py"]
+
+# generated mutants that change no result, each with the reason
+EQUIVALENT = {
+    # at done == count the extra jump fills the empty slice states[:, count:count]
+    "rng:92:14": "`while done <= count` makes one more jump, of no states",
+}
 
 _OPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 
@@ -75,7 +85,10 @@ HAND_LISTED = [
     ("contains-tol", "oracles.py", "_CONTAINS_TOL = 1e-9", "_CONTAINS_TOL = 1e-3"),
     ("admit", "oracles.py", "if not a >= a_min:", "if not a >= a_min - 1e-6:"),
     ("fejer-rtol", "diagnostics.py", "_RTOL = 1e-9", "_RTOL = 1e-3"),
-    ("sampler-verdict", "reference.py", "bool(worst >= -1e-9)", "bool(worst >= -1e-3)"),
+    ("sampler-verdict", "reference.py", '"passed": worst >= -1e-9,', '"passed": worst >= -1e-3,'),
+    # every lane of a block of streams drawn from the first seed's stream
+    ("streams-first-seed", "rng.py", "_states([_seed_state(seed) for seed in seeds]",
+     "_states([_seed_state(seeds[0]) for seed in seeds]"),
     ("ppa-decrement-feasibility", "algorithms.py",
      "if not rec.a_n - a_next >= f.feasible_range(x_next):",
      "if not a_next - rec.a_n >= f.feasible_range(x_next):"),
@@ -138,7 +151,7 @@ def _tier1(src: Path) -> bool:
 
 
 def main(names: list[str]) -> int:
-    unknown = set(names) - {m[0] for m in MUTANTS}
+    unknown = (set(names) | set(EQUIVALENT)) - {m[0] for m in MUTANTS}
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
@@ -165,8 +178,12 @@ def main(names: list[str]) -> int:
                 caught = not _tier1(src)
             finally:
                 path.write_text(text, encoding="utf-8")
-            print(f"{'caught' if caught else 'MISSED':7} {name}", flush=True)
-            if not caught:
+            if name in EQUIVALENT:
+                verdict = "CAUGHT" if caught else "equiv"
+                print(f"{verdict:7} {name}: {EQUIVALENT[name]}", flush=True)
+            else:
+                print(f"{'caught' if caught else 'MISSED':7} {name}", flush=True)
+            if caught == (name in EQUIVALENT):
                 missed.append(name)
     print(f"{len(missed)} missed")
     return 1 if missed else 0

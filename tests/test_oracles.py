@@ -26,7 +26,9 @@ from absprox import (
     prox_via_argmin,
     subgrad_at,
 )
+from absprox import checks
 from absprox.checks import Q3, certificates
+from absprox.reference import subgrad_inequality_sampler
 
 
 def test_eval_each_kind():
@@ -305,6 +307,58 @@ def test_certificates_report_a_nan_margin():
                                      num=100)
     assert not ok
     assert "nan" in detail
+
+
+def _nan_off_box():
+    # NaN off |y| <= 3, so its certificate fails
+    return SmoothBlackBox(value=lambda p: float(p @ p) if np.abs(p).max() <= 3.0 else np.nan,
+                          gradient=lambda p: 2.0 * p, kappa=lambda p: 0.0, eps=1.0, dim=2)
+
+
+def test_certificates_of_interleaved_oracles_are_the_case_by_case_checks(monkeypatch):
+    f1, f2, g = AbsPlusSquare(), QuadraticForm(Q3), _nan_off_box()
+    ball = IndicatorSet(Ball(np.zeros(2), 1.0))
+    cases = [(f1, [1.5], 0.3, 1), (f2, [1.0, 1.0, 1.0], 4.5, 2), (f1, [0.7], -1.0, 3),
+             (g, np.zeros(2), 1.0, 4), (ball, [0.3, 0.4], 2.0, 5), (f2, [1.0, 0.0, -1.0], 4.0, 6),
+             (f1, [-2.0], 0.0, 7)]
+    calls, rows = [], checks.subgrad_inequality_rows
+
+    def spy(*args, **kwargs):
+        rep = rows(*args, **kwargs)
+        calls.append((args[4], rep))
+        return rep
+
+    monkeypatch.setattr(checks, "subgrad_inequality_rows", spy)
+    [(_, ok, detail)] = certificates(cases, num=100)
+    # one call per oracle, in the order each first appears, its cases in order
+    assert [seeds for seeds, _ in calls] == [(1, 3, 7), (2, 6), (4,), (5,)]
+    got = {seed: (rep, i) for seeds, rep in calls for i, seed in enumerate(seeds)}
+    reps = []
+    for f, x, a, seed in cases:
+        one = subgrad_inequality_sampler(lambda y: eval_oracle(f, y), x, a,
+                                         subgrad_at(f, x, a).u, num=100, seed=seed)
+        rep, i = got[seed]
+        assert float(rep["worst_margin"][i]).hex() == one["worst_margin"].hex()
+        assert rep["worst_point"][i].tobytes() == one["worst_point"].tobytes()
+        reps.append(one)
+    assert not ok and not all(one["passed"] for one in reps)
+    assert detail == f"worst margin {np.min([one['worst_margin'] for one in reps]):.3g}"
+    # without the failing case: every case passes, and the worst margin is
+    # the least of the cases'
+    del cases[3], reps[3]
+    [(_, ok, detail)] = certificates(cases, num=100)
+    assert ok and detail == f"worst margin {min(one['worst_margin'] for one in reps):.3g}"
+
+
+def test_certificates_raise_the_first_refused_case_in_case_order(monkeypatch):
+    f, ball = AbsPlusSquare(), IndicatorSet(Ball(np.zeros(2), 1.0))
+    good, below = (f, [1.5], 0.3, 1), (f, [0.5], -5.0, 2)
+    wrong_dim = (ball, [0.3], 1.0, 3)
+    monkeypatch.setattr(checks, "subgrad_inequality_rows", None)  # nothing is sampled
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        certificates([good, wrong_dim, below], num=50)
+    with pytest.raises(InfeasibleCoefficientError, match="below the feasible threshold"):
+        certificates([good, below, wrong_dim], num=50)
 
 
 def test_global_inequality_at_feasible_boundary():

@@ -25,9 +25,10 @@ from absprox.reference import (
     fd_gradient,
     golden_section_min,
     grid_argmin_1d,
+    subgrad_inequality_rows,
     subgrad_inequality_sampler,
 )
-from absprox.rng import XorShift64Star
+from absprox.rng import XorShift64Star, uniform_streams
 
 
 def test_golden_section_parabola():
@@ -503,6 +504,64 @@ def test_sampler_with_every_margin_infinite_passes_at_x():
     assert rep["num_points"] == 54
 
 
+# each pinned kind's (f, x, a); the rows scale x toward an interior point
+_KINDS = {
+    "norm-square": (NormSquare(0.7, dim=3), [1.0, -2.0, 0.5], 0.3),
+    "quadratic": (QuadraticForm(Q3), [1.0, 1.0, 1.0], 4.5),
+    "abs+square": (AbsPlusSquare(), [0.5], -0.5),
+    "ball": (IndicatorSet(Ball([0.5, -0.5], 2.0)), [1.5, 0.0], 0.7),
+    "box": (IndicatorSet(Box([-1.0, -1.0], [1.0, 2.0])), [1.0, 0.0], 0.7),
+    "halfspace": (IndicatorSet(Halfspace([1.0, 1.0], 1.0)), [0.5, 0.5], 0.7),
+    "blackbox": (_COS, [1.0], 0.6),
+}
+
+
+def _rows_match_one_row_calls(f, x, a, u, seeds, num):
+    rep = subgrad_inequality_rows(f, x, a, u, seeds, num)
+    for i, seed in enumerate(seeds):
+        one = subgrad_inequality_sampler(f, x[i], a[i], u[i], num, seed)
+        assert bool(rep["passed"][i]) is one["passed"]
+        assert float(rep["worst_margin"][i]).hex() == one["worst_margin"].hex()
+        assert _hexes(rep["worst_point"][i]) == _hexes(one["worst_point"])
+        assert rep["num_points"] == one["num_points"]
+    return rep
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_sampler_rows_are_the_one_row_calls(kind):
+    f, x0, a0 = _KINDS[kind]
+    x = np.array([1.0, 0.5, -0.75])[:, None] * np.array(x0)
+    a = a0 + np.arange(3.0)
+    u = np.array([subgrad_at(f, xi, ai).u for xi, ai in zip(x, a)])
+    calls = []
+
+    def block(y):
+        calls.append(y.shape)
+        return eval_oracle(f, y)
+
+    rep = _rows_match_one_row_calls(block, x, a, u, [7, 0, 2**64 + 5], 100)
+    assert rep["passed"].all()
+    # one call of f, on all three rows' points (x, 100 draws, 2n extremes)
+    m = 1 + 100 + 2 * len(x0)
+    assert calls[0] == (3 * m, len(x0)) and rep["num_points"] == m - 1
+
+
+def test_sampler_rows_with_nan_and_infinite_margins():
+    # NaN off |y| <= 3 for the first two rows' boxes; the third row's box
+    # lies inside, and the fourth row's f is +inf everywhere but at x
+    def f(y):
+        v = np.where(np.abs(y).max(axis=1) <= 3.0, np.vecdot(y, y), np.nan)
+        at_x = (y == [500.0, 0.5]).all(axis=1)
+        return np.where(np.abs(y).max(axis=1) > 100.0, np.where(at_x, 0.0, np.inf), v)
+
+    x = np.array([[0.0, 0.0], [1.0, -1.0], [0.0, 0.0], [500.0, 0.5]])
+    a, u = np.array([0.0, 0.0, 0.0, 1.0]), np.zeros((4, 2))
+    rep = _rows_match_one_row_calls(f, x, a, u, [1, 2, 3, 4], 50)
+    assert np.isnan(rep["worst_margin"][:2]).all() and not rep["passed"][:2].any()
+    assert rep["worst_margin"][3] == np.inf and rep["passed"][3]
+    assert np.array_equal(rep["worst_point"][3], x[3])
+
+
 # --- deterministic RNG -----------------------------------------------------
 
 
@@ -567,3 +626,32 @@ def test_rng_block_draws_are_the_sequential_stream(seed):
     for n in (-1, (2, -3)):
         with pytest.raises(ValueError):
             block.uniform_vector(0.0, 1.0, n)
+
+
+def test_rng_streams_are_each_seeds_sequential_stream():
+    # seed 0 and 2**64 both start from the fallback state
+    seeds = [7, 0, 2**64, 2024, 1]
+    lo, hi = np.array([-3.0, -1.0, -1.0, 0.0, 1.0]), np.array([-2.5, 1.0, 1.0, 4.0, 9.0])
+    for count in (0, 1, 63, 64, 65, 128, 129, 600, 30_000):
+        got = uniform_streams(seeds, lo, hi, count)
+        assert got.shape == (len(seeds), count)
+        for lane, seed in enumerate(seeds):
+            block, stream = XorShift64Star(seed), XorShift64Star(seed)
+            want = [(lo[lane] + (hi[lane] - lo[lane]) * stream.next_double()).hex()
+                    for _ in range(count)]
+            assert _hexes(got[lane]) == want
+            # the one-lane call leaves the stream's state behind
+            assert _hexes(block.uniform_vector(lo[lane], hi[lane], count)) == want
+            assert block.next_u64() == stream.next_u64()
+        assert _hexes(got[1]) == _hexes(got[2])
+
+    # per-lane rows of bounds broadcast over each lane's (num, n) draws
+    lo, hi = np.array([[-1.0, 0.0, 2.0], [3.0, -4.0, 0.0]]), np.array([[1.0, 5.0, 2.5], [4.0, 0.0, 9.0]])
+    got = uniform_streams([3, 4], lo, hi, (70, 3))
+    for lane, seed in enumerate([3, 4]):
+        want = XorShift64Star(seed).uniform_vector(lo[lane], hi[lane], (70, 3))
+        assert [_hexes(row) for row in got[lane]] == [_hexes(row) for row in want]
+    with pytest.raises(ValueError):  # (3,) bounds per lane do not broadcast with 70 draws
+        uniform_streams([3, 4], np.zeros((2, 3)), np.ones((2, 3)), 70)
+    with pytest.raises(ValueError, match=r"do not give draws of shape \(2, 70\)"):
+        uniform_streams([3, 4], np.zeros((2, 2, 1)), np.ones((2, 2, 1)), 70)

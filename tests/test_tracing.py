@@ -22,6 +22,8 @@ from absprox import (
     run_named_experiment,
     run_psg,
 )
+import absprox.checks
+import absprox.reference
 from absprox.checks import Q3, verify_results
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -79,17 +81,34 @@ def test_bundled_sweeps_call_counts(tracing):
     assert tracer.extra["algorithms.iters"] == 2226
 
 
-def test_verify_call_counts(tracing):
+def test_verify_call_counts(tracing, monkeypatch):
+    # the row sampler, which the tracer does not wrap, counted here
+    rows = {"calls": 0, "rows": 0, "points": 0}
+    inner = absprox.reference.subgrad_inequality_rows
+
+    def counted(f, x, *args, **kwargs):
+        rep = inner(f, x, *args, **kwargs)
+        rows["calls"] += 1
+        rows["rows"] += len(x)
+        rows["points"] += len(x) * rep["num_points"]
+        return rep
+
+    for module in (absprox.reference, absprox.checks):
+        monkeypatch.setattr(module, "subgrad_inequality_rows", counted)
     with tracing.Tracer() as tracer:
         verify_results()
     calls = {key: tracer.calls[key] for key in (
         "rng.uniform_vector", "reference.sampler", "reference.grid_argmin",
         "reference.eig_sym", "prox.closed", "phi.duality")}
     assert calls == {
-        # one block each for the closed-form prox and the duality cases,
-        # 75 certificate points and 76 sampler calls
-        "rng.uniform_vector": 153,
-        "reference.sampler": 76,
+        # one block each for the closed-form prox, the certificate cases of
+        # each of the 3 oracles and the duality cases; the samplers draw
+        # their lanes through rng.uniform_streams, which the tracer does
+        # not wrap
+        "rng.uniform_vector": 5,
+        # the below-threshold control; the 75 certificates go to the row
+        # sampler, one call per oracle
+        "reference.sampler": 1,
         # the 1000 brute-force argmins are one block call
         "reference.grid_argmin": 1,
         "reference.eig_sym": 2,
@@ -99,7 +118,11 @@ def test_verify_call_counts(tracing):
         # functions duality_preimages and duality_slopes, which it does not
         "phi.duality": 25,
     }
-    assert tracer.extra["reference.sampler_points"] == 25306
+    # the control's 10,000 draws and 6 extreme points
+    assert tracer.extra["reference.sampler_points"] == 10_006
+    # 3 certificate calls and the control's one-row call check the 76 rows
+    # and 25,306 points that 76 one-row calls checked
+    assert rows == {"calls": 4, "rows": 76, "points": 25_306}
 
 
 def test_run_offers_what_the_bench_reads():
