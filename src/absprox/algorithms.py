@@ -7,9 +7,9 @@ descent check and the stopping rules.  A run emits a :class:`RunResult`
 holding one :class:`IterationRecord` per iterate; the last record's stop
 tag says how the run ended (None at the horizon).  The records are the
 run's only store: :func:`column` reads a field of them as an array and
-:func:`sq_distances` their squared distances to a reference point.  Runs
-are deterministic given their inputs.  Proximal point's descent guarantee
-is checked at runtime and reported through
+:func:`sq_distances` the squared distances of an iterate block to a
+reference point.  Runs are deterministic given their inputs.  Proximal
+point's descent guarantee is checked at runtime and reported through
 :class:`TheoremViolationWarning`, which the warnings filter turns into an
 error where a caller wants one; guard conditions terminate runs with a
 recorded stop tag instead of an exception wherever a stop is an expected
@@ -219,7 +219,8 @@ class RunResult:
     def set_fejer(self, x_star) -> None:
         """Fill every record's Fejér column against the reference ``x_star``."""
         weight = 0.5 / column(self.records, "gamma_n") + column(self.records, "a_n")
-        for r, v in zip(self.records, (weight * sq_distances(self.records, x_star)).tolist()):
+        sq = sq_distances(column(self.records, "x_n"), x_star)
+        for r, v in zip(self.records, (weight * sq).tolist()):
             r.fejer = v
 
 
@@ -228,11 +229,11 @@ def column(records: list[IterationRecord], name: str) -> np.ndarray:
     return np.array([getattr(r, name) for r in records], dtype=float)
 
 
-def sq_distances(records: list[IterationRecord], x_star) -> np.ndarray:
-    """||x_star - x_n||^2 for every record, with the bits of each row's own
-    ``d @ d``; ValueError unless ``x_star`` has the iterates' dimension."""
+def sq_distances(x: np.ndarray, x_star) -> np.ndarray:
+    """||x_star - x_n||^2 for every row x_n of the (N+1, n) iterate block
+    ``x``, with the bits of each row's own ``d @ d``; ValueError unless
+    ``x_star`` has the iterates' dimension."""
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    x = column(records, "x_n")
     if x_star.shape != x.shape[1:]:
         raise ValueError(f"dimension mismatch: reference {x_star.shape}, iterates {x.shape}")
     d = x_star - x

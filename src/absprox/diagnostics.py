@@ -46,24 +46,22 @@ def _slopes(f: Oracle, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.array([subgrad_at(f, row, a_row).u for row, a_row in zip(x, a)])
 
 
-def _psg_slack(records: list[IterationRecord], f: Oracle) -> np.ndarray:
-    """Per-step allowance eps_n = gamma_n^2 U^2 / (1 + 2 gamma_n (a_n - a_n^f)).
+def _psg_slack(gamma: np.ndarray, a: np.ndarray, a_f: np.ndarray, x: np.ndarray,
+               f: Oracle) -> np.ndarray:
+    """Per-step allowance eps_n = gamma_n^2 U^2 / (1 + 2 gamma_n (a_n - a_n^f)),
+    from the steps' columns gamma_n, a_n, a_n^f and their (N, n) iterate block.
 
     U bounds ||2 a_n^f x_n - u_n^f|| along the run; the subgradients are
     re-queried from the oracle at the recorded coefficients, the queried
-    records' x_n rows as one checked block (see ``_slopes``), each row bit
+    steps' x_n rows as one checked block (see ``_slopes``), each row bit
     for bit its own ``subgrad_at``.
     """
-    steps = records[:-1]
-    if not steps:
-        return np.zeros(0)
-    gamma, a, a_f, x = (column(steps, name) for name in ("gamma_n", "a_n", "a_fn", "x_n"))
     queried = ~np.isnan(a_f)
     v = np.zeros_like(x)
     if queried.any():
         x_q, a_q = x[queried], a_f[queried]
         v[queried] = 2.0 * a_q[:, None] * x_q - _slopes(f, x_q, a_q)
-    big_u = float(np.sqrt(np.vecdot(v, v)).max())
+    big_u = float(np.sqrt(np.vecdot(v, v)).max(initial=0.0))
     denom = np.where(queried, 1.0 + 2.0 * gamma * (a - a_f), 1.0)
     return np.divide(gamma * gamma * big_u * big_u, denom,
                      out=np.full_like(denom, np.inf), where=denom > 0)
@@ -92,8 +90,9 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
     """
     if not records:
         raise ValueError("records must be nonempty")
-    dist = np.sqrt(sq_distances(records, x_star))
-    gamma, a = column(records, "gamma_n"), column(records, "a_n")
+    gamma, a, a_f, x, step_norm, f_xn = (column(records, name) for name in (
+        "gamma_n", "a_n", "a_fn", "x_n", "step_norm", "f_xn"))
+    sq = sq_distances(x, x_star)
     if alpha_rule == "ppa":
         alpha = 0.5 / gamma + a
         beta = alpha[:-1]
@@ -103,19 +102,17 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
             raise ValueError("the psg allowance needs the oracle f")
         alpha = 1.0 + 2.0 * gamma * a
         beta = np.zeros(len(records) - 1)
-        eps = _psg_slack(records, f)
+        eps = _psg_slack(gamma[:-1], a[:-1], a_f[:-1], x[:-1], f)
     else:
         raise ValueError("alpha_rule must be 'ppa' or 'psg'")
 
     # a b_n s_n^2 term is 0 where b_n = 0, also where s_n^2 overflows (0 * inf is NaN)
-    step = np.where(beta != 0.0, column(records, "step_norm")[1:], 0.0)
-    # the check squares the reported distances through C pow, as Python's
-    # float ** does: ** on an array multiplies, which can differ in the last bit
-    weighted = alpha * np.float_power(dist, 2)
+    step = np.where(beta != 0.0, step_norm[1:], 0.0)
+    step_terms = beta * step * step
+    # under ppa these are the fejer column's values (see RunResult.set_fejer)
+    weighted = alpha * sq
     # a NaN allowance bounds nothing, so its step counts as a violation
-    fejer_bad = _first_rise(weighted[1:], weighted[:-1] - beta * step * step + eps,
-                            np.isnan(eps))
-    f_xn = column(records, "f_xn")
+    fejer_bad = _first_rise(weighted[1:], weighted[:-1] - step_terms + eps, np.isnan(eps))
     # a NaN objective on either side of a step shows no descent
     obj_bad = _first_rise(f_xn[1:], f_xn[:-1], np.isnan(f_xn[1:]) | np.isnan(f_xn[:-1]))
     return DiagnosticsReport(
@@ -123,8 +120,7 @@ def check_fejer(records: list[IterationRecord], x_star, alpha_rule: str,
         fejer_first_violation=fejer_bad,
         objective_monotone=obj_bad is None,
         objective_first_violation=obj_bad,
-        # a plain left-to-right sum: np.sum's pairwise order moves the last bits
-        step_sq_sum=float(sum((beta * np.float_power(step, 2)).tolist())),
-        dist_series=dist.tolist(),
+        step_sq_sum=float(np.sum(step_terms)),
+        dist_series=np.sqrt(sq).tolist(),
         quasi_fejer_slack=eps.tolist(),
     )

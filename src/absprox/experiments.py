@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import RunResult, run_fb, run_ppa, run_psg, sq_distances
+from .algorithms import RunResult, column, run_fb, run_ppa, run_psg, sq_distances
 from .config import ExperimentConfig, parse_config
 from .reference import eig_sym
 
@@ -274,7 +274,7 @@ def write_csv(result: RunResult, path: str, x_star=None) -> None:
     """
     records = result.records
     dist = (np.full(len(records), np.nan) if x_star is None
-            else np.sqrt(sq_distances(records, x_star)))
+            else np.sqrt(sq_distances(column(records, "x_n"), x_star)))
     values = []
     for r, d in zip(records, dist.tolist()):
         values += (r.n, r.gamma_n, r.a_n, r.a_fn, r.f_xn, r.step_norm, d, r.fejer)

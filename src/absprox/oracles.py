@@ -237,8 +237,7 @@ class NormSquare:
             raise ValueError("gamma must be positive")
 
     def value(self, x):
-        # a point's x . x has the bits of each block row's vecdot
-        return (x.dot(x) if x.ndim == 1 else np.vecdot(x, x)) / (2.0 * self.gamma)
+        return np.vecdot(x, x) / (2.0 * self.gamma)
 
     def feasible_range(self, x) -> float:
         return -1.0 / (2.0 * self.gamma)

@@ -40,12 +40,7 @@ class InfeasibleCoefficientError(ValueError):
     """Raised when a requested coefficient a lies outside its feasible range."""
 
 
-_F64 = np.dtype(np.float64)
-
-
 def _vec(u) -> np.ndarray:
-    if type(u) is np.ndarray and u.dtype is _F64 and u.ndim == 1:
-        return u  # what the conversion below would return
     out = np.atleast_1d(np.asarray(u, dtype=float))
     if out.ndim != 1:
         raise ValueError("expected a 1-D vector")

@@ -33,6 +33,7 @@ from absprox import (
     run_psg,
 )
 from absprox.config import _SCHEDULES, ConfigError, hessian_example, parse_config
+from absprox.reference import eig_sym
 from absprox.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -414,6 +415,19 @@ def _edge_runs():
         "inf fields": (far, np.zeros(2), None),
         "nonfinite abort": (aborted, None, "nonfinite-abort"),
     }
+
+
+def test_a_horizon_of_zero_runs_the_start_alone():
+    run = run_config(parse_config(_with(PPA_TEXT, "N", "0")))
+    assert run.config.n_iter == 0 and len(run.result.records) == 1
+
+
+def test_auto_eigen_at_a_final_iterate_orthogonal_to_it_keeps_its_sign():
+    # from x0 = 0 the psg iterates stay at 0, where eigen @ x_N is 0.0
+    run = run_config(parse_config(_with(PSG_TEXT, "x0", "[0, 0]")))
+    assert not run.result.final.x_n.any()
+    eigen = eig_sym(run.config.f.q)[1][:, 0]
+    assert run.x_star.tobytes() == (eigen / np.linalg.norm(eigen)).tobytes()
 
 
 def test_csv_bytes_match_a_row_by_row_writer(tmp_path):

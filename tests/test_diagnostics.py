@@ -25,8 +25,8 @@ from absprox import (
     run_psg,
     subgrad_at,
 )
+from absprox.algorithms import column
 from absprox.checks import Q3
-from absprox.diagnostics import _psg_slack
 
 
 def _v_min():
@@ -41,8 +41,11 @@ def test_ppa_run_is_fejer_and_descending():
     assert rep.fejer_monotone
     assert rep.objective_monotone
     assert rep.fejer_first_violation is None
-    assert rep.step_sq_sum >= 0.0
     assert len(rep.dist_series) == len(res.records)
+    # b_n s_n^2 summed one step at a time; np.sum's pairwise order may move the last bits
+    steps = zip(res.records, res.records[1:])
+    terms = [(0.5 / r.gamma_n + r.a_n) * nxt.step_norm ** 2 for r, nxt in steps]
+    assert rep.step_sq_sum == pytest.approx(sum(terms), rel=1e-13) and rep.step_sq_sum > 0.0
 
 
 def test_psg_run_quasi_fejer_with_oracle_slack():
@@ -114,6 +117,17 @@ def test_a_relative_objective_rise_is_flagged_above_1e_9(rise, flagged):
         (False, 2) if flagged else (True, None))
 
 
+@pytest.mark.parametrize("rise, flagged", [(1e-9, False), (np.nextafter(1e-9, 1.0), True)],
+                         ids=["1e-9", "one-ulp-above"])
+def test_a_rise_of_exactly_the_tolerance_is_not_flagged(rise, flagged):
+    # from f = 0 the tolerance is 1e-9 * max(1, |f|) = 1e-9 exactly
+    records = run_ppa(AbsPlusSquare(), [-10.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9),
+                      1).records
+    rep = check_fejer(_with(_with(records, 0, f_xn=0.0), 1, f_xn=rise), np.zeros(1), "ppa")
+    assert (rep.objective_monotone, rep.objective_first_violation) == (
+        (False, 0) if flagged else (True, None))
+
+
 def test_a_far_psg_run_sums_no_step_terms():
     # psg's b_n is 0, so its b_n s_n^2 terms are 0, also where s_n^2 overflows
     f = QuadraticForm(Q3)
@@ -141,6 +155,11 @@ def _slack_per_record(records, f):
     denom = np.where(np.isnan(a_f), 1.0, 1.0 + 2.0 * gamma * (a - a_f))
     return np.divide(gamma * gamma * big_u * big_u, denom,
                      out=np.full_like(denom, np.inf), where=denom > 0)
+
+
+def _slack(records, f):
+    """The psg allowance that ``check_fejer`` reports for the run."""
+    return check_fejer(records, np.zeros(records[0].x_n.size), "psg", f).quasi_fejer_slack
 
 
 def _q8():
@@ -182,7 +201,7 @@ _PSG_RUNS = {
 def test_psg_slack_is_the_per_record_queries_bit_for_bit(run):
     records, f = run()
     assert len(records) > 5 and not np.isnan(records[0].a_fn)
-    slack = _psg_slack(records, f)
+    slack = np.array(_slack(records, f))
     assert slack.tobytes() == _slack_per_record(records, f).tobytes()
     # an indicator's u = 2 a x leaves no allowance
     assert slack.any() != isinstance(f, IndicatorSet)
@@ -191,9 +210,30 @@ def test_psg_slack_is_the_per_record_queries_bit_for_bit(run):
 def test_psg_slack_without_queries_is_zero():
     records, f = _PSG_RUNS["quadratic-8"]()
     unqueried = [replace(r, a_fn=np.nan) for r in records]
-    assert _psg_slack(unqueried, f).tolist() == [0.0] * (len(records) - 1)
+    assert _slack(unqueried, f) == [0.0] * (len(records) - 1)
     # nothing is queried, so nothing is checked either
-    assert _psg_slack(unqueried, QuadraticForm(Q3)).tolist() == [0.0] * (len(records) - 1)
+    assert _slack(unqueried, QuadraticForm(Q3)) == [0.0] * (len(records) - 1)
+
+
+@pytest.mark.parametrize("rule", ["psg", "ppa"])
+def test_a_one_record_run_has_no_steps_to_check(rule):
+    records, f = _PSG_RUNS["quadratic-8"]()
+    x_star = np.zeros(8)
+    rep = check_fejer(records[:1], x_star, rule, f)
+    assert vars(rep) == dict(
+        fejer_monotone=True, fejer_first_violation=None,
+        objective_monotone=True, objective_first_violation=None, step_sq_sum=0.0,
+        dist_series=[float(np.linalg.norm(records[0].x_n))], quasi_fejer_slack=[])
+
+
+def test_a_zero_denominator_leaves_an_infinite_allowance():
+    # 1 + 2 gamma_2 (a_2 - a_2^f) = 1 + 2 (4 - 4.5) is exactly 0; an
+    # indicator's U is 0, so dividing would give 0/0 = NaN, a violation
+    records, f = _PSG_RUNS["indicator"]()
+    assert (records[2].gamma_n, records[2].a_n) == (1.0, 4.0)
+    rep = check_fejer(_with(records, 2, a_fn=4.5), np.zeros(2), "psg", f)
+    assert rep.quasi_fejer_slack[:3] == [0.0, 0.0, np.inf]
+    assert rep.fejer_monotone
 
 
 def _with(records, k, **fields):
@@ -248,6 +288,19 @@ class _Counting:
             return attr(*args)
 
         return counted
+
+
+def test_a_psg_check_reads_each_field_once(monkeypatch):
+    records, f = _PSG_RUNS["quadratic-8"]()
+    names = []
+
+    def counted_column(records, name):
+        names.append(name)
+        return column(records, name)
+
+    monkeypatch.setattr(diagnostics, "column", counted_column)
+    check_fejer(records, np.zeros(8), "psg", f)
+    assert sorted(names) == sorted(["gamma_n", "a_n", "a_fn", "x_n", "step_norm", "f_xn"])
 
 
 def test_the_psg_allowance_is_one_slope_call(monkeypatch):

@@ -30,6 +30,12 @@ def test_phi_equality_compares_coefficient_and_slope():
     assert PhiElement(1.0, (2.0,)) != PhiElement(1.0, (3.0,))
 
 
+def test_phi_element_differs_from_what_is_no_element():
+    phi = PhiElement(1.0, (2.0,))
+    assert (phi == (1.0, (2.0,))) is False
+    assert (phi != 1.0) is True
+
+
 # --- duality map -----------------------------------------------------------
 
 
@@ -221,6 +227,12 @@ def test_a_row_block_refuses_as_its_first_refused_rows_point_call(bad_row, bad):
         lambda: duality_map_element(u_bad, g, a_bad))
     assert _refusal(lambda: duality_preimages(u, gamma, a)) == _refusal(
         lambda: duality_map_inverse(PhiElement(a_bad, u_bad), g))
+
+
+def test_a_zero_gamma_row_refuses_as_a_step_size_not_as_a_coefficient():
+    u, gamma, a = _columns([(0.5, 1.0, [2.0]), (0.0, 1.0, [1.0])])
+    assert _refusal(lambda: duality_preimages(u, gamma, a)) == (
+        ValueError, "gamma must be positive")
 
 
 def test_row_slopes_refuse_a_row_below_the_threshold_in_python_floats():

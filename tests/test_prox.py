@@ -179,6 +179,13 @@ def test_prox_indicator_helper_matches_projection_explicitly():
             assert np.allclose(prox_indicator(s, x, 0.3), s.project(x), atol=1e-12)
 
 
+def test_prox_indicator_refuses_a_zero_gamma():
+    ball = Ball(np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        prox_indicator(ball, [3.0, 4.0], 0.0)
+    assert prox_indicator(ball, [3.0, 4.0], 5e-324).tolist() == ball.project([3.0, 4.0]).tolist()
+
+
 def test_prox_request_validation():
     with pytest.raises(InfeasibleCoefficientError):
         ProxRequest(AbsPlusSquare(), np.array([1.0]), 1.0, -0.6)  # 2*g*a0 < -1

@@ -330,6 +330,12 @@ def test_eig_rejects_asymmetric():
         eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("q", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "vector"])
+def test_eig_rejects_a_non_square_input(q):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        eig_sym(q)
+
+
 def test_eig_reconstruction_and_orthogonality():
     for q in (Q3, Q5):
         w, v = eig_sym(q)

@@ -2,8 +2,9 @@
 and a run still offers what the benchmark reads from it.
 
 ``bench/tracing.py`` wraps library functions by name; a refactor that stops
-calling those names would silently zero the per-layer figures.  The module
-is loaded from its source text, so nothing is written under ``bench/``.
+calling those names would silently zero the per-layer figures.  The bench
+modules are loaded from their source text, so nothing is written under
+``bench/``.
 """
 
 import json
@@ -26,15 +27,19 @@ import absprox.checks
 import absprox.reference
 from absprox.checks import Q3, verify_results
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(path: Path, name: str) -> types.ModuleType:
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    module = types.ModuleType("absprox_bench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
-    return module
+    return _load(BENCH / "tracing.py", "absprox_bench_tracing")
 
 
 def test_every_target_exists(tracing):
@@ -123,6 +128,37 @@ def test_verify_call_counts(tracing, monkeypatch):
     # 3 certificate calls and the control's one-row call check the 76 rows
     # and 25,306 points that 76 one-row calls checked
     assert rows == {"calls": 4, "rows": 76, "points": 25_306}
+
+
+def test_quad_dim_call_counts(tracing, tmp_path):
+    workloads = _load(BENCH / "workloads.py", "absprox_bench_workloads")
+    unit = workloads.QuadDim(seed=4, tmp_dir=str(tmp_path))
+    inp = unit.inputs(0)
+    with tracing.Tracer() as tracer:
+        out = unit.run(inp)
+    assert unit.check(inp, out) == (True, 603, "")
+    calls = {key: tracer.calls[key] for key in (
+        "algorithms.run", "algorithms.schedule_step", "oracles.project", "oracles.eval",
+        "oracles.feasible_range", "oracles.subgrad", "diagnostics.check_fejer",
+        "oracles.construct.n8", "oracles.construct.n32", "oracles.construct.n64")}
+    assert calls == {
+        # one 200-step psg run per n = 8, 32, 64
+        "algorithms.run": 3,
+        "algorithms.schedule_step": 600,
+        "oracles.project": 600,
+        # each run checks its start once
+        "oracles.eval": 3,
+        # each psg allowance checks its queried rows as one block, and the
+        # block passes, so no row falls back to subgrad_at
+        "oracles.feasible_range": 3,
+        "oracles.subgrad": 0,
+        "diagnostics.check_fejer": 3,
+        # one eigensolve per n
+        "oracles.construct.n8": 1,
+        "oracles.construct.n32": 1,
+        "oracles.construct.n64": 1,
+    }
+    assert tracer.extra["algorithms.iters"] == 600
 
 
 def test_run_offers_what_the_bench_reads():
