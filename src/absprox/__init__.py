@@ -23,17 +23,17 @@ from .oracles import (
     Halfspace,
     IndicatorSet,
     NormSquare,
+    ProxRequest,
     QuadraticForm,
     SmoothBlackBox,
     SolverToleranceError,
     UnboundedObjectiveError,
     eval_oracle,
     feasible_range,
+    prox_abs_square_closed_form,
     subgrad_at,
 )
 from .prox import (
-    ProxRequest,
-    prox_abs_square_closed_form,
     prox_indicator,
     prox_via_argmin,
 )

@@ -29,8 +29,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .oracles import Oracle, SetDescriptor, SmoothBlackBox, _admit, _norm, eval_oracle
-from .prox import ProxRequest, prox_via_argmin
+from .oracles import Oracle, ProxRequest, SetDescriptor, SmoothBlackBox, _admit, _norm, eval_oracle
+from .prox import prox_via_argmin
 
 __all__ = [
     "Schedule",
@@ -340,7 +340,7 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> Ru
 
     def step(rec):
         x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
-        a_g = g.default_coefficient(x)
+        a_g = g.feasible_range(x) + g.eps
         grad = g.gradient_at(x)
         rec.a_fn = a_g
         c = 0.5 / gamma + a - a_g

@@ -21,7 +21,8 @@ box included: its ``prox`` is a certified inner solver (see
 element (a, u).  ``eval_oracle``, ``feasible_range`` and ``subgrad_at`` are
 the entry points: they check the point's dimension and the coefficient,
 which the methods assume.  ``eval_oracle`` and ``feasible_range`` also take
-a block (m, n) of points and return their m values.
+a block (m, n) of points and return their m values.  Every ``prox`` reads
+a ``ProxRequest``, whose one point is checked as ``subgrad_at``'s is.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = [
     "AbsPlusSquare",
     "IndicatorSet",
     "SmoothBlackBox",
+    "ProxRequest",
+    "prox_abs_square_closed_form",
     "EmptySubdifferentialError",
     "UnboundedObjectiveError",
     "SolverToleranceError",
@@ -97,9 +100,6 @@ class Ball:
     def dim(self) -> int:
         return self.center.size
 
-    def char_size(self) -> float:
-        return max(1.0, self.radius)
-
     def project(self, x) -> np.ndarray:
         x = _vec(x)
         d = x - self.center
@@ -114,7 +114,7 @@ class Ball:
     def contains(self, x):
         d = _vec(x) - self.center
         # sqrt(d . d) per row is how np.linalg.norm computes one vector's norm
-        return np.sqrt(np.vecdot(d, d)) <= self.radius + _CONTAINS_TOL * self.char_size()
+        return np.sqrt(np.vecdot(d, d)) <= self.radius + _CONTAINS_TOL * max(1.0, self.radius)
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,12 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    def char_size(self) -> float:
-        return max(1.0, float(np.max(self.hi - self.lo)))
-
     def project(self, x) -> np.ndarray:
         return np.clip(_vec(x), self.lo, self.hi)
 
     def contains(self, x):
         x = _vec(x)
-        pad = _CONTAINS_TOL * self.char_size()
+        pad = _CONTAINS_TOL * max(1.0, float(np.max(self.hi - self.lo)))
         return np.all((x >= self.lo - pad) & (x <= self.hi + pad), axis=-1)
 
 
@@ -160,9 +157,6 @@ class Halfspace:
     @property
     def dim(self) -> int:
         return self.normal.size
-
-    def char_size(self) -> float:
-        return max(1.0, abs(self.offset) / _norm(self.normal))
 
     def _excess(self, x: np.ndarray):
         """(n, e, s) for a point x or per row of a block: the normal n, rescaled
@@ -187,7 +181,7 @@ class Halfspace:
 
     def contains(self, x):
         n, e, s = self._excess(_vec(x))
-        return e * s <= _CONTAINS_TOL * self.char_size() * _norm(n)
+        return e * s <= _CONTAINS_TOL * max(1.0, abs(self.offset) / _norm(self.normal)) * _norm(n)
 
 
 SetDescriptor = Ball | Box | Halfspace
@@ -223,6 +217,27 @@ class SolverToleranceError(RuntimeError):
     def __init__(self, message: str, best: np.ndarray):
         super().__init__(message)
         self.best = np.asarray(best)
+
+
+@dataclass(frozen=True)
+class ProxRequest:
+    """The prox of ``f`` at one point ``x0`` of f's dimension n (anything
+    else, a 2-D ``x0`` included, raises ``ValueError``); ``gamma`` and
+    ``a0`` are checked by ``check_coefficient``."""
+
+    f: Oracle
+    x0: np.ndarray
+    gamma: float
+    a0: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "x0", _point(self.f, self.x0))
+        check_coefficient(self.gamma, self.a0)
+
+    @property
+    def weight(self) -> float:
+        """The regularization coefficient 1/(2 gamma) + a0 (>= 0)."""
+        return 1.0 / (2.0 * self.gamma) + self.a0
 
 
 @dataclass(frozen=True)
@@ -500,9 +515,6 @@ class SmoothBlackBox:
         if not self.eps > 0:
             raise ValueError("eps must be positive")
 
-    def default_coefficient(self, x) -> float:
-        return float(self.kappa(_vec(x))) + self.eps
-
     def feasible_range(self, x):
         if x.ndim > 1:
             return np.array([float(self.kappa(row)) for row in x])
@@ -528,6 +540,14 @@ class SmoothBlackBox:
 
 
 Oracle = NormSquare | QuadraticForm | AbsPlusSquare | IndicatorSet | SmoothBlackBox
+
+
+def _point(f: Oracle, x) -> np.ndarray:
+    """x as one point (n,) of f's dimension n; anything else raises ``ValueError``."""
+    x = _vec(x)
+    if x.shape != (f.dim,):
+        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, point of shape {x.shape}")
+    return x
 
 
 def _check_dim(f: Oracle, x: np.ndarray):
@@ -565,13 +585,10 @@ def feasible_range(f: Oracle, x) -> float | np.ndarray:
 def subgrad_at(f: Oracle, x, a: float) -> PhiElement:
     """A certified subdifferential element (a, ``f.slope(x, a)``) of f at x, for
     a coefficient a >= ``feasible_range(f, x)`` (a black box's usual choice
-    is ``f.default_coefficient(x)``)."""
-    x = _vec(x)
-    a = float(a)
-    if x.ndim != 1:
-        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, point of shape {x.shape}")
-    _check_dim(f, x)
-    return PhiElement(_admit(a, f.feasible_range(x)), f.slope(x, a))
+    is ``f.feasible_range(x) + f.eps``)."""
+    x = _point(f, x)
+    a = _admit(a, f.feasible_range(x))
+    return PhiElement(a, f.slope(x, a))
 
 
 def _admit(a: float | None, a_min: float) -> float:

@@ -5,22 +5,20 @@ output at a point x0 is any
 
     x  in  argmin_z  f(z) + (1/(2 gamma) + a0) ||z - x0||^2.
 
-A :class:`ProxRequest` holds one such (x0, gamma, a0).  Every oracle class
+A ``ProxRequest`` holds one such (x0, gamma, a0).  Every oracle class
 carries its own prox as ``f.prox(req)``: a closed form, or for the smooth
 black box an inner solver that descends on the box's own gradient and
 certifies its answer by the stationarity residual and the strong-convexity
 margin that the box's curvature bound gives (an answer it cannot certify
-raises ``oracles.SolverToleranceError``).
+raises ``oracles.SolverToleranceError``).  This module re-exports
+``ProxRequest`` and the |x| + x^2 closed form from :mod:`absprox.oracles`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .oracles import Oracle, SetDescriptor, _vec, prox_abs_square_closed_form
-from .phi import check_coefficient
+from .oracles import ProxRequest, SetDescriptor, prox_abs_square_closed_form
 
 __all__ = [
     "ProxRequest",
@@ -28,31 +26,6 @@ __all__ = [
     "prox_abs_square_closed_form",
     "prox_indicator",
 ]
-
-
-@dataclass(frozen=True)
-class ProxRequest:
-    """The prox of ``f`` at one point ``x0`` of f's dimension n (anything
-    else, a 2-D ``x0`` included, raises ``ValueError``); ``gamma`` and
-    ``a0`` are checked by ``check_coefficient``."""
-
-    f: Oracle
-    x0: np.ndarray
-    gamma: float
-    a0: float
-
-    def __post_init__(self):
-        x0 = _vec(self.x0)
-        if x0.shape != (self.f.dim,):
-            raise ValueError(f"dimension mismatch: oracle dim {self.f.dim}, "
-                             f"point of shape {x0.shape}")
-        object.__setattr__(self, "x0", x0)
-        check_coefficient(self.gamma, self.a0)
-
-    @property
-    def weight(self) -> float:
-        """The regularization coefficient 1/(2 gamma) + a0 (>= 0)."""
-        return 1.0 / (2.0 * self.gamma) + self.a0
 
 
 def prox_indicator(c: SetDescriptor, x, gamma: float) -> np.ndarray:

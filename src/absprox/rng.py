@@ -14,9 +14,9 @@ Doubles in [0, 1) take the top 53 bits of the output: (output >> 11) * 2^-53.
 The state update is a linear map M over GF(2)^64, so a block of draws
 jumps ahead instead of stepping (Haramoto et al., INFORMS J. Computing
 2008).  One core, ``_states``, draws the states of several streams, the
-lanes, at once.  It steps only each lane's first 64 states in Python;
-given the states s_1..s_L of every lane it gets s_{L+1}..s_{2L} as M^L
-applied to all the lanes' states in one call, L = 64, 128, ...  M^(2^j)
+lanes, at once.  It gets every lane's s_1 as M applied to its seed state,
+and given the states s_1..s_L of every lane it gets s_{L+1}..s_{2L} as M^L
+applied to all the lanes' states in one call, L = 1, 2, 4, ...  M^(2^j)
 is applied as 8 tables of 256 images, one per byte of the state, XORed
 together.  The tables are built lazily, once per process, from M's 64
 basis images by repeated squaring.  All of this is exact integer
@@ -37,7 +37,6 @@ _MASK = (1 << 64) - 1
 _MULT = 0x2545F4914F6CDD1D
 # splitmix64's golden-ratio increment; used when seed 0 would freeze the state
 _SEED0_FALLBACK = 0x9E3779B97F4A7C15
-_HEAD = 64  # states of each lane that _states steps in Python
 
 
 def _step(s: int) -> int:
@@ -85,10 +84,9 @@ def _states(lanes, count: int) -> np.ndarray:
     (len(lanes), count) uint64 array: row i is s_1..s_count of the stream at
     ``lanes[i]``."""
     states = np.empty((len(lanes), count), dtype=np.uint64)
-    for row, s in zip(states, lanes):
-        for i in range(min(count, _HEAD)):
-            row[i] = s = _step(s)
-    done = _HEAD
+    s0 = np.array(lanes, dtype=np.uint64).reshape(-1, 1)
+    states[:, :1] = _apply(_jump_tables(0), s0[:, :count])  # s_1 = M s_0
+    done = 1
     while done < count:  # M^done carries s_1..s_k to s_{done+1}..s_{done+k}
         k = min(done, count - done)
         states[:, done:done + k] = _apply(_jump_tables(done.bit_length() - 1), states[:, :k])

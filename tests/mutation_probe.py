@@ -2,8 +2,8 @@
 tolerance or a formula?
 
 Each mutant is a (name, file, old text, new text) quadruple.  The probe
-copies ``src/`` to a temporary directory, replaces the old text (which must
-occur exactly once) in that copy, and runs tier-1 under ``-x`` against it.
+copies ``src/`` to a temporary directory, replaces the old text in that
+copy (see ``mutate``), and runs tier-1 under ``-x`` against it.
 A mutant whose run passes is missed: no test pins the code it changed.  The
 unmutated copy runs first and must pass.
 
@@ -12,7 +12,9 @@ Most mutants are listed by hand.  The boundary mutants of the modules in
 order comparison the boundary flips (``<`` and ``<=``, ``>`` and ``>=``),
 and the mutant's old text is the whole source line.  Such a mutant is named
 ``<module>:<line>:<column>``, the column (in bytes) where the comparison's
-left operand ends.  A generated mutant that no test can catch, because it
+left operand ends, and is applied at its line, since the same line may
+occur more than once in a module.  A hand-listed mutant's old text must
+occur exactly once in its file.  A generated mutant that no test can catch, because it
 changes no result, is listed in ``EQUIVALENT`` with the reason; the probe
 reports it as ``equiv`` when it survives, and a listed mutant that tier-1
 catches counts as missed, since its listing is then wrong.
@@ -43,12 +45,16 @@ ROOT = Path(__file__).resolve().parents[1]
 # the modules whose order comparisons are flipped at the boundary; the
 # arbiter ``reference`` and the suites of ``checks`` stay out
 GENERATED = ["algorithms.py", "rng.py", "diagnostics.py", "phi.py", "prox.py", "config.py",
-             "experiments.py"]
+             "experiments.py", "oracles.py"]
 
 # generated mutants that change no result, each with the reason
 EQUIVALENT = {
     # at done == count the extra jump fills the empty slice states[:, count:count]
-    "rng:92:14": "`while done <= count` makes one more jump, of no states",
+    "rng:90:14": "`while done <= count` makes one more jump, of no states",
+    # at t = -1 and t = 1 the outer branches give (t -/+ 1) / (s + 2) = +0.0,
+    # the dead zone's own answer
+    "oracles:357:8": "`t <= -1.0` answers +0.0 at t = -1, as the dead zone does",
+    "oracles:359:8": "`t >= 1.0` answers +0.0 at t = 1, as the dead zone does",
 }
 
 _OPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
@@ -79,9 +85,7 @@ HAND_LISTED = [
     ("ppa-global-min-tol", "algorithms.py",
      "abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12", "abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-6"),
     ("ppa-descent-tol", "algorithms.py", "rec.f_xn + 1e-10", "rec.f_xn + 1e-2"),
-    # the quadratic prox exists exactly where min eig + weight > 0, and is
-    # V ((V^T (w x0)) / (lam + w))
-    ("quadratic-prox-rule", "oracles.py", "if not lam + w > 0.0:", "if not lam + w >= 0.0:"),
+    # the quadratic prox is V ((V^T (w x0)) / (lam + w))
     ("quadratic-prox-formula", "oracles.py", "(v.T @ (w * req.x0))", "(v.T @ req.x0)"),
     ("contains-tol", "oracles.py", "_CONTAINS_TOL = 1e-9", "_CONTAINS_TOL = 1e-3"),
     ("admit", "oracles.py", "if not a >= a_min:", "if not a >= a_min - 1e-6:"),
@@ -127,19 +131,29 @@ HAND_LISTED = [
      "z, grad, r, v = trial, g_t, r_t, None", "z, grad, r = trial, g_t, r_t"),
     ("inner-armijo-constant", "oracles.py",
      "h(trial) <= v - 1e-4 * step * r * r", "h(trial) <= v - 0.5 * step * r * r"),
-    # the boundaries themselves: each guard's value at exactly its threshold
-    ("inner-margin", "oracles.py", "and margin > 0.0)", "and margin >= 0.0)"),
     ("inner-gradient-factor", "oracles.py",
      "if r_t <= (1.0 - 1e-4) * r:", "if r_t <= r:"),
-    ("inner-gradient-strict", "oracles.py",
-     "if r_t <= (1.0 - 1e-4) * r:", "if r_t < (1.0 - 1e-4) * r:"),
-    ("norm-square-gamma", "oracles.py", "if not self.gamma > 0:", "if not self.gamma >= 0:"),
-    ("box-order", "oracles.py", "np.all(self.lo <= self.hi)", "np.all(self.lo < self.hi)"),
     # main maps any exception of a command to exit 3, not a fixed list
     ("cli-catch-all", "cli.py", "except Exception as e:", "except ValueError as e:"),
 ]
 
 MUTANTS = HAND_LISTED + [m for file in GENERATED for m in boundary_mutants(file)]
+
+
+def mutate(name: str, file: str, old: str, new: str, text: str) -> str:
+    """``text``, the source of ``file``, with the mutant applied; ``ValueError``
+    unless a generated mutant's line is its old text, or a hand-listed
+    mutant's old text occurs exactly once."""
+    if ":" in name:  # generated: <module>:<line>:<column>
+        lines = text.splitlines(keepends=True)
+        i = int(name.split(":")[1]) - 1
+        if i >= len(lines) or lines[i].rstrip("\r\n") != old:
+            raise ValueError(f"{name}: line {i + 1} of {file} is not the old text")
+        lines[i] = new + lines[i][len(old):]
+        return "".join(lines)
+    if text.count(old) != 1:
+        raise ValueError(f"{name}: the old text occurs {text.count(old)} times in {file}")
+    return text.replace(old, new)
 
 
 def _tier1(src: Path) -> bool:
@@ -170,11 +184,12 @@ def main(names: list[str]) -> int:
                 continue
             path = src / "absprox" / file
             text = path.read_text(encoding="utf-8")
-            if text.count(old) != 1:
-                print(f"{name}: the old text occurs {text.count(old)} times in {file}",
-                      file=sys.stderr)
+            try:
+                mutated = mutate(name, file, old, new, text)
+            except ValueError as e:
+                print(e, file=sys.stderr)
                 return 2
-            path.write_text(text.replace(old, new), encoding="utf-8")
+            path.write_text(mutated, encoding="utf-8")
             try:
                 caught = not _tier1(src)
             finally:

@@ -308,7 +308,7 @@ def test_criterion_10_fb_hessian_example():
     identity_worst = fd_worst = 0.0
     for rec in runs[0.1].result.records:
         x, grad = rec.x_n, g.gradient(rec.x_n)
-        for a in (g.default_coefficient(x), g.default_coefficient(x) + 1.7):
+        for a in (g.feasible_range(x) + g.eps, g.feasible_range(x) + g.eps + 1.7):
             u = subgrad_at(g, x, a).u
             scale = max(1.0, np.abs(grad).max(), np.abs(2.0 * a * x).max())
             identity_worst = max(identity_worst,

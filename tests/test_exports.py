@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import absprox
-from absprox import config
+from absprox import config, oracles, prox
 
 INIT = Path(absprox.__file__)
 MODULES = sorted(p.stem for p in INIT.parent.glob("*.py") if p.stem != "__init__")
@@ -36,6 +36,12 @@ def test_package_imports_only_declared_exports():
             undeclared += [f"{node.module}.{a.name}" for a in node.names
                            if a.name not in declared]
     assert undeclared == []
+
+
+@pytest.mark.parametrize("name", ["ProxRequest", "prox_abs_square_closed_form"])
+def test_the_prox_contract_is_one_object_wherever_it_is_imported(name):
+    # oracles defines it beside the prox methods; prox and the package re-export it
+    assert getattr(absprox, name) is getattr(prox, name) is getattr(oracles, name)
 
 
 def _keys_of(block: str) -> set[str]:

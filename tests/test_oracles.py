@@ -192,6 +192,12 @@ def test_norm_square_refuses_a_zero_gamma():
         NormSquare(gamma=0.0)
 
 
+def test_halfspace_refuses_a_zero_normal():
+    # {x : <0, x> <= b} is everything or nothing, and its projection divides by 0
+    with pytest.raises(ValueError, match="halfspace normal must be nonzero"):
+        Halfspace(np.zeros(2), 1.0)
+
+
 def test_a_box_with_lo_equal_to_hi_is_one_point():
     point = Box([1.0, -2.0], [1.0, -2.0])
     for x in ([0.0, 0.0], [5.0, -7.0], [1.0, -2.0]):
@@ -266,8 +272,8 @@ def test_subgrad_blackbox_default_and_identity():
         eps=0.1,
     )
     x = np.array([3.0])
-    assert g.default_coefficient(x) == pytest.approx(0.1)
-    phi = subgrad_at(g, x, g.default_coefficient(x))
+    assert g.feasible_range(x) + g.eps == pytest.approx(0.1)
+    phi = subgrad_at(g, x, g.feasible_range(x) + g.eps)
     # u - 2 a x recovers the gradient by construction
     assert np.allclose(phi.u - 2.0 * phi.a * x, [6.0])
 
@@ -277,6 +283,12 @@ def test_indicator_subgrad_positive_a():
     x = np.array([0.6, 0.8])
     phi = subgrad_at(IndicatorSet(ball), x, 2.0)
     assert np.allclose(phi.u, 2.0 * 2.0 * x)
+
+
+def test_indicator_subgrad_at_a_0():
+    # a = 0 is the least coefficient of the canonical selection u = 2a x
+    phi = subgrad_at(IndicatorSet(Ball(np.zeros(2), 1.0)), (0.5, 0.0), 0.0)
+    assert phi.a == 0.0 and phi.u.tolist() == [0.0, 0.0]
 
 
 def test_indicator_subgrad_negative_a_has_no_selector():
@@ -427,6 +439,27 @@ def test_a_point_1e_6_outside_a_unit_ball_is_not_contained():
     assert ball.contains([1.0 + 1e-10, 0.0])
     assert not ball.contains([1.0 + 1e-6, 0.0])
     assert IndicatorSet(ball).value(np.array([1.0 + 1e-6, 0.0])) == np.inf
+
+
+def test_a_point_exactly_at_the_slack_is_contained():
+    # each set's slack is 1e-9 times its size, here 1; a point that far out
+    # is inside, and the next float beyond it is not
+    cases = [(Ball(np.zeros(1), 1.0), 1.0 + 1e-9, np.inf),
+             (Box(np.zeros(1), np.ones(1)), -1e-9, -np.inf),
+             (Box(np.zeros(1), np.ones(1)), 1.0 + 1e-9, np.inf),
+             (Halfspace(np.ones(1), 0.0), 1e-9, np.inf)]
+    for s, edge, out in cases:
+        assert s.contains(np.array([edge]))
+        assert not s.contains(np.array([np.nextafter(edge, out)]))
+
+
+def test_a_point_on_the_boundary_is_its_own_projection_bit_for_bit():
+    # |0.1 - 1.0| is 0.9 in floating point, and 1.0 + (0.1 - 1.0) is not 0.1
+    x = np.array([0.1])
+    assert Ball(np.ones(1), 0.9).project(x).tobytes() == x.tobytes()
+    # <n, x> - b is 0.0 here, and x - 0.0 n would turn the -0.0 into +0.0
+    x = np.array([-0.0, 1.0])
+    assert Halfspace(np.array([-1.0, 1.0]), 1.0).project(x).tobytes() == x.tobytes()
 
 
 def test_projections_of_far_points():

@@ -82,6 +82,14 @@ def test_prox_norm_square_midpoint():
     assert np.allclose(got, [1.0, 0.0])
 
 
+def test_prox_norm_square_at_weight_0_is_f_s_minimizer():
+    # weight 0 leaves f alone, whose minimizer is +0.0; the factor w / (...)
+    # = 0 times x0 would give -0.0 at a negative x0
+    req = ProxRequest(NormSquare(gamma=1.0, dim=2), np.array([-3.0, 2.0]), 0.5, -1.0)
+    assert req.weight == 0.0
+    assert prox_via_argmin(req).tobytes() == np.zeros(2).tobytes()
+
+
 def test_prox_quadratic_solves_linear_system():
     x0 = np.array([1.0, -1.0, 2.0])
     req = ProxRequest(QuadraticForm(Q3), x0, 0.05, 0.0)
@@ -387,6 +395,30 @@ def test_inner_solver_gradient_test_boundary(x0, a0, value_calls):
     got = prox_via_argmin(ProxRequest(g, np.array([x0]), 0.5, a0))
     assert len(calls) == value_calls
     assert got[0] == pytest.approx(x0 * (1.0 + a0) / (2.0 + a0), rel=1e-12)
+
+
+def test_inner_solver_stops_at_a_residual_equal_to_its_tolerance():
+    # g = 1e-10 z at x0 = 0: the residual ||h'(x0)|| = 1e-10 is the tolerance
+    # 1e-10 max(1, r, ||x0||) itself, which the stop rule accepts
+    g = _blackbox(lambda p: 1e-10 * float(p[0]), lambda p: np.full(1, 1e-10), 0.0)
+    assert prox_via_argmin(ProxRequest(g, np.zeros(1), 0.5, 0.0)).tolist() == [0.0]
+
+
+def test_inner_solver_tries_a_step_of_exactly_1e_16():
+    # g = 1e16 z at x0 = 0 and weight 1: the first step 1/||h'(x0)|| is 1e-16,
+    # the least the descent tries; it passes Armijo, and the Barzilai-Borwein
+    # step after it lands on the minimizer -1e16 / 2
+    g = _blackbox(lambda p: 1e16 * float(p[0]), lambda p: np.full(1, 1e16), 0.0)
+    got = prox_via_argmin(ProxRequest(g, np.zeros(1), 0.5, 0.0))
+    assert got[0] == pytest.approx(-0.5e16, rel=1e-12)
+
+
+def test_inner_solver_takes_at_most_500_steps():
+    # g = z at weight 0: h' = 1 everywhere, so each unit step passes Armijo,
+    # s'y = 0 keeps the step at 1, and the descent never stops on its own
+    g = _blackbox(lambda p: float(p[0]), lambda p: np.ones(1), 0.0)
+    with pytest.raises(SolverToleranceError, match="after 500 steps"):
+        prox_via_argmin(ProxRequest(g, np.zeros(1), 0.5, -1.0))
 
 
 # sha256 of the answers' bytes, frozen before the inner solver stopped

@@ -608,9 +608,9 @@ def test_rng_uniform_spans_interval():
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_rng_block_draws_are_the_sequential_stream(seed):
-    # a block jumps ahead past its first 64 states; every draw, and the
+    # a block jumps ahead from its first state on; every draw, and the
     # state it leaves, must be those of one next_double per draw
-    for count in (0, 1, 63, 64, 65, 127, 128, 129, 4097, 100_001):
+    for count in (0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 4097, 100_001):
         block, stream = XorShift64Star(seed), XorShift64Star(seed)
         got = block.uniform_vector(0.0, 1.0, count)
         assert got.shape == (count,)
