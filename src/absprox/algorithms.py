@@ -29,7 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .oracles import Oracle, ProxRequest, SetDescriptor, SmoothBlackBox, _admit, _norm, eval_oracle
+from .oracles import Oracle, ProxRequest, SetDescriptor, SmoothBlackBox, _admit, _norm, _point
 from .prox import prox_via_argmin
 
 __all__ = [
@@ -131,7 +131,7 @@ class PsgAdaptiveV1(Schedule):
     a_const < 0.  Otherwise it is not, and the run ends on nonfinite-abort.
     """
 
-    a_const: float = 0.0
+    a_const: float
 
     def __post_init__(self):
         super().__post_init__()
@@ -240,12 +240,12 @@ def sq_distances(x: np.ndarray, x_star) -> np.ndarray:
     return np.vecdot(d, d)
 
 
-def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
+def _iterate(x0: np.ndarray, sched: Schedule, n_iter: int, value, step,
              check_descent: bool = False) -> RunResult:
     """The loop the three methods share (one run, one (n,) iterate).
 
-    Record 0 takes ``objective``, which checks the start through
-    ``eval_oracle``; later ones take ``value``, the oracles' own (no step
+    ``x0`` is the start that ``oracles._point`` checked; record 0 holds a
+    copy.  Every record's objective is ``value``, the oracles' own (no step
     changes the iterate's shape: the set's dimension and a black box's
     gradient are checked).
     ``step(rec)`` advances from the current record (it may fill
@@ -256,8 +256,8 @@ def _iterate(x0, sched: Schedule, n_iter: int, objective, value, step,
     warns with :class:`TheoremViolationWarning` on a violation; a NaN
     objective on either side of the step is one.
     """
-    x = np.array(x0, dtype=float, ndmin=1)
-    rec = IterationRecord(0, sched.gamma0, sched.a0, np.nan, x, float(objective(x)), 0.0)
+    x = x0.copy()
+    rec = IterationRecord(0, sched.gamma0, sched.a0, np.nan, x, float(value(x)), 0.0)
     records = [rec]
     stop = None
     for n in range(n_iter):
@@ -314,8 +314,7 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
         tag = STOP_GLOBAL_MIN if abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12 else None
         return x_next, gamma_next, a_next, tag
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), f.value, step,
-                    check_descent=True)
+    return _iterate(_point(f, x0), sched, n_iter, f.value, step, check_descent=True)
 
 
 def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> RunResult:
@@ -355,7 +354,7 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> Ru
         gamma_next, a_next = schedule_step(sched, gamma, a, a_g)
         return x_next, gamma_next, a_next, None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x) + eval_oracle(g, x),
+    return _iterate(_point(g, _point(f, x0)), sched, n_iter,
                     lambda x: float(f.value(x)) + float(g.value(x)), step)
 
 
@@ -386,11 +385,8 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
         denom = 1.0 + 2.0 * gamma * (a - a_f)
         if denom <= 0.0:
             return None
-        z = (1.0 + 2.0 * gamma * a) * x  # the update's operations, in place, in order
-        z -= gamma * u
-        z /= denom
-        x_next = set_c.project(z)
+        x_next = set_c.project(((1.0 + 2.0 * gamma * a) * x - gamma * u) / denom)
         gamma_next, a_next = schedule_step(sched, gamma, a, a_f)
         return x_next, gamma_next, a_next, None
 
-    return _iterate(x0, sched, n_iter, lambda x: eval_oracle(f, x), f.value, step)
+    return _iterate(_point(f, x0), sched, n_iter, f.value, step)

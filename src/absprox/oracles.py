@@ -21,8 +21,9 @@ box included: its ``prox`` is a certified inner solver (see
 element (a, u).  ``eval_oracle``, ``feasible_range`` and ``subgrad_at`` are
 the entry points: they check the point's dimension and the coefficient,
 which the methods assume.  ``eval_oracle`` and ``feasible_range`` also take
-a block (m, n) of points and return their m values.  Every ``prox`` reads
-a ``ProxRequest``, whose one point is checked as ``subgrad_at``'s is.
+a block (m, n) of points and return their m values.  Any other input is one
+point, checked by ``_point``, as are ``subgrad_at``'s, every ``prox``'s (a
+``ProxRequest``'s) and each run's start in :mod:`absprox.algorithms`.
 """
 
 from __future__ import annotations
@@ -302,19 +303,13 @@ class QuadraticForm:
         return float(self.eigenvalues[0])
 
     def value(self, x):
-        # a point's (q.T @ x) . x has the bits of each block row's
-        # matvec/vecdot form, and costs less; a block x @ q does not
-        if x.ndim == 1:
-            return (self.q.T @ x).dot(x)
         return np.vecdot(np.matvec(self.q.T, x), x)
 
     def feasible_range(self, x) -> float:
         return -self.min_eigenvalue
 
     def slope(self, x, a):
-        # q @ x is the cheaper form on one point (quad-dim); np.matvec gives
-        # each row of a block those bits, which a block x @ q.T does not
-        qx = self.q @ x if x.ndim == 1 else np.matvec(self.q, x)
+        qx = np.matvec(self.q, x)
         qx += a * x  # 2 (qx + a x), in place
         qx *= 2.0
         return qx
@@ -448,7 +443,7 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
 
     def h(z):
         d = z - x0
-        return eval_oracle(f, z) + w * float(d @ d)
+        return float(f.value(z)) + w * float(d @ d)
 
     def dh(z):
         return f.gradient_at(z) + 2.0 * w * (z - x0)
@@ -550,20 +545,19 @@ def _point(f: Oracle, x) -> np.ndarray:
     return x
 
 
-def _check_dim(f: Oracle, x: np.ndarray):
-    """Refuse anything but a point (n,) or a block (m, n) of f's dimension n."""
-    if x.shape != (f.dim,) and (x.ndim != 2 or x.shape[1] != f.dim):
-        raise ValueError(f"dimension mismatch: oracle dim {f.dim}, points of shape {x.shape}")
+def _rows(f: Oracle, x) -> np.ndarray:
+    """x as a block (m, n) of f's dimension n, or else as one point (``_point``)."""
+    x = _vec(x)
+    return x if x.ndim == 2 and x.shape[1] == f.dim else _point(f, x)
 
 
 def eval_oracle(f: Oracle, x) -> float | np.ndarray:
     """f(x); +inf for an indicator evaluated outside its set.
 
-    A point (n,) gives a float, a block (m, n) the array of its m row values.
-    A black box's callback sees one row at a time.
+    A point (n,) gives a float, a block (m, n) the array of its m row values;
+    ``_point`` refuses any other shape.  A black box's callback sees one row at a time.
     """
-    x = _vec(x)
-    _check_dim(f, x)
+    x = _rows(f, x)
     if x.ndim == 1:
         return float(f.value(x))
     if isinstance(f, SmoothBlackBox):
@@ -576,8 +570,7 @@ def feasible_range(f: Oracle, x) -> float | np.ndarray:
     a >= a_min, which no NaN satisfies.  Raises if x is outside dom f.  A
     block (m, n) gives the m rows' values; a black box's callback sees one
     row at a time."""
-    x = _vec(x)
-    _check_dim(f, x)
+    x = _rows(f, x)
     a_min = f.feasible_range(x)
     return a_min if x.ndim == 1 else np.full(len(x), a_min)
 

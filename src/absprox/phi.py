@@ -69,7 +69,8 @@ class PhiElement:
                 and bool(np.all(self.u == other.u)))
 
     def __hash__(self):
-        return hash((self.a, self.u.tobytes()))
+        # + 0.0 makes every -0.0 +0.0, since equal elements compare -0.0 == 0.0
+        return hash((self.a, (self.u + 0.0).tobytes()))
 
 
 def _admissible(gamma, a):

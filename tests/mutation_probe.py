@@ -7,19 +7,23 @@ copy (see ``mutate``), and runs tier-1 under ``-x`` against it.
 A mutant whose run passes is missed: no test pins the code it changed.  The
 unmutated copy runs first and must pass.
 
-Most mutants are listed by hand.  The boundary mutants of the modules in
-``GENERATED`` are made from their source: at each one-line, one-operator
-order comparison the boundary flips (``<`` and ``<=``, ``>`` and ``>=``),
-and the mutant's old text is the whole source line.  Such a mutant is named
-``<module>:<line>:<column>``, the column (in bytes) where the comparison's
-left operand ends, and is applied at its line, since the same line may
-occur more than once in a module.  A hand-listed mutant's old text must
-occur exactly once in its file.  A generated mutant that no test can catch, because it
-changes no result, is listed in ``EQUIVALENT`` with the reason; the probe
-reports it as ``equiv`` when it survives, and a listed mutant that tier-1
-catches counts as missed, since its listing is then wrong.
+Most mutants are listed by hand.  The others are made from the source.
+The boundary mutants of the modules in ``GENERATED`` flip the boundary of
+each one-line, one-operator order comparison (``<`` and ``<=``, ``>`` and
+``>=``).  The arithmetic mutants of the modules in ``ARITHMETIC`` swap the
+operator of each one-line binary operation or augmented assignment (``+``
+and ``-``, ``*`` and ``/``).  A generated mutant's old text is the whole
+source line.  It is named ``<module>:<line>:<column>``, the column (in
+bytes) where the operation's left operand ends, and is applied at its line,
+since the same line may occur more than once in a module.  A hand-listed
+mutant's old text must occur exactly once in its file.  A generated mutant
+that no test can catch, because it changes no result, is listed in
+``EQUIVALENT`` with the reason; the probe reports it as ``equiv`` when it
+survives, and a listed mutant that tier-1 catches counts as missed, since
+its listing is then wrong.  A mutant under which tier-1 runs longer than
+``TIMEOUT_S`` (a loop that no longer ends) counts as caught.
 
-Run it by hand from anywhere; the whole list takes about 4 minutes on a
+Run it by hand from anywhere; the whole list takes about 9 minutes on a
 shared 2-CPU host:
 
     python tests/mutation_probe.py            # every mutant
@@ -35,6 +39,7 @@ from __future__ import annotations
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -46,6 +51,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # arbiter ``reference`` and the suites of ``checks`` stay out
 GENERATED = ["algorithms.py", "rng.py", "diagnostics.py", "phi.py", "prox.py", "config.py",
              "experiments.py", "oracles.py"]
+# the modules whose arithmetic operators are swapped
+ARITHMETIC = ["diagnostics.py", "algorithms.py"]
+
+# seconds of one tier-1 run under a mutant before it counts as caught
+TIMEOUT_S = 120
 
 # generated mutants that change no result, each with the reason
 EQUIVALENT = {
@@ -53,32 +63,62 @@ EQUIVALENT = {
     "rng:90:14": "`while done <= count` makes one more jump, of no states",
     # at t = -1 and t = 1 the outer branches give (t -/+ 1) / (s + 2) = +0.0,
     # the dead zone's own answer
-    "oracles:357:8": "`t <= -1.0` answers +0.0 at t = -1, as the dead zone does",
-    "oracles:359:8": "`t >= 1.0` answers +0.0 at t = 1, as the dead zone does",
+    "oracles:352:8": "`t <= -1.0` answers +0.0 at t = -1, as the dead zone does",
+    "oracles:354:8": "`t >= 1.0` answers +0.0 at t = 1, as the dead zone does",
 }
 
 _OPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
+_ARITH = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}
+
+
+def _generate(file: str, swap) -> list[tuple[str, str, str, str]]:
+    """One mutant per one-line node of ``file`` for which ``swap(node)``
+    gives (the column where its left operand ends, the column where its
+    right operand starts, old operator, new operator)."""
+    text = (ROOT / "src" / "absprox" / file).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        at = swap(node)
+        if at is not None and node.lineno == node.end_lineno:
+            found.append((node.lineno, *at))
+    out = []
+    for lineno, start, end, old, new in sorted(found):
+        line = lines[lineno - 1].encode("utf-8")  # ast columns count bytes
+        gap = line[start:end].decode("utf-8").replace(old, new, 1)
+        mutated = (line[:start] + gap.encode("utf-8") + line[end:]).decode("utf-8")
+        out.append((f"{Path(file).stem}:{lineno}:{start}", file, line.decode("utf-8"), mutated))
+    return out
+
+
+def _between(left: ast.AST, right: ast.AST, ops: tuple[str, str]):
+    # the operator lies between the two operands
+    return (left.end_col_offset, right.col_offset, *ops)
+
+
+def _boundary(node):
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _OPS:
+        return _between(node.left, node.comparators[0], _OPS[type(node.ops[0])])
+    return None
+
+
+def _arithmetic(node):
+    if isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
+        return _between(node.left, node.right, _ARITH[type(node.op)])
+    if isinstance(node, ast.AugAssign) and type(node.op) in _ARITH:
+        return _between(node.target, node.value, _ARITH[type(node.op)])
+    return None
 
 
 def boundary_mutants(file: str) -> list[tuple[str, str, str, str]]:
     """One mutant per one-line, one-operator order comparison in ``file``."""
-    text = (ROOT / "src" / "absprox" / file).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    nodes = sorted((node for node in ast.walk(ast.parse(text))
-                    if isinstance(node, ast.Compare) and len(node.ops) == 1
-                    and type(node.ops[0]) in _OPS and node.lineno == node.end_lineno),
-                   key=lambda node: (node.lineno, node.col_offset))
-    out = []
-    for node in nodes:
-        old, new = _OPS[type(node.ops[0])]
-        line = lines[node.lineno - 1].encode("utf-8")  # ast columns count bytes
-        # the operator lies between the two operands
-        start, end = node.left.end_col_offset, node.comparators[0].col_offset
-        gap = line[start:end].decode("utf-8").replace(old, new, 1)
-        mutated = (line[:start] + gap.encode("utf-8") + line[end:]).decode("utf-8")
-        out.append((f"{Path(file).stem}:{node.lineno}:{start}", file,
-                    line.decode("utf-8"), mutated))
-    return out
+    return _generate(file, _boundary)
+
+
+def arithmetic_mutants(file: str) -> list[tuple[str, str, str, str]]:
+    """One mutant per one-line ``+``, ``-``, ``*`` or ``/`` operation in
+    ``file``, binary or augmented."""
+    return _generate(file, _arithmetic)
 
 
 HAND_LISTED = [
@@ -133,11 +173,14 @@ HAND_LISTED = [
      "h(trial) <= v - 1e-4 * step * r * r", "h(trial) <= v - 0.5 * step * r * r"),
     ("inner-gradient-factor", "oracles.py",
      "if r_t <= (1.0 - 1e-4) * r:", "if r_t <= r:"),
+    # record 0 would alias the caller's start array
+    ("start-copy", "algorithms.py", "x = x0.copy()", "x = x0"),
     # main maps any exception of a command to exit 3, not a fixed list
     ("cli-catch-all", "cli.py", "except Exception as e:", "except ValueError as e:"),
 ]
 
-MUTANTS = HAND_LISTED + [m for file in GENERATED for m in boundary_mutants(file)]
+MUTANTS = (HAND_LISTED + [m for file in GENERATED for m in boundary_mutants(file)]
+           + [m for file in ARITHMETIC for m in arithmetic_mutants(file)])
 
 
 def mutate(name: str, file: str, old: str, new: str, text: str) -> str:
@@ -156,13 +199,21 @@ def mutate(name: str, file: str, old: str, new: str, text: str) -> str:
     return text.replace(old, new)
 
 
-def _tier1(src: Path) -> bool:
-    """Whether tier-1 passes against the package in ``src``."""
+def _tier1(src: Path) -> str:
+    """"pass" or "fail" for tier-1 against the package in ``src``, or
+    "timeout" once it has run ``TIMEOUT_S`` seconds; its processes are then
+    killed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", str(ROOT / "tests")],
-        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return proc.returncode == 0
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    try:
+        return "pass" if proc.wait(timeout=TIMEOUT_S) == 0 else "fail"
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return "timeout"
 
 
 def main(names: list[str]) -> int:
@@ -175,7 +226,7 @@ def main(names: list[str]) -> int:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         # test_exports reads the README beside the package's src/
         shutil.copy(ROOT / "README.md", tmp)
-        if not _tier1(src):
+        if _tier1(src) != "pass":
             print("tier-1 fails without a mutant", file=sys.stderr)
             return 2
         missed = []
@@ -191,14 +242,16 @@ def main(names: list[str]) -> int:
                 return 2
             path.write_text(mutated, encoding="utf-8")
             try:
-                caught = not _tier1(src)
+                outcome = _tier1(src)
             finally:
                 path.write_text(text, encoding="utf-8")
+            caught = outcome != "pass"
+            note = " (timeout)" if outcome == "timeout" else ""
             if name in EQUIVALENT:
                 verdict = "CAUGHT" if caught else "equiv"
-                print(f"{verdict:7} {name}: {EQUIVALENT[name]}", flush=True)
+                print(f"{verdict:7} {name}{note}: {EQUIVALENT[name]}", flush=True)
             else:
-                print(f"{'caught' if caught else 'MISSED':7} {name}", flush=True)
+                print(f"{'caught' if caught else 'MISSED':7} {name}{note}", flush=True)
             if caught == (name in EQUIVALENT):
                 missed.append(name)
     print(f"{len(missed)} missed")

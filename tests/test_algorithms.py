@@ -165,6 +165,14 @@ def test_ppa_schedule_infeasible():
         run_ppa(AbsPlusSquare(), [3.0], PpaAdditive(gamma0=1.0, a0=0.0, delta=2.0), 5)
 
 
+def test_an_infeasible_decrement_names_itself_and_its_iterate():
+    # a_0 = 0.5 steps to a_1 = 2.5: the decrement -2 lies below |x| + x^2's -1
+    with pytest.raises(ScheduleInfeasibleError) as err:
+        run_ppa(AbsPlusSquare(), [3.0], PpaAdditive(gamma0=1.0, a0=0.5, delta=2.0), 5)
+    assert str(err.value) == ("schedule decrement a_n - a_(n+1) = -2.0 is below the "
+                              "oracle's feasible threshold at iterate 1")
+
+
 def test_ppa_fejer_column():
     star = np.zeros(1)
     res = run_ppa(AbsPlusSquare(), [-10.0], PpaAdditive(gamma0=1.0, a0=1.0, delta=0.9), 20)
@@ -194,18 +202,41 @@ def test_reference_of_the_wrong_dimension_raises(entry, anchor, tmp_path):
 
 @pytest.mark.parametrize("run, message", [
     (lambda: run_ppa(QuadraticForm(Q3), [1.0, 0.0], PpaAdditive(1.0, 5.0), 5),
-     "dimension mismatch: oracle dim 3, points of shape (2,)"),
+     "dimension mismatch: oracle dim 3, point of shape (2,)"),
     (lambda: run_fb(QuadraticForm(np.zeros((2, 2))), hessian_example(0.1), [1.0, 0.0, 0.0],
                     FbConstant(1.0, 5.0, a_const=5.0), 5),
-     "dimension mismatch: oracle dim 2, points of shape (3,)"),
+     "dimension mismatch: oracle dim 2, point of shape (3,)"),
     (lambda: run_psg(QuadraticForm(Q3), BALL3, [0.5, 0.5, 0.5, 0.5],
                      PsgConstantGamma(1.0, 200.0), 5),
-     "dimension mismatch: oracle dim 3, points of shape (4,)"),
-], ids=["ppa", "fb", "psg"])
+     "dimension mismatch: oracle dim 3, point of shape (4,)"),
+    # a one-row block of the right width is not a point either
+    (lambda: run_ppa(QuadraticForm(Q3), [[1.0, 0.0, 0.0]], PpaAdditive(1.0, 5.0), 5),
+     "dimension mismatch: oracle dim 3, point of shape (1, 3)"),
+    (lambda: run_fb(QuadraticForm(np.zeros((2, 2))), hessian_example(0.1), [[1.0, 0.0]],
+                    FbConstant(1.0, 5.0, a_const=5.0), 5),
+     "dimension mismatch: oracle dim 2, point of shape (1, 2)"),
+    (lambda: run_psg(QuadraticForm(Q3), BALL3, [[0.5, 0.5, 0.5]],
+                     PsgConstantGamma(1.0, 200.0), 5),
+     "dimension mismatch: oracle dim 3, point of shape (1, 3)"),
+], ids=["ppa", "fb", "psg", "ppa-row", "fb-row", "psg-row"])
 def test_a_start_of_the_wrong_dimension_is_refused(run, message):
     with pytest.raises(ValueError) as err:
         run()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("run", [
+    lambda x0: run_ppa(NormSquare(1.0, dim=3), x0, PpaAdditive(1.0, 5.0), 3),
+    lambda x0: run_fb(QuadraticForm(np.zeros((3, 3))), SmoothBlackBox(
+        value=lambda p: float(p @ p), gradient=lambda p: 2.0 * p, kappa=lambda p: 0.0, eps=0.1,
+        dim=3), x0, FbConstant(1.0, 5.0, a_const=5.0), 3),
+    lambda x0: run_psg(QuadraticForm(Q3), BALL3, x0, PsgConstantGamma(1.0, 200.0), 3),
+], ids=["ppa", "fb", "psg"])
+def test_a_run_keeps_its_own_copy_of_the_start(run):
+    x0 = np.array([0.5, -0.25, 0.125])
+    res = run(x0)
+    x0[:] = 7.0
+    assert res.records[0].x_n.tolist() == [0.5, -0.25, 0.125]
 
 
 @pytest.mark.parametrize("run, message", [

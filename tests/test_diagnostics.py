@@ -25,7 +25,7 @@ from absprox import (
     run_psg,
     subgrad_at,
 )
-from absprox.algorithms import column
+from absprox.algorithms import IterationRecord, column
 from absprox.checks import Q3
 
 
@@ -126,6 +126,36 @@ def test_a_rise_of_exactly_the_tolerance_is_not_flagged(rise, flagged):
     rep = check_fejer(_with(_with(records, 0, f_xn=0.0), 1, f_xn=rise), np.zeros(1), "ppa")
     assert (rep.objective_monotone, rep.objective_first_violation) == (
         (False, 0) if flagged else (True, None))
+
+
+def _record(n, gamma, a, x, f_xn, step_norm):
+    return IterationRecord(n, gamma, a, np.nan, np.array(x), f_xn, step_norm)
+
+
+def test_a_ppa_drop_smaller_than_its_step_term_is_a_violation():
+    # alpha = b = 1/(2 * 0.25) + 0.5 = 2.5, s_1 = 0.5: the step term is 0.625,
+    # while alpha d^2 drops from 2.5 * 0.16 = 0.4 to 2.5 * 0.01 = 0.025
+    records = [_record(0, 0.25, 0.5, [2.0], 1.0, 0.0),
+               _record(1, 0.25, 0.5, [1.5], 0.5, 0.5)]
+    rep = check_fejer(records, np.array([1.6]), "ppa")
+    assert rep.step_sq_sum == 2.5 * 0.25
+    assert (rep.fejer_monotone, rep.fejer_first_violation) == (False, 0)
+
+
+def test_psg_weights_are_one_plus_2_gamma_a():
+    # at gamma = 0.5, alpha = 1 + a: 2 then 4, so alpha d^2 goes 2 * 10 = 20 ->
+    # 4 * 4 = 16, no rise; weights 1 + 4a (5, 13) would rise, 50 -> 52.  No
+    # record was queried, so every allowance is 0
+    f = NormSquare(1.0, dim=2)
+    records = [_record(0, 0.5, 1.0, [3.0, 1.0], 1.0, 0.0),
+               _record(1, 0.5, 3.0, [2.0, 0.0], 0.5, 1.5)]
+    rep = check_fejer(records, np.zeros(2), "psg", f)
+    assert rep.quasi_fejer_slack == [0.0]
+    assert (rep.fejer_monotone, rep.fejer_first_violation) == (True, None)
+    # and a rise at these weights is seen: with a_1 = 1 and d_1^2 = 12, 20 -> 2 * 12 = 24
+    records = [records[0], _record(1, 0.5, 1.0, [2.0, 2.0 * np.sqrt(2.0)], 0.5, 1.5)]
+    rep = check_fejer(records, np.zeros(2), "psg", f)
+    assert (rep.fejer_monotone, rep.fejer_first_violation) == (False, 0)
 
 
 def test_a_far_psg_run_sums_no_step_terms():

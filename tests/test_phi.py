@@ -26,6 +26,10 @@ def test_phi_element_coerces_u_to_vector():
 def test_phi_equality_compares_coefficient_and_slope():
     assert PhiElement(1.0, (2.0,)) == PhiElement(1, [2.0])
     assert hash(PhiElement(1.0, (2.0,))) == hash(PhiElement(1, [2.0]))
+    # equal elements hash equal, and a set holds one, whatever the sign of a zero
+    assert PhiElement(1.0, [0.0, 2.0]) == PhiElement(1.0, [-0.0, 2.0])
+    assert hash(PhiElement(1.0, [0.0, 2.0])) == hash(PhiElement(1.0, [-0.0, 2.0]))
+    assert len({PhiElement(1.0, [0.0, 2.0]), PhiElement(1.0, [-0.0, 2.0])}) == 1
     assert PhiElement(1.0, (2.0,)) != PhiElement(2.0, (2.0,))
     assert PhiElement(1.0, (2.0,)) != PhiElement(1.0, (3.0,))
 

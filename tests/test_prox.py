@@ -82,6 +82,16 @@ def test_prox_norm_square_midpoint():
     assert np.allclose(got, [1.0, 0.0])
 
 
+def test_prox_norm_square_away_from_weight_1():
+    # at 1/(2 gamma') + w = 1 (the midpoint case) w (c + w) equals w / (c + w),
+    # and 0.5 gamma' stands in for 0.5 / gamma' at gamma' = 1; here c = 2 and
+    # w = 1/(2 * 0.5) + 0.3 = 1.3
+    x0 = np.array([2.0, -1.0])
+    req = ProxRequest(NormSquare(gamma=0.25, dim=2), x0, 0.5, 0.3)
+    assert req.weight == pytest.approx(1.3, rel=1e-15)
+    assert np.allclose(prox_via_argmin(req), 1.3 * x0 / (2.0 + 1.3), rtol=1e-14, atol=0.0)
+
+
 def test_prox_norm_square_at_weight_0_is_f_s_minimizer():
     # weight 0 leaves f alone, whose minimizer is +0.0; the factor w / (...)
     # = 0 times x0 would give -0.0 at a negative x0

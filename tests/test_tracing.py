@@ -70,10 +70,9 @@ def test_bundled_sweeps_call_counts(tracing):
         # a step asks the oracle's own feasible_range, which the tracer does
         # not wrap
         "oracles.feasible_range": 0,
-        # a run checks its start once and then calls the value methods,
-        # which the tracer does not wrap: 30 start checks (an fb member
-        # checks f and g)
-        "oracles.eval": 30,
+        # a run checks its start with oracles._point and evaluates every
+        # record through the value methods, neither of which the tracer wraps
+        "oracles.eval": 0,
         # one projection per psg member and step
         "oracles.project": 1587,
         # one prox per ppa or fb member and step: the 404 ppa-absq and 235
@@ -146,8 +145,9 @@ def test_quad_dim_call_counts(tracing, tmp_path):
         "algorithms.run": 3,
         "algorithms.schedule_step": 600,
         "oracles.project": 600,
-        # each run checks its start once
-        "oracles.eval": 3,
+        # each run checks its start with oracles._point, which the tracer
+        # does not wrap
+        "oracles.eval": 0,
         # each psg allowance checks its queried rows as one block, and the
         # block passes, so no row falls back to subgrad_at
         "oracles.feasible_range": 3,
