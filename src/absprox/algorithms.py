@@ -30,6 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .oracles import Oracle, ProxRequest, SetDescriptor, SmoothBlackBox, _admit, _norm, _point
+from .phi import _vec
 from .prox import prox_via_argmin
 
 __all__ = [
@@ -233,7 +234,7 @@ def sq_distances(x: np.ndarray, x_star) -> np.ndarray:
     """||x_star - x_n||^2 for every row x_n of the (N+1, n) iterate block
     ``x``, with the bits of each row's own ``d @ d``; ValueError unless
     ``x_star`` has the iterates' dimension."""
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
+    x_star = _vec(x_star)
     if x_star.shape != x.shape[1:]:
         raise ValueError(f"dimension mismatch: reference {x_star.shape}, iterates {x.shape}")
     d = x_star - x

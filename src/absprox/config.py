@@ -14,7 +14,7 @@ Grammar::
     schedule = psg_constant             # ppa_additive(d) | psg_adaptive_v1(a)
                                         # | psg_adaptive_v2(eps) | fb_constant(a)
     N = 101
-    reference = auto_eigen              # or a vector; optional
+    reference = auto_eigen              # or a vector; optional; auto_eigen: psg, Q, ball(0,r)
     output = run.csv                    # optional
 
 What each algorithm takes (one ``_METHODS`` row each)::
@@ -29,8 +29,9 @@ one rule for every algorithm: a required key is met by being present, a
 value that does not parse gets only its own error, and a parsed key,
 oracle or schedule the algorithm's row does not list is refused.  It
 refuses unknown keys, non-finite numbers, a stray or missing bracket (with
-its column), an empty call argument, ``auto_eigen`` without ``Q``, and
-what the constructors of the oracle, set and schedule reject.  A number
+its column), an empty call argument, ``auto_eigen`` without ``Q`` or
+outside psg over a ball centred at 0, and what the constructors of the
+oracle, set and schedule reject.  A number
 given for a set's center, bounds or normal stands for that number in every
 coordinate.  A parsed :class:`ExperimentConfig` holds the objects its run takes.
 """
@@ -352,6 +353,12 @@ def parse_config(text: str) -> ExperimentConfig:
         reference = vals.get("reference")
         if isinstance(reference, np.ndarray) and reference.size != dim:
             fail("reference", "reference vector dimension does not match x0")
+    # auto_eigen is the minimizer over psg's ball(0, r); a set that did not
+    # parse, or a missing or unparsed algorithm, has only its own error
+    centred = set_c is None or isinstance(set_c, Ball) and not set_c.center.any()
+    if raw.get("reference") == "auto_eigen" and "Q" in raw and not (
+            vals.get("algorithm", "psg") == "psg" and centred):
+        fail("reference", "auto_eigen needs psg over a ball centred at 0")
 
     algorithm = vals.get("algorithm")
     method = _METHODS.get(algorithm)

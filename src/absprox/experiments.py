@@ -208,16 +208,19 @@ def _runs(cfgs: list[ExperimentConfig]) -> list[ExperimentRun]:
     and fill each run's Fejér column against it.
 
     A vector reference is used as it is.  ``auto_eigen`` (the parser admits
-    it only with ``Q``) is the Jacobi arbiter's unit eigenvector of Q's
-    smallest eigenvalue, whose bits the frozen ``dist_to_ref``/``fejer``
-    columns carry, signed toward each run's final iterate.
+    it only for psg with ``Q`` over a ball(0, r)) is a minimizer of <x, Qx>
+    over that ball: 0 when Q's least eigenvalue (the Jacobi arbiter's) is
+    not negative, else r times its unit eigenvector, signed toward each
+    run's final iterate.  At r = 1 that is the eigenvector itself, whose bits
+    the frozen ``dist_to_ref``/``fejer`` columns carry.
     """
     results = [_run(cfg) for cfg in cfgs]
     ref = cfgs[0].reference
     eigen = None
     if isinstance(ref, str):  # auto_eigen
-        eigen = eig_sym(cfgs[0].f.q)[1][:, 0]
-        eigen = eigen / np.linalg.norm(eigen)
+        lam, v = eig_sym(cfgs[0].f.q)
+        eigen = v[:, 0] / np.linalg.norm(v[:, 0])
+        eigen = cfgs[0].set.radius * eigen if lam[0] < 0.0 else np.zeros_like(eigen)
     runs = []
     for cfg, result in zip(cfgs, results):
         x_star = ref

@@ -23,7 +23,8 @@ the entry points: they check the point's dimension and the coefficient,
 which the methods assume.  ``eval_oracle`` and ``feasible_range`` also take
 a block (m, n) of points and return their m values.  Any other input is one
 point, checked by ``_point``, as are ``subgrad_at``'s, every ``prox``'s (a
-``ProxRequest``'s) and each run's start in :mod:`absprox.algorithms`.
+``ProxRequest``'s) and each run's start in :mod:`absprox.algorithms`.  Every
+point, block and set datum is converted by the one helper ``phi._vec``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .phi import (InfeasibleCoefficientError, PhiElement, check_coefficient, duality_map_element,
-                  duality_slopes)
+from .phi import InfeasibleCoefficientError, PhiElement, _vec, check_coefficient, duality_slopes
 
 __all__ = [
     "Ball",
@@ -59,15 +59,6 @@ __all__ = [
 
 class EmptySubdifferentialError(ValueError):
     """The subdifferential at the requested point is empty (x outside dom f)."""
-
-
-_F64 = np.dtype(np.float64)
-
-
-def _vec(x) -> np.ndarray:
-    if type(x) is np.ndarray and x.dtype is _F64 and x.ndim:
-        return x  # what the conversion below would return
-    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -94,6 +85,8 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", _vec(self.center))
         object.__setattr__(self, "radius", float(self.radius))
+        if not (np.isfinite(self.center).all() and math.isfinite(self.radius)):
+            raise ValueError("ball center and radius must be finite")
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
@@ -137,8 +130,10 @@ class Box:
         return np.clip(_vec(x), self.lo, self.hi)
 
     def contains(self, x):
-        x = _vec(x)
-        pad = _CONTAINS_TOL * max(1.0, float(np.max(self.hi - self.lo)))
+        x, width = _vec(x), self.hi - self.lo
+        # the slack scales with the widest finite side, so an unbounded side
+        # keeps it finite
+        pad = _CONTAINS_TOL * float(np.max(width[np.isfinite(width)], initial=1.0))
         return np.all((x >= self.lo - pad) & (x <= self.hi + pad), axis=-1)
 
 
@@ -152,6 +147,8 @@ class Halfspace:
     def __post_init__(self):
         object.__setattr__(self, "normal", _vec(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
+        if not (np.isfinite(self.normal).all() and math.isfinite(self.offset)):
+            raise ValueError("halfspace normal and offset must be finite")
         if not _norm(self.normal) > 0.0:
             raise ValueError("halfspace normal must be nonzero")
 
@@ -259,13 +256,12 @@ class NormSquare:
         return -1.0 / (2.0 * self.gamma)
 
     def slope(self, x, a):
-        """(1/gamma + 2a) x: J_gamma's slope at a point, or at each row of a
-        block, in one ``duality_slopes`` call that raises as its first
-        refused row's point call does."""
-        if x.ndim > 1:
-            return duality_slopes(x, np.full(len(x), self.gamma),
-                                  np.broadcast_to(a, (len(x), 1)).ravel())
-        return duality_map_element(x, self.gamma, a).u
+        """(1/gamma + 2a) x: J_gamma's slopes, one ``duality_slopes`` call on
+        the rows of a block or on a point as one row; a refused row raises
+        its ``check_coefficient`` error."""
+        rows = np.atleast_2d(x)
+        return duality_slopes(rows, np.full(len(rows), self.gamma),
+                              np.broadcast_to(a, (len(rows), 1)).ravel()).reshape(x.shape)
 
     def prox(self, req) -> np.ndarray:
         # (1/(2 gp) + w) z = w x0
@@ -520,7 +516,7 @@ class SmoothBlackBox:
         row at a time); ``ValueError`` unless it has the point's shape."""
         if x.ndim > 1:
             return np.array([self.gradient_at(row) for row in x])
-        grad = np.atleast_1d(np.asarray(self.gradient(x), dtype=float))
+        grad = _vec(self.gradient(x))
         if grad.shape != x.shape:
             raise ValueError(f"dimension mismatch: gradient of shape {grad.shape} "
                              f"at a point of shape {x.shape}")

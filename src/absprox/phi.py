@@ -16,7 +16,7 @@ are admissible (gamma > 0 and 2*gamma*a >= -1, the inverse map's rule too);
 the norm-square oracle, the prox request and the closed-form prox ask it.
 The map's formulas are written once, for rows (``duality_slopes`` and
 ``duality_preimages``, one gamma and one a per row); the point maps are
-one-row calls of them.
+one-row calls of them.  ``_vec`` converts every point the package takes.
 """
 
 from __future__ import annotations
@@ -40,11 +40,14 @@ class InfeasibleCoefficientError(ValueError):
     """Raised when a requested coefficient a lies outside its feasible range."""
 
 
-def _vec(u) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(u, dtype=float))
-    if out.ndim != 1:
-        raise ValueError("expected a 1-D vector")
-    return out
+_F64 = np.dtype(np.float64)
+
+
+def _vec(x) -> np.ndarray:
+    # x as a float64 array of at least one dimension; any shape passes
+    if type(x) is np.ndarray and x.dtype is _F64 and x.ndim:
+        return x  # what the conversion below would return
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +60,8 @@ class PhiElement:
     def __post_init__(self):
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "u", _vec(self.u))
+        if self.u.ndim != 1:
+            raise ValueError("expected a 1-D vector")
 
     @property
     def dim(self) -> int:
@@ -144,7 +149,7 @@ def duality_map_element(x, gamma: float, a: float) -> PhiElement:
 
     J_gamma(x) is the subdifferential of ||.||^2/(2 gamma) at x within the
     quadratic family; its members are exactly the coefficients with
-    2*gamma*a >= -1.
+    2*gamma*a >= -1.  ``x`` is one point; the element refuses a matrix.
     """
     return PhiElement(a, duality_slopes(_vec(x)[None], [gamma], [a])[0])
 

@@ -110,6 +110,7 @@ _CLASSES = {
     "constructor messages": re.compile(r"(gamma0?|eps|epsilon) must be positive"),
     "psg_adaptive_v1 arity": re.compile(r"schedule psg_adaptive_v1 takes"),
     "psg_adaptive_v1(0)": re.compile(r"a_const must be nonzero"),
+    "auto_eigen outside psg over ball(0, r)": re.compile(r"auto_eigen needs psg over a ball"),
 }
 
 

@@ -23,7 +23,7 @@ survives, and a listed mutant that tier-1 catches counts as missed, since
 its listing is then wrong.  A mutant under which tier-1 runs longer than
 ``TIMEOUT_S`` (a loop that no longer ends) counts as caught.
 
-Run it by hand from anywhere; the whole list takes about 9 minutes on a
+Run it by hand from anywhere; the whole list takes about 16 minutes on a
 shared 2-CPU host:
 
     python tests/mutation_probe.py            # every mutant
@@ -52,7 +52,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GENERATED = ["algorithms.py", "rng.py", "diagnostics.py", "phi.py", "prox.py", "config.py",
              "experiments.py", "oracles.py"]
 # the modules whose arithmetic operators are swapped
-ARITHMETIC = ["diagnostics.py", "algorithms.py"]
+ARITHMETIC = ["diagnostics.py", "algorithms.py", "oracles.py"]
 
 # seconds of one tier-1 run under a mutant before it counts as caught
 TIMEOUT_S = 120
@@ -63,8 +63,8 @@ EQUIVALENT = {
     "rng:90:14": "`while done <= count` makes one more jump, of no states",
     # at t = -1 and t = 1 the outer branches give (t -/+ 1) / (s + 2) = +0.0,
     # the dead zone's own answer
-    "oracles:352:8": "`t <= -1.0` answers +0.0 at t = -1, as the dead zone does",
-    "oracles:354:8": "`t >= 1.0` answers +0.0 at t = 1, as the dead zone does",
+    "oracles:348:8": "`t <= -1.0` answers +0.0 at t = -1, as the dead zone does",
+    "oracles:350:8": "`t >= 1.0` answers +0.0 at t = 1, as the dead zone does",
 }
 
 _OPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}

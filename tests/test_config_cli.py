@@ -430,6 +430,79 @@ def test_auto_eigen_at_a_final_iterate_orthogonal_to_it_keeps_its_sign():
     assert run.x_star.tobytes() == (eigen / np.linalg.norm(eigen)).tobytes()
 
 
+def _last_row(tmp_path, text):
+    """Exit code 0 for ``text`` on the CLI, and its CSV's last row by column."""
+    code, err = _run_cli(tmp_path, text)
+    assert code == 0, err
+    header, *rows = (tmp_path / "case.csv").read_text().splitlines()
+    return dict(zip(header.split(","), rows[-1].split(",")))
+
+
+def test_auto_eigen_over_a_ball_of_radius_3_is_its_minimizer(tmp_path):
+    # f = <x, Q3 x> reaches its minimum 9 lambda_min = -36 at 3 v; the unit
+    # eigenvector v, 2 away, is no minimizer over this ball
+    text = _with(EXPERIMENTS["psg-q3-const"]["template"].format(gamma=0.1, q3=Q3_TEXT),
+                 "set", "ball(0,3)")
+    last = _last_row(tmp_path, text)
+    assert float(last["f_value"]) == pytest.approx(-36.0, abs=1e-4)
+    assert 0.0 < float(last["dist_to_ref"]) < 2e-3
+    run = run_config(parse_config(text))
+    eigen = eig_sym(run.config.f.q)[1][:, 0]
+    eigen = eigen / np.linalg.norm(eigen)
+    assert np.array_equal(np.abs(run.x_star), 3.0 * np.abs(eigen))
+    assert float(run.x_star @ run.result.final.x_n) > 0.0
+
+
+def test_auto_eigen_of_a_positive_definite_q_is_the_origin(tmp_path):
+    # diag(2, 1) is least at 0, so the distance column reads ||x_N||
+    text = """
+algorithm = psg
+Q = [[2,0];[0,1]]
+set = ball(0,1)
+x0 = [0.5,0.5]
+gamma0 = 0.1
+a0 = 5
+schedule = psg_constant
+N = 101
+reference = auto_eigen
+"""
+    last = _last_row(tmp_path, text)
+    run = run_config(parse_config(text))
+    assert run.x_star.tolist() == [0.0, 0.0]
+    x_n = run.result.final.x_n
+    assert float(last["dist_to_ref"]) == pytest.approx(math.sqrt(x_n @ x_n), rel=1e-15)
+    assert float(last["dist_to_ref"]) == pytest.approx(0.0452, abs=1e-4)
+
+
+def test_auto_eigen_at_a_least_eigenvalue_of_exactly_0_is_the_origin():
+    # Q = diag(1, 0) is least on the whole e2 axis, the origin included; r v
+    # is taken only for a negative eigenvalue
+    run = run_config(parse_config(_with(PSG_TEXT, "Q", "[[1,0];[0,0]]")))
+    assert run.x_star.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("edits, problem", [
+    ({"set": "box([-1,-1,-1],[1,1,1])"}, "auto_eigen needs psg over a ball centred at 0"),
+    ({"set": "halfspace(1,0)"}, "auto_eigen needs psg over a ball centred at 0"),
+    ({"set": "ball(1,1)"}, "auto_eigen needs psg over a ball centred at 0"),
+    ({"algorithm": "ppa", "set": None, "a_f": None, "schedule": "ppa_additive(0.9)"},
+     "auto_eigen needs psg over a ball centred at 0"),
+    # a set that does not parse has only its own error
+    ({"set": "cone(1,2)"}, "unknown set kind 'cone'"),
+], ids=["box", "halfspace", "off-centre-ball", "ppa", "unparsed-set"])
+def test_cli_auto_eigen_outside_psg_over_a_centred_ball_is_one_error(tmp_path, edits, problem):
+    # the three psg configs ran, with columns against the unit eigenvector,
+    # which is no minimizer over their sets; ppa has no set, and its
+    # indefinite Q no minimizer (this run fails on its schedule, exit 3)
+    text = EXPERIMENTS["psg-q3-const"]["template"].format(gamma=0.1, q3=Q3_TEXT)
+    for key, value in edits.items():
+        text = _with(text, key, value)
+    code, err = _run_cli(tmp_path, text)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert problem in err
+
+
 def test_csv_bytes_match_a_row_by_row_writer(tmp_path):
     runs = _edge_runs()
     for label, (result, x_star, tag) in runs.items():

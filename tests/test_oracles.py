@@ -21,7 +21,6 @@ from absprox import (
     SmoothBlackBox,
     eval_oracle,
     feasible_range,
-    oracles,
     phi,
     prox_via_argmin,
     subgrad_at,
@@ -453,6 +452,51 @@ def test_a_point_exactly_at_the_slack_is_contained():
         assert not s.contains(np.array([np.nextafter(edge, out)]))
 
 
+def test_the_slack_scales_with_the_size_of_the_set():
+    # 1e-9 times the radius 3, the width 4 and |b| / ||n|| = 3: a point 2/3 of
+    # the slack out is inside, and one 4/3 of it out is not; the halfspace's
+    # excess <n, x> - b reads the slack times ||n|| = 2
+    ball, box = Ball(np.zeros(2), 3.0), Box([-1.0, 0.0], [3.0, 1.0])
+    half = Halfspace(np.array([2.0, 0.0]), 6.0)
+    for s, inside, outside in [(ball, [3.0 + 2e-9, 0.0], [3.0 + 4e-9, 0.0]),
+                               (box, [3.0 + 2.6e-9, 0.5], [3.0 + 5.4e-9, 0.5]),
+                               (box, [-1.0 - 2.6e-9, 0.5], [-1.0 - 5.4e-9, 0.5]),
+                               (half, [3.0 + 2e-9, 0.0], [3.0 + 4e-9, 0.0])]:
+        assert s.contains(np.array(inside)) and not s.contains(np.array(outside))
+        assert s.contains(np.array([inside, outside])).tolist() == [True, False]
+
+
+def test_a_box_with_an_unbounded_side_contains_what_it_projects_to():
+    # the slack scales with the finite widths only: an infinite width would
+    # make it infinite and admit every point
+    box = Box([-np.inf], [0.0])
+    assert box.project(np.array([5.0])).tolist() == [0.0]
+    assert not box.contains(np.array([5.0]))
+    assert eval_oracle(IndicatorSet(box), [5.0]) == np.inf
+    assert box.contains(np.array([1e-9])) and not box.contains(np.array([2e-9]))
+    # the widest finite side, 4, sets the slack of the other sides too
+    box = Box([-np.inf, -1.0], [0.0, 3.0])
+    assert box.contains(np.array([3e-9, 0.0])) and not box.contains(np.array([5e-9, 0.0]))
+    # the whole plane stays the plane
+    plane = Box(np.full(2, -np.inf), np.full(2, np.inf))
+    assert plane.contains(np.array([1e300, -1e300])) and plane.contains(np.full(2, np.inf))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Halfspace([1.0, 0.0], -np.inf), "halfspace normal and offset must be finite"),
+    (lambda: Ball([np.nan, 0.0], 1.0), "ball center and radius must be finite"),
+    (lambda: Ball([np.inf, 0.0], 1.0), "ball center and radius must be finite"),
+    (lambda: Halfspace([1.0, 0.0], np.nan), "halfspace normal and offset must be finite"),
+    (lambda: Halfspace([np.nan, 0.0], 0.0), "halfspace normal and offset must be finite"),
+], ids=["halfspace-offset-minus-inf", "ball-nan-center", "ball-inf-center",
+        "halfspace-nan-offset", "halfspace-nan-normal"])
+def test_sets_refuse_non_finite_data(make, message):
+    # each projected to NaN or [-inf, nan], or (the NaN normal) was refused
+    # as a zero normal
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_a_point_on_the_boundary_is_its_own_projection_bit_for_bit():
     # |0.1 - 1.0| is 0.9 in floating point, and 1.0 + (0.1 - 1.0) is not 0.1
     x = np.array([0.1])
@@ -506,25 +550,27 @@ _CONVERTED_CASES = [
 
 @pytest.mark.parametrize("x", _F64_CASES)
 def test_vec_passes_float64_arrays_through(x):
-    assert oracles._vec(x) is x
+    assert phi._vec(x) is x
 
 
 @pytest.mark.parametrize("x", _CONVERTED_CASES)
 def test_vec_converts_everything_else_as_numpy_does(x):
-    got, want = oracles._vec(x), np.atleast_1d(np.asarray(x, dtype=float))
+    got, want = phi._vec(x), np.atleast_1d(np.asarray(x, dtype=float))
     assert type(got) is type(want) is np.ndarray
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    # and phi's 1-D conversion agrees wherever the input is a vector
-    got = phi._vec(x)
-    assert type(got) is np.ndarray and got.dtype == want.dtype
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_phi_vec_passes_vectors_through_and_refuses_matrices():
+    # the conversion keeps any shape; an element of the quadratic family
+    # refuses a matrix, and so the point map does
     x = np.arange(3.0)
     assert phi._vec(x) is x
     with pytest.raises(ValueError, match="1-D"):
-        phi._vec(np.arange(6.0).reshape(2, 3))
+        phi.PhiElement(1.0, np.arange(6.0).reshape(2, 3))
     with pytest.raises(ValueError, match="1-D"):
-        phi._vec([[1.0, 2.0]])
+        phi.PhiElement(1.0, [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="1-D"):
+        phi.duality_map_element(np.arange(6.0).reshape(2, 3), 1.0, 0.0)
+    with pytest.raises(ValueError, match="1-D"):
+        phi.duality_map_element([[1.0, 2.0]], 1.0, 0.0)

@@ -407,6 +407,26 @@ def test_inner_solver_gradient_test_boundary(x0, a0, value_calls):
     assert got[0] == pytest.approx(x0 * (1.0 + a0) / (2.0 + a0), rel=1e-12)
 
 
+def test_inner_solver_halves_a_step_that_raises_h_by_less_than_the_armijo_term():
+    # g = z^2 and weight 1: h = z^2 + (z - x0)^2 has h'' = 4, and the first
+    # step 1/r overshoots the minimizer x0/2 by the factor 2.0001.  The trial
+    # x0 - 1 fails the gradient test and raises h by about r^2 1e-4 / 4, less
+    # than the Armijo term 1e-4 step r^2 = r 1e-4: it must be refused, so the
+    # next gradient is taken at the halved step x0 - 0.5, not at the
+    # Barzilai-Borwein step from the trial
+    x0 = 2.0 / 2.0001
+    seen = []
+
+    def gradient(p):
+        seen.append(float(p[0]))
+        return 2.0 * p
+
+    g = _blackbox(lambda p: float(p @ p), gradient, 0.0)
+    got = prox_via_argmin(ProxRequest(g, np.array([x0]), 0.5, 0.0))
+    assert seen[:3] == [x0, x0 - 1.0, x0 - 0.5]
+    assert got[0] == pytest.approx(x0 / 2.0, rel=1e-12)
+
+
 def test_inner_solver_stops_at_a_residual_equal_to_its_tolerance():
     # g = 1e-10 z at x0 = 0: the residual ||h'(x0)|| = 1e-10 is the tolerance
     # 1e-10 max(1, r, ||x0||) itself, which the stop rule accepts

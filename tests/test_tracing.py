@@ -117,10 +117,10 @@ def test_verify_call_counts(tracing, monkeypatch):
         "reference.grid_argmin": 1,
         "reference.eig_sym": 2,
         "prox.closed": 1000,
-        # the 25 NormSquare certificate slopes; the tracer wraps only the
-        # point maps, and the round trip's 1000 cases go through the row
-        # functions duality_preimages and duality_slopes, which it does not
-        "phi.duality": 25,
+        # the tracer wraps only the point maps; the 25 NormSquare
+        # certificate slopes and the round trip's 1000 cases go through the
+        # row functions duality_slopes and duality_preimages, which it does not
+        "phi.duality": 0,
     }
     # the control's 10,000 draws and 6 extreme points
     assert tracer.extra["reference.sampler_points"] == 10_006
