@@ -2,18 +2,18 @@
 
 All three methods share the coefficient/stepsize schedules and one
 iteration loop: each supplies only its step (a prox or a projection plus
-its guard), and the loop owns the records, the non-finite abort, the
-descent check and the stopping rules.  A run emits a :class:`RunResult`
-holding one :class:`IterationRecord` per iterate; the last record's stop
-tag says how the run ended (None at the horizon).  The records are the
-run's only store: :func:`column` reads a field of them as an array and
-:func:`sq_distances` the squared distances of an iterate block to a
-reference point.  Runs are deterministic given their inputs.  Proximal
-point's descent guarantee is checked at runtime and reported through
-:class:`TheoremViolationWarning`, which the warnings filter turns into an
-error where a caller wants one; guard conditions terminate runs with a
-recorded stop tag instead of an exception wherever a stop is an expected
-outcome of the update rule itself.
+its guard; it touches no record), and the loop owns the records, the
+non-finite abort, the descent check and the stopping rules.  A run emits
+a :class:`RunResult` holding one :class:`IterationRecord` per iterate;
+the last record's stop tag says how the run ended (None at the horizon).
+The records are the run's only store: :func:`column` reads a field of
+them as an array and :func:`sq_distances` the squared distances of an
+iterate block to a reference point.  Runs are deterministic given their
+inputs.  Proximal point's descent guarantee is checked at runtime and
+reported through :class:`TheoremViolationWarning`, which the warnings
+filter turns into an error where a caller wants one; guard conditions
+terminate runs with a recorded stop tag instead of an exception wherever
+a stop is an expected outcome of the update rule itself.
 
 The loop steps one point: a run's scalars are floats and its iterate an
 (n,) array.  ``run_ppa``, ``run_fb`` and ``run_psg`` each hand it their
@@ -249,20 +249,21 @@ def _iterate(x0: np.ndarray, sched: Schedule, n_iter: int, value, step,
     copy.  Every record's objective is ``value``, the oracles' own (no step
     changes the iterate's shape: the set's dimension and a black box's
     gradient are checked).
-    ``step(rec)`` advances from the current record (it may fill
-    ``rec.a_fn``).  It returns None when the method's guard stops the run
-    at ``rec``, else ``(x_next, gamma_next, a_next, tag)``: a tag stops the
-    run at the new record.  Non-finite or nonpositive-stepsize updates
-    abort.  Under ``check_descent`` each step checks objective descent and
-    warns with :class:`TheoremViolationWarning` on a violation; a NaN
-    objective on either side of the step is one.
+    ``step(n, x_n, gamma_n, a_n)`` advances from iterate n and returns
+    ``(a_fn, out)``: the coefficient it queried at x_n (NaN when none was),
+    which the loop records, and ``out``, None when the method's guard stops
+    the run at iterate n, else ``(x_next, gamma_next, a_next, tag)``: a tag
+    stops the run at the new record.  Non-finite or nonpositive-stepsize
+    updates abort.  Under ``check_descent`` each step checks objective
+    descent and warns with :class:`TheoremViolationWarning` on a
+    violation; a NaN objective on either side of the step is one.
     """
     x = x0.copy()
     rec = IterationRecord(0, sched.gamma0, sched.a0, np.nan, x, float(value(x)), 0.0)
     records = [rec]
     stop = None
     for n in range(n_iter):
-        out = step(rec)
+        rec.a_fn, out = step(n, rec.x_n, rec.gamma_n, rec.a_n)
         if out is None:
             stop = STOP_GUARD
             break
@@ -304,16 +305,16 @@ def run_ppa(f: Oracle, x0, sched: Schedule, n_iter: int) -> RunResult:
     subgradient difference has coefficient a_n - a_{n+1}, which must stay
     feasible for f at the new iterate (``ScheduleInfeasibleError``).
     """
-    def step(rec):
-        x_next = prox_via_argmin(ProxRequest(f, rec.x_n, rec.gamma_n, rec.a_n))
-        gamma_next, a_next = schedule_step(sched, rec.gamma_n, rec.a_n)
-        if not rec.a_n - a_next >= f.feasible_range(x_next):
+    def step(n, x, gamma, a):
+        x_next = prox_via_argmin(ProxRequest(f, x, gamma, a))
+        gamma_next, a_next = schedule_step(sched, gamma, a)
+        if not a - a_next >= f.feasible_range(x_next):
             raise ScheduleInfeasibleError(
-                f"schedule decrement a_n - a_(n+1) = {rec.a_n - a_next} is below the "
-                f"oracle's feasible threshold at iterate {rec.n + 1}"
+                f"schedule decrement a_n - a_(n+1) = {a - a_next} is below the "
+                f"oracle's feasible threshold at iterate {n + 1}"
             )
-        tag = STOP_GLOBAL_MIN if abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12 else None
-        return x_next, gamma_next, a_next, tag
+        tag = STOP_GLOBAL_MIN if abs(0.5 / gamma + a) <= 1e-12 else None
+        return np.nan, (x_next, gamma_next, a_next, tag)
 
     return _iterate(_point(f, x0), sched, n_iter, f.value, step, check_descent=True)
 
@@ -338,22 +339,20 @@ def run_fb(f: Oracle, g: SmoothBlackBox, x0, sched: Schedule, n_iter: int) -> Ru
     if not isinstance(g, SmoothBlackBox):
         raise TypeError("g must be a SmoothBlackBox oracle")
 
-    def step(rec):
-        x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
+    def step(n, x, gamma, a):
         a_g = g.feasible_range(x) + g.eps
         grad = g.gradient_at(x)
-        rec.a_fn = a_g
         c = 0.5 / gamma + a - a_g
         if c <= 0.0:
             if sched.fb_weight_raises:
                 raise DegenerateStepError(
                     f"regularizer weight 1/(2 gamma) + a_n - a_n^g = {c} <= 0 "
-                    f"at iteration {rec.n}"
+                    f"at iteration {n}"
                 )
-            return None
+            return a_g, None
         x_next = prox_via_argmin(ProxRequest(f, x - grad / (2.0 * c), gamma, a - a_g))
         gamma_next, a_next = schedule_step(sched, gamma, a, a_g)
-        return x_next, gamma_next, a_next, None
+        return a_g, (x_next, gamma_next, a_next, None)
 
     return _iterate(_point(g, _point(f, x0)), sched, n_iter,
                     lambda x: float(f.value(x)) + float(g.value(x)), step)
@@ -378,16 +377,14 @@ def run_psg(f: Oracle, set_c: SetDescriptor, x0, sched: Schedule, n_iter: int,
     if set_c.dim != f.dim:
         raise ValueError(f"dimension mismatch: oracle dim {f.dim}, set dim {set_c.dim}")
 
-    def step(rec):
-        x, gamma, a = rec.x_n, rec.gamma_n, rec.a_n
+    def step(n, x, gamma, a):
         a_f = _admit(a_f_override, f.feasible_range(x))
         u = f.slope(x, a_f)
-        rec.a_fn = a_f
         denom = 1.0 + 2.0 * gamma * (a - a_f)
         if denom <= 0.0:
-            return None
+            return a_f, None
         x_next = set_c.project(((1.0 + 2.0 * gamma * a) * x - gamma * u) / denom)
         gamma_next, a_next = schedule_step(sched, gamma, a, a_f)
-        return x_next, gamma_next, a_next, None
+        return a_f, (x_next, gamma_next, a_next, None)
 
     return _iterate(_point(f, x0), sched, n_iter, f.value, step)

@@ -208,24 +208,33 @@ def _runs(cfgs: list[ExperimentConfig]) -> list[ExperimentRun]:
     and fill each run's Fejér column against it.
 
     A vector reference is used as it is.  ``auto_eigen`` (the parser admits
-    it only for psg with ``Q`` over a ball(0, r)) is a minimizer of <x, Qx>
-    over that ball: 0 when Q's least eigenvalue (the Jacobi arbiter's) is
-    not negative, else r times its unit eigenvector, signed toward each
-    run's final iterate.  At r = 1 that is the eigenvector itself, whose bits
-    the frozen ``dist_to_ref``/``fejer`` columns carry.
+    it only for psg with ``Q`` over a ball(0, r)) is the minimizer of
+    <x, Qx> over that ball nearest each run's final iterate x_N: 0 when Q's
+    least eigenvalue (the Jacobi arbiter's) is not negative, else r P_E x_N
+    / ||P_E x_N|| over its eigenspace E (the eigenvalues within 1e-9
+    max(1, |lambda_min|) of it) or, where E is a line or orthogonal to x_N,
+    r times the unit eigenvector signed toward x_N.  At r = 1 that is the
+    eigenvector itself, whose bits the frozen ``dist_to_ref``/``fejer``
+    columns carry.
     """
     results = [_run(cfg) for cfg in cfgs]
     ref = cfgs[0].reference
     eigen = None
     if isinstance(ref, str):  # auto_eigen
         lam, v = eig_sym(cfgs[0].f.q)
+        r = cfgs[0].set.radius
         eigen = v[:, 0] / np.linalg.norm(v[:, 0])
-        eigen = cfgs[0].set.radius * eigen if lam[0] < 0.0 else np.zeros_like(eigen)
+        eigen = r * eigen if lam[0] < 0.0 else np.zeros_like(eigen)
+        space = v[:, lam <= lam[0] + 1e-9 * max(1.0, abs(lam[0]))] if lam[0] < 0.0 else v[:, :1]
     runs = []
     for cfg, result in zip(cfgs, results):
         x_star = ref
         if eigen is not None:
             x_star = -eigen if float(eigen @ result.final.x_n) < 0.0 else eigen.copy()
+            p = space @ (space.T @ result.final.x_n)
+            norm = np.linalg.norm(p)
+            if space.shape[1] > 1 and norm > 0.0:
+                x_star = r * (p / norm)
         if x_star is not None:
             result.set_fejer(x_star)
         runs.append(ExperimentRun(config=cfg, result=result, x_star=x_star))

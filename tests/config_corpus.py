@@ -105,8 +105,7 @@ _JUNK = "abcxyz_[](),;# .-+"
 # matches none of them fails the comparison
 _CLASSES = {
     "brackets": re.compile(r"stray |missing '|must look like|malformed (set descriptor|schedule)"),
-    "uniform rules": re.compile(r"requires |is not usable with|is not used by|give either"
-                                r"|supports the|smooth part of fb"),
+    "uniform rules": re.compile(r"requires |is not usable with|is not used by|give either"),
     "constructor messages": re.compile(r"(gamma0?|eps|epsilon) must be positive"),
     "psg_adaptive_v1 arity": re.compile(r"schedule psg_adaptive_v1 takes"),
     "psg_adaptive_v1(0)": re.compile(r"a_const must be nonzero"),

@@ -23,8 +23,8 @@ survives, and a listed mutant that tier-1 catches counts as missed, since
 its listing is then wrong.  A mutant under which tier-1 runs longer than
 ``TIMEOUT_S`` (a loop that no longer ends) counts as caught.
 
-Run it by hand from anywhere; the whole list takes about 16 minutes on a
-shared 2-CPU host:
+Run it by hand from anywhere; the whole list took 15 min 37 s on a shared
+2-CPU host:
 
     python tests/mutation_probe.py            # every mutant
     python tests/mutation_probe.py admit ...  # the named ones
@@ -52,7 +52,8 @@ ROOT = Path(__file__).resolve().parents[1]
 GENERATED = ["algorithms.py", "rng.py", "diagnostics.py", "phi.py", "prox.py", "config.py",
              "experiments.py", "oracles.py"]
 # the modules whose arithmetic operators are swapped
-ARITHMETIC = ["diagnostics.py", "algorithms.py", "oracles.py"]
+ARITHMETIC = ["diagnostics.py", "algorithms.py", "oracles.py", "phi.py", "experiments.py",
+              "rng.py", "config.py"]
 
 # seconds of one tier-1 run under a mutant before it counts as caught
 TIMEOUT_S = 120
@@ -123,7 +124,7 @@ def arithmetic_mutants(file: str) -> list[tuple[str, str, str, str]]:
 
 HAND_LISTED = [
     ("ppa-global-min-tol", "algorithms.py",
-     "abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-12", "abs(0.5 / rec.gamma_n + rec.a_n) <= 1e-6"),
+     "abs(0.5 / gamma + a) <= 1e-12", "abs(0.5 / gamma + a) <= 1e-6"),
     ("ppa-descent-tol", "algorithms.py", "rec.f_xn + 1e-10", "rec.f_xn + 1e-2"),
     # the quadratic prox is V ((V^T (w x0)) / (lam + w))
     ("quadratic-prox-formula", "oracles.py", "(v.T @ (w * req.x0))", "(v.T @ req.x0)"),
@@ -135,13 +136,11 @@ HAND_LISTED = [
     ("streams-first-seed", "rng.py", "_states([_seed_state(seed) for seed in seeds]",
      "_states([_seed_state(seeds[0]) for seed in seeds]"),
     ("ppa-decrement-feasibility", "algorithms.py",
-     "if not rec.a_n - a_next >= f.feasible_range(x_next):",
-     "if not a_next - rec.a_n >= f.feasible_range(x_next):"),
+     "if not a - a_next >= f.feasible_range(x_next):",
+     "if not a_next - a >= f.feasible_range(x_next):"),
     ("fb-prox-coefficient", "algorithms.py",
      "ProxRequest(f, x - grad / (2.0 * c), gamma, a - a_g)",
      "ProxRequest(f, x - grad / (2.0 * c), gamma, a)"),
-    ("inner-margin-sign", "oracles.py",
-     "margin = 2.0 * (w - float(f.kappa(z)))", "margin = 2.0 * (w + float(f.kappa(z)))"),
     ("inner-tolerance", "oracles.py", "_INNER_RTOL = 1e-10", "_INNER_RTOL = 1e-4"),
     ("indicator-negative-a", "oracles.py", "if np.any(a < 0.0):", "if np.any(a < -1.0):"),
     ("coefficient-rule", "phi.py", "(1.0 + 2.0 * (gamma * a) > 0.0)", "(1.0 + (gamma * a) > 0.0)"),

@@ -533,8 +533,16 @@ def test_descent_warning_points_at_the_caller_of_run():
 
 def test_a_nan_objective_fails_both_descent_checks():
     # f is NaN for |x| <= 0.9, so the first prox step from 1.0 lands on a NaN
+    calls = itertools.count(1)
+
+    def gradient(p):
+        # the run makes 25 calls; an inner descent that never stops fails here
+        if next(calls) > 1000:
+            raise RuntimeError("more than 1000 gradient calls")
+        return 2.0 * p
+
     g = SmoothBlackBox(value=lambda p: np.nan if abs(p[0]) <= 0.9 else float(p @ p),
-                       gradient=lambda p: 2.0 * p, kappa=lambda p: 0.0, eps=0.1, dim=1)
+                       gradient=gradient, kappa=lambda p: 0.0, eps=0.1, dim=1)
     s = PpaAdditive(0.5, 6.0, delta=-1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

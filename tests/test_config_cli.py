@@ -32,7 +32,7 @@ from absprox import (
     oracles,
     run_psg,
 )
-from absprox.config import _SCHEDULES, ConfigError, hessian_example, parse_config
+from absprox.config import _SCHEDULES, ConfigError, ExperimentConfig, hessian_example, parse_config
 from absprox.reference import eig_sym
 from absprox.experiments import (
     CSV_HEADER,
@@ -479,6 +479,105 @@ def test_auto_eigen_at_a_least_eigenvalue_of_exactly_0_is_the_origin():
     # is taken only for a negative eigenvalue
     run = run_config(parse_config(_with(PSG_TEXT, "Q", "[[1,0];[0,0]]")))
     assert run.x_star.tolist() == [0.0, 0.0]
+
+
+def test_auto_eigen_at_a_repeated_least_eigenvalue_of_exactly_0_is_the_origin():
+    # Q = 0 is least everywhere, the origin included; the nearest point of
+    # r S(E) is taken only for a negative eigenvalue
+    run = run_config(parse_config(_with(PSG_TEXT, "Q", "[[0,0];[0,0]]")))
+    assert run.x_star.tolist() == [0.0, 0.0]
+
+
+_REPEATED = """
+algorithm = psg
+Q = [[-1,0,0];[0,-1,0];[0,0,2]]
+set = ball(0,1)
+x0 = [0.3,0.6,0.5]
+gamma0 = 0.5
+a0 = 5
+a_f = 1
+schedule = psg_constant
+N = 101
+reference = auto_eigen
+"""
+
+
+@pytest.mark.parametrize("edits, f_min", [
+    ({}, -1.0),
+    # spectrum (-1, -1, 2); from a0 = 5 the guard stops this run after 3 steps
+    ({"Q": "[[0,1,1];[1,0,1];[1,1,0]]", "set": "ball(0,2)", "a0": "50", "a_f": "1.5"}, -4.0),
+], ids=["diagonal", "full"])
+def test_auto_eigen_of_a_repeated_least_eigenvalue_is_the_nearest_minimizer(
+        tmp_path, edits, f_min):
+    # the minimizers over ball(0, r) form r times the unit sphere of the
+    # eigenspace E; the one eigenvector r v lay 1.05 and 0.38 from x_N
+    text = _REPEATED
+    for key, value in edits.items():
+        text = _with(text, key, value)
+    last = _last_row(tmp_path, text)
+    assert float(last["f_value"]) == pytest.approx(f_min, abs=1e-4)
+    assert float(last["dist_to_ref"]) < 1e-2
+
+
+@pytest.mark.parametrize("lam_min, lam_2, repeated", [
+    ("-1", "-0.999999999", True),  # exactly 1e-9 above lambda_min
+    ("-1", "-0.999999998", False),
+    ("-4", "-3.999999996", True),  # exactly 1e-9 |lambda_min| above it
+    ("-4", "-3.999999992", False),
+])
+def test_auto_eigen_takes_the_eigenvalues_within_1e_9_max_1_lam_of_the_least_as_repeated(
+        lam_min, lam_2, repeated):
+    text = _with(_with(_REPEATED, "Q", f"[[{lam_min},0,0];[0,{lam_2},0];[0,0,2]]"), "a_f", None)
+    run = run_config(parse_config(text))
+    x1, x2, _ = run.result.final.x_n
+    assert x1 != 0.0 and x2 != 0.0
+    if repeated:  # r P_E x_N / ||P_E x_N|| with E = span(e1, e2)
+        assert run.x_star.tolist() == pytest.approx([x1 / math.hypot(x1, x2),
+                                                     x2 / math.hypot(x1, x2), 0.0], rel=1e-15)
+    else:  # r v, signed toward x_N
+        assert run.x_star.tolist() == [math.copysign(1.0, x1), 0.0, 0.0]
+
+
+def test_auto_eigen_at_a_final_iterate_orthogonal_to_a_repeated_eigenspace_is_r_v():
+    # from x0 on the e3 axis the iterates stay on it, where P_E x_N = 0
+    run = run_config(parse_config(_with(_REPEATED, "x0", "[0,0,0.5]")))
+    assert not run.result.final.x_n[:2].any()
+    assert run.x_star.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_auto_eigen_is_the_global_minimizer_over_its_ball_nearest_x_n():
+    # a least eigenvalue of either sign, planted k >= 2 times in n <= 6, and
+    # a random radius: the point is in the ball, meets the trust-region KKT
+    # conditions (Q + mu I) x = 0, mu >= 0, mu (r - ||x||) = 0, Q + mu I
+    # positive semidefinite, no sampled ball point lies lower, and it is the
+    # minimizer nearest the final iterate
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(2, n + 1))
+        lam_min = rng.uniform(-3.0, 3.0)
+        lam = np.concatenate([np.full(k, lam_min), lam_min + rng.uniform(0.1, 3.0, n - k)])
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        q = (basis * lam) @ basis.T
+        q = 0.5 * (q + q.T)
+        r = rng.uniform(0.5, 3.0)
+        run = run_config(ExperimentConfig(
+            "psg", rng.uniform(-2.0, 2.0, n), QuadraticForm(q),
+            PsgConstantGamma(gamma0=0.5, a0=5.0), 10, set=Ball(np.zeros(n), r),
+            reference="auto_eigen"))
+        x, x_n = run.x_star, run.result.final.x_n
+        f_x = float(x @ q @ x)
+        mu = -f_x / float(x @ x) if x.any() else 0.0
+        assert np.linalg.norm(x) <= r * (1.0 + 1e-12)
+        assert np.linalg.norm(q @ x + mu * x) <= 1e-10
+        assert mu >= -1e-10 and mu * (r - np.linalg.norm(x)) <= 1e-10
+        assert np.linalg.eigvalsh(q)[0] + mu >= -1e-10
+        z = rng.standard_normal((500, n))
+        z *= r * rng.random((500, 1)) ** (1.0 / n) / np.linalg.norm(z, axis=1, keepdims=True)
+        assert np.vecdot(z @ q, z).min() >= f_x - 1e-10
+        p = basis[:, :k] @ (basis[:, :k].T @ x_n)
+        nearest = r * p / np.linalg.norm(p) if lam_min < 0.0 else np.zeros(n)
+        assert np.linalg.norm(x - nearest) <= 1e-10
 
 
 @pytest.mark.parametrize("edits, problem", [

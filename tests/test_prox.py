@@ -2,6 +2,7 @@
 and the indicator specialization."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -446,7 +447,15 @@ def test_inner_solver_tries_a_step_of_exactly_1e_16():
 def test_inner_solver_takes_at_most_500_steps():
     # g = z at weight 0: h' = 1 everywhere, so each unit step passes Armijo,
     # s'y = 0 keeps the step at 1, and the descent never stops on its own
-    g = _blackbox(lambda p: float(p[0]), lambda p: np.ones(1), 0.0)
+    calls = itertools.count(1)
+
+    def gradient(p):
+        # the 500-step cap takes 501 calls; a descent that runs past it fails here
+        if next(calls) > 10_000:
+            raise RuntimeError("more than 10,000 gradient calls")
+        return np.ones(1)
+
+    g = _blackbox(lambda p: float(p[0]), gradient, 0.0)
     with pytest.raises(SolverToleranceError, match="after 500 steps"):
         prox_via_argmin(ProxRequest(g, np.zeros(1), 0.5, -1.0))
 
