@@ -43,8 +43,6 @@ __all__ = [
     "schedule_step",
     "IterationRecord",
     "RunResult",
-    "column",
-    "sq_distances",
     "run_ppa",
     "run_fb",
     "run_psg",

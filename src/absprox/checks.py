@@ -57,6 +57,13 @@ def _prox_objective(z, w, x0):
     return np.add(np.abs(z) + z * z, out, out=out)
 
 
+def _gamma_and_a(d: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """gamma in [0.01, 10) and a in [-1/(2 gamma) + margin, 10) from columns 0, 1 of d."""
+    gamma = 0.01 + (10.0 - 0.01) * d[:, 0]
+    lo = -1.0 / (2.0 * gamma) + margin
+    return gamma, lo + (10.0 - lo) * d[:, 1]
+
+
 def closed_form_prox(rng: XorShift64Star, draws: int) -> list[tuple[str, bool, str]]:
     """The closed-form prox of |x| + x^2 against the grid argmin, to 1e-8,
     on ``draws`` draws of (gamma, a0, x0) from ``rng``, taken as one
@@ -68,9 +75,7 @@ def closed_form_prox(rng: XorShift64Star, draws: int) -> list[tuple[str, bool, s
     their pages in again, and that was most of the check's time."""
     # one block of draws, each column mapped as XorShift64Star.uniform maps a draw
     d = rng.uniform_vector(0.0, 1.0, (draws, 3))
-    gamma = 0.01 + (10.0 - 0.01) * d[:, 0]
-    lo = -1.0 / (2.0 * gamma)
-    a0 = lo + (10.0 - lo) * d[:, 1]
+    gamma, a0 = _gamma_and_a(d, 0.0)  # lo + 0.0 is lo, bit for bit
     centre = -20.0 + 40.0 * d[:, 2]
     # looked up at call time, so a patched closed form is what gets checked
     closed = np.array([prox.prox_abs_square_closed_form(*case)
@@ -156,8 +161,6 @@ def verify_results() -> list[tuple[str, bool, str]]:
             cases.append((f, x, feasible_range(f, x) + row[-1], k + 1))
     results += certificates(cases, num=200) + below_threshold_control()
     d = rng.uniform_vector(0.0, 1.0, (1000, 5))
-    gamma = 0.01 + (10.0 - 0.01) * d[:, 0]
-    lo = -1.0 / (2.0 * gamma) + 1e-6
-    a = lo + (10.0 - lo) * d[:, 1]
+    gamma, a = _gamma_and_a(d, 1e-6)
     u = -10.0 + 20.0 * d[:, 2:]
     return results + duality_round_trip(list(zip(gamma.tolist(), a.tolist(), u)))

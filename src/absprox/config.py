@@ -51,7 +51,7 @@ from .algorithms import (FbConstant, PpaAdditive, PsgAdaptiveV1, PsgAdaptiveV2, 
 from .oracles import (AbsPlusSquare, Ball, Box, Halfspace, IndicatorSet, Oracle, QuadraticForm,
                       SetDescriptor, SmoothBlackBox)
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "hessian_example"]
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config"]
 
 
 # One row per algorithm: the oracles it takes ("Q" or function names), the

@@ -19,11 +19,9 @@ from .reference import eig_sym
 
 __all__ = [
     "EXPERIMENTS",
-    "ExperimentRun",
     "run_config",
     "run_named_experiment",
     "write_csv",
-    "CSV_HEADER",
 ]
 
 CSV_HEADER = "iter,gamma,a_n,a_f,f_value,step_norm,dist_to_ref,fejer,stopped_by"

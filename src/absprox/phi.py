@@ -27,11 +27,8 @@ import numpy as np
 
 __all__ = [
     "PhiElement",
-    "check_coefficient",
     "duality_map_element",
     "duality_map_inverse",
-    "duality_preimages",
-    "duality_slopes",
     "InfeasibleCoefficientError",
 ]
 

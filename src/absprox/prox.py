@@ -10,8 +10,8 @@ carries its own prox as ``f.prox(req)``: a closed form, or for the smooth
 black box an inner solver that descends on the box's own gradient and
 certifies its answer by the stationarity residual and the strong-convexity
 margin that the box's curvature bound gives (an answer it cannot certify
-raises ``oracles.SolverToleranceError``).  This module re-exports
-``ProxRequest`` and the |x| + x^2 closed form from :mod:`absprox.oracles`.
+raises ``oracles.SolverToleranceError``).  It imports ``ProxRequest`` and
+the |x| + x^2 closed form, which oracles exports; bench/tracing.py wraps it.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import numpy as np
 from .oracles import ProxRequest, SetDescriptor, prox_abs_square_closed_form
 
 __all__ = [
-    "ProxRequest",
     "prox_via_argmin",
-    "prox_abs_square_closed_form",
     "prox_indicator",
 ]
 

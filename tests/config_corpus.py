@@ -70,18 +70,18 @@ schedule = psg_constant
 N = 5
 """,
 ]
-_NUMBERS = ["1", "0.5", "-1", "0", "4", "200", "1e-3", "nan", "inf", "x", "", "[1]", "1e400",
-            "2)", "(2"]
-_VECTORS = ["[3,-3]", "[-5,5,-5]", "[1]", "-10", "[-5,-1]", "[nan,1]", "[1,,2]", "[]", "0",
-            "[3,-33", "[3,-3)", "[[1,2]]", "[1,2]]", "[1;2]", "[ 3 , -3 ]", "(3,-3)", "[3,-3]x",
-            "x[3,-3]", "]3,-3["]
+_NUMBERS = ["1", "0.5", "-1", "0", "4", "200", "1e-3", "nan", "inf", "-inf", "x", "", "[1]",
+            "1e400", "2)", "(2"]
+_VECTORS = ["[3,-3]", "[-5,5,-5]", "[1]", "-10", "[-5,-1]", "[nan,1]", "[1,,2]", "[]",
+            "[1e400,0]", "0", "[3,-33", "[3,-3)", "[[1,2]]", "[1,2]]", "[1;2]", "[ 3 , -3 ]",
+            "(3,-3)", "[3,-3]x", "x[3,-3]", "]3,-3["]
 _VALUES = {
     "algorithm": ["ppa", "fb", "psg", "newton", ""],
     "function": ["abs_plus_square", "hessian_example", "sin", "abs_plus_square()"],
     "Q": ["[[1,2];[2,1]]", "[[-2,2,2];[2,2,-2];[2,-2,2]]", "[[1]]", "[[1,2];[3,1]]", "[[1,2]]",
-          "[[nan,0];[0,1]]", "[[1,2];[2]]", "[1,2]", "[[1,0]];[0,-1]]", "[[1,2],[2,1]]",
-          "[ [1,2];[2,1] ]", "[[1,2];[2,1]", "[[1,2];(2,1)]", "[[1,2];[2,1]]]", "[[[1,2];[2,1]]]",
-          "[[1,2]x;[2,1]]"],
+          "[[nan,0];[0,1]]", "[[1,2];[2]]", "[1,2]", "[[0,0];[0,0]]", "[[1,0]];[0,-1]]",
+          "[[1,2],[2,1]]", "[ [1,2];[2,1] ]", "[[1,2];[2,1]", "[[1,2];(2,1)]", "[[1,2];[2,1]]]",
+          "[[[1,2];[2,1]]]", "[[1,2]x;[2,1]]"],
     "set": ["ball(0,1)", "ball(0,0)", "ball([0,0],2)", "ball(0,[1])", "box(-1,1)", "box(1,-1)",
             "box([-1,-1],[1,1])", "halfspace(1,0)", "halfspace([0,0],1)", "halfspace([1,0,0],1)",
             "cone(1,2)", "ball(1)", "ball(0,nan)", "ball(0,,1)", "ball(,0,1)", "ball([0,0]],1)",
@@ -94,11 +94,13 @@ _VALUES = {
                  "psg_adaptive_v1(-5)", "psg_adaptive_v2(1)", "psg_adaptive_v2(-1)",
                  "psg_adaptive_v2(0)", "fb_constant(5)", "fb_constant(nan)", "warp(1)",
                  "ppa_additive(1,2)", "psg_constant(", "psg_constant()", "psg_constant)",
-                 "psg_adaptive_v1(5,,4)", "ppa_additive([1])", "psg_adaptive_v2((1))"],
-    "N": ["0", "1", "5", "2.5", "-1", "inf", "x"],
-    "output": ["out.csv", ""],
+                 "psg_adaptive_v1(5,,4)", "psg_adaptive_v1(5,)", "ppa_additive([1])",
+                 "psg_adaptive_v2((1))"],
+    "N": ["0", "1", "5", "2.5", "-1", "inf", "nan", "x"],
+    "output": ["out.csv", "missing-dir/out.csv", ""],
     "seed": ["1"],
 }
+# no digits, '=' or line breaks: junk never forms a valid key line of its own
 _JUNK = "abcxyz_[](),;# .-+"
 
 # the classes of refusal lines a comparison may show; a changed line that

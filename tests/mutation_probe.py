@@ -7,12 +7,13 @@ copy (see ``mutate``), and runs tier-1 under ``-x`` against it.
 A mutant whose run passes is missed: no test pins the code it changed.  The
 unmutated copy runs first and must pass.
 
-Most mutants are listed by hand.  The others are made from the source.
-The boundary mutants of the modules in ``GENERATED`` flip the boundary of
-each one-line, one-operator order comparison (``<`` and ``<=``, ``>`` and
-``>=``).  The arithmetic mutants of the modules in ``ARITHMETIC`` swap the
-operator of each one-line binary operation or augmented assignment (``+``
-and ``-``, ``*`` and ``/``).  A generated mutant's old text is the whole
+Most mutants are listed by hand.  The others are made from the source of
+each module in ``MUTATED``: every module of the package but ``__init__``,
+the arbiter ``reference``, the suites of ``checks`` and the ``cli``.  Its
+boundary mutants flip the boundary of each one-line, one-operator order
+comparison (``<`` and ``<=``, ``>`` and ``>=``).  Its arithmetic mutants
+swap the operator of each one-line binary operation or augmented assignment
+(``+`` and ``-``, ``*`` and ``/``).  A generated mutant's old text is the whole
 source line.  It is named ``<module>:<line>:<column>``, the column (in
 bytes) where the operation's left operand ends, and is applied at its line,
 since the same line may occur more than once in a module.  A hand-listed
@@ -47,13 +48,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the modules whose order comparisons are flipped at the boundary; the
-# arbiter ``reference`` and the suites of ``checks`` stay out
-GENERATED = ["algorithms.py", "rng.py", "diagnostics.py", "phi.py", "prox.py", "config.py",
-             "experiments.py", "oracles.py"]
-# the modules whose arithmetic operators are swapped
-ARITHMETIC = ["diagnostics.py", "algorithms.py", "oracles.py", "phi.py", "experiments.py",
-              "rng.py", "config.py"]
+# the modules whose mutants are generated: every module of the package but
+# its ``__init__``, the arbiter ``reference``, the suites of ``checks`` and
+# the ``cli``, so a new module is mutated by default
+MUTATED = sorted(p.name for p in (ROOT / "src" / "absprox").glob("*.py")
+                 if p.stem not in ("__init__", "reference", "checks", "cli"))
 
 # seconds of one tier-1 run under a mutant before it counts as caught
 TIMEOUT_S = 120
@@ -178,8 +177,8 @@ HAND_LISTED = [
     ("cli-catch-all", "cli.py", "except Exception as e:", "except ValueError as e:"),
 ]
 
-MUTANTS = (HAND_LISTED + [m for file in GENERATED for m in boundary_mutants(file)]
-           + [m for file in ARITHMETIC for m in arithmetic_mutants(file)])
+MUTANTS = HAND_LISTED + [m for file in MUTATED
+                         for m in boundary_mutants(file) + arithmetic_mutants(file)]
 
 
 def mutate(name: str, file: str, old: str, new: str, text: str) -> str:

@@ -462,18 +462,6 @@ def test_fb_refuses_a_nan_curvature_coefficient(f, sched):
         run_fb(f, g, [0.5], sched, 3)
 
 
-def test_fb_matches_psg_on_projection_problem():
-    """With f an indicator and g the quadratic, the forward-backward step
-    center collapses to the subgradient step, so both runs coincide."""
-    sched = PsgConstantGamma(gamma0=1.0, a0=200.0)
-    x0 = [-5.0, 5.0, -5.0]
-    fb = run_fb(IndicatorSet(BALL3), _quadratic_blackbox(), x0, sched, 50)
-    psg = run_psg(QuadraticForm(Q3), BALL3, x0, sched, 50, a_f_override=4.0)
-    assert len(fb.records) == len(psg.records)
-    for rf, rp in zip(fb.records, psg.records):
-        assert np.allclose(rf.x_n, rp.x_n, rtol=0, atol=1e-10)
-
-
 def test_fb_hessian_sweep_guard_stop_frozen():
     from absprox.config import hessian_example
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import config_corpus as CORPUS
 from absprox import (
     AbsPlusSquare,
     Ball,
@@ -920,36 +921,10 @@ def test_adaptive_v1_steps_with_the_configured_a_f():
     assert [r.gamma_n for r in records] == pytest.approx([1.0, 0.2, 0.04, 0.008], rel=1e-12)
 
 
-_NUMBERS = st.sampled_from(["1", "0.5", "-1", "0", "4", "200", "1e-3", "nan", "inf",
-                            "-inf", "x", "", "[1]", "1e400"])
-_VECTORS = st.sampled_from(["[3,-3]", "[-5,5,-5]", "[1]", "-10", "[-5,-1]", "[nan,1]",
-                            "[1,,2]", "[]", "[1e400,0]", "0", "[3,-33", "[3,-3)", "[[1,2]]",
-                            "[1,2]]"])
-_VALUES = {
-    "algorithm": st.sampled_from(["ppa", "fb", "psg", "newton", ""]),
-    "function": st.sampled_from(["abs_plus_square", "hessian_example", "sin"]),
-    "Q": st.sampled_from(["[[1,2];[2,1]]", "[[-2,2,2];[2,2,-2];[2,-2,2]]", "[[1]]",
-                          "[[1,2];[3,1]]", "[[1,2]]", "[[nan,0];[0,1]]", "[[1,2];[2]]",
-                          "[1,2]", "[[0,0];[0,0]]", "[[1,0]];[0,-1]]"]),
-    "set": st.sampled_from(["ball(0,1)", "ball(0,0)", "ball([0,0],2)", "ball(0,[1])",
-                            "box(-1,1)", "box(1,-1)", "box([-1,-1],[1,1])", "halfspace(1,0)",
-                            "halfspace([0,0],1)", "halfspace([1,0,0],1)", "cone(1,2)",
-                            "ball(1)", "ball(0,nan)", "ball(0,,1)", "ball(,0,1)",
-                            "ball([0,0]],1)", "ball(0],1)", "ball([[0,0],1)"]),
-    "x0": _VECTORS, "reference": _VECTORS | st.just("auto_eigen"),
-    "gamma0": _NUMBERS, "a0": _NUMBERS, "a_f": _NUMBERS, "epsilon": _NUMBERS,
-    "schedule": st.sampled_from(["psg_constant", "ppa_additive(0.9)", "ppa_additive(-2)",
-                                 "psg_adaptive_v1(5)", "psg_adaptive_v1(0)",
-                                 "psg_adaptive_v2(1)", "psg_adaptive_v2(-1)",
-                                 "fb_constant(5)", "fb_constant(nan)", "warp(1)",
-                                 "ppa_additive(1,2)", "psg_constant(", "psg_constant()",
-                                 "psg_adaptive_v1(5,4)", "psg_adaptive_v1(5,)"]),
-    "N": st.integers(0, 50).map(str) | st.sampled_from(["2.5", "-1", "inf", "nan", "x"]),
-    "output": st.sampled_from(["out.csv", "missing-dir/out.csv"]),
-    "seed": st.sampled_from(["1"]),
-}
-# no digits, '=' or line breaks: junk never forms a valid key line of its own
-_JUNK = st.text(alphabet="abcxyz_[](),;# .-+", max_size=12)
+# the fuzz edits a config with the values of the seeded corpus
+_VALUES = {key: st.sampled_from(values) for key, values in CORPUS._VALUES.items()}
+_VALUES["N"] = st.integers(0, 50).map(str) | _VALUES["N"]
+_JUNK = st.text(alphabet=CORPUS._JUNK, max_size=12)
 # (key, new value or None to drop the key)
 _EDIT = st.sampled_from(sorted(_VALUES)).flatmap(
     lambda k: st.tuples(st.just(k), st.none() | _VALUES[k] | _JUNK))

@@ -1,9 +1,11 @@
-"""Every exported name exists, the package re-exports only exported names,
-and the config documentation names every key the parser accepts.
+"""Every exported name exists, the package exports by the one rule its
+docstring states, and the config documentation names every key the parser
+accepts.
 
-A stale ``__all__`` entry breaks ``from absprox.<module> import *``; a name
-``absprox/__init__`` imports from a module's private surface would be an
-export nothing declares.
+A stale ``__all__`` entry breaks ``from absprox.<module> import *``, and
+with it ``import absprox``.  The package star-imports its modules, so a
+module without ``__all__`` would leak ``np``, ``math`` and every helper it
+imports into the package.
 """
 
 import ast
@@ -27,20 +29,21 @@ def test_every_all_entry_exists(name):
     assert missing == []
 
 
-def test_package_imports_only_declared_exports():
-    tree = ast.parse(INIT.read_text(encoding="utf-8"))
-    undeclared = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            declared = importlib.import_module(f"absprox.{node.module}").__all__
-            undeclared += [f"{node.module}.{a.name}" for a in node.names
-                           if a.name not in declared]
-    assert undeclared == []
+def test_package_is_its_docstring_star_imports_and_version():
+    body = ast.parse(INIT.read_text(encoding="utf-8")).body
+    docstring, *imports, version = body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert all(isinstance(n, ast.ImportFrom) and n.level == 1
+               and [a.name for a in n.names] == ["*"] for n in imports)
+    assert ast.unparse(version).startswith("__version__ = ")
+    starred = [importlib.import_module(f"absprox.{n.module}") for n in imports]
+    assert [m.__name__ for m in starred if not hasattr(m, "__all__")] == []
 
 
 @pytest.mark.parametrize("name", ["ProxRequest", "prox_abs_square_closed_form"])
 def test_the_prox_contract_is_one_object_wherever_it_is_imported(name):
-    # oracles defines it beside the prox methods; prox and the package re-export it
+    # oracles defines and exports it beside the prox methods; prox imports it, and
+    # the package star-imports it from oracles
     assert getattr(absprox, name) is getattr(prox, name) is getattr(oracles, name)
 
 

@@ -1,6 +1,7 @@
 """The mutation probe's list still applies to the source: every mutant
 changes one line of its file, every arithmetic mutant one operator of it,
-names are unique across the hand-listed and both generated kinds, and every
+names are unique across the hand-listed and both generated kinds, every
+module the probe mutates but ``prox`` yields an arithmetic mutant, and every
 listed equivalent is a generated mutant.
 
 A whole probe run takes minutes, so a stale entry would otherwise show only
@@ -50,9 +51,9 @@ def test_mutant_names_are_unique(probe):
 def test_every_arithmetic_mutant_swaps_one_operator(probe):
     swaps = {("+", "-"), ("-", "+"), ("*", "/"), ("/", "*")}
     wrong = []
-    for file in probe.ARITHMETIC:
+    for file in probe.MUTATED:
         mutants = probe.arithmetic_mutants(file)
-        assert mutants, file
+        assert mutants or file == "prox.py", file  # prox has no + - * / site
         for name, _, old, new in mutants:
             diff = [(a, b) for a, b in zip(old, new) if a != b]
             if len(old) != len(new) or len(diff) != 1 or diff[0] not in swaps:
@@ -61,6 +62,5 @@ def test_every_arithmetic_mutant_swaps_one_operator(probe):
 
 
 def test_every_listed_equivalent_is_a_generated_mutant(probe):
-    generated = {m[0] for file in probe.GENERATED for m in probe.boundary_mutants(file)}
-    generated |= {m[0] for file in probe.ARITHMETIC for m in probe.arithmetic_mutants(file)}
+    generated = {m[0] for m in probe.MUTANTS if ":" in m[0]}
     assert set(probe.EQUIVALENT) - generated == set()
