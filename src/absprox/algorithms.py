@@ -189,7 +189,7 @@ def schedule_step(sched: Schedule, gamma_n: float, a_n: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     n: int
     gamma_n: float
@@ -244,7 +244,10 @@ def _iterate(x0: np.ndarray, sched: Schedule, n_iter: int, value, step,
     """The loop the three methods share (one run, one (n,) iterate).
 
     ``x0`` is the start that ``oracles._point`` checked; record 0 holds a
-    copy.  Every record's objective is ``value``, the oracles' own (no step
+    copy.  Every later record keeps the array its step returned, copied only
+    when the step returned its input x_n (an indicator's prox or a set's
+    ``project`` may), so no two records share an iterate.  Every record's
+    objective is ``value``, the oracles' own (no step
     changes the iterate's shape: the set's dimension and a black box's
     gradient are checked).
     ``step(n, x_n, gamma_n, a_n)`` advances from iterate n and returns
@@ -279,7 +282,7 @@ def _iterate(x0: np.ndarray, sched: Schedule, n_iter: int, value, step,
                           f"{rec.f_xn} to {f_next}", TheoremViolationWarning, stacklevel=3)
         step_norm = _norm(x_next - rec.x_n)
         rec = IterationRecord(n + 1, gamma_next, a_next, np.nan,
-                              np.array(x_next, dtype=float), f_next, step_norm)
+                              x_next.copy() if x_next is rec.x_n else x_next, f_next, step_norm)
         records.append(rec)
         if tag is not None:
             stop = tag

@@ -198,6 +198,8 @@ SetDescriptor = Ball | Box | Halfspace
 # point (n,) or a block (m, n) of points, one result per row, each row bit
 # for bit its single-point result (a refused row raises its own error); the
 # certificate sampler and the Fejér check's allowance call them on a block.
+# QuadraticForm takes one point through ``ndarray.dot`` and a block through
+# ``np.matvec``/``np.vecdot``: the same BLAS call, so the same bits per row.
 # A set's ``project`` takes one point: a run steps one point at a time.
 # The black box's callbacks see one row at a time.  A block's coefficients
 # ``a`` are an (m, 1) column.  A constant ``feasible_range`` is one float
@@ -276,6 +278,7 @@ class QuadraticForm:
     q: np.ndarray
     eigenvalues: np.ndarray = field(init=False, compare=False)
     eigenvectors: np.ndarray = field(init=False, compare=False)
+    min_eigenvalue: float = field(init=False, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -289,23 +292,22 @@ class QuadraticForm:
         w, v = np.linalg.eigh(q)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
+        object.__setattr__(self, "min_eigenvalue", float(w[0]))
 
     @property
     def dim(self) -> int:
         return self.q.shape[0]
 
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
-
     def value(self, x):
+        if x.ndim == 1:
+            return self.q.T.dot(x).dot(x)
         return np.vecdot(np.matvec(self.q.T, x), x)
 
     def feasible_range(self, x) -> float:
         return -self.min_eigenvalue
 
     def slope(self, x, a):
-        qx = np.matvec(self.q, x)
+        qx = self.q.dot(x) if x.ndim == 1 else np.matvec(self.q, x)
         qx += a * x  # 2 (qx + a x), in place
         qx *= 2.0
         return qx
@@ -326,7 +328,7 @@ class QuadraticForm:
         # w x0 first, then a division by lam + w: on Q = 0 (V = I) this is
         # (w x0) / w bit for bit, which the fb-hessian digests pin; a product
         # with 1 / (lam + w) differs in the last bit on many points
-        return v @ ((v.T @ (w * req.x0)) / (self.eigenvalues + w))
+        return v.dot(v.T.dot(w * req.x0) / (self.eigenvalues + w))
 
 
 def prox_abs_square_closed_form(x0: float, gamma: float, a0: float) -> float:
@@ -439,7 +441,7 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
 
     def h(z):
         d = z - x0
-        return float(f.value(z)) + w * float(d @ d)
+        return float(f.value(z)) + w * float(d.dot(d))
 
     def dh(z):
         return f.gradient_at(z) + 2.0 * w * (z - x0)
@@ -465,8 +467,8 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
         else:  # no acceptable step above 1e-16
             break
         s, y = trial - z, g_t - grad
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 0.0 else 1.0
+        sy = float(s.dot(y))
+        step = float(s.dot(s)) / sy if sy > 0.0 else 1.0
         z, grad, r, v = trial, g_t, r_t, None
         steps += 1
     margin = 2.0 * (w - float(f.kappa(z)))

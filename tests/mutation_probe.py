@@ -63,8 +63,8 @@ EQUIVALENT = {
     "rng:90:14": "`while done <= count` makes one more jump, of no states",
     # at t = -1 and t = 1 the outer branches give (t -/+ 1) / (s + 2) = +0.0,
     # the dead zone's own answer
-    "oracles:348:8": "`t <= -1.0` answers +0.0 at t = -1, as the dead zone does",
-    "oracles:350:8": "`t >= 1.0` answers +0.0 at t = 1, as the dead zone does",
+    "oracles:350:8": "`t <= -1.0` answers +0.0 at t = -1, as the dead zone does",
+    "oracles:352:8": "`t >= 1.0` answers +0.0 at t = 1, as the dead zone does",
 }
 
 _OPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
@@ -126,7 +126,7 @@ HAND_LISTED = [
      "abs(0.5 / gamma + a) <= 1e-12", "abs(0.5 / gamma + a) <= 1e-6"),
     ("ppa-descent-tol", "algorithms.py", "rec.f_xn + 1e-10", "rec.f_xn + 1e-2"),
     # the quadratic prox is V ((V^T (w x0)) / (lam + w))
-    ("quadratic-prox-formula", "oracles.py", "(v.T @ (w * req.x0))", "(v.T @ req.x0)"),
+    ("quadratic-prox-formula", "oracles.py", "v.T.dot(w * req.x0)", "v.T.dot(req.x0)"),
     ("contains-tol", "oracles.py", "_CONTAINS_TOL = 1e-9", "_CONTAINS_TOL = 1e-3"),
     ("admit", "oracles.py", "if not a >= a_min:", "if not a >= a_min - 1e-6:"),
     ("fejer-rtol", "diagnostics.py", "_RTOL = 1e-9", "_RTOL = 1e-3"),
@@ -173,6 +173,9 @@ HAND_LISTED = [
      "if r_t <= (1.0 - 1e-4) * r:", "if r_t <= r:"),
     # record 0 would alias the caller's start array
     ("start-copy", "algorithms.py", "x = x0.copy()", "x = x0"),
+    # a step that returns its input would hand the new record the last one's array
+    ("record-alias-copy", "algorithms.py",
+     "x_next.copy() if x_next is rec.x_n else x_next", "x_next"),
     # main maps any exception of a command to exit 3, not a fixed list
     ("cli-catch-all", "cli.py", "except Exception as e:", "except ValueError as e:"),
 ]

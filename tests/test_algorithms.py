@@ -239,6 +239,23 @@ def test_a_run_keeps_its_own_copy_of_the_start(run):
     assert res.records[0].x_n.tolist() == [0.5, -0.25, 0.125]
 
 
+@pytest.mark.parametrize("run", [
+    # the indicator's prox is the ball's projection of req.x0, which is the
+    # record's own array, and returns it unchanged from inside the ball
+    lambda x0: run_ppa(IndicatorSet(BALL3), x0, PpaAdditive(1.0, 0.0), 5),
+    # from inside the ball the projection returns its argument
+    lambda x0: run_psg(QuadraticForm(Q3), BALL3, x0, PsgConstantGamma(1.0, 200.0), 5),
+], ids=["ppa-indicator", "psg"])
+def test_records_own_their_iterates(run):
+    xs = [r.x_n for r in run(np.array([0.5, -0.25, 0.125])).records]
+    assert len(xs) == 6 and len({id(x) for x in xs}) == len(xs)
+    before = [x.tobytes() for x in xs]
+    for i, x in enumerate(xs):
+        x[:] = 7.0
+        assert [y.tobytes() for y in xs[:i] + xs[i + 1:]] == before[:i] + before[i + 1:]
+        x[:] = np.frombuffer(before[i])
+
+
 @pytest.mark.parametrize("run, message", [
     # a 3-D ball would broadcast the 1-D iterate to 3 coordinates through its
     # projection; it is refused before the first step

@@ -1,6 +1,11 @@
 """Oracle suite: evaluation, feasible coefficient ranges, subdifferential
 selectors, and the set descriptors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +30,9 @@ from absprox import (
     prox_via_argmin,
     subgrad_at,
 )
+import absprox
 from absprox import checks
-from absprox.checks import Q3, certificates
+from absprox.checks import Q3, Q5, certificates
 from absprox.reference import subgrad_inequality_sampler
 
 
@@ -74,6 +80,7 @@ def _coefficients(lo, hi, m=500):
 _BLOCK_CASES = {
     "norm-square": _value(NormSquare(gamma=0.7, dim=16)),
     "quadratic-3": _value(QuadraticForm(Q3)),
+    "quadratic-5": _value(QuadraticForm(Q5)),
     "quadratic-8": _value(QuadraticForm(_random_symmetric(8))),
     "quadratic-64": _value(QuadraticForm(_random_symmetric(64))),
     "abs+square": _value(AbsPlusSquare()),
@@ -88,8 +95,9 @@ _BLOCK_CASES = {
     "feasible-range-blackbox": (lambda x: feasible_range(SmoothBlackBox(
         value=lambda p: 0.0, gradient=lambda p: p, kappa=lambda p: float(p @ p), eps=1.0, dim=2),
         x), _uniform(2), ()),
-    "slope-quadratic-8": (QuadraticForm(_random_symmetric(8)).slope, _uniform(8),
-                          (_coefficients(-1.0, 5.0),)),
+    # one point takes ndarray.dot, a block np.matvec: the same bits per row
+    **{f"slope-quadratic-{n}": (QuadraticForm(q).slope, _uniform(n), (_coefficients(-1.0, 5.0),))
+       for n, q in ((3, Q3), (5, Q5), (8, _random_symmetric(8)), (64, _random_symmetric(64)))},
     "slope-abs+square": (AbsPlusSquare().slope, np.vstack([_uniform(1)[:-2], [[0.0], [-0.0]]]),
                          (_coefficients(-1.0, 5.0),)),
     # a >= -1/(2 gamma) = -0.714...
@@ -109,6 +117,44 @@ def test_block_evaluation_is_each_rows_value_bit_for_bit(method, block, coeffici
     got = method(block, *(c[:, None] for c in coefficients))
     rows = [method(y, *(float(c[i]) for c in coefficients)) for i, y in enumerate(block)]
     assert np.asarray(got).tobytes() == np.array(rows).tobytes()
+
+
+# the quadratic's point forms (ndarray.dot) against its block forms
+# (np.matvec, np.vecdot), row by row; prints the number of differing entries
+_KERNEL_CHILD = """
+import numpy as np
+from absprox import ProxRequest, QuadraticForm
+from absprox.checks import Q3, Q5
+m = np.random.default_rng(64).uniform(-1.0, 1.0, (64, 64))
+bad = 0
+for q in (Q3, Q5, m + m.T):
+    f, n = QuadraticForm(q), len(q)
+    x = np.random.default_rng(n).uniform(-5.0, 5.0, (200, n))
+    a = np.random.default_rng(n + 1).uniform(0.0, 5.0, 200) - f.min_eigenvalue
+    reqs = [ProxRequest(f, y, 0.5, float(c)) for y, c in zip(x, a)]
+    w = np.array([r.weight for r in reqs])[:, None]
+    v = f.eigenvectors
+    for block, rows in ((f.value(x), [f.value(y) for y in x]),
+                        (f.slope(x, a[:, None]), [f.slope(y, float(c)) for y, c in zip(x, a)]),
+                        (np.matvec(v, np.matvec(v.T, w * x) / (f.eigenvalues + w)),
+                         [f.prox(r) for r in reqs])):
+        bad += int(np.sum(block != np.array(rows)))
+print(bad)
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
+def test_point_and_block_quadratic_bits_agree_under_each_blas_kernel(core):
+    # only the child's environment changes; OPENBLAS_VERBOSE=2 makes OpenBLAS
+    # name the kernel it selected
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2",
+               PYTHONPATH=str(Path(absprox.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env, capture_output=True,
+                         text=True, timeout=60)
+    if f"Core: {core}" not in out.stderr.splitlines():
+        pytest.skip(f"the installed OpenBLAS does not select {core}: {out.stderr[-200:]!r}")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("f, a", [
