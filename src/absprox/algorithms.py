@@ -147,7 +147,7 @@ class PsgAdaptiveV2(Schedule):
     a_{n+1} = -1/(2 gamma_{n+1}) + a^f + eps, so the next guard value is
     2 gamma_{n+1} eps - 1 > -1 by construction."""
 
-    epsilon: float = 1.0
+    epsilon: float
 
     def __post_init__(self):
         super().__post_init__()
@@ -166,7 +166,7 @@ class PsgAdaptiveV2(Schedule):
 class FbConstant(Schedule):
     """a fixed, gamma fixed."""
 
-    a_const: float = 0.0
+    a_const: float
     fb_weight_raises = True
 
     def step(self, gamma_n, a_n, a_fn):

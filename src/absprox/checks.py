@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import prox
+from .experiments import Q3, Q5
 from .oracles import (AbsPlusSquare, NormSquare, QuadraticForm, eval_oracle, feasible_range,
                       subgrad_at)
 from .phi import duality_preimages, duality_slopes
@@ -19,13 +20,8 @@ from .reference import (eig_sym, grid_argmin_1d, subgrad_inequality_rows,
                         subgrad_inequality_sampler)
 from .rng import XorShift64Star
 
-__all__ = ["Q3", "Q5", "spectra", "closed_form_prox", "certificates",
-           "below_threshold_control", "duality_round_trip", "verify_results"]
-
-# indefinite symmetric matrices with eigenvalues (-4, 2, 4) and (-3, -1, 1, 2, 2)
-Q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
-Q5 = np.array([[1.0, 0, -1, 1, 0], [0, 1, 1, -1, 0], [-1, 1, -1, 1, 1],
-               [1, -1, 1, -1, 1], [0, 0, 1, 1, 1]])
+__all__ = ["spectra", "closed_form_prox", "certificates", "below_threshold_control",
+           "duality_round_trip", "verify_results"]
 
 
 def _close(got, want) -> bool:
@@ -33,8 +29,8 @@ def _close(got, want) -> bool:
 
 
 def spectra() -> list[tuple[str, bool, str]]:
-    """The Jacobi arbiter against the known spectra of Q3 and Q5, and the
-    LAPACK spectra that ``QuadraticForm`` runs on against the arbiter."""
+    """The Jacobi arbiter against the known spectra of the sweeps' Q3 and Q5,
+    and the LAPACK spectra that ``QuadraticForm`` runs on against it."""
     w3, v3 = eig_sym(Q3)
     w5, _ = eig_sym(Q5)
     l3, l5 = QuadraticForm(Q3).eigenvalues, QuadraticForm(Q5).eigenvalues

@@ -7,7 +7,7 @@ reference point and objective monotonicity.  Records are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,8 @@ class DiagnosticsReport:
     objective_monotone: bool
     objective_first_violation: int | None
     step_sq_sum: float
-    dist_series: list[float] = field(default_factory=list)
-    quasi_fejer_slack: list[float] = field(default_factory=list)
+    dist_series: list[float]
+    quasi_fejer_slack: list[float]
 
 
 def _slopes(f: Oracle, x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -67,8 +67,7 @@ def _psg_slack(gamma: np.ndarray, a: np.ndarray, a_f: np.ndarray, x: np.ndarray,
                      out=np.full_like(denom, np.inf), where=denom > 0)
 
 
-def _first_rise(new: np.ndarray, old: np.ndarray,
-                unknown: np.ndarray | bool = False) -> int | None:
+def _first_rise(new: np.ndarray, old: np.ndarray, unknown: np.ndarray) -> int | None:
     """The first step n with new[n] > old[n] beyond the relative tolerance,
     or where ``unknown[n]`` holds, or None."""
     bad = (new > old + _RTOL * np.maximum(1.0, np.maximum(np.abs(new), np.abs(old)))) | unknown

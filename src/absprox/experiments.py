@@ -31,11 +31,16 @@ CSV_HEADER = "iter,gamma,a_n,a_f,f_value,step_norm,dist_to_ref,fejer,stopped_by"
 # The bundled problem instances
 # ---------------------------------------------------------------------------
 
+# declared only here: the sweeps parse their text, and ``checks`` verifies
+# these same arrays
 # 3x3 indefinite symmetric matrix with eigenvalues (-4, 2, 4)
-Q3_TEXT = "[[-2,2,2];[2,2,-2];[2,-2,2]]"
+Q3 = np.array([[-2.0, 2, 2], [2, 2, -2], [2, -2, 2]])
 # 5x5 indefinite symmetric matrix with eigenvalues (-3, -1, 1, 2, 2)
-Q5_TEXT = ("[[1,0,-1,1,0];[0,1,1,-1,0];[-1,1,-1,1,1];"
-           "[1,-1,1,-1,1];[0,0,1,1,1]]")
+Q5 = np.array([[1.0, 0, -1, 1, 0], [0, 1, 1, -1, 0], [-1, 1, -1, 1, 1],
+               [1, -1, 1, -1, 1], [0, 0, 1, 1, 1]])
+# each as the sweeps' config text, e.g. "[[-2,2,2];[2,2,-2];[2,-2,2]]"
+Q3_TEXT, Q5_TEXT = ("[" + ";".join("[" + ",".join(f"{v:g}" for v in row) + "]" for row in q) + "]"
+                    for q in (Q3, Q5))
 
 
 # ---------------------------------------------------------------------------
@@ -125,42 +130,45 @@ schedule = psg_constant
 N = 1001
 """
 
+# the stepsizes of every sweep; fb-hessian takes the first three
+_GAMMAS = (0.01, 0.1, 1.0, 10.0)
+
 EXPERIMENTS: dict[str, dict] = {
     "ppa-absq": {
         "template": _PPA_ABSQ,
-        "gammas": (0.01, 0.1, 1.0, 10.0),
+        "gammas": _GAMMAS,
         "about": "proximal point on |x|+x^2, x0=-10, additive schedule, 4 stepsizes",
     },
     "psg-q3-const": {
         "template": _PSG_Q3_CONST,
-        "gammas": (0.01, 0.1, 1.0, 10.0),
+        "gammas": _GAMMAS,
         "about": "projected subgradient, 3x3 quadratic on the unit ball, constant stepsize",
     },
     "psg-q3-adaptive": {
         "template": _PSG_Q3_ADAPTIVE,
-        "gammas": (0.01, 0.1, 1.0, 10.0),
+        "gammas": _GAMMAS,
         "about": "projected subgradient, 3x3 quadratic, shrinking-stepsize rule",
     },
     "psg-q5-const-x01": {
         "template": _PSG_Q5_CONST,
-        "gammas": (0.01, 0.1, 1.0, 10.0),
+        "gammas": _GAMMAS,
         "x0": "[-10,-10,-10,-10,-10]",
         "about": "projected subgradient, 5x5 quadratic, start in the shallow basin",
     },
     "psg-q5-const-x02": {
         "template": _PSG_Q5_CONST,
-        "gammas": (0.01, 0.1, 1.0, 10.0),
+        "gammas": _GAMMAS,
         "x0": "[-10,10,-10,10,-10]",
         "about": "projected subgradient, 5x5 quadratic, start near the deep basin",
     },
     "psg-q5-adaptive-x02": {
         "template": _PSG_Q5_ADAPTIVE,
-        "gammas": (0.01, 0.1, 1.0, 10.0),
+        "gammas": _GAMMAS,
         "about": "projected subgradient, 5x5 quadratic, coupled gamma/a updates",
     },
     "fb-hessian": {
         "template": _FB_HESSIAN,
-        "gammas": (0.01, 0.1, 1.0),
+        "gammas": _GAMMAS[:3],
         "about": "forward-backward on a 2-D function with an indefinite Hessian",
     },
 }
@@ -250,20 +258,19 @@ def run_named_experiment(name: str,
     """Run every sweep member of a named experiment, one point run each, in
     sweep order; optionally write CSVs.
 
-    Every member runs before any CSV is written, so a sweep whose member
-    raises (the first such member in order) writes none.  ``auto_eigen`` is
+    Every member runs before ``out_dir`` is made and any CSV written, so a
+    sweep whose member raises (the first such member in order) writes nothing.  ``auto_eigen`` is
     solved once per sweep.  Returns (csv_path_or_label, run) pairs in sweep
     order.
     """
-    out = []
-    for run in _runs(named_experiment_configs(name)):
-        label = f"{name}-gamma{run.config.schedule.gamma0:g}.csv"
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, label)
-            write_csv(run.result, path, x_star=run.x_star)
-            label = path
-        out.append((label, run))
+    out = [(f"{name}-gamma{run.config.schedule.gamma0:g}.csv", run)
+           for run in _runs(named_experiment_configs(name))]
+    if out_dir is None:
+        return out
+    os.makedirs(out_dir, exist_ok=True)
+    out = [(os.path.join(out_dir, label), run) for label, run in out]
+    for path, run in out:
+        write_csv(run.result, path, x_star=run.x_star)
     return out
 
 

@@ -201,7 +201,7 @@ def subgrad_inequality_rows(
     a: np.ndarray,
     u: np.ndarray,
     seeds,
-    num: int = 1000,
+    num: int,
 ) -> dict:
     """The sampled check of :func:`subgrad_inequality_sampler` for each row
     i of ``x`` (k, n), ``a`` (k,) and ``u`` (k, n), with ``seeds[i]``.

@@ -120,7 +120,7 @@ def uniform_streams(seeds, lo, hi, n) -> np.ndarray:
 class XorShift64Star:
     """xorshift64* stream.  seed=0 is remapped to a fixed nonzero state."""
 
-    def __init__(self, seed: int = 1):
+    def __init__(self, seed: int):
         self._state = _seed_state(seed)
 
     def next_u64(self) -> int:

@@ -37,10 +37,9 @@ from absprox import (
     subgrad_at,
 )
 from absprox import checks
-from absprox.checks import Q3, Q5
 from absprox.diagnostics import check_fejer
 from absprox.config import hessian_example
-from absprox.experiments import run_named_experiment
+from absprox.experiments import Q3, Q5, run_named_experiment
 from absprox.oracles import AbsPlusSquare
 from absprox.reference import eig_sym, fd_gradient
 from absprox.rng import XorShift64Star

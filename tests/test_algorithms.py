@@ -39,9 +39,8 @@ from absprox import (
     schedule_step,
     write_csv,
 )
-from absprox.checks import Q3
 from absprox.config import hessian_example
-from absprox.experiments import named_experiment_configs, run_named_experiment
+from absprox.experiments import Q3, Q5, named_experiment_configs, run_named_experiment
 BALL3 = Ball(np.zeros(3), 1.0)
 
 
@@ -361,9 +360,7 @@ def test_psg_from_a_far_start_lands_on_the_ball():
 
 def test_psg_adaptive_v2_runs_full_horizon_frozen():
     sched = PsgAdaptiveV2(gamma0=1.0, a0=4.0, epsilon=1.0)
-    q5 = np.array([[1.0, 0, -1, 1, 0], [0, 1, 1, -1, 0], [-1, 1, -1, 1, 1],
-                   [1, -1, 1, -1, 1], [0, 0, 1, 1, 1]])
-    res = run_psg(QuadraticForm(q5), Ball(np.zeros(5), 1.0),
+    res = run_psg(QuadraticForm(Q5), Ball(np.zeros(5), 1.0),
                   [-10.0, 10.0, -10.0, 10.0, -10.0], sched, 101)
     assert len(res.records) == 102
     assert res.terminal is None

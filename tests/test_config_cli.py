@@ -38,7 +38,9 @@ from absprox.reference import eig_sym
 from absprox.experiments import (
     CSV_HEADER,
     EXPERIMENTS,
+    Q3,
     Q3_TEXT,
+    Q5,
     named_experiment_configs,
     run_config,
     write_csv,
@@ -264,6 +266,17 @@ def test_bundled_experiments_all_parse():
         assert [c.schedule.gamma0 for c in cfgs] == list(EXPERIMENTS[name]["gammas"])
     with pytest.raises(KeyError, match="unknown experiment"):
         named_experiment_configs("nope")
+
+
+@pytest.mark.parametrize("name", [n for n in EXPERIMENTS if n.startswith("psg-q")])
+def test_the_psg_sweeps_and_verify_read_the_one_q3_and_q5(name):
+    # each sweep parses the text made from experiments' array, and the
+    # spectra check that arbitrates its auto_eigen reads that same array
+    q = Q3 if name.startswith("psg-q3") else Q5
+    for cfg in named_experiment_configs(name):
+        assert cfg.f.q.shape == q.shape and cfg.f.q.tobytes() == q.tobytes()
+    assert checks.Q3 is Q3 and checks.Q5 is Q5
+    assert {"Q3", "Q5"}.isdisjoint(checks.__all__)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from absprox import (
     subgrad_at,
 )
 from absprox.algorithms import IterationRecord, column
-from absprox.checks import Q3
+from absprox.experiments import Q3
 
 
 def _v_min():

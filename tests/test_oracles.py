@@ -32,7 +32,8 @@ from absprox import (
 )
 import absprox
 from absprox import checks
-from absprox.checks import Q3, Q5, certificates
+from absprox.checks import certificates
+from absprox.experiments import Q3, Q5
 from absprox.reference import subgrad_inequality_sampler
 
 
@@ -124,7 +125,7 @@ def test_block_evaluation_is_each_rows_value_bit_for_bit(method, block, coeffici
 _KERNEL_CHILD = """
 import numpy as np
 from absprox import ProxRequest, QuadraticForm
-from absprox.checks import Q3, Q5
+from absprox.experiments import Q3, Q5
 m = np.random.default_rng(64).uniform(-1.0, 1.0, (64, 64))
 bad = 0
 for q in (Q3, Q5, m + m.T):

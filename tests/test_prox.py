@@ -32,7 +32,8 @@ from absprox import (
     prox_via_argmin,
     subgrad_at,
 )
-from absprox.checks import Q3, Q5, closed_form_prox
+from absprox.checks import closed_form_prox
+from absprox.experiments import Q3, Q5
 from absprox.reference import grid_argmin_1d
 from absprox.rng import XorShift64Star
 

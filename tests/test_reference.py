@@ -16,7 +16,8 @@ import absprox.checks
 import absprox.oracles
 import absprox.prox
 import absprox.reference
-from absprox.checks import Q3, Q5, closed_form_prox
+from absprox.checks import closed_form_prox
+from absprox.experiments import Q3, Q5
 from absprox.phi import PhiElement, duality_map_element, duality_map_inverse
 from absprox.oracles import (AbsPlusSquare, Ball, Box, Halfspace, IndicatorSet, NormSquare,
                              QuadraticForm, SmoothBlackBox, eval_oracle, subgrad_at)

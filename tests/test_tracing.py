@@ -25,7 +25,8 @@ from absprox import (
 )
 import absprox.checks
 import absprox.reference
-from absprox.checks import Q3, verify_results
+from absprox.checks import verify_results
+from absprox.experiments import Q3
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
