@@ -422,7 +422,9 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
     """Certified minimizer of h(z) = g(z) + w||z - x0||^2 for a black box g.
 
     Descends from x0 on h'(z) = grad g(z) + 2w(z - x0) with Barzilai-Borwein
-    steps s's/s'y (1.0 when s'y <= 0; the first step is 1/max(1, ||h'(x0)||)).
+    steps s's/s'y (1.0 when s'y <= 0).  The first step is 1/max(1, ||h'(x0)||,
+    2w): the regularizer alone gives h the curvature 2w, so for an affine g
+    the step 1/(2w) lands on the minimizer, and a longer one overshoots.
     A trial point is accepted when ||h'|| falls by the factor 1 - 1e-4 or h
     passes Armijo with c = 1e-4, else the step is halved; below 1e-16 the
     descent gives up.  Once ||h'|| is below about sqrt(eps |h|) a value test
@@ -450,7 +452,7 @@ def _inner_argmin(f: SmoothBlackBox, x0: np.ndarray, w: float) -> np.ndarray:
     grad = dh(z)
     r, v = _norm(grad), None  # v: h(z) once a trial from z fails the gradient test
     tol = _INNER_RTOL * max(1.0, r, _norm(x0))
-    step = 1.0 / max(1.0, r)
+    step = 1.0 / max(1.0, r, 2.0 * w)
     steps = 0
     while not r <= tol and steps < _INNER_MAX_STEPS:
         while step >= 1e-16:

@@ -171,6 +171,8 @@ HAND_LISTED = [
      "h(trial) <= v - 1e-4 * step * r * r", "h(trial) <= v - 0.5 * step * r * r"),
     ("inner-gradient-factor", "oracles.py",
      "if r_t <= (1.0 - 1e-4) * r:", "if r_t <= r:"),
+    # the first step without the regularizer's curvature 2w
+    ("inner-first-step", "oracles.py", "max(1.0, r, 2.0 * w)", "max(1.0, r)"),
     # record 0 would alias the caller's start array
     ("start-copy", "algorithms.py", "x = x0.copy()", "x = x0"),
     # a step that returns its input would hand the new record the last one's array

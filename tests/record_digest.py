@@ -19,7 +19,10 @@ The runs, in this order:
 
 Each record adds ``n``, ``gamma_n``, ``a_n``, ``a_fn``, the bytes of
 ``x_n``, ``f_xn``, ``step_norm``, ``fejer`` and ``stopped_by`` to the hash.
-The script prints the digest and the number of runs and records.
+The script prints one line per group (``sweeps``, ``quad``, ``black-box``),
+with that group's own digest, then the digest over all the runs; each line
+gives its number of runs and records.  A change that moves one group's bits
+then shows which.
 """
 
 from __future__ import annotations
@@ -62,27 +65,33 @@ def _black_box_runs(seed: int):
 
 
 def runs():
+    """(group, result) for every run, in the order above."""
     for name in EXPERIMENTS:
-        yield from (run.result for _, run in run_named_experiment(name))
+        yield from (("sweeps", run.result) for _, run in run_named_experiment(name))
     for seed in SEEDS:
-        yield from _quad_runs(seed)
+        yield from (("quad", result) for result in _quad_runs(seed))
     for seed in SEEDS:
-        yield from _black_box_runs(seed)
+        yield from (("black-box", result) for result in _black_box_runs(seed))
+
+
+def _record_bytes(r) -> bytes:
+    x = np.ascontiguousarray(r.x_n, dtype="<f8")
+    return b"".join([struct.pack("<q3dq", r.n, r.gamma_n, r.a_n, r.a_fn, x.size), x.tobytes(),
+                     struct.pack("<3d", r.f_xn, r.step_norm, r.fejer),
+                     repr(r.stopped_by).encode("utf-8") + b"\n"])
 
 
 def main() -> int:
-    h = hashlib.sha256()
-    count = records = 0
-    for result in runs():
-        count += 1
-        for r in result.records:
-            records += 1
-            x = np.ascontiguousarray(r.x_n, dtype="<f8")
-            h.update(struct.pack("<q3dq", r.n, r.gamma_n, r.a_n, r.a_fn, x.size))
-            h.update(x.tobytes())
-            h.update(struct.pack("<3d", r.f_xn, r.step_norm, r.fejer))
-            h.update(repr(r.stopped_by).encode("utf-8") + b"\n")
-    print(f"{h.hexdigest()}  {count} runs, {records} records")
+    total, groups = [hashlib.sha256(), 0, 0], {}  # [sha256, runs, records]
+    for group, result in runs():
+        data = b"".join(_record_bytes(r) for r in result.records)
+        for tally in (groups.setdefault(group, [hashlib.sha256(), 0, 0]), total):
+            tally[0].update(data)
+            tally[1] += 1
+            tally[2] += len(result.records)
+    for group, (h, count, records) in [*groups.items(), (None, total)]:
+        name = f"{group}: " if group else ""
+        print(f"{h.hexdigest()}  {name}{count} runs, {records} records")
     return 0
 
 

@@ -2,8 +2,9 @@
 keep bit for bit, with no arbiter to compare against.
 
 - R1, negation: x0 -> -x0 (the ball centred at 0 maps to itself, and the
-  quadratics and |x| + x^2 are even).  Every iterate and the Fejér
-  reference are negated; every other field of every record is equal.
+  quadratics, |x| + x^2 and the black box sum(cos x_i) + 0.05 ||x||^2 are
+  even).  Every iterate and the Fejér reference are negated; every other
+  field of every record is equal.
 - R2, scaling by 4: x0, the ball's radius and the Fejér reference times 4.
   Every iterate and ``step_norm`` scale by 4, ``f_xn`` and ``fejer`` by 16,
   and every other field is equal.  |x| + x^2 is not homogeneous, so R2 is
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from absprox import (AbsPlusSquare, Ball, PpaAdditive, PsgConstantGamma, QuadraticForm, STOP_GUARD,
-                     run_ppa, run_psg)
+                     SmoothBlackBox, run_ppa, run_psg)
 
 
 def _bits(v: float) -> bytes:
@@ -107,3 +108,18 @@ def test_ppa_on_abs_plus_square_keeps_negation():
                             delta=float(rng.uniform(-0.1, 1.0)))
         _assert_relation(lambda x, k, sched=sched: run_ppa(f, x, sched, 30),
                          rng.uniform(-20.0, 20.0, 1), rng.uniform(-1.0, 1.0, 1), -1.0)
+
+
+def test_ppa_on_an_even_black_box_keeps_negation():
+    # cos is even and sin odd bit for bit, so every inner prox descends on the
+    # mirrored data from the mirrored start
+    boxes = {n: SmoothBlackBox(value=lambda x: float(np.sum(np.cos(x)) + 0.05 * float(x @ x)),
+                               gradient=lambda x: -np.sin(x) + 0.1 * x, kappa=lambda x: 1.0,
+                               eps=1e-3, dim=n) for n in (1, 2, 3)}
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        g = boxes[int(rng.integers(1, 4))]
+        # the weights 1 + a0 - 2k of the 4 steps stay above kappa = 1
+        sched = PpaAdditive(0.5, float(rng.uniform(6.5, 10.0)), delta=-2.0)
+        _assert_relation(lambda x, k, g=g, sched=sched: run_ppa(g, x, sched, 4),
+                         rng.uniform(-6.0, 6.0, g.dim), rng.uniform(-1.0, 1.0, g.dim), -1.0)

@@ -18,6 +18,7 @@ from absprox import (
     InfeasibleCoefficientError,
     NormSquare,
     PhiElement,
+    PpaAdditive,
     ProxRequest,
     PsgAdaptiveV2,
     PsgConstantGamma,
@@ -30,6 +31,7 @@ from absprox import (
     prox_abs_square_closed_form,
     prox_indicator,
     prox_via_argmin,
+    run_ppa,
     subgrad_at,
 )
 from absprox.checks import closed_form_prox
@@ -386,17 +388,18 @@ def test_inner_solver_certifies_only_a_positive_margin():
     assert np.allclose(got, x0 * 2.5 / 3.5, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("x0, a0, value_calls", [
+@pytest.mark.parametrize("x0, value_calls", [
     # the first trial lands at ||h'|| = 0.99995 r, short of the 1 - 1e-4
     # factor, so Armijo is consulted: h at x0 and at the trial
-    (2.0 / (2.0 - 5e-5), 0.0, 2),
+    (1.5 / (2.0 - 5e-5), 2),
     # the first trial lands at ||h'|| equal to (1 - 1e-4) r in floating
     # point, which the gradient test accepts
-    (1.2500625031251562, 0.5, 0),
+    (0.7500375018750938, 0),
 ], ids=["short-of-the-factor", "at-the-factor"])
-def test_inner_solver_gradient_test_boundary(x0, a0, value_calls):
-    # g = z^2 and weight w = 1 + a0: h'(x0) = 2 x0 = r, so the first step
-    # 1/r moves to x0 - 1, where ||h'|| = 2 (1 + w) - 2 x0 = ((1 + w)/x0 - 1) r
+def test_inner_solver_gradient_test_boundary(x0, value_calls):
+    # g = z^2 and weight w = 1/2: h'(x0) = 2 x0 = r, and 2w = 1 <= max(1, r),
+    # so the first step 1/r moves to x0 - 1, where ||h'|| = 3 - 2 x0 =
+    # (1.5/x0 - 1) r
     calls = []
 
     def value(p):
@@ -404,19 +407,20 @@ def test_inner_solver_gradient_test_boundary(x0, a0, value_calls):
         return float(p @ p)
 
     g = _blackbox(value, lambda p: 2.0 * p, 0.0)
-    got = prox_via_argmin(ProxRequest(g, np.array([x0]), 0.5, a0))
+    got = prox_via_argmin(ProxRequest(g, np.array([x0]), 0.5, -0.5))
     assert len(calls) == value_calls
-    assert got[0] == pytest.approx(x0 * (1.0 + a0) / (2.0 + a0), rel=1e-12)
+    assert got[0] == pytest.approx(x0 / 3.0, rel=1e-12)
 
 
 def test_inner_solver_halves_a_step_that_raises_h_by_less_than_the_armijo_term():
-    # g = z^2 and weight 1: h = z^2 + (z - x0)^2 has h'' = 4, and the first
-    # step 1/r overshoots the minimizer x0/2 by the factor 2.0001.  The trial
-    # x0 - 1 fails the gradient test and raises h by about r^2 1e-4 / 4, less
-    # than the Armijo term 1e-4 step r^2 = r 1e-4: it must be refused, so the
-    # next gradient is taken at the halved step x0 - 0.5, not at the
-    # Barzilai-Borwein step from the trial
-    x0 = 2.0 / 2.0001
+    # g = z^2 and weight 1/2: h = z^2 + (z - x0)^2 / 2 has h'' = 3, and
+    # 2w = 1 <= max(1, r), so the first step is 1/r, which overshoots the
+    # minimizer x0/3 by the factor 2.0001.  The trial x0 - 1 fails the
+    # gradient test and raises h by about r^2 1e-4 / 3, less than the Armijo
+    # term 1e-4 step r^2 = r 1e-4: it must be refused, so the next gradient
+    # is taken at the halved step x0 - 0.5, not at the Barzilai-Borwein step
+    # from the trial
+    x0 = 1.5 / 2.0001
     seen = []
 
     def gradient(p):
@@ -424,9 +428,73 @@ def test_inner_solver_halves_a_step_that_raises_h_by_less_than_the_armijo_term()
         return 2.0 * p
 
     g = _blackbox(lambda p: float(p @ p), gradient, 0.0)
-    got = prox_via_argmin(ProxRequest(g, np.array([x0]), 0.5, 0.0))
+    got = prox_via_argmin(ProxRequest(g, np.array([x0]), 0.5, -0.5))
     assert seen[:3] == [x0, x0 - 1.0, x0 - 0.5]
-    assert got[0] == pytest.approx(x0 / 2.0, rel=1e-12)
+    assert got[0] == pytest.approx(x0 / 3.0, rel=1e-12)
+
+
+def _affine_blackbox(c, seen):
+    # g = <c, z>, recording where its gradient is taken; value must not be called
+    def value(p):
+        raise AssertionError("value called")
+
+    def gradient(p):
+        seen.append(p.copy())
+        return c.copy()
+
+    return _blackbox(value, gradient, 0.0, dim=c.size)
+
+
+@pytest.mark.parametrize("a0", [0.0, 3.0, 2.0**20 - 1.0], ids=["w=1", "w=4", "w=2^20"])
+def test_inner_solver_first_step_is_the_forward_step_of_the_regularizer(a0):
+    # g = <c, z> at the weights w = 1 + a0 = 1, 4 and 2^20, all above 1/2
+    # and ||c|| / 2: the first step is 1/(2w), and x0 - h'(x0)/(2w) =
+    # x0 - c/(2w) is the minimizer of h, exact here since 2w is a power of 2;
+    # the descent stops there with no value test
+    c, x0, seen = np.array([0.75, -0.5]), np.array([1.0, -2.0]), []
+    req = ProxRequest(_affine_blackbox(c, seen), x0, 0.5, a0)
+    got = prox_via_argmin(req)
+    answer = x0 - c / (2.0 * req.weight)
+    assert [p.tolist() for p in seen] == [x0.tolist(), answer.tolist()]
+    assert got.tolist() == answer.tolist()
+
+
+@pytest.mark.parametrize("a0", [-0.75, -0.5], ids=["w=0.25", "w=0.5"])
+@pytest.mark.parametrize("c", [[3.0, -4.0], [0.3, -0.4]], ids=["r=5", "r=0.5"])
+def test_inner_solver_first_step_at_a_weight_up_to_one_half_is_one_over_max_1_r(a0, c):
+    # g = <c, z>: h'(x0) = c, and 2w <= 1, so the first trial is x0 - c / max(1, ||c||)
+    c, x0, seen = np.array(c), np.array([1.0, -2.0]), []
+    req = ProxRequest(_affine_blackbox(c, seen), x0, 0.5, a0)
+    got = prox_via_argmin(req)
+    assert np.allclose(seen[1], x0 - c / max(1.0, float(np.linalg.norm(c))), rtol=0, atol=1e-15)
+    assert np.allclose(got, x0 - c / (2.0 * req.weight), rtol=0, atol=1e-12)
+
+
+def test_inner_solver_calls_on_the_inner_prox_problem_are_pinned():
+    # g = sum(cos x_i) + 0.05||x||^2 with kappa = 1, three ppa steps at the
+    # weights 7, 5 and 3 from a 1-D and a 2-D start.  With the first step
+    # 1/(2w) the six proxes take 36 gradient calls and no value test; from
+    # 1/max(1, r) they took 56 gradient calls and 21 value calls besides the
+    # records'
+    grads, values = [], []
+
+    def value(p):
+        values.append(p.tolist())
+        return float(np.sum(np.cos(p)) + 0.05 * float(p @ p))
+
+    def gradient(p):
+        grads.append(p)
+        return -np.sin(p) + 0.1 * p
+
+    records = []
+    for x0 in ([2.5], [-4.0, 1.5]):
+        g = SmoothBlackBox(value=value, gradient=gradient, kappa=lambda p: 1.0, eps=1e-3,
+                           dim=len(x0))
+        res = run_ppa(g, np.array(x0), PpaAdditive(0.5, 6.0, delta=-2.0), 3)
+        records += [r.x_n.tolist() for r in res.records]
+    assert len(grads) == 36
+    # run_ppa evaluates g at each of its 8 records, and the prox nowhere
+    assert values == records
 
 
 def test_inner_solver_stops_at_a_residual_equal_to_its_tolerance():
@@ -461,11 +529,11 @@ def test_inner_solver_takes_at_most_500_steps():
         prox_via_argmin(ProxRequest(g, np.zeros(1), 0.5, -1.0))
 
 
-# sha256 of the answers' bytes, frozen before the inner solver stopped
-# evaluating h where its gradient test decides: the residual checks above
-# pass for any step sequence that converges, these pin the sequence
-_RANDOM_REQUESTS_SHA256 = "603b288a762382262020808fc152a7e6e9cade64d66f46cebeeff0ce5f3e216d"
-_DOUBLE_WELL_GRID_SHA256 = "f94fa1819853d5f9a03db25d28737c2f7617bf881fef7c3f8aaa596aa5b4685c"
+# sha256 of the answers' bytes, frozen with the first step 1/max(1, r, 2w):
+# the residual checks above pass for any step sequence that converges, these
+# pin the sequence
+_RANDOM_REQUESTS_SHA256 = "8d83cbf96cde205b872d414d9e04e835e8e0ae8f3d9b42b2984238a9f10c410c"
+_DOUBLE_WELL_GRID_SHA256 = "6d4be58f438723950469ecfd3a0da71b193eb9e5e99aa6b0762d0f260c42601c"
 
 
 def _double_well(value=None):
@@ -476,7 +544,7 @@ def _double_well(value=None):
 
 def test_inner_solver_answers_on_random_prox_requests_are_pinned():
     # the 500 requests of the stationarity test above, drawn the same way;
-    # 15 of their trials are accepted by Armijo, where h(z) is read
+    # 2 of their trials are accepted by Armijo, where h(z) is read
     rng = np.random.default_rng(606)
     boxes = {d: _cos_blackbox(d, 0.5) for d in (1, 2, 3)}
     digest = hashlib.sha256()
